@@ -10,6 +10,7 @@ from .mesh import (
     unit_square_initial,
 )
 from .operators import (
+    DenseTooLargeError,
     KroneckerOperator,
     assemble_B,
     gram_X,
@@ -36,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
+    "DenseTooLargeError",
     "ErrorReport",
     "ExperimentConfig",
     "KroneckerOperator",

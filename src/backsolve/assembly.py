@@ -325,6 +325,19 @@ def space_mixed(
     )
 
 
+def _scatter_matrix(dm: DofMap) -> sp.csr_matrix:
+    """0/1 matrix summing flattened (cell, local slot) values into dofs.
+
+    Eliminated (-1) slots have no entry. Each row lists its slots in
+    ascending order, so a product adds them up in cell order.
+    """
+    slots = dm.cell_dofs.ravel()
+    keep = np.flatnonzero(slots >= 0)
+    return sp.csr_matrix(
+        (np.ones(keep.size), (slots[keep], keep)), shape=(dm.n_dofs, slots.size)
+    )
+
+
 def space_load(
     mesh: SpatialMesh, spec: SpaceBasisSpec, func, degree: int
 ) -> np.ndarray:
@@ -336,11 +349,7 @@ def space_load(
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
-    out = np.zeros(dm.n_dofs)
-    np.add.at(out, dm.cell_dofs.ravel().clip(min=0), np.where(
-        dm.cell_dofs.ravel() >= 0, cell_load.ravel(), 0.0
-    ))
-    return out
+    return _scatter_matrix(dm) @ cell_load.ravel()
 
 
 def integrate_squared(mesh: SpatialMesh, func, degree: int) -> float:
@@ -378,22 +387,29 @@ def load_vector_f(
 ) -> np.ndarray:
     """Tensor-quadrature load F[(e,n),j] = iint f psi_{e,n}(t) eta_j(x).
 
-    f is called as f(t, points) with scalar t and points (m, d).
+    f is called as f(t, points) with scalar t and points (m, d). The spatial
+    rule, geometry and dof scatter are set up once; each time element
+    evaluates f at its Gauss points, reduces them against the time and
+    space test functions, and scatters the cell loads to dofs.
     """
-    n_x = space_dof_map(space_mesh, space_spec).n_dofs
+    dm = space_dof_map(space_mesh, space_spec)
+    pts, w = _cell_rule(space_mesh, quad_order)
+    vol, _ = _geometry(space_mesh)
+    vals, _ = ref_shapes(space_mesh.dimension, space_spec.degree, pts)
+    flat = quad_points_physical(space_mesh, pts).reshape(-1, space_mesh.dimension)
+    cell_w = vol[:, None] * w  # (cells, q)
+    scatter = _scatter_matrix(dm)
     p = time_spec.degree
-    out = np.zeros((time_mesh.n_elements * (p + 1), n_x))
+    bp = time_mesh.breakpoints
+    out = np.empty((time_mesh.n_elements, p + 1, dm.n_dofs))
     sq, wq = gauss_1d_for_degree(quad_order)
     for e in range(time_mesh.n_elements):
-        t0, t1 = time_mesh.breakpoints[e], time_mesh.breakpoints[e + 1]
-        h = t1 - t0
-        psi = test_basis_values(time_spec, sq, h)
-        for q in range(sq.size):
-            t = t0 + h * sq[q]
-            lx = space_load(space_mesh, space_spec, lambda x: f(t, x), quad_order)
-            out[e * (p + 1) : (e + 1) * (p + 1)] += (h * wq[q]) * np.outer(
-                psi[:, q], lx
-            )
+        h = bp[e + 1] - bp[e]
+        tw = h * wq * test_basis_values(time_spec, sq, h)  # (p+1, time points)
+        fq = np.stack([f(bp[e] + h * s, flat) for s in sq])
+        fq = fq.reshape(sq.size, *cell_w.shape) * cell_w
+        local = np.tensordot(tw, fq, axes=1) @ vals  # (p+1, cells, nloc)
+        out[e] = (scatter @ local.reshape(p + 1, -1).T).T
     return out.reshape(-1)
 
 
@@ -416,20 +432,27 @@ class FEField:
 def fe_values_on_cells(
     mesh: SpatialMesh, spec: SpaceBasisSpec, coeffs: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """FE values at rule points of every cell: (nc, q). Eliminated dofs are 0."""
+    """FE values at rule points of every cell: (..., nc, q). Eliminated dofs are 0.
+
+    coeffs is (..., n_dofs); leading axes (say, one row per time
+    breakpoint) are kept in the result.
+    """
     dm = space_dof_map(mesh, spec)
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
-    c = np.where(dm.cell_dofs >= 0, coeffs[dm.cell_dofs.clip(min=0)], 0.0)
-    return np.einsum("ci,qi->cq", c, vals)
+    c = np.where(dm.cell_dofs >= 0, coeffs[..., dm.cell_dofs.clip(min=0)], 0.0)
+    return np.einsum("...ci,qi->...cq", c, vals)
 
 
 def fe_gradients_on_cells(
     mesh: SpatialMesh, spec: SpaceBasisSpec, coeffs: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """FE gradients at rule points of every cell: (nc, q, d)."""
+    """FE gradients at rule points of every cell: (..., nc, q, d).
+
+    coeffs is (..., n_dofs), batched as in fe_values_on_cells.
+    """
     dm = space_dof_map(mesh, spec)
     _, grads = ref_shapes(mesh.dimension, spec.degree, pts)
     _, jinv = _geometry(mesh)
     phys = np.einsum("qie,ced->cqid", grads, jinv)
-    c = np.where(dm.cell_dofs >= 0, coeffs[dm.cell_dofs.clip(min=0)], 0.0)
-    return np.einsum("ci,cqid->cqd", c, phys)
+    c = np.where(dm.cell_dofs >= 0, coeffs[..., dm.cell_dofs.clip(min=0)], 0.0)
+    return np.einsum("...ci,cqid->...cqd", c, phys)

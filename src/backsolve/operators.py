@@ -8,6 +8,8 @@ test/oracle facility only; runtime code must use apply().
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -164,6 +166,22 @@ def trace_operator(time_mesh: TimeMesh, space_mesh: SpatialMesh, t: float) -> Kr
     return KroneckerOperator([(row, sp.identity(n_x, format="csr"))])
 
 
+class DenseTooLargeError(MemoryError):
+    """A dense n x n float64 working set would exceed physical memory."""
+
+
+def check_dense_fits(n: int, arrays: int, what: str) -> None:
+    """Raise DenseTooLargeError before `arrays` dense n x n float64 arrays
+    are allocated if together they exceed the machine's physical memory."""
+    need = arrays * n * n * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise DenseTooLargeError(
+            f"{what} needs {arrays} dense {n} x {n} arrays, {need:,} bytes, "
+            f"more than the {have:,} bytes of physical memory"
+        )
+
+
 def _normal_matrix_dense(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> np.ndarray:
     """Dense Bt G_Y B on the trial space via the tensor identity
 
@@ -198,6 +216,9 @@ def infsup_constant(
         raise ValueError("l_small must not exceed l_big")
     if l_small == l_big:
         return 1.0
+    # the two normal matrices, plus the working copies eigh makes of them
+    n = time_mesh.breakpoints.size * space_dof_map(space_mesh, TRIAL_SPACE).n_dofs
+    check_dense_fits(n, 4, "infsup_constant")
     small = _normal_matrix_dense(time_mesh, space_mesh, l_small)
     big = _normal_matrix_dense(time_mesh, space_mesh, l_big)
     try:

@@ -24,7 +24,13 @@ from .assembly import (
     time_stiffness_trial,
 )
 from .mesh import SpatialMesh, TimeMesh
-from .operators import TEST_TIME, TRIAL_SPACE, gram_X, test_space_spec
+from .operators import (
+    TEST_TIME,
+    TRIAL_SPACE,
+    check_dense_fits,
+    gram_X,
+    test_space_spec,
+)
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,10 @@ def make_G_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> RieszPreco
 
 
 def _eig_apply(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> Callable:
-    a = space_stiffness(space_mesh, TRIAL_SPACE).toarray()
+    a = space_stiffness(space_mesh, TRIAL_SPACE)
+    # dense stiffness and mass, plus the working copies eigh makes of them
+    check_dense_fits(a.shape[0], 4, "the eig trial-space lift")
+    a = a.toarray()
     m = space_mass(space_mesh, TRIAL_SPACE).toarray()
     mu, vx = scipy.linalg.eigh(a, m)  # vx is m-orthonormal
     t_stiff = time_stiffness_trial(time_mesh).toarray()

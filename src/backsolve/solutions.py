@@ -7,6 +7,7 @@ callables take a scalar time and an (m, d) point array.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,17 +27,19 @@ class ManufacturedSolution:
 
 
 def _sin_product(x: np.ndarray) -> np.ndarray:
-    return np.prod(np.sin(np.pi * x), axis=1)
+    # a fold over the columns: the same products as np.prod(axis=1), whose
+    # reduce over d <= 2 entries per row is several times slower
+    return functools.reduce(np.multiply, np.sin(np.pi * x).T)
 
 
 def _grad_sin_product(x: np.ndarray) -> np.ndarray:
-    s = np.sin(np.pi * x)
-    c = np.cos(np.pi * x)
-    out = np.empty_like(x)
-    for i in range(x.shape[1]):
-        # rebuild the partial product instead of dividing (s can vanish)
-        others = np.prod(np.delete(s, i, axis=1), axis=1) if x.shape[1] > 1 else 1.0
-        out[:, i] = np.pi * c[:, i] * others
+    if x.shape[1] > 2:
+        raise ValueError("manufactured solutions are defined for d <= 2")
+    px = np.pi * x
+    out = np.pi * np.cos(px)
+    if x.shape[1] == 2:
+        # multiply in the other factor instead of dividing (sin can vanish)
+        out *= np.sin(px[:, ::-1])
     return out
 
 

@@ -1,0 +1,268 @@
+"""Batched space-time quadrature against the per-time-point loops it replaced.
+
+The reference helpers below are the earlier implementations, kept as the
+definition of the quantities: one spatial load per time Gauss point, and one
+FE evaluation (with its own geometry) per time Gauss point and error mode.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from backsolve import assembly, operators
+from backsolve.assembly import (
+    SpaceBasisSpec,
+    _cell_rule,
+    _geometry,
+    fe_gradients_on_cells,
+    fe_values_on_cells,
+    load_vector_f,
+    quad_points_physical,
+    ref_shapes,
+    space_dof_map,
+    space_load,
+)
+from backsolve.mesh import (
+    cell_volumes,
+    refine_uniform,
+    uniform_time_mesh,
+    unit_interval_mesh,
+    unit_square_initial,
+)
+from backsolve.operators import (
+    TEST_TIME,
+    TRIAL_SPACE,
+    DenseTooLargeError,
+    check_dense_fits,
+    infsup_constant,
+)
+from backsolve.precond import make_G_X
+from backsolve.quadrature import gauss_1d_for_degree
+from backsolve.solutions import _grad_sin_product, _sin_product, get_solution
+from backsolve.solver import (
+    DEFAULT_QUAD_ORDER,
+    error_report,
+    interpolation_gap_xnorm,
+    nodal_interpolant,
+)
+
+RTOL = 1e-12
+
+
+def _ref_space_load(mesh, spec, func, degree):
+    dm = space_dof_map(mesh, spec)
+    pts, w = _cell_rule(mesh, degree)
+    vol, _ = _geometry(mesh)
+    vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
+    xq = quad_points_physical(mesh, pts)
+    fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
+    cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
+    out = np.zeros(dm.n_dofs)
+    np.add.at(out, dm.cell_dofs.ravel().clip(min=0), np.where(
+        dm.cell_dofs.ravel() >= 0, cell_load.ravel(), 0.0
+    ))
+    return out
+
+
+def _ref_load_vector_f(time_mesh, space_mesh, time_spec, space_spec, f, quad_order):
+    n_x = space_dof_map(space_mesh, space_spec).n_dofs
+    p = time_spec.degree
+    out = np.zeros((time_mesh.n_elements * (p + 1), n_x))
+    sq, wq = gauss_1d_for_degree(quad_order)
+    for e in range(time_mesh.n_elements):
+        t0, t1 = time_mesh.breakpoints[e], time_mesh.breakpoints[e + 1]
+        h = t1 - t0
+        psi = assembly.test_basis_values(time_spec, sq, h)
+        for q in range(sq.size):
+            t = t0 + h * sq[q]
+            lx = _ref_space_load(space_mesh, space_spec, lambda x: f(t, x), quad_order)
+            out[e * (p + 1) : (e + 1) * (p + 1)] += (h * wq[q]) * np.outer(
+                psi[:, q], lx
+            )
+    return out.reshape(-1)
+
+
+def _ref_tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, mode):
+    n_x = coeffs.size // time_mesh.breakpoints.size
+    mat = coeffs.reshape(-1, n_x)
+    pts, w = _cell_rule(space_mesh, quad_order)
+    vol = cell_volumes(space_mesh)
+    phys = quad_points_physical(space_mesh, pts)
+    flat = phys.reshape(-1, space_mesh.dimension)
+    sq, wq = gauss_1d_for_degree(quad_order)
+    total = 0.0
+    for e in range(time_mesh.n_elements):
+        t0, t1 = time_mesh.breakpoints[e], time_mesh.breakpoints[e + 1]
+        h = t1 - t0
+        for s, tw in zip(sq, wq):
+            t = t0 + h * s
+            if mode == "dt":
+                c = (mat[e + 1] - mat[e]) / h
+                approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                exact = solution.du_dt(t, flat).reshape(approx.shape)
+                diff_sq = (approx - exact) ** 2
+            elif mode == "h1":
+                c = (1.0 - s) * mat[e] + s * mat[e + 1]
+                approx = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                exact = solution.grad(t, flat).reshape(approx.shape)
+                diff_sq = np.sum((approx - exact) ** 2, axis=2)
+            else:
+                c = (1.0 - s) * mat[e] + s * mat[e + 1]
+                approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                exact = solution.u(t, flat).reshape(approx.shape)
+                diff_sq = (approx - exact) ** 2
+            total += h * tw * float(np.einsum("c,q,cq->", vol, w, diff_sq))
+    return total
+
+
+def _ref_grad_sin_product(x):
+    s = np.sin(np.pi * x)
+    c = np.cos(np.pi * x)
+    out = np.empty_like(x)
+    for i in range(x.shape[1]):
+        others = np.prod(np.delete(s, i, axis=1), axis=1) if x.shape[1] > 1 else 1.0
+        out[:, i] = np.pi * c[:, i] * others
+    return out
+
+
+def _space_mesh(d, k):
+    initial = unit_square_initial() if d == 2 else unit_interval_mesh(1)
+    return refine_uniform(initial, d * k)
+
+
+def _f_mixed(t, x):
+    # does not separate in t and x
+    return np.sin(3.0 * t + 2.0 * x[:, 0]) * np.cos(t * x[:, -1]) + t**2 * x[:, 0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_load_vector_f_matches_per_time_point_loop(d, degree):
+    tm = uniform_time_mesh(0.25, 1.0, 2)
+    sm = _space_mesh(d, 2)
+    spec = SpaceBasisSpec(degree, dirichlet=True)
+    got = load_vector_f(tm, sm, TEST_TIME, spec, _f_mixed, DEFAULT_QUAD_ORDER)
+    ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, _f_mixed, DEFAULT_QUAD_ORDER)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize(
+    "spec", [SpaceBasisSpec(1, True), SpaceBasisSpec(2, True), SpaceBasisSpec(2, False)]
+)
+def test_space_load_scatter_is_bytewise_the_add_at_loop(d, spec):
+    sm = _space_mesh(d, 2)
+    g = lambda x: np.cos(2.0 * x[:, 0]) + x[:, -1]  # noqa: E731
+    np.testing.assert_array_equal(
+        space_load(sm, spec, g, 5), _ref_space_load(sm, spec, g, 5)
+    )
+
+
+def _coeff_cases(tm, sm, solution):
+    interp = nodal_interpolant(tm, sm, solution)
+    return interp, np.random.default_rng(3).standard_normal(interp.size)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["cubic", "decay"])
+def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
+    tm = uniform_time_mesh(0.0, 1.0, k)
+    sm = _space_mesh(d, k)
+    solution = get_solution(name, d)
+    lam1 = d * math.pi**2
+    q = DEFAULT_QUAD_ORDER
+    for coeffs in _coeff_cases(tm, sm, solution):
+        ref = {
+            mode: _ref_tensor_error_sq(tm, sm, coeffs, solution, q, mode)
+            for mode in ("l2", "h1", "dt")
+        }
+        gap = interpolation_gap_xnorm(tm, sm, coeffs, solution)
+        assert gap == pytest.approx(
+            math.sqrt(ref["h1"] + ref["dt"] / lam1), rel=RTOL
+        )
+        rep = error_report(tm, sm, coeffs, solution, [0.5, 1.0])
+        assert rep.l2l2 == pytest.approx(math.sqrt(ref["l2"]), rel=RTOL)
+        assert rep.l2h1 == pytest.approx(math.sqrt(ref["h1"]), rel=RTOL)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    counts[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
+    counts = {}
+    for name in ("_geometry", "space_dof_map", "space_load"):
+        _count_calls(monkeypatch, assembly, name, counts)
+    sm = _space_mesh(d, 2)
+    solution = get_solution("cubic", d)
+    spec = SpaceBasisSpec(2, dirichlet=True)
+    per_mesh = []
+    for k in (1, 4):  # 2 and 16 time elements
+        tm = uniform_time_mesh(0.0, 1.0, k)
+        coeffs = nodal_interpolant(tm, sm, solution)
+        seen = []
+        for call in (
+            lambda: load_vector_f(tm, sm, TEST_TIME, spec, solution.f, 5),
+            lambda: interpolation_gap_xnorm(tm, sm, coeffs, solution),
+            lambda: error_report(tm, sm, coeffs, solution, [0.5]),
+        ):
+            for name in counts:
+                counts[name] = 0
+            call()
+            seen.append(dict(counts))
+        per_mesh.append(seen)
+    assert per_mesh[0] == per_mesh[1]
+    assert all(c["space_load"] == 0 for c in per_mesh[0])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sin_products_are_bytewise_the_earlier_ones(d):
+    x = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, d))
+    x[:7] = np.array([0.0, 0.5, 1.0, 0.25, 1e-300, 0.75, 1.0 - 1e-16])[:, None]
+    np.testing.assert_array_equal(_grad_sin_product(x), _ref_grad_sin_product(x))
+    np.testing.assert_array_equal(_sin_product(x), np.prod(np.sin(np.pi * x), axis=1))
+
+
+class TestDenseSizeGuard:
+    def test_absurd_size_raises_named_error(self):
+        n = 10**9  # 8e18 bytes per array; nothing is allocated
+        with pytest.raises(DenseTooLargeError, match=f"{n} x {n}") as info:
+            check_dense_fits(n, 4, "probe")
+        assert f"{4 * n * n * 8:,} bytes" in str(info.value)
+        assert isinstance(info.value, MemoryError)
+
+    def test_small_size_passes(self):
+        check_dense_fits(100, 4, "probe")
+
+    def _tiny_memory(self, monkeypatch):
+        real = operators.os.sysconf
+
+        def sysconf(name):
+            return 0 if name == "SC_PHYS_PAGES" else real(name)
+
+        monkeypatch.setattr(operators.os, "sysconf", sysconf)
+
+    def test_infsup_checks_before_allocating(self, monkeypatch):
+        self._tiny_memory(monkeypatch)
+        tm = uniform_time_mesh(0.0, 1.0, 1)
+        sm = _space_mesh(2, 1)
+        with pytest.raises(DenseTooLargeError, match="infsup_constant"):
+            infsup_constant(tm, sm, 0, 1)
+
+    def test_eig_lift_checks_before_allocating(self, monkeypatch):
+        self._tiny_memory(monkeypatch)
+        tm = uniform_time_mesh(0.0, 1.0, 1)
+        sm = _space_mesh(2, 1)
+        with pytest.raises(DenseTooLargeError, match="trial-space lift"):
+            make_G_X(tm, sm)
