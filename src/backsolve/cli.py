@@ -28,7 +28,7 @@ from .oracle import (
     random_spectral_fields,
     single_mode_hbeta_ratio_exact,
 )
-from .solver import build_meshes, solve_backward
+from .solver import build_meshes, solve_backward, trial_dofs
 
 import numpy as np
 
@@ -45,12 +45,6 @@ def _fmt(value) -> str:
 
 def _slice_cols(config: ExperimentConfig, suffix: str = "") -> list:
     return [f"err_slice@{t:g}{suffix}" for t in config.slice_times]
-
-
-def _trial_dofs(config: ExperimentConfig, k: int) -> int:
-    time_mesh, space_mesh = build_meshes(config, k)
-    n_x = int((~space_mesh.boundary_vertex_flags).sum())
-    return time_mesh.breakpoints.size * n_x
 
 
 def _run_convergence(config: ExperimentConfig):
@@ -143,9 +137,8 @@ def _run_infsup(config: ExperimentConfig):
     for k in config.k_range:
         time_mesh, space_mesh = build_meshes(config, k)
         gamma = infsup_constant(time_mesh, space_mesh, l_small=0, l_big=1)
-        rows.append(
-            {"k": k, "dofs": _trial_dofs(config, k), "gamma_infsup": gamma}
-        )
+        dofs = trial_dofs(time_mesh, space_mesh)
+        rows.append({"k": k, "dofs": dofs, "gamma_infsup": gamma})
     return header, rows
 
 

@@ -442,6 +442,13 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
     return time_mesh, space_mesh
 
 
+def trial_dofs(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> int:
+    """Trial space dimension: breakpoints times interior space vertices."""
+    return time_mesh.breakpoints.size * int(
+        (~space_mesh.boundary_vertex_flags).sum()
+    )
+
+
 def _perturbation_for(config, space_mesh):
     if config.experiment == "perturb-random":
         pert = random_perturbation(
@@ -468,9 +475,7 @@ def solve_backward(config, k: int | None = None, epsilon_strategy: str | None = 
     strategy = epsilon_strategy or config.epsilon_strategy
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
-    dofs = time_mesh.breakpoints.size * int(
-        (~space_mesh.boundary_vertex_flags).sum()
-    )
+    dofs = trial_dofs(time_mesh, space_mesh)
 
     perturbation, pert_norm = _perturbation_for(config, space_mesh)
     explicit = None

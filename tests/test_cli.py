@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from backsolve import cli
 from backsolve.cli import main, read_results, run, write_csv
 from backsolve.config import ExperimentConfig, parse_config
 
@@ -113,6 +114,21 @@ class TestRun:
         )
         run(cfg)
         assert list(tmp_path.iterdir()) == []
+
+    def test_infsup_builds_each_level_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_meshes
+
+        def counting(config, k):
+            built.append(k)
+            return build(config, k)
+
+        monkeypatch.setattr(cli, "build_meshes", counting)
+        cfg = ExperimentConfig(experiment="infsup", d=2, T=1.0, k_range=[1, 2])
+        _, rows = run(cfg, str(tmp_path / "i.csv"))
+        assert built == [1, 2]
+        # 2^k + 1 breakpoints times 5 and 25 interior space vertices
+        assert [r["dofs"] for r in rows] == [3 * 5, 5 * 25]
 
 
 class TestMain:
