@@ -16,7 +16,6 @@ from .operators import (
     gram_X,
     gram_Y,
     infsup_constant,
-    trace_operator,
 )
 from .precond import RieszPreconditioner, make_G_X, make_G_Y
 from .solver import (
@@ -64,7 +63,6 @@ __all__ = [
     "refine_uniform",
     "run",
     "solve_backward",
-    "trace_operator",
     "uniform_time_mesh",
     "unit_interval_mesh",
     "unit_square_initial",

@@ -3,7 +3,7 @@
 Builds every 1-d matrix the space-time operators are composed of: hat mass,
 derivative and stiffness matrices in time, mixed matrices against an
 element-wise Legendre test basis, Lagrange P1/P2 mass and stiffness on
-simplicial meshes (Dirichlet dofs eliminated, not penalized), trace vectors,
+simplicial meshes (Dirichlet dofs eliminated, not penalized),
 tensor-quadrature load vectors and L2 projections.
 
 Test dof numbering in time is element-major: dof = element*(p+1) + n where n
@@ -144,19 +144,6 @@ def time_derivative_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
     return sp.coo_matrix(
         (vals, (rows, cols)), shape=(n * (p + 1), n + 1)
     ).tocsr()
-
-
-def trace_vector(mesh: TimeMesh, t: float) -> np.ndarray:
-    """Hat values at time t: e_t[j] = hat_j(t)."""
-    bp = mesh.breakpoints
-    if t < bp[0] or t > bp[-1]:
-        raise ValueError(f"t={t} outside [{bp[0]}, {bp[-1]}]")
-    e = int(np.clip(np.searchsorted(bp, t, side="right") - 1, 0, mesh.n_elements - 1))
-    s = (t - bp[e]) / (bp[e + 1] - bp[e])
-    out = np.zeros(bp.size)
-    out[e] = 1.0 - s
-    out[e + 1] = s
-    return out
 
 
 # --------------------------------------------------------------- space ----

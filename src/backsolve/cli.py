@@ -72,11 +72,11 @@ def _run_convergence(config: ExperimentConfig):
 
 
 def _run_interval_length(config: ExperimentConfig):
-    variants = [(config, f"_L{config.L:g}")]
+    intervals = [(config, f"_L{config.L:g}")]
     if config.L != config.T:
-        variants.append((replace(config, L=config.T), f"_L{config.T:g}"))
+        intervals.append((replace(config, L=config.T), f"_L{config.T:g}"))
     header = ["k", "epsilon"]
-    for _, suffix in variants:
+    for _, suffix in intervals:
         header += [
             f"dofs{suffix}",
             f"pcg_iterations{suffix}",
@@ -87,7 +87,7 @@ def _run_interval_length(config: ExperimentConfig):
     rows = []
     for k in config.k_range:
         row = {"k": k}
-        for cfg, suffix in variants:
+        for cfg, suffix in intervals:
             _, solve_rep, err_rep = solve_backward(cfg, k)
             row["epsilon"] = solve_rep.epsilon
             row[f"dofs{suffix}"] = err_rep.dofs
@@ -147,7 +147,7 @@ def _run_stability_oracle(config: ExperimentConfig):
     rows = []
     # coefficient 4 puts ||u(0)|| = 2 above ||u(T)|| + 1, the regime where
     # the fractional-bound ratio has the closed-form reference; the
-    # log-convexity and smoothing rows are scale-invariant either way
+    # log-convexity and smoothing rows do not depend on the scale either way
     one_mode = SpectralField(2, np.array([[1, 1]]), np.array([4.0]))
     res = check_log_convexity(one_mode, config.T)
     rows.append(
@@ -181,7 +181,7 @@ def _run_stability_oracle(config: ExperimentConfig):
             "check": "smoothing_suite",
             "beta": 0.0,
             "value": max(check_smoothing(f, config.T).constant for f in suite),
-            "reference": 1.0,
+            "reference": 1.0 / math.e,
         }
     )
     beta = 0.5

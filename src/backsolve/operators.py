@@ -26,7 +26,6 @@ from .assembly import (
     time_mass_mixed,
     time_mass_trial,
     time_stiffness_trial,
-    trace_vector,
 )
 from .mesh import SpatialMesh, TimeMesh
 
@@ -157,13 +156,6 @@ def gram_X(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> GramOperator:
             (time_stiffness_trial(time_mesh), MassSolveMass(m, a)),
         ]
     )
-
-
-def trace_operator(time_mesh: TimeMesh, space_mesh: SpatialMesh, t: float) -> KroneckerOperator:
-    """Evaluation at time t: rank-one in time, identity in space."""
-    row = sp.csr_matrix(trace_vector(time_mesh, t)[None, :])
-    n_x = space_dof_map(space_mesh, TRIAL_SPACE).n_dofs
-    return KroneckerOperator([(row, sp.identity(n_x, format="csr"))])
 
 
 class DenseTooLargeError(MemoryError):

@@ -164,10 +164,10 @@ def _sample_times_with_critical(field: SpectralField, T: float, n: int) -> np.nd
 
 
 def check_smoothing(field: SpectralField, T: float, n_samples: int = 400) -> SmoothingReport:
-    """Parabolic smoothing: t ||du/dt(t)|| stays below ||u(0)||.
+    """Parabolic smoothing: t ||du/dt(t)|| stays below ||u(0)|| / e.
 
     Per mode the envelope t*lambda*exp(-lambda*t) peaks at exactly 1/e, so
-    the measured constant is 1/e for a single mode and never exceeds 1.
+    the measured constant is 1/e for a single mode and never exceeds 1/e.
     """
     _require_nonzero(field)
     times = _sample_times_with_critical(field, T, n_samples)

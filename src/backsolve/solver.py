@@ -2,12 +2,15 @@
 
 Builds the SPD normal operator
 
-    S v = Bt G_Y B v + (end trace)t M (end trace) v
-        + reg_epsilon^2 (start trace)t M (start trace) v,
+    S v = Bt G_Y B v + M v(T) + reg_epsilon^2 M v(0)
 
-its right-hand side from the volume source and the end-time data, and
-minimizes with a preconditioned Krylov iteration stopped on the lifted
-residual r(G_X r). Error reporting compares against manufactured solutions.
+on trial coefficients v, viewed as a (breakpoints x space dofs) array. The
+breakpoints include both ends of the time interval, so v(0) and v(T) are
+its first and last rows and the trace terms act on those rows alone. The
+right-hand side collects the volume source and the end-time data, and the
+minimizer is found by preconditioned conjugate residuals stopped on the
+lifted residual r(G_X r). Error reporting compares against manufactured
+solutions.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .operators import (
     KroneckerOperator,
     assemble_B,
     test_space_spec,
-    trace_operator,
 )
 from .oracle import mode_perturbation, random_perturbation
 from .precond import RieszPreconditioner, make_G_X, make_G_Y
@@ -61,12 +63,14 @@ STOPPING_SAFETY = 0.1
 
 @dataclass
 class LeastSquaresSystem:
-    """SPD normal operator of the regularized least-squares functional."""
+    """SPD normal operator of the regularized least-squares functional.
+
+    The end trace v(T) and the start trace v(0) of trial coefficients v are
+    the last and first rows of v.reshape(breakpoints, n_x).
+    """
 
     b_op: KroneckerOperator
     g_y: RieszPreconditioner
-    trace_end: KroneckerOperator
-    trace_start: KroneckerOperator
     mass_x: object
     reg_epsilon: float
     f_load: np.ndarray
@@ -75,33 +79,34 @@ class LeastSquaresSystem:
     rhs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.rhs = self.b_op.apply_transpose(
-            self.g_y.apply(self.f_load)
-        ) + self.trace_end.apply_transpose(self.g_load)
+        rhs = self._rows(self.b_op.apply_transpose(self.g_y.apply(self.f_load)))
+        rhs[-1] += self.g_load
+        self.rhs = rhs.ravel()
 
     @property
     def n(self) -> int:
         return self.b_op.shape[1]
 
+    def _rows(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v).reshape(-1, self.mass_x.shape[0])
+
     def apply(self, v: np.ndarray) -> np.ndarray:
+        rows = self._rows(v)
         out = self.b_op.apply_transpose(self.g_y.apply(self.b_op.apply(v)))
-        z_end = self.trace_end.apply(v)
-        out += self.trace_end.apply_transpose(self.mass_x @ z_end)
+        out = self._rows(out)
+        out[-1] += self.mass_x @ rows[-1]
         if self.reg_epsilon != 0.0:
-            z0 = self.trace_start.apply(v)
-            out += self.reg_epsilon**2 * self.trace_start.apply_transpose(
-                self.mass_x @ z0
-            )
-        return out
+            out[0] += self.reg_epsilon**2 * (self.mass_x @ rows[0])
+        return out.ravel()
 
     def functional(self, v: np.ndarray) -> float:
         """Value of the least-squares functional at trial coefficients v."""
         res = self.b_op.apply(v) - self.f_load
         val = float(res @ self.g_y.apply(res))
-        z_end = self.trace_end.apply(v)
+        rows = self._rows(v)
+        z_end, z0 = rows[-1], rows[0]
         val += float(z_end @ (self.mass_x @ z_end) - 2.0 * z_end @ self.g_load)
         val += self.g_sq
-        z0 = self.trace_start.apply(v)
         val += self.reg_epsilon**2 * float(z0 @ (self.mass_x @ z0))
         return val
 
@@ -115,7 +120,6 @@ class SolveReport:
     epsilon: float
     wall_time: float
     converged: bool
-    variant: str
 
 
 @dataclass
@@ -168,8 +172,6 @@ def build_system(
         raise ValueError("reg_epsilon must be nonnegative")
     b_op = assemble_B(time_mesh, space_mesh, l)
     g_y = make_G_Y(time_mesh, space_mesh, l)
-    trace_end = trace_operator(time_mesh, space_mesh, time_mesh.t_end)
-    trace_start = trace_operator(time_mesh, space_mesh, time_mesh.t_start)
     mass_x = space_mass(space_mesh, TRIAL_SPACE)
 
     if f is None:
@@ -203,29 +205,17 @@ def build_system(
                 space_mesh, lambda x: g(x) + pert_eval(x), quad_order
             )
 
-    return LeastSquaresSystem(
-        b_op, g_y, trace_end, trace_start, mass_x, reg_epsilon, f_load, g_load, g_sq
-    )
+    return LeastSquaresSystem(b_op, g_y, mass_x, reg_epsilon, f_load, g_load, g_sq)
 
 
-def pcg(
-    system,
-    g_x: RieszPreconditioner,
-    threshold: float,
-    max_iter: int,
-    variant: str = "cr",
-):
-    """Preconditioned Krylov iteration on the normal system.
+def pcg(system, g_x: RieszPreconditioner, threshold: float, max_iter: int):
+    """Preconditioned conjugate residual iteration on the normal system.
 
-    variant "cr" (default) is the conjugate residual method in the G_X
-    geometry: it minimizes r(G_X r) over the Krylov space, so the monitored
-    stopping quantity is monotone. variant "cg" is textbook preconditioned
-    CG (monotone in the S-energy norm instead).
+    Conjugate residuals in the G_X geometry minimize r(G_X r) over the
+    Krylov space, so the monitored stopping quantity is monotone.
     """
     if threshold <= 0.0:
         raise ValueError("threshold must be positive")
-    if variant not in ("cr", "cg"):
-        raise ValueError(f"unknown variant {variant!r}")
     t0 = _time.perf_counter()
     h = system.rhs
     x = np.zeros_like(h)
@@ -239,7 +229,7 @@ def pcg(
     iterations = 0
     converged = rz <= threshold
 
-    if not converged and variant == "cr":
+    if not converged:
         s_z = apply_s(z)
         z_s_z = float(z @ s_z)
         p = z.copy()
@@ -264,25 +254,6 @@ def pcg(
             z_s_z = z_s_z_next
             p = z + beta * p
             s_p = s_z + beta * s_p
-    elif not converged:
-        p = z.copy()
-        for iterations in range(1, max_iter + 1):
-            s_p = apply_s(p)
-            denom = float(p @ s_p)
-            if denom <= 0.0:
-                break
-            alpha = rz / denom
-            x += alpha * p
-            r -= alpha * s_p
-            z = apply_g(r)
-            rz_next = float(r @ z)
-            history.append(rz_next)
-            if rz_next <= threshold:
-                converged = True
-                break
-            beta = rz_next / rz
-            rz = rz_next
-            p = z + beta * p
 
     report = SolveReport(
         iterations=iterations,
@@ -292,7 +263,6 @@ def pcg(
         epsilon=getattr(system, "reg_epsilon", float("nan")),
         wall_time=_time.perf_counter() - t0,
         converged=converged,
-        variant=variant,
     )
     return x, report
 

@@ -20,7 +20,6 @@ from backsolve.assembly import (
     time_mass_trial,
     time_stiffness_trial,
     time_test_dim,
-    trace_vector,
 )
 from backsolve.mesh import (
     refine_uniform,
@@ -135,26 +134,6 @@ class TestTimeTestBasis:
             rows = np.nonzero(np.abs(D[:, j]) > 1e-14)[0]
             elements = set(rows // 2)
             assert elements <= {j - 1, j}
-
-
-class TestTraceVector:
-    def test_endpoints(self):
-        tm = uniform_time_mesh(0.0, 1.0, 2)
-        end = trace_vector(tm, 1.0)
-        start = trace_vector(tm, 0.0)
-        assert np.array_equal(end, [0, 0, 0, 0, 1.0])
-        assert np.array_equal(start, [1.0, 0, 0, 0, 0])
-
-    def test_midpoint(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
-        assert np.allclose(trace_vector(tm, 0.5), [0.5, 0.5], atol=1e-15)
-
-    def test_outside_rejected(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            trace_vector(tm, 1.5)
-        with pytest.raises(ValueError):
-            trace_vector(tm, -0.1)
 
 
 P1_DIRICHLET = SpaceBasisSpec(degree=1, dirichlet=True)

@@ -25,7 +25,6 @@ from backsolve.operators import (
     gram_X,
     gram_Y,
     infsup_constant,
-    trace_operator,
 )
 
 # aliased so pytest does not collect the source helper as a test
@@ -289,35 +288,6 @@ class TestGramX:
             assert G.inner(v, v) > 0.0
         dense = G.to_dense()
         assert np.max(np.abs(dense - dense.T)) <= 1e-12
-
-
-class TestTrace:
-    def test_end_trace_picks_last_slab(self):
-        tm = uniform_time_mesh(0.0, 1.0, 2)
-        sm = unit_interval_mesh(4)
-        n_x = int((~sm.boundary_vertex_flags).sum())
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal((tm.n_elements + 1) * n_x)
-        got = trace_operator(tm, sm, 1.0).apply(z)
-        assert np.array_equal(got, z.reshape(-1, n_x)[-1])
-
-    def test_start_trace_of_vanishing_function(self):
-        tm = uniform_time_mesh(0.0, 1.0, 2)
-        sm = unit_interval_mesh(4)
-        n_x = int((~sm.boundary_vertex_flags).sum())
-        z = np.zeros((tm.n_elements + 1, n_x))
-        z[1:] = np.random.default_rng(8).standard_normal((tm.n_elements, n_x))
-        got = trace_operator(tm, sm, 0.0).apply(z.ravel())
-        assert np.max(np.abs(got)) <= 1e-15
-
-    def test_midpoint_averages(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
-        sm = unit_interval_mesh(4)
-        n_x = int((~sm.boundary_vertex_flags).sum())
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((2, n_x))
-        got = trace_operator(tm, sm, 0.5).apply(z.ravel())
-        assert np.allclose(got, 0.5 * (z[0] + z[1]), atol=1e-15)
 
 
 class TestInfSup:

@@ -170,6 +170,16 @@ class TestSmoothing:
             rep = check_smoothing(f, T=1.0)
             assert rep.constant <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_suite_below_one_over_e(self, d):
+        # t lambda exp(-lambda t) <= 1/e per mode bounds every field by 1/e
+        worst = max(
+            check_smoothing(f, T=1.0).constant
+            for seed in range(20)
+            for f in random_spectral_fields(100, d=d, n_max=8, seed=seed)
+        )
+        assert worst <= (1.0 / math.e) * (1.0 + 1e-12)
+
     def test_values_never_negative(self):
         rep = check_smoothing(single_mode(2), T=0.5)
         assert np.all(rep.values >= 0.0)

@@ -61,15 +61,13 @@ class TestGYLift:
         tm, sm = mesh_pair_1d()
         lift = make_G_Y(tm, sm, 0)
         assert lift.norm == "Y"
-        assert lift.realization == "exact-solve"
 
 
 class TestGXLift:
-    @pytest.mark.parametrize("method", ["eig", "cg"])
-    def test_inverts_gram(self, method):
+    def test_inverts_gram(self):
         tm, sm = mesh_pair_2d()
         G = gram_X(tm, sm)
-        lift = make_G_X(tm, sm, method=method)
+        lift = make_G_X(tm, sm)
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.standard_normal(G.shape[1])
@@ -84,15 +82,6 @@ class TestGXLift:
         for _ in range(100):
             f = rng.standard_normal(n)
             assert f @ lift.apply(f) > 0.0
-
-    def test_methods_agree(self):
-        tm, sm = mesh_pair_2d()
-        eig = make_G_X(tm, sm, method="eig")
-        cg = make_G_X(tm, sm, method="cg")
-        rng = np.random.default_rng(4)
-        f = rng.standard_normal(gram_X(tm, sm).shape[0])
-        a, b = eig.apply(f), cg.apply(f)
-        assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
 
     def test_deterministic(self):
         tm, sm = mesh_pair_1d()
@@ -112,8 +101,3 @@ class TestGXLift:
             v = rng.standard_normal(G.shape[1])
             ratio = G.inner(v, lift.apply(G.apply(v))) / G.inner(v, v)
             assert ratio == pytest.approx(1.0, abs=1e-8)
-
-    def test_unknown_method_rejected(self):
-        tm, sm = mesh_pair_1d()
-        with pytest.raises(ValueError):
-            make_G_X(tm, sm, method="lobpcg")
