@@ -2,14 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
+from backsolve import precond
+from backsolve.assembly import (
+    space_mass,
+    space_stiffness,
+    time_mass_trial,
+    time_stiffness_trial,
+)
 from backsolve.mesh import (
+    TimeMesh,
     refine_uniform,
     uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
-from backsolve.operators import gram_X, gram_Y
+from backsolve.operators import TRIAL_SPACE, gram_X, gram_Y
 from backsolve.precond import make_G_X, make_G_Y
 
 
@@ -22,6 +31,101 @@ def mesh_pair_2d():
         uniform_time_mesh(0.0, 1.0, 1),
         refine_uniform(unit_square_initial(), 2),
     )
+
+
+def reference_G_X(time_mesh, space_mesh):
+    """Trial-space lift by a double dense eigendecomposition of the time
+    pencil and the space pencil, the earlier form of make_G_X for every size."""
+    mu, vx = eigh(
+        space_stiffness(space_mesh, TRIAL_SPACE).toarray(),
+        space_mass(space_mesh, TRIAL_SPACE).toarray(),
+    )
+    theta, zt = eigh(
+        time_stiffness_trial(time_mesh).toarray(),
+        time_mass_trial(time_mesh).toarray(),
+    )
+    theta = np.maximum(theta, 0.0)
+    denom = mu[None, :] + theta[:, None] / mu[None, :]
+
+    def apply(f):
+        mat = f.reshape(zt.shape[0], vx.shape[0])
+        w = (zt.T @ mat @ vx) / denom
+        return (zt @ w @ vx.T).ravel()
+
+    return apply
+
+
+def _space_mesh(d, bisections):
+    initial = unit_square_initial() if d == 2 else unit_interval_mesh(1)
+    return refine_uniform(initial, bisections)
+
+
+# (time mesh, space mesh, form make_G_X takes): "dense" when n_x <= n_t
+LIFT_CASES = {
+    "d2-dense": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 2), "dense"),
+    "d2-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4), "sparse"),
+    "d1-dense": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(1, 3), "dense"),
+    "d1-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5), "sparse"),
+    "d2-sparse-nonuniform": (
+        TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
+        _space_mesh(2, 3),
+        "sparse",
+    ),
+}
+
+
+def _dims(time_mesh, space_mesh):
+    return time_mesh.n_elements + 1, space_mass(space_mesh, TRIAL_SPACE).shape[0]
+
+
+def _recording_eigh(monkeypatch):
+    sizes = []
+    real = precond.scipy.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(precond.scipy.linalg, "eigh", recording)
+    return sizes
+
+
+class TestGXForms:
+    @pytest.mark.parametrize("case", LIFT_CASES)
+    def test_matches_double_eigendecomposition(self, case, monkeypatch):
+        tm, sm, form = LIFT_CASES[case]
+        n_t, n_x = _dims(tm, sm)
+        assert (n_x <= n_t) == (form == "dense")
+        reference = reference_G_X(tm, sm)
+        sizes = _recording_eigh(monkeypatch)
+        lift = make_G_X(tm, sm)
+        # the dense form also decomposes the space pencil
+        assert sorted(sizes) == sorted([n_t, n_x] if form == "dense" else [n_t])
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            f = rng.standard_normal(n_t * n_x)
+            want = reference(f)
+            got = lift.apply(f)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", LIFT_CASES)
+    def test_symmetric(self, case):
+        tm, sm, _ = LIFT_CASES[case]
+        n_t, n_x = _dims(tm, sm)
+        lift = make_G_X(tm, sm)
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            f, g = rng.standard_normal((2, n_t * n_x))
+            assert f @ lift.apply(g) == pytest.approx(g @ lift.apply(f), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_d2_decomposes_nothing_larger_than_time(self, k, monkeypatch):
+        tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(2, 2 * k)
+        n_t, n_x = _dims(tm, sm)
+        assert n_x > n_t
+        sizes = _recording_eigh(monkeypatch)
+        make_G_X(tm, sm)
+        assert sizes and max(sizes) <= n_t
 
 
 class TestGYLift:
