@@ -38,17 +38,11 @@ class SpaceBasisSpec:
 
 @dataclass(frozen=True)
 class TimeBasisSpec:
-    """Trial hats or a discontinuous element-wise Legendre test basis."""
+    """Discontinuous element-wise Legendre test basis, orthonormal per element."""
 
-    continuity: str = "discontinuous-pw-poly"
     degree: int = 1
-    orthonormal: bool = True
 
     def __post_init__(self):
-        if self.continuity not in ("continuous-pw-linear", "discontinuous-pw-poly"):
-            raise ValueError(f"unknown continuity {self.continuity!r}")
-        if self.continuity == "continuous-pw-linear" and self.degree != 1:
-            raise ValueError("continuous trial basis is piecewise linear")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
 
@@ -89,20 +83,20 @@ def time_test_dim(mesh: TimeMesh, test: TimeBasisSpec) -> int:
     return mesh.n_elements * (test.degree + 1)
 
 
+def _legendre_scale(degree: int, h: float) -> np.ndarray:
+    """Column of factors giving Legendre 0..degree unit L2 norm on length h."""
+    return np.sqrt((2.0 * np.arange(degree + 1) + 1.0) / h)[:, None]
+
+
 def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h: float) -> np.ndarray:
     """Values of the element test basis at local coordinates s in (0,1).
 
-    Returns shape (degree+1, len(s)). With test.orthonormal the functions are
-    Legendre scaled to unit L2 norm on an element of length h, so the time
-    Gram of the test space is the identity.
+    Returns shape (degree+1, len(s)): Legendre polynomials scaled to unit L2
+    norm on an element of length h, so the time Gram of the test space is
+    the identity.
     """
-    if test.continuity != "discontinuous-pw-poly":
-        raise ValueError("test basis must be discontinuous")
     v = legvander(2.0 * np.asarray(s) - 1.0, test.degree).T
-    if test.orthonormal:
-        scale = np.sqrt((2.0 * np.arange(test.degree + 1) + 1.0) / h)
-        v = v * scale[:, None]
-    return v
+    return v * _legendre_scale(test.degree, h)
 
 
 def time_mass_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
@@ -375,9 +369,10 @@ def load_vector_f(
     """Tensor-quadrature load F[(e,n),j] = iint f psi_{e,n}(t) eta_j(x).
 
     f is called as f(t, points) with scalar t and points (m, d). The spatial
-    rule, geometry and dof scatter are set up once; each time element
-    evaluates f at its Gauss points, reduces them against the time and
-    space test functions, and scatters the cell loads to dofs.
+    rule, geometry, dof scatter and reference Legendre table are set up
+    once; each time element evaluates f at its Gauss points, reduces them
+    against the time and space test functions, and scatters the cell loads
+    to dofs.
     """
     dm = space_dof_map(space_mesh, space_spec)
     pts, w = _cell_rule(space_mesh, quad_order)
@@ -390,9 +385,10 @@ def load_vector_f(
     bp = time_mesh.breakpoints
     out = np.empty((time_mesh.n_elements, p + 1, dm.n_dofs))
     sq, wq = gauss_1d_for_degree(quad_order)
+    legendre = legvander(2.0 * sq - 1.0, p).T  # test_basis_values before scaling
     for e in range(time_mesh.n_elements):
         h = bp[e + 1] - bp[e]
-        tw = h * wq * test_basis_values(time_spec, sq, h)  # (p+1, time points)
+        tw = h * wq * (legendre * _legendre_scale(p, h))  # (p+1, time points)
         fq = np.stack([f(bp[e] + h * s, flat) for s in sq])
         fq = fq.reshape(sq.size, *cell_w.shape) * cell_w
         local = np.tensordot(tw, fq, axes=1) @ vals  # (p+1, cells, nloc)

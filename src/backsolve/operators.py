@@ -29,8 +29,7 @@ from .assembly import (
 )
 from .mesh import SpatialMesh, TimeMesh
 
-TRIAL_TIME = TimeBasisSpec("continuous-pw-linear", 1)
-TEST_TIME = TimeBasisSpec("discontinuous-pw-poly", 1, orthonormal=True)
+TEST_TIME = TimeBasisSpec(1)
 TRIAL_SPACE = SpaceBasisSpec(1, dirichlet=True)
 
 

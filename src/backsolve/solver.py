@@ -276,9 +276,8 @@ def nodal_interpolant(
     time_mesh: TimeMesh, space_mesh: SpatialMesh, solution: ManufacturedSolution
 ) -> np.ndarray:
     """Trial coefficients interpolating the solution at breakpoints/vertices."""
-    pts = interior_points(space_mesh)
-    rows = [solution.u(t, pts) for t in time_mesh.breakpoints]
-    return np.concatenate(rows)
+    phi = solution.phi(interior_points(space_mesh))
+    return np.concatenate([solution.tau(t) * phi for t in time_mesh.breakpoints])
 
 
 def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes):
@@ -288,7 +287,8 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
     basis is piecewise linear in time, so FE values and (P1, cellwise
     constant) gradients are evaluated once per breakpoint: at local time s
     of element e the iterate is (1-s) A[e] + s A[e+1], and its time
-    derivative (A[e+1] - A[e]) / h.
+    derivative (A[e+1] - A[e]) / h. The exact solution's space factors are
+    evaluated once and scaled by its time factors at each Gauss point.
     """
     bp = time_mesh.breakpoints
     mat = coeffs.reshape(bp.size, -1)
@@ -299,8 +299,10 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
     # gradients, so one contraction reduces each of them
     if "l2" in modes or "dt" in modes:
         vals = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat, pts)[..., None]
+        phi = solution.phi(flat).reshape(*cell_w.shape, 1)
     if "h1" in modes:
         grads = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, mat, pts[:1])
+        grad_phi = solution.grad_phi(flat).reshape(*cell_w.shape, -1)
     sq, wq = gauss_1d_for_degree(quad_order)
     totals = dict.fromkeys(modes, 0.0)
     for e in range(time_mesh.n_elements):
@@ -310,14 +312,14 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
             for mode in modes:
                 if mode == "dt":
                     approx = (vals[e + 1] - vals[e]) / h
-                    exact = solution.du_dt(t, flat)
+                    exact = solution.dtau(t) * phi
                 elif mode == "h1":
                     approx = (1.0 - s) * grads[e] + s * grads[e + 1]
-                    exact = solution.grad(t, flat)
+                    exact = solution.tau(t) * grad_phi
                 else:
                     approx = (1.0 - s) * vals[e] + s * vals[e + 1]
-                    exact = solution.u(t, flat)
-                diff = approx - exact.reshape(*cell_w.shape, -1)
+                    exact = solution.tau(t) * phi
+                diff = approx - exact
                 err_sq = np.einsum("cqk,cqk,cq->", diff, diff, cell_w)
                 totals[mode] += h * tw * float(err_sq)
     return tuple(totals[mode] for mode in modes)
@@ -359,6 +361,7 @@ def error_report(
     vol = cell_volumes(space_mesh)
     phys = quad_points_physical(space_mesh, pts)
     flat = phys.reshape(-1, space_mesh.dimension)
+    phi = solution.phi(flat).reshape(phys.shape[:2])
 
     slices = {}
     for t_req in slice_times:
@@ -371,7 +374,7 @@ def error_report(
                 f"(distance {snap:.3g} exceeds half an element)"
             )
         approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat[idx], pts)
-        exact = solution.u(bp[idx], flat).reshape(approx.shape)
+        exact = solution.tau(bp[idx]) * phi
         err_sq = float(np.einsum("c,q,cq->", vol, w, (approx - exact) ** 2))
         slices[float(t_req)] = math.sqrt(max(err_sq, 0.0))
 

@@ -31,12 +31,7 @@ from backsolve.mesh import (
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
 
-TRIAL_TIME = TimeBasisSpec(
-    continuity="continuous-pw-linear", degree=1, orthonormal=False
-)
-TEST_TIME = TimeBasisSpec(
-    continuity="discontinuous-pw-poly", degree=1, orthonormal=True
-)
+TEST_TIME = TimeBasisSpec(degree=1)
 
 
 class TestTimeTrialMatrices:
@@ -77,7 +72,7 @@ class TestTimeTestBasis:
     def test_dimension(self):
         tm = uniform_time_mesh(0.0, 1.0, 2)
         assert time_test_dim(tm, TEST_TIME) == 4 * 2
-        p0 = TimeBasisSpec(continuity="discontinuous-pw-poly", degree=0, orthonormal=True)
+        p0 = TimeBasisSpec(degree=0)
         assert time_test_dim(tm, p0) == 4
 
     def test_orthonormal_on_element(self):
@@ -117,7 +112,7 @@ class TestTimeTestBasis:
 
     def test_mixed_derivative_p0(self):
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        p0 = TimeBasisSpec(continuity="discontinuous-pw-poly", degree=0, orthonormal=True)
+        p0 = TimeBasisSpec(degree=0)
         D = time_derivative_mixed(tm, p0).toarray()
         assert np.allclose(D, [[-1.0, 1.0]], atol=1e-14)
 

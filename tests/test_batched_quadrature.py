@@ -6,6 +6,7 @@ FE evaluation (with its own geometry) per time Gauss point and error mode.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from backsolve.operators import (
 )
 from backsolve.precond import make_G_X
 from backsolve.quadrature import gauss_1d_for_degree
-from backsolve.solutions import _grad_sin_product, _sin_product, get_solution
+from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     DEFAULT_QUAD_ORDER,
     error_report,
@@ -101,12 +102,13 @@ def _ref_tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, mo
             if mode == "dt":
                 c = (mat[e + 1] - mat[e]) / h
                 approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
-                exact = solution.du_dt(t, flat).reshape(approx.shape)
+                exact = solution.dtau(t) * solution.phi(flat).reshape(approx.shape)
                 diff_sq = (approx - exact) ** 2
             elif mode == "h1":
                 c = (1.0 - s) * mat[e] + s * mat[e + 1]
                 approx = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, c, pts)
-                exact = solution.grad(t, flat).reshape(approx.shape)
+                exact = solution.tau(t) * solution.grad_phi(flat)
+                exact = exact.reshape(approx.shape)
                 diff_sq = np.sum((approx - exact) ** 2, axis=2)
             else:
                 c = (1.0 - s) * mat[e] + s * mat[e + 1]
@@ -117,6 +119,10 @@ def _ref_tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, mo
     return total
 
 
+def _ref_sin_product(x):
+    return np.prod(np.sin(np.pi * x), axis=1)
+
+
 def _ref_grad_sin_product(x):
     s = np.sin(np.pi * x)
     c = np.cos(np.pi * x)
@@ -125,6 +131,55 @@ def _ref_grad_sin_product(x):
         others = np.prod(np.delete(s, i, axis=1), axis=1) if x.shape[1] > 1 else 1.0
         out[:, i] = np.pi * c[:, i] * others
     return out
+
+
+# The earlier manufactured solutions, one closure per quantity, each taking
+# a scalar time and an (m, d) point array; they return (u, du_dt, grad, f).
+
+
+def _ref_cubic(d):
+    lam = d * np.pi**2
+
+    def u(t, x):
+        return (1.0 + t**3) * _ref_sin_product(x)
+
+    def du_dt(t, x):
+        return 3.0 * t**2 * _ref_sin_product(x)
+
+    def grad(t, x):
+        return (1.0 + t**3) * _ref_grad_sin_product(x)
+
+    def f(t, x):
+        return (3.0 * t**2 + lam * (1.0 + t**3)) * _ref_sin_product(x)
+
+    return u, du_dt, grad, f
+
+
+def _ref_decay(d):
+    lam = d * np.pi**2
+
+    def u(t, x):
+        return np.exp(lam * (1.0 - t)) * _ref_sin_product(x)
+
+    def du_dt(t, x):
+        return -lam * np.exp(lam * (1.0 - t)) * _ref_sin_product(x)
+
+    def grad(t, x):
+        return np.exp(lam * (1.0 - t)) * _ref_grad_sin_product(x)
+
+    def f(t, x):
+        return np.zeros(x.shape[0])
+
+    return u, du_dt, grad, f
+
+
+def _ref_zero(d):
+    z1 = lambda t, x: np.zeros(x.shape[0])  # noqa: E731
+    zd = lambda t, x: np.zeros_like(x)  # noqa: E731
+    return z1, z1, zd, z1
+
+
+_REF_SOLUTIONS = {"cubic": _ref_cubic, "decay": _ref_decay, "zero": _ref_zero}
 
 
 def _space_mesh(d, k):
@@ -207,6 +262,14 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
         _count_calls(monkeypatch, assembly, name, counts)
     sm = _space_mesh(d, 2)
     solution = get_solution("cubic", d)
+    # a stand-in with the same factors that counts the phi and grad_phi
+    # evaluations; load_vector_f takes the real f(t, x), which evaluates phi
+    # once per time point by its contract, so its phi calls are not counted
+    counted = SimpleNamespace(
+        **{key: getattr(solution, key) for key in ("tau", "dtau", "phi", "grad_phi")}
+    )
+    for name in ("phi", "grad_phi"):
+        _count_calls(monkeypatch, counted, name, counts)
     spec = SpaceBasisSpec(2, dirichlet=True)
     per_mesh = []
     for k in (1, 4):  # 2 and 16 time elements
@@ -215,8 +278,9 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
         seen = []
         for call in (
             lambda: load_vector_f(tm, sm, TEST_TIME, spec, solution.f, 5),
-            lambda: interpolation_gap_xnorm(tm, sm, coeffs, solution),
-            lambda: error_report(tm, sm, coeffs, solution, [0.5]),
+            lambda: nodal_interpolant(tm, sm, counted),
+            lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
+            lambda: error_report(tm, sm, coeffs, counted, [0.5]),
         ):
             for name in counts:
                 counts[name] = 0
@@ -225,14 +289,30 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
         per_mesh.append(seen)
     assert per_mesh[0] == per_mesh[1]
     assert all(c["space_load"] == 0 for c in per_mesh[0])
+    assert all(c["phi"] >= 1 for c in per_mesh[0][1:])
+    assert all(c["grad_phi"] >= 1 for c in per_mesh[0][2:])
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_sin_products_are_bytewise_the_earlier_ones(d):
     x = np.random.default_rng(5).uniform(0.0, 1.0, size=(200, d))
     x[:7] = np.array([0.0, 0.5, 1.0, 0.25, 1e-300, 0.75, 1.0 - 1e-16])[:, None]
-    np.testing.assert_array_equal(_grad_sin_product(x), _ref_grad_sin_product(x))
-    np.testing.assert_array_equal(_sin_product(x), np.prod(np.sin(np.pi * x), axis=1))
+    phi, grad_phi = ManufacturedSolution.phi, ManufacturedSolution.grad_phi
+    np.testing.assert_array_equal(grad_phi(x), _ref_grad_sin_product(x))
+    np.testing.assert_array_equal(phi(x), _ref_sin_product(x))
+    # each factored solution against its earlier closures, at the breakpoints
+    # (0 and 1 among them) and at time Gauss points formed as the solver does
+    bp = uniform_time_mesh(0.0, 1.0, 3).breakpoints
+    sq, _ = gauss_1d_for_degree(DEFAULT_QUAD_ORDER)
+    gauss = [bp[e] + (bp[e + 1] - bp[e]) * s for e in range(bp.size - 1) for s in sq]
+    for name, ref in _REF_SOLUTIONS.items():
+        sol = get_solution(name, d)
+        u, du_dt, grad, f = ref(d)
+        for t in [0.0, 1.0, *bp, *gauss]:
+            np.testing.assert_array_equal(sol.u(t, x), u(t, x))
+            np.testing.assert_array_equal(sol.f(t, x), f(t, x))
+            np.testing.assert_array_equal(sol.dtau(t) * phi(x), du_dt(t, x))
+            np.testing.assert_array_equal(sol.tau(t) * grad_phi(x), grad(t, x))
 
 
 class TestDenseSizeGuard:

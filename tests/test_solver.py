@@ -1,5 +1,7 @@
 """Regularized normal system, Krylov iteration, error reporting, meshes."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -243,15 +245,15 @@ def linear_fe_solution(sm):
         idx = np.clip(np.searchsorted(xs, points[:, 0]) - 1, 0, len(xs) - 2)
         return (nodal[idx + 1] - nodal[idx]) / (xs[idx + 1] - xs[idx])
 
-    return ManufacturedSolution(
+    # u = (1 + t) shape(x), in the factored form of a manufactured solution
+    return SimpleNamespace(
         name="fe-interp",
         dimension=1,
-        u=lambda t, p: (1.0 + t) * shape(p),
-        du_dt=lambda t, p: shape(p),
-        grad=lambda t, p: ((1.0 + t) * slope(p))[:, None],
-        f=None,
+        tau=lambda t: 1.0 + t,
+        dtau=lambda t: 1.0,
+        phi=shape,
+        grad_phi=lambda p: slope(p)[:, None],
         f_is_zero=True,
-        l2_at=lambda t: 0.0,
     )
 
 
@@ -271,16 +273,7 @@ class TestErrorReport:
         # u(t,x) = sin(pi x): l2l2 is sqrt(1/2), h1 is pi times larger
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(16)
-        sol = ManufacturedSolution(
-            name="sine",
-            dimension=1,
-            u=lambda t, p: np.sin(np.pi * p[:, 0]),
-            du_dt=lambda t, p: np.zeros(len(p)),
-            grad=lambda t, p: (np.pi * np.cos(np.pi * p[:, 0]))[:, None],
-            f=None,
-            f_is_zero=True,
-            l2_at=lambda t: np.sqrt(0.5),
-        )
+        sol = ManufacturedSolution("sine", 1, lambda t: 1.0, lambda t: 0.0, True)
         n = (tm.n_elements + 1) * int((~sm.boundary_vertex_flags).sum())
         rep = error_report(tm, sm, np.zeros(n), sol, [0.5])
         assert rep.l2l2 == pytest.approx(np.sqrt(0.5), rel=1e-9)
@@ -400,6 +393,25 @@ class TestSolveBackward:
         # slice errors keyed by the default quarter points
         assert set(err_rep.l2_slices) == {0.25, 0.5, 0.75, 1.0}
         assert err_rep.l2l2 > 0.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect (ROADMAP): the automatic stopping rule compares "
+        "the squared residual dual norm with a linear error scale, so d=1 "
+        "stops one step early from k=5 on",
+    )
+    def test_d1_error_halves_per_level(self):
+        cfg = ExperimentConfig(
+            experiment="convergence",
+            d=1,
+            T=1.0,
+            k_range=[3, 4, 5, 6],
+            solution="cubic",
+            epsilon_strategy="plain",
+        )
+        errs = [solve_backward(cfg, k)[2].l2h1 for k in cfg.k_range]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine <= 0.6 * coarse
 
     def test_interior_points_order(self):
         sm = unit_interval_mesh(4)
