@@ -83,61 +83,52 @@ def time_test_dim(mesh: TimeMesh, test: TimeBasisSpec) -> int:
     return mesh.n_elements * (test.degree + 1)
 
 
-def _legendre_scale(degree: int, h: float) -> np.ndarray:
-    """Column of factors giving Legendre 0..degree unit L2 norm on length h."""
-    return np.sqrt((2.0 * np.arange(degree + 1) + 1.0) / h)[:, None]
+def _legendre_scale(degree: int, h) -> np.ndarray:
+    """Factors giving Legendre 0..degree unit L2 norm on length h.
+
+    Shape (..., degree+1, 1) for h of shape (...).
+    """
+    scale = np.sqrt((2.0 * np.arange(degree + 1) + 1.0) / np.asarray(h)[..., None])
+    return scale[..., None]
 
 
-def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h: float) -> np.ndarray:
+def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h) -> np.ndarray:
     """Values of the element test basis at local coordinates s in (0,1).
 
-    Returns shape (degree+1, len(s)): Legendre polynomials scaled to unit L2
-    norm on an element of length h, so the time Gram of the test space is
-    the identity.
+    Returns shape (..., degree+1, len(s)) for element lengths h of shape
+    (...): Legendre polynomials scaled to unit L2 norm on an element of
+    length h, so the time Gram of the test space is the identity.
     """
     v = legvander(2.0 * np.asarray(s) - 1.0, test.degree).T
     return v * _legendre_scale(test.degree, h)
 
 
+def _mixed_pattern(mesh: TimeMesh, test: TimeBasisSpec, local: np.ndarray):
+    """Scatter element blocks local (elements, degree+1, 2) to test x trial."""
+    n, p1 = mesh.n_elements, test.degree + 1
+    e, i, j = np.indices(local.shape)
+    return sp.coo_matrix(
+        (local.ravel(), ((e * p1 + i).ravel(), (e + j).ravel())), shape=(n * p1, n + 1)
+    ).tocsr()
+
+
 def time_mass_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
     """N_t[i][j] = integral of trial hat j against test function i."""
-    p = test.degree
-    sq, wq = gauss_1d_for_degree(p + 1)
-    n = mesh.n_elements
-    rows, cols, vals = [], [], []
+    sq, wq = gauss_1d_for_degree(test.degree + 1)
     hats = np.stack([1.0 - sq, sq])  # (2, q)
-    for e in range(n):
-        h = mesh.lengths[e]
-        psi = test_basis_values(test, sq, h)  # (p+1, q)
-        loc = h * np.einsum("q,iq,jq->ij", wq, psi, hats)
-        for i in range(p + 1):
-            for j in range(2):
-                rows.append(e * (p + 1) + i)
-                cols.append(e + j)
-                vals.append(loc[i, j])
-    return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n * (p + 1), n + 1)
-    ).tocsr()
+    psi = test_basis_values(test, sq, mesh.lengths)
+    local = mesh.lengths[:, None, None] * np.einsum("q,eiq,jq->eij", wq, psi, hats)
+    return _mixed_pattern(mesh, test, local)
 
 
 def time_derivative_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
     """D_t[i][j] = integral of (trial hat j)' against test function i."""
-    p = test.degree
-    sq, wq = gauss_1d_for_degree(p)
-    n = mesh.n_elements
-    rows, cols, vals = [], [], []
-    for e in range(n):
-        h = mesh.lengths[e]
-        psi = test_basis_values(test, sq, h)
-        ints = h * psi @ wq  # integral of each test function over the element
-        for i in range(p + 1):
-            for j, slope in ((0, -1.0 / h), (1, 1.0 / h)):
-                rows.append(e * (p + 1) + i)
-                cols.append(e + j)
-                vals.append(slope * ints[i])
-    return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n * (p + 1), n + 1)
-    ).tocsr()
+    sq, wq = gauss_1d_for_degree(test.degree)
+    h = mesh.lengths[:, None]
+    # integral of each test function over its element
+    ints = (h[:, :, None] * test_basis_values(test, sq, mesh.lengths)) @ wq
+    slopes = np.stack([-1.0 / h, 1.0 / h], axis=2)  # (elements, 1, 2)
+    return _mixed_pattern(mesh, test, slopes * ints[:, :, None])
 
 
 # --------------------------------------------------------------- space ----
@@ -412,6 +403,13 @@ class FEField:
         return float(np.sqrt(self.coeffs @ (m @ self.coeffs)))
 
 
+def _slot_coeffs(dm: DofMap, coeffs: np.ndarray, axis: int) -> np.ndarray:
+    """Gather coeffs along axis to (cells, local slots); eliminated slots read 0."""
+    pad = [(0, 0)] * coeffs.ndim
+    pad[axis] = (0, 1)  # slot -1 picks the appended zero
+    return np.take(np.pad(coeffs, pad), dm.cell_dofs, axis=axis)
+
+
 def fe_values_on_cells(
     mesh: SpatialMesh, spec: SpaceBasisSpec, coeffs: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
@@ -422,8 +420,8 @@ def fe_values_on_cells(
     """
     dm = space_dof_map(mesh, spec)
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
-    c = np.where(dm.cell_dofs >= 0, coeffs[..., dm.cell_dofs.clip(min=0)], 0.0)
-    return np.einsum("...ci,qi->...cq", c, vals)
+    c = _slot_coeffs(dm, coeffs, -1)
+    return (c.reshape(-1, c.shape[-1]) @ vals.T).reshape(*c.shape[:-1], -1)
 
 
 def fe_gradients_on_cells(
@@ -436,6 +434,9 @@ def fe_gradients_on_cells(
     dm = space_dof_map(mesh, spec)
     _, grads = ref_shapes(mesh.dimension, spec.degree, pts)
     _, jinv = _geometry(mesh)
-    phys = np.einsum("qie,ced->cqid", grads, jinv)
-    c = np.where(dm.cell_dofs >= 0, coeffs[..., dm.cell_dofs.clip(min=0)], 0.0)
-    return np.einsum("...ci,cqid->...cqd", c, phys)
+    # (nc, q, d, nloc): physical gradients of the local shape functions
+    phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)
+    lead = coeffs.shape[:-1]
+    rows = coeffs.reshape(int(np.prod(lead)), -1).T  # (n_dofs, batch)
+    out = phys.reshape(phys.shape[0], -1, phys.shape[3]) @ _slot_coeffs(dm, rows, 0)
+    return np.moveaxis(out, -1, 0).reshape(*lead, *phys.shape[:3])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from backsolve.assembly import (
     FEField,
@@ -22,6 +23,7 @@ from backsolve.assembly import (
     time_test_dim,
 )
 from backsolve.mesh import (
+    TimeMesh,
     refine_uniform,
     uniform_time_mesh,
     unit_interval_mesh,
@@ -30,6 +32,7 @@ from backsolve.mesh import (
 
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
+from backsolve.quadrature import gauss_1d_for_degree
 
 TEST_TIME = TimeBasisSpec(degree=1)
 
@@ -129,6 +132,66 @@ class TestTimeTestBasis:
             rows = np.nonzero(np.abs(D[:, j]) > 1e-14)[0]
             elements = set(rows // 2)
             assert elements <= {j - 1, j}
+
+
+# The earlier per-element assembly of the mixed time matrices, one COO entry
+# at a time: the reference the table-driven versions must equal bit for bit.
+
+
+def _ref_time_mass_mixed(mesh, test):
+    p = test.degree
+    sq, wq = gauss_1d_for_degree(p + 1)
+    n = mesh.n_elements
+    rows, cols, vals = [], [], []
+    hats = np.stack([1.0 - sq, sq])
+    for e in range(n):
+        h = mesh.lengths[e]
+        psi = legendre_values(test, sq, h)
+        loc = h * np.einsum("q,iq,jq->ij", wq, psi, hats)
+        for i in range(p + 1):
+            for j in range(2):
+                rows.append(e * (p + 1) + i)
+                cols.append(e + j)
+                vals.append(loc[i, j])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n * (p + 1), n + 1)).tocsr()
+
+
+def _ref_time_derivative_mixed(mesh, test):
+    p = test.degree
+    sq, wq = gauss_1d_for_degree(p)
+    n = mesh.n_elements
+    rows, cols, vals = [], [], []
+    for e in range(n):
+        h = mesh.lengths[e]
+        ints = h * legendre_values(test, sq, h) @ wq
+        for i in range(p + 1):
+            for j, slope in ((0, -1.0 / h), (1, 1.0 / h)):
+                rows.append(e * (p + 1) + i)
+                cols.append(e + j)
+                vals.append(slope * ints[i])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n * (p + 1), n + 1)).tocsr()
+
+
+def _time_meshes(k):
+    steps = np.random.default_rng(k).uniform(0.2, 1.0, 2**k)
+    return uniform_time_mesh(0.0, 1.0, k), TimeMesh(np.cumsum(np.r_[0.25, steps]))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6, 8])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize(
+    "build, ref",
+    [
+        (time_mass_mixed, _ref_time_mass_mixed),
+        (time_derivative_mixed, _ref_time_derivative_mixed),
+    ],
+)
+def test_mixed_time_matrices_are_bitwise_the_element_loop(k, p, build, ref):
+    for tm in _time_meshes(k):
+        got, want = build(tm, TimeBasisSpec(p)), ref(tm, TimeBasisSpec(p))
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.shape == want.shape
 
 
 P1_DIRICHLET = SpaceBasisSpec(degree=1, dirichlet=True)

@@ -6,6 +6,7 @@ FE evaluation (with its own geometry) per time Gauss point and error mode.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +26,7 @@ from backsolve.assembly import (
     space_load,
 )
 from backsolve.mesh import (
+    TimeMesh,
     cell_volumes,
     refine_uniform,
     uniform_time_mesh,
@@ -221,16 +223,46 @@ def _coeff_cases(tm, sm, solution):
     return interp, np.random.default_rng(3).standard_normal(interp.size)
 
 
+def _ref_slice_errors(time_mesh, space_mesh, coeffs, solution, slice_times, quad_order):
+    # one FE evaluation per requested slice, at its nearest breakpoint
+    bp = time_mesh.breakpoints
+    mat = coeffs.reshape(bp.size, -1)
+    pts, w = _cell_rule(space_mesh, quad_order)
+    vol = cell_volumes(space_mesh)
+    phys = quad_points_physical(space_mesh, pts)
+    phi = solution.phi(phys.reshape(-1, space_mesh.dimension)).reshape(phys.shape[:2])
+    out = {}
+    for t_req in slice_times:
+        idx = int(np.argmin(np.abs(bp - t_req)))
+        approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat[idx], pts)
+        exact = solution.tau(bp[idx]) * phi
+        err_sq = float(np.einsum("c,q,cq->", vol, w, (approx - exact) ** 2))
+        out[float(t_req)] = math.sqrt(max(err_sq, 0.0))
+    return out
+
+
+def _time_meshes(k):
+    # uniform, and one with random element lengths
+    steps = np.random.default_rng(k).uniform(0.2, 1.0, 2**k)
+    graded = TimeMesh(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+    return uniform_time_mesh(0.0, 1.0, k), graded
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("name", ["cubic", "decay"])
+@pytest.mark.parametrize("name", ["cubic", "decay", "zero"])
 def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
-    tm = uniform_time_mesh(0.0, 1.0, k)
     sm = _space_mesh(d, k)
     solution = get_solution(name, d)
     lam1 = d * math.pi**2
     q = DEFAULT_QUAD_ORDER
-    for coeffs in _coeff_cases(tm, sm, solution):
+    slice_times = [0.0, 0.3, 0.5, 1.0]
+    cases = [
+        (tm, coeffs)
+        for tm in _time_meshes(k)
+        for coeffs in _coeff_cases(tm, sm, solution)
+    ]
+    for tm, coeffs in cases:
         ref = {
             mode: _ref_tensor_error_sq(tm, sm, coeffs, solution, q, mode)
             for mode in ("l2", "h1", "dt")
@@ -239,9 +271,15 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
         assert gap == pytest.approx(
             math.sqrt(ref["h1"] + ref["dt"] / lam1), rel=RTOL
         )
-        rep = error_report(tm, sm, coeffs, solution, [0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # far snaps on the graded mesh
+            rep = error_report(tm, sm, coeffs, solution, slice_times)
         assert rep.l2l2 == pytest.approx(math.sqrt(ref["l2"]), rel=RTOL)
         assert rep.l2h1 == pytest.approx(math.sqrt(ref["h1"]), rel=RTOL)
+        ref_slices = _ref_slice_errors(tm, sm, coeffs, solution, slice_times, q)
+        assert rep.l2_slices.keys() == ref_slices.keys()
+        for t, err in ref_slices.items():
+            assert rep.l2_slices[t] == pytest.approx(err, rel=RTOL)
 
 
 def _count_calls(monkeypatch, module, name, counts):
