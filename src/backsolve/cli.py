@@ -1,11 +1,13 @@
 """Configuration-driven experiment runner and command line entry point.
 
-Each experiment maps a refinement-level range to CSV rows: the convergence
-and interval/perturbation studies run the backward solver per level, the
-inf-sup study runs the dense eigensolve, and the stability-oracle study
-evaluates the closed-form spectral checks. Column sets are fixed per
-experiment; floats are written in scientific notation with 17 significant
-digits so files are byte-reproducible and round-trip exactly.
+Each experiment maps a refinement-level range to CSV rows: the convergence,
+interval-length and perturbation studies run the backward solver on each of
+their variant configs per level, the inf-sup study runs the dense
+eigensolve, and the stability-oracle study evaluates the closed-form
+spectral checks. Column sets are fixed per experiment; a solving study
+writes one suffixed group of the same columns per variant. Floats are
+written in scientific notation with 17 significant digits so files are
+byte-reproducible and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .operators import infsup_constant
@@ -43,92 +46,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _slice_cols(config: ExperimentConfig, suffix: str = "") -> list:
-    return [f"err_slice@{t:g}{suffix}" for t in config.slice_times]
+def _run_solves(config: ExperimentConfig, variants_of, shared_dofs: bool = False):
+    """One row per level from solve_backward on every (config, suffix) variant.
 
-
-def _run_convergence(config: ExperimentConfig):
-    header = (
-        ["k", "dofs", "epsilon", "pcg_iterations", "stopping_value"]
-        + ["err_l2l2", "err_l2h1"]
-        + _slice_cols(config)
-    )
-    rows = []
-    for k in config.k_range:
-        _, solve_rep, err_rep = solve_backward(config, k)
-        row = {
-            "k": k,
-            "dofs": err_rep.dofs,
-            "epsilon": solve_rep.epsilon,
-            "pcg_iterations": solve_rep.iterations,
-            "stopping_value": solve_rep.stopping_value,
-            "err_l2l2": err_rep.l2l2,
-            "err_l2h1": err_rep.l2h1,
-        }
-        for t, name in zip(config.slice_times, _slice_cols(config)):
-            row[name] = err_rep.l2_slices[float(t)]
-        rows.append(row)
-    return header, rows
-
-
-def _run_interval_length(config: ExperimentConfig):
-    intervals = [(config, f"_L{config.L:g}")]
-    if config.L != config.T:
-        intervals.append((replace(config, L=config.T), f"_L{config.T:g}"))
-    header = ["k", "epsilon"]
-    for _, suffix in intervals:
-        header += [
-            f"dofs{suffix}",
-            f"pcg_iterations{suffix}",
-            f"stopping_value{suffix}",
-            f"err_l2l2{suffix}",
-            f"err_l2h1{suffix}",
-        ] + _slice_cols(config, suffix)
+    variants_of(config) lists the variants; each writes the same columns
+    with its suffix. With shared_dofs they solve on one mesh, so dofs is
+    written once, unsuffixed.
+    """
+    variants = variants_of(config)
     rows = []
     for k in config.k_range:
         row = {"k": k}
-        for cfg, suffix in intervals:
+        for cfg, suffix in variants:
             _, solve_rep, err_rep = solve_backward(cfg, k)
-            row["epsilon"] = solve_rep.epsilon
-            row[f"dofs{suffix}"] = err_rep.dofs
-            row[f"pcg_iterations{suffix}"] = solve_rep.iterations
-            row[f"stopping_value{suffix}"] = solve_rep.stopping_value
-            row[f"err_l2l2{suffix}"] = err_rep.l2l2
-            row[f"err_l2h1{suffix}"] = err_rep.l2h1
-            for t, name in zip(config.slice_times, _slice_cols(config, suffix)):
-                row[name] = err_rep.l2_slices[float(t)]
-        rows.append(row)
-    return header, rows
-
-
-def _run_perturbation(config: ExperimentConfig):
-    strategies = [("plain", "_plain"), ("data-aware", "_aware")]
-    header = ["k", "dofs"]
-    for _, suffix in strategies:
-        header += [
-            f"epsilon{suffix}",
-            f"pcg_iterations{suffix}",
-            f"stopping_value{suffix}",
-            f"err_l2l2{suffix}",
-            f"err_l2h1{suffix}",
-        ] + _slice_cols(config, suffix)
-    rows = []
-    for k in config.k_range:
-        row = {"k": k}
-        for strategy, suffix in strategies:
-            _, solve_rep, err_rep = solve_backward(
-                config, k, epsilon_strategy=strategy
-            )
-            row["dofs"] = err_rep.dofs
+            row["dofs" if shared_dofs else f"dofs{suffix}"] = err_rep.dofs
             row[f"epsilon{suffix}"] = solve_rep.epsilon
             row[f"pcg_iterations{suffix}"] = solve_rep.iterations
             row[f"stopping_value{suffix}"] = solve_rep.stopping_value
             row[f"err_l2l2{suffix}"] = err_rep.l2l2
             row[f"err_l2h1{suffix}"] = err_rep.l2h1
-            for t, name in zip(config.slice_times, _slice_cols(config, suffix)):
-                row[name] = err_rep.l2_slices[float(t)]
+            for t in cfg.slice_times:
+                row[f"err_slice@{t:g}{suffix}"] = err_rep.l2_slices[float(t)]
         rows.append(row)
-    return header, rows
+    # every row holds the same names, in the order they were first written
+    return list(rows[0]), rows
+
+
+def _windows(config: ExperimentConfig):
+    windows = [(config, f"_L{config.L:g}")]
+    if config.L != config.T:
+        windows.append((replace(config, L=config.T), f"_L{config.T:g}"))
+    return windows
+
+
+def _epsilon_strategies(config: ExperimentConfig):
+    return [
+        (replace(config, epsilon_strategy=strategy), suffix)
+        for strategy, suffix in (("plain", "_plain"), ("data-aware", "_aware"))
+    ]
+
+
+_run_perturbation = partial(
+    _run_solves, variants_of=_epsilon_strategies, shared_dofs=True
+)
 
 
 def _run_infsup(config: ExperimentConfig):
@@ -209,8 +169,8 @@ def _run_stability_oracle(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "convergence": _run_convergence,
-    "interval-length": _run_interval_length,
+    "convergence": partial(_run_solves, variants_of=lambda config: [(config, "")]),
+    "interval-length": partial(_run_solves, variants_of=_windows),
     "perturb-random": _run_perturbation,
     "perturb-mode": _run_perturbation,
     "infsup": _run_infsup,

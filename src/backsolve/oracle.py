@@ -277,21 +277,21 @@ def random_spectral_fields(
     ]
 
 
-def mode_perturbation(n: int, T: float, amplitude: float) -> SpectralField:
+def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralField:
     """End-time footprint of the diagonal mode that decays backward in time.
 
-    The returned field is amplitude * w(T, .) where w is the caloric field
-    with w(1, .) the unit-coefficient (n, n) sine mode; its source-time
-    coefficient exp(2 (n pi)^2 (1 - T)) is what makes small end-time noise
-    catastrophic for the reconstruction.
+    The returned field on (0,1)^d is amplitude * w(T, .) where w is the
+    caloric field with w(1, .) the unit-coefficient (n, ..., n) sine mode;
+    its source-time coefficient exp(d (n pi)^2 (1 - T)) is what makes small
+    end-time noise catastrophic for the reconstruction.
     """
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    exponent = 2.0 * (n * math.pi) ** 2 * (1.0 - T)
+    exponent = d * (n * math.pi) ** 2 * (1.0 - T)
     if exponent > _EXP_LIMIT:
         raise OverflowError("perturbation coefficient exceeds 1e300")
     coeff = amplitude * math.exp(exponent)
-    return SpectralField(2, np.array([[n, n]]), np.array([coeff]))
+    return SpectralField(d, np.array([[n] * d]), np.array([coeff]))
 
 
 def random_perturbation(

@@ -467,23 +467,24 @@ def _perturbation_for(config, space_mesh):
         )
         return pert, config.target_norm
     if config.experiment == "perturb-mode":
-        pert = mode_perturbation(config.mode_n, config.T, config.amplitude)
+        pert = mode_perturbation(config.mode_n, config.T, config.amplitude, config.d)
         return pert, pert.l2_norm()
     return None, 0.0
 
 
-def solve_backward(config, k: int | None = None, epsilon_strategy: str | None = None):
+def solve_backward(config, k: int | None = None):
     """End-to-end solve at one refinement level of a configuration.
 
     Returns (coefficients, SolveReport, ErrorReport). k defaults to the sole
-    entry of config.k_range; epsilon_strategy overrides the configured one
-    (used by the perturbation studies that compare both strategies).
+    entry of config.k_range. Every choice of the solve, the epsilon
+    strategy included, comes from the config; a study that compares
+    choices solves one config per choice.
     """
     if k is None:
         if len(config.k_range) != 1:
             raise ValueError("config has several levels; pass k explicitly")
         k = config.k_range[0]
-    strategy = epsilon_strategy or config.epsilon_strategy
+    strategy = config.epsilon_strategy
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
     dofs = trial_dofs(time_mesh, space_mesh)

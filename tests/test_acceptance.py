@@ -5,6 +5,8 @@ and is expected to fail at levels 2..4 on this method/mesh family (see the
 rate line printed with it). Everything else must pass.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,9 @@ def perturbation_runs():
         out = {}
         for k in cfg.k_range:
             for strategy in ("plain", "data-aware"):
-                _, _, err = solve_backward(cfg, k, epsilon_strategy=strategy)
+                _, _, err = solve_backward(
+                    replace(cfg, epsilon_strategy=strategy), k
+                )
                 out[(k, strategy)] = err.l2_slices[1.0 / 16.0]
         return out
 

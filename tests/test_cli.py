@@ -1,6 +1,7 @@
 """Command line entry point, CSV output format, determinism."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from backsolve import cli
 from backsolve.cli import main, read_results, run, write_csv
 from backsolve.config import ExperimentConfig, parse_config
+from backsolve.solver import solve_backward
 
 FAST_CONVERGENCE = """
 experiment = convergence
@@ -129,6 +131,123 @@ class TestRun:
         assert built == [1, 2]
         # 2^k + 1 breakpoints times 5 and 25 interior space vertices
         assert [r["dofs"] for r in rows] == [3 * 5, 5 * 25]
+
+
+def d1_study(experiment, **extra):
+    """Two-level d=1 solving study, small enough for the tier-1 run."""
+    return ExperimentConfig(
+        experiment=experiment, d=1, T=1.0, k_range=[1, 2], solution="cubic", **extra
+    )
+
+
+def direct_cells(cfg, k):
+    """One solve's column values: dofs, epsilon, iterations, stopping value,
+    the two space-time errors, then the slice errors in slice_times order."""
+    _, solve_rep, err_rep = solve_backward(cfg, k)
+    return [
+        err_rep.dofs,
+        solve_rep.epsilon,
+        solve_rep.iterations,
+        solve_rep.stopping_value,
+        err_rep.l2l2,
+        err_rep.l2h1,
+    ] + [err_rep.l2_slices[t] for t in cfg.slice_times]
+
+
+class TestSolvingStudies:
+    """Every cell of every solving study against a direct solve of its variant."""
+
+    def check_cells(self, header, rows, variants):
+        # variants: (config, its columns in direct_cells order)
+        assert [row["k"] for row in rows] == [1, 2]
+        for row in rows:
+            assert list(row) == header
+            for cfg, names in variants:
+                assert [row[name] for name in names] == direct_cells(cfg, row["k"])
+
+    def test_convergence(self, tmp_path):
+        cfg = parse_config(FAST_CONVERGENCE)
+        header, rows = run(cfg, str(tmp_path / "c.csv"))
+        assert header == [
+            "k",
+            "dofs",
+            "epsilon",
+            "pcg_iterations",
+            "stopping_value",
+            "err_l2l2",
+            "err_l2h1",
+            "err_slice@0.25",
+            "err_slice@0.5",
+            "err_slice@0.75",
+            "err_slice@1",
+        ]
+        self.check_cells(header, rows, [(cfg, header[1:])])
+
+    def test_interval_length(self, tmp_path):
+        cfg = d1_study("interval-length", L=0.5, slice_times=[0.75, 1.0])
+        header, rows = run(cfg, str(tmp_path / "i.csv"))
+        assert header == [
+            "k",
+            "dofs_L0.5",
+            "epsilon_L0.5",
+            "pcg_iterations_L0.5",
+            "stopping_value_L0.5",
+            "err_l2l2_L0.5",
+            "err_l2h1_L0.5",
+            "err_slice@0.75_L0.5",
+            "err_slice@1_L0.5",
+            "dofs_L1",
+            "epsilon_L1",
+            "pcg_iterations_L1",
+            "stopping_value_L1",
+            "err_l2l2_L1",
+            "err_l2h1_L1",
+            "err_slice@0.75_L1",
+            "err_slice@1_L1",
+        ]
+        self.check_cells(
+            header, rows, [(cfg, header[1:9]), (replace(cfg, L=1.0), header[9:])]
+        )
+        # each window writes the epsilon its own solve used: the shorter
+        # window has fewer trial dofs (9 at k=1), so a larger epsilon
+        assert rows[0]["epsilon_L0.5"] == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert all(row["epsilon_L0.5"] > row["epsilon_L1"] for row in rows)
+
+    @pytest.mark.parametrize(
+        "experiment, extra",
+        [
+            ("perturb-random", {"target_norm": 0.05, "seed": 1}),
+            ("perturb-mode", {"mode_n": 1, "amplitude": 0.05}),
+        ],
+    )
+    def test_perturbation(self, tmp_path, experiment, extra):
+        cfg = d1_study(experiment, slice_times=[0.5, 1.0], **extra)
+        header, rows = run(cfg, str(tmp_path / "p.csv"))
+        assert header == [
+            "k",
+            "dofs",
+            "epsilon_plain",
+            "pcg_iterations_plain",
+            "stopping_value_plain",
+            "err_l2l2_plain",
+            "err_l2h1_plain",
+            "err_slice@0.5_plain",
+            "err_slice@1_plain",
+            "epsilon_aware",
+            "pcg_iterations_aware",
+            "stopping_value_aware",
+            "err_l2l2_aware",
+            "err_l2h1_aware",
+            "err_slice@0.5_aware",
+            "err_slice@1_aware",
+        ]
+        plain = replace(cfg, epsilon_strategy="plain")
+        aware = replace(cfg, epsilon_strategy="data-aware")
+        self.check_cells(
+            header,
+            rows,
+            [(plain, ["dofs"] + header[2:9]), (aware, ["dofs"] + header[9:])],
+        )
 
 
 class TestMain:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from backsolve.assembly import integrate_squared
 from backsolve.mesh import unit_interval_mesh
 from backsolve.operators import TRIAL_SPACE
 from backsolve.oracle import (
@@ -239,18 +240,31 @@ class TestDecayRateFit:
 class TestPerturbations:
     def test_mode_perturbation_norm_at_unit_time(self):
         # T = 1: no amplification, the (1,1) mode has norm amplitude/2
-        f = mode_perturbation(1, T=1.0, amplitude=0.05)
+        f = mode_perturbation(1, T=1.0, amplitude=0.05, d=2)
         assert f.l2_norm() == pytest.approx(0.025, rel=1e-14)
 
     def test_mode_perturbation_amplifies_backward(self):
-        f = mode_perturbation(1, T=0.5, amplitude=1.0)
+        f = mode_perturbation(1, T=0.5, amplitude=1.0, d=2)
         assert f.coeffs[0] == pytest.approx(np.exp(np.pi**2), rel=1e-12)
+
+    def test_mode_perturbation_in_one_dimension(self):
+        # d = 1: a e^{lam (1 - T)} sin(n pi x) with lam = (n pi)^2, and its
+        # Parseval norm is the quadrature norm of that field on (0, 1)
+        a, n, T = 0.05, 2, 0.875
+        f = mode_perturbation(n, T=T, amplitude=a, d=1)
+        assert f.dimension == 1
+        x = np.linspace(0.0, 1.0, 33)
+        want = a * np.exp((n * np.pi) ** 2 * (1.0 - T)) * np.sin(n * np.pi * x)
+        got = f.evaluate(x[:, None])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * f.coeffs[0])
+        quad = integrate_squared(unit_interval_mesh(32), f.evaluate, degree=10)
+        assert f.l2_norm() == pytest.approx(math.sqrt(quad), rel=1e-10)
 
     def test_mode_perturbation_guards(self):
         with pytest.raises(ValueError):
-            mode_perturbation(0, T=1.0, amplitude=0.1)
+            mode_perturbation(0, T=1.0, amplitude=0.1, d=2)
         with pytest.raises(OverflowError):
-            mode_perturbation(20, T=0.0, amplitude=1.0)
+            mode_perturbation(20, T=0.0, amplitude=1.0, d=2)
 
     def test_random_perturbation_exact_norm(self):
         sm = unit_interval_mesh(16)
