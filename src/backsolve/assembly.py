@@ -50,46 +50,33 @@ class TimeBasisSpec:
 # ---------------------------------------------------------------- time ----
 
 
+def _element_scatter(local: np.ndarray, row_stride: int) -> sp.csr_matrix:
+    """Sum element blocks local (elements, rows, 2) into a matrix on the hats.
+
+    Block e fills rows e*row_stride onward and the trial columns e, e+1 of
+    its two hats; with row_stride 1 neighbouring blocks overlap.
+    """
+    n, rows, _ = local.shape
+    e, i, j = np.indices(local.shape)
+    return sp.coo_matrix(
+        (local.ravel(), ((e * row_stride + i).ravel(), (e + j).ravel())),
+        shape=((n - 1) * row_stride + rows, n + 1),
+    ).tocsr()
+
+
 def time_mass_trial(mesh: TimeMesh) -> sp.csr_matrix:
     """Mass matrix of the continuous piecewise linear hats."""
-    h = mesh.lengths
-    n = mesh.n_elements
-    rows, cols, vals = [], [], []
-    for (i, j, c) in ((0, 0, 1 / 3), (0, 1, 1 / 6), (1, 0, 1 / 6), (1, 1, 1 / 3)):
-        rows.append(np.arange(n) + i)
-        cols.append(np.arange(n) + j)
-        vals.append(c * h)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + 1, n + 1),
-    ).tocsr()
+    ref = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    return _element_scatter(mesh.lengths[:, None, None] * ref, 1)
 
 
 def time_stiffness_trial(mesh: TimeMesh) -> sp.csr_matrix:
-    h = mesh.lengths
-    n = mesh.n_elements
-    rows, cols, vals = [], [], []
-    for (i, j, c) in ((0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0)):
-        rows.append(np.arange(n) + i)
-        cols.append(np.arange(n) + j)
-        vals.append(c / h)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n + 1, n + 1),
-    ).tocsr()
+    ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return _element_scatter(ref / mesh.lengths[:, None, None], 1)
 
 
 def time_test_dim(mesh: TimeMesh, test: TimeBasisSpec) -> int:
     return mesh.n_elements * (test.degree + 1)
-
-
-def _legendre_scale(degree: int, h) -> np.ndarray:
-    """Factors giving Legendre 0..degree unit L2 norm on length h.
-
-    Shape (..., degree+1, 1) for h of shape (...).
-    """
-    scale = np.sqrt((2.0 * np.arange(degree + 1) + 1.0) / np.asarray(h)[..., None])
-    return scale[..., None]
 
 
 def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h) -> np.ndarray:
@@ -100,16 +87,9 @@ def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h) -> np.ndarray:
     length h, so the time Gram of the test space is the identity.
     """
     v = legvander(2.0 * np.asarray(s) - 1.0, test.degree).T
-    return v * _legendre_scale(test.degree, h)
-
-
-def _mixed_pattern(mesh: TimeMesh, test: TimeBasisSpec, local: np.ndarray):
-    """Scatter element blocks local (elements, degree+1, 2) to test x trial."""
-    n, p1 = mesh.n_elements, test.degree + 1
-    e, i, j = np.indices(local.shape)
-    return sp.coo_matrix(
-        (local.ravel(), ((e * p1 + i).ravel(), (e + j).ravel())), shape=(n * p1, n + 1)
-    ).tocsr()
+    n = np.arange(test.degree + 1)
+    scale = np.sqrt((2.0 * n + 1.0) / np.asarray(h)[..., None])
+    return v * scale[..., None]
 
 
 def time_mass_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
@@ -118,7 +98,7 @@ def time_mass_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
     hats = np.stack([1.0 - sq, sq])  # (2, q)
     psi = test_basis_values(test, sq, mesh.lengths)
     local = mesh.lengths[:, None, None] * np.einsum("q,eiq,jq->eij", wq, psi, hats)
-    return _mixed_pattern(mesh, test, local)
+    return _element_scatter(local, test.degree + 1)
 
 
 def time_derivative_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
@@ -128,7 +108,7 @@ def time_derivative_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
     # integral of each test function over its element
     ints = (h[:, :, None] * test_basis_values(test, sq, mesh.lengths)) @ wq
     slopes = np.stack([-1.0 / h, 1.0 / h], axis=2)  # (elements, 1, 2)
-    return _mixed_pattern(mesh, test, slopes * ints[:, :, None])
+    return _element_scatter(slopes * ints[:, :, None], test.degree + 1)
 
 
 # --------------------------------------------------------------- space ----
@@ -359,32 +339,21 @@ def load_vector_f(
 ) -> np.ndarray:
     """Tensor-quadrature load F[(e,n),j] = iint f psi_{e,n}(t) eta_j(x).
 
-    f is called as f(t, points) with scalar t and points (m, d). The spatial
-    rule, geometry, dof scatter and reference Legendre table are set up
-    once; each time element evaluates f at its Gauss points, reduces them
-    against the time and space test functions, and scatters the cell loads
-    to dofs.
+    The source separates, f(t, x) = c(t) phi(x), and f is the pair (c, phi):
+    c takes a scalar t, phi a point array (m, d). Under the tensor rule the
+    load is exactly the time load h_e sum_q w_q c(t_eq) psi_{e,n}(s_q) times
+    the one space load of phi.
     """
-    dm = space_dof_map(space_mesh, space_spec)
-    pts, w = _cell_rule(space_mesh, quad_order)
-    vol, _ = _geometry(space_mesh)
-    vals, _ = ref_shapes(space_mesh.dimension, space_spec.degree, pts)
-    flat = quad_points_physical(space_mesh, pts).reshape(-1, space_mesh.dimension)
-    cell_w = vol[:, None] * w  # (cells, q)
-    scatter = _scatter_matrix(dm)
-    p = time_spec.degree
-    bp = time_mesh.breakpoints
-    out = np.empty((time_mesh.n_elements, p + 1, dm.n_dofs))
+    c, phi = f
     sq, wq = gauss_1d_for_degree(quad_order)
-    legendre = legvander(2.0 * sq - 1.0, p).T  # test_basis_values before scaling
-    for e in range(time_mesh.n_elements):
-        h = bp[e + 1] - bp[e]
-        tw = h * wq * (legendre * _legendre_scale(p, h))  # (p+1, time points)
-        fq = np.stack([f(bp[e] + h * s, flat) for s in sq])
-        fq = fq.reshape(sq.size, *cell_w.shape) * cell_w
-        local = np.tensordot(tw, fq, axes=1) @ vals  # (p+1, cells, nloc)
-        out[e] = (scatter @ local.reshape(p + 1, -1).T).T
-    return out.reshape(-1)
+    h = time_mesh.lengths
+    t = time_mesh.breakpoints[:-1, None] + h[:, None] * sq
+    # c at scalar t: numpy's array t**3 can differ from the scalar by an ulp
+    ct = np.array([c(ti) for ti in t.ravel()]).reshape(t.shape)
+    psi = test_basis_values(time_spec, sq, h)  # (elements, degree+1, q)
+    time_load = h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]
+    space = space_load(space_mesh, space_spec, phi, quad_order)
+    return np.outer(time_load, space).ravel()
 
 
 # ------------------------------------------------------------- fields ----

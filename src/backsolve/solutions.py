@@ -3,9 +3,10 @@
 Every solution is u(t, x) = tau(t) phi(x), where phi = prod_i sin(pi x_i) is
 the first Dirichlet eigenfunction of -laplace on (0,1)^d, with eigenvalue
 d pi^2. So a solution is its time factor tau and the derivative dtau, and
-its source is f = u_t - laplace(u) = (dtau + d pi^2 tau) phi. tau and dtau
-take a scalar time; phi and grad_phi take an (m, d) point array, so callers
-evaluate them once per point set and scale them per time.
+its source f = u_t - laplace(u) = source(t) phi separates too, with the
+time factor source = dtau + d pi^2 tau. tau, dtau and source take a scalar
+time; phi and grad_phi take an (m, d) point array, so callers evaluate them
+once per point set and scale them per time.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class ManufacturedSolution:
     def u(self, t, x: np.ndarray) -> np.ndarray:
         return self.tau(t) * self.phi(x)
 
-    def f(self, t, x: np.ndarray) -> np.ndarray:
+    def source(self, t):
+        """Time factor of the source: f(t, x) = source(t) phi(x)."""
         lam = self.dimension * np.pi**2
-        return (self.dtau(t) + lam * self.tau(t)) * self.phi(x)
+        return self.dtau(t) + lam * self.tau(t)
 
 
 def _cubic(d: int) -> ManufacturedSolution:

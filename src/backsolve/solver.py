@@ -165,9 +165,11 @@ def build_system(
 ) -> LeastSquaresSystem:
     """Assemble the normal operator and data loads.
 
-    f(t, points) is the volume source, g(points) the end-time observation;
-    either may be None (zero). perturbation is added to g: a nodal FEField
-    (loads via the mass matrix, exactly) or any object with evaluate(points).
+    f is the volume source f(t, x) = c(t) phi(x) as the pair (c, phi), with
+    c taking a scalar t and phi a point array (see load_vector_f); g(points)
+    is the end-time observation. Either may be None (zero). perturbation is
+    added to g: a nodal FEField (loads via the mass matrix, exactly) or any
+    object with evaluate(points).
     """
     if reg_epsilon < 0.0:
         raise ValueError("reg_epsilon must be nonnegative")
@@ -495,7 +497,7 @@ def solve_backward(config, k: int | None = None):
         explicit = config.epsilon_values[config.k_range.index(k)]
     reg_epsilon = choose_epsilon(strategy, dofs, config.d, pert_norm, explicit)
 
-    f = None if solution.f_is_zero else solution.f
+    f = None if solution.f_is_zero else (solution.source, solution.phi)
     g = (lambda x: solution.u(config.T, x)) if solution.name != "zero" else None
     system = build_system(
         time_mesh, space_mesh, config.l, reg_epsilon, f, g, perturbation

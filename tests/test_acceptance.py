@@ -71,7 +71,7 @@ def k1_system():
     dofs = tm.breakpoints.size * int((~sm.boundary_vertex_flags).sum())
     eps = dofs**-0.5
     system = build_system(
-        tm, sm, 0, eps, f=sol.f, g=lambda x: sol.u(1.0, x)
+        tm, sm, 0, eps, f=(sol.source, sol.phi), g=lambda x: sol.u(1.0, x)
     )
     return tm, sm, system
 
@@ -224,7 +224,12 @@ def test_criterion_5_spd_and_minimizer(convergence_run, k1_system):
         coeffs, solve_rep, _ = levels[k]
         tm, sm = build_meshes(cfg, k)
         sys_k = build_system(
-            tm, sm, 0, solve_rep.epsilon, f=sol.f, g=lambda x: sol.u(1.0, x)
+            tm,
+            sm,
+            0,
+            solve_rep.epsilon,
+            f=(sol.source, sol.phi),
+            g=lambda x: sol.u(1.0, x),
         )
         at_solution = sys_k.functional(coeffs)
         at_interpolant = sys_k.functional(nodal_interpolant(tm, sm, sol))

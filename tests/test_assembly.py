@@ -194,6 +194,48 @@ def test_mixed_time_matrices_are_bitwise_the_element_loop(k, p, build, ref):
         assert got.shape == want.shape
 
 
+def _ref_hat_matrix(mesh, entries):
+    # the COO assembly each hat matrix had, one (i, j, value) list per entry
+    n = mesh.n_elements
+    rows, cols, vals = [], [], []
+    for i, j, v in entries:
+        rows.append(np.arange(n) + i)
+        cols.append(np.arange(n) + j)
+        vals.append(v)
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n + 1, n + 1),
+    ).tocsr()
+
+
+def _ref_time_mass_trial(mesh):
+    h = mesh.lengths
+    entries = ((0, 0, 1 / 3), (0, 1, 1 / 6), (1, 0, 1 / 6), (1, 1, 1 / 3))
+    return _ref_hat_matrix(mesh, [(i, j, c * h) for i, j, c in entries])
+
+
+def _ref_time_stiffness_trial(mesh):
+    h = mesh.lengths
+    entries = ((0, 0, 1.0), (0, 1, -1.0), (1, 0, -1.0), (1, 1, 1.0))
+    return _ref_hat_matrix(mesh, [(i, j, c / h) for i, j, c in entries])
+
+
+@pytest.mark.parametrize("k", [0, 3, 6, 8])
+@pytest.mark.parametrize(
+    "build, ref",
+    [
+        (time_mass_trial, _ref_time_mass_trial),
+        (time_stiffness_trial, _ref_time_stiffness_trial),
+    ],
+)
+def test_hat_matrices_are_bitwise_the_coo_assembly(k, build, ref):
+    for tm in _time_meshes(k):
+        got, want = build(tm), ref(tm)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.shape == want.shape
+
+
 P1_DIRICHLET = SpaceBasisSpec(degree=1, dirichlet=True)
 P1_FREE = SpaceBasisSpec(degree=1, dirichlet=False)
 P2_DIRICHLET = SpaceBasisSpec(degree=2, dirichlet=True)
@@ -282,7 +324,7 @@ class TestLoadsAndProjections:
         m = refine_uniform(unit_square_initial(), 1)
         F = load_vector_f(
             tm, m, TEST_TIME, P1_DIRICHLET,
-            lambda t, p: np.zeros(len(p)), quad_order=3,
+            (lambda t: 0.0, lambda p: np.zeros(len(p))), quad_order=3,
         )
         assert np.allclose(F, 0.0, atol=1e-15)
 
@@ -293,7 +335,7 @@ class TestLoadsAndProjections:
         m = unit_interval_mesh(4)
         F = load_vector_f(
             tm, m, TEST_TIME, P1_DIRICHLET,
-            lambda t, p: np.full(len(p), t), quad_order=5,
+            (lambda t: t, lambda p: np.ones(len(p))), quad_order=5,
         )
         b = space_load(m, P1_DIRICHLET, lambda p: np.ones(len(p)), degree=3)
         # int_0^1 t * 1 dt = 1/2, int_0^1 t * sqrt(3)(2t-1) dt = 1/(2 sqrt 3)

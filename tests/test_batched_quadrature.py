@@ -189,21 +189,20 @@ def _space_mesh(d, k):
     return refine_uniform(initial, d * k)
 
 
-def _f_mixed(t, x):
-    # does not separate in t and x
-    return np.sin(3.0 * t + 2.0 * x[:, 0]) * np.cos(t * x[:, -1]) + t**2 * x[:, 0]
-
-
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_load_vector_f_matches_per_time_point_loop(d, degree):
-    tm = uniform_time_mesh(0.25, 1.0, 2)
     sm = _space_mesh(d, 2)
     spec = SpaceBasisSpec(degree, dirichlet=True)
-    got = load_vector_f(tm, sm, TEST_TIME, spec, _f_mixed, DEFAULT_QUAD_ORDER)
-    ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, _f_mixed, DEFAULT_QUAD_ORDER)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+    sol = get_solution("cubic", d)
+    f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
+    for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
+        got = load_vector_f(
+            tm, sm, TEST_TIME, spec, (sol.source, sol.phi), DEFAULT_QUAD_ORDER
+        )
+        ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, f, DEFAULT_QUAD_ORDER)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -301,10 +300,12 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
     sm = _space_mesh(d, 2)
     solution = get_solution("cubic", d)
     # a stand-in with the same factors that counts the phi and grad_phi
-    # evaluations; load_vector_f takes the real f(t, x), which evaluates phi
-    # once per time point by its contract, so its phi calls are not counted
+    # evaluations
     counted = SimpleNamespace(
-        **{key: getattr(solution, key) for key in ("tau", "dtau", "phi", "grad_phi")}
+        **{
+            key: getattr(solution, key)
+            for key in ("tau", "dtau", "source", "phi", "grad_phi")
+        }
     )
     for name in ("phi", "grad_phi"):
         _count_calls(monkeypatch, counted, name, counts)
@@ -315,7 +316,9 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
         coeffs = nodal_interpolant(tm, sm, solution)
         seen = []
         for call in (
-            lambda: load_vector_f(tm, sm, TEST_TIME, spec, solution.f, 5),
+            lambda: load_vector_f(
+                tm, sm, TEST_TIME, spec, (counted.source, counted.phi), 5
+            ),
             lambda: nodal_interpolant(tm, sm, counted),
             lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
             lambda: error_report(tm, sm, coeffs, counted, [0.5]),
@@ -326,7 +329,9 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
             seen.append(dict(counts))
         per_mesh.append(seen)
     assert per_mesh[0] == per_mesh[1]
-    assert all(c["space_load"] == 0 for c in per_mesh[0])
+    # the load is one space load of phi; the error calls make none
+    assert [c["space_load"] for c in per_mesh[0]] == [1, 0, 0, 0]
+    assert per_mesh[0][0]["phi"] == 1
     assert all(c["phi"] >= 1 for c in per_mesh[0][1:])
     assert all(c["grad_phi"] >= 1 for c in per_mesh[0][2:])
 
@@ -348,7 +353,7 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
         u, du_dt, grad, f = ref(d)
         for t in [0.0, 1.0, *bp, *gauss]:
             np.testing.assert_array_equal(sol.u(t, x), u(t, x))
-            np.testing.assert_array_equal(sol.f(t, x), f(t, x))
+            np.testing.assert_array_equal(sol.source(t) * phi(x), f(t, x))
             np.testing.assert_array_equal(sol.dtau(t) * phi(x), du_dt(t, x))
             np.testing.assert_array_equal(sol.tau(t) * grad_phi(x), grad(t, x))
 
