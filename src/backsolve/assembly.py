@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import legvander
 from scipy.sparse.linalg import spsolve
 
-from .mesh import SpatialMesh, TimeMesh, _facets, cell_volumes
+from .mesh import SpatialMesh, TimeMesh, _facets
 from .quadrature import gauss_1d_for_degree, triangle_rule
 
 
@@ -163,9 +163,7 @@ def ref_shapes(dimension: int, degree: int, pts: np.ndarray):
     """Shape values (q, nloc) and reference gradients (q, nloc, d)."""
     if dimension == 1:
         return _ref_shapes_interval(degree, pts)
-    if dimension == 2:
-        return _ref_shapes_triangle(degree, pts)
-    raise NotImplementedError("3d shape functions not implemented")
+    return _ref_shapes_triangle(degree, pts)
 
 
 def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
@@ -191,20 +189,6 @@ def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
     edge_cols = cell_facets[:, [2, 0, 1]]
     cd = np.column_stack([vdof[mesh.cells], edof[edge_cols]])
     return DofMap(n + int(keep_e.sum()), cd)
-
-
-def _geometry(mesh: SpatialMesh):
-    """Per-cell |volume| and inverse Jacobians (reference -> physical)."""
-    vol = cell_volumes(mesh)
-    if np.any(vol <= 0.0):
-        raise ValueError("cell with nonpositive volume")
-    v = mesh.vertices[mesh.cells]
-    if mesh.dimension == 1:
-        jinv = (1.0 / (v[:, 1, 0] - v[:, 0, 0]))[:, None, None]
-        return vol, jinv
-    jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-    jinv = np.linalg.inv(jac)
-    return vol, jinv
 
 
 def _cell_rule(mesh: SpatialMesh, degree: int):
@@ -234,47 +218,42 @@ def _accumulate(rows_t, cols_t, local, shape):
     return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
-def _assemble_pair(mesh, test_spec, trial_spec, kind):
-    dm_test = space_dof_map(mesh, test_spec)
-    dm_trial = space_dof_map(mesh, trial_spec)
-    if kind == "mass":
-        deg = test_spec.degree + trial_spec.degree
-    else:
-        deg = max(1, (test_spec.degree - 1) + (trial_spec.degree - 1))
-    pts, w = _cell_rule(mesh, deg)
-    vol, jinv = _geometry(mesh)
-    te_v, te_g = ref_shapes(mesh.dimension, test_spec.degree, pts)
-    tr_v, tr_g = ref_shapes(mesh.dimension, trial_spec.degree, pts)
-    if kind == "mass":
-        k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
-        local = vol[:, None, None] * k_ref[None]
-    else:
-        gte = np.einsum("qie,ced->cqid", te_g, jinv)
-        gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
-        local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
-    return _accumulate(
-        dm_test.cell_dofs, dm_trial.cell_dofs, local, (dm_test.n_dofs, dm_trial.n_dofs)
-    )
+def space_matrices(
+    mesh: SpatialMesh, test: SpaceBasisSpec, trial: SpaceBasisSpec
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Mass and stiffness, shape (dim test) x (dim trial), in one pass.
+
+    Both share the dof maps and the cell geometry; each integrates with a
+    rule exact for its own integrand degree.
+    """
+    dm_test = space_dof_map(mesh, test)
+    dm_trial = dm_test if trial == test else space_dof_map(mesh, trial)
+    shape = (dm_test.n_dofs, dm_trial.n_dofs)
+    vol, jinv = mesh.geometry
+
+    pts, w = _cell_rule(mesh, test.degree + trial.degree)
+    te_v, _ = ref_shapes(mesh.dimension, test.degree, pts)
+    tr_v, _ = ref_shapes(mesh.dimension, trial.degree, pts)
+    k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
+    local = vol[:, None, None] * k_ref[None]
+    mass = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
+
+    pts, w = _cell_rule(mesh, max(1, test.degree + trial.degree - 2))
+    _, te_g = ref_shapes(mesh.dimension, test.degree, pts)
+    _, tr_g = ref_shapes(mesh.dimension, trial.degree, pts)
+    gte = np.einsum("qie,ced->cqid", te_g, jinv)
+    gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
+    local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
+    stiffness = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
+    return mass, stiffness
 
 
 def space_mass(mesh: SpatialMesh, spec: SpaceBasisSpec) -> sp.csr_matrix:
-    return _assemble_pair(mesh, spec, spec, "mass")
+    return space_matrices(mesh, spec, spec)[0]
 
 
 def space_stiffness(mesh: SpatialMesh, spec: SpaceBasisSpec) -> sp.csr_matrix:
-    return _assemble_pair(mesh, spec, spec, "stiffness")
-
-
-def space_mixed(
-    mesh: SpatialMesh, trial: SpaceBasisSpec, test: SpaceBasisSpec
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Mixed mass and stiffness, shape (dim test) x (dim trial)."""
-    if trial.degree != 1:
-        raise ValueError("trial space is piecewise linear")
-    return (
-        _assemble_pair(mesh, test, trial, "mass"),
-        _assemble_pair(mesh, test, trial, "stiffness"),
-    )
+    return space_matrices(mesh, spec, spec)[1]
 
 
 def _scatter_matrix(dm: DofMap) -> sp.csr_matrix:
@@ -296,7 +275,7 @@ def space_load(
     """Vector of integrals func * basis_i, quadrature exact to `degree`."""
     dm = space_dof_map(mesh, spec)
     pts, w = _cell_rule(mesh, degree)
-    vol, _ = _geometry(mesh)
+    vol, _ = mesh.geometry
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
@@ -307,7 +286,7 @@ def space_load(
 def integrate_squared(mesh: SpatialMesh, func, degree: int) -> float:
     """Quadrature of the square of a callable over the mesh."""
     pts, w = _cell_rule(mesh, degree)
-    vol, _ = _geometry(mesh)
+    vol, _ = mesh.geometry
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
     return float(np.einsum("c,q,cq->", vol, w, fq**2))
@@ -402,7 +381,7 @@ def fe_gradients_on_cells(
     """
     dm = space_dof_map(mesh, spec)
     _, grads = ref_shapes(mesh.dimension, spec.degree, pts)
-    _, jinv = _geometry(mesh)
+    _, jinv = mesh.geometry
     # (nc, q, d, nloc): physical gradients of the local shape functions
     phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)
     lead = coeffs.shape[:-1]

@@ -94,8 +94,8 @@ class ExperimentConfig:
             raise ValueError("max_iter must be positive")
         if self.threshold is not None and self.threshold <= 0.0:
             raise ValueError("threshold must be positive when given")
-        if self.target_norm < 0.0:
-            raise ValueError("target_norm must be nonnegative")
+        if self.target_norm <= 0.0:
+            raise ValueError("target_norm must be positive")
         if self.mode_n < 1:
             raise ValueError("mode_n must be >= 1")
 

@@ -1,16 +1,16 @@
 """Temporal grids and simplicial spatial meshes.
 
-Spatial meshes are conforming simplicial partitions of (0,1)^d, d in {1,2}
-(the data model permits d=3 but nothing here builds such meshes). Refinement
-is uniform bisection: every cell is bisected once per sweep. In 2d the cell
-tuple encodes the bisection rule positionally: the edge between the first two
-vertices is the refinement edge, the third vertex is the newest. The initial
-square mesh makes the center vertex newest in all four triangles, which keeps
-every uniform sweep conforming.
+Spatial meshes are conforming simplicial partitions of (0,1)^d, d in {1,2}.
+Refinement is uniform bisection: every cell is bisected once per sweep. In 2d
+the cell tuple encodes the bisection rule positionally: the edge between the
+first two vertices is the refinement edge, the third vertex is the newest.
+The initial square mesh makes the center vertex newest in all four
+triangles, which keeps every uniform sweep conforming.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +61,8 @@ class SpatialMesh:
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         c = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
         f = np.asarray(self.boundary_vertex_flags, dtype=bool)
-        if self.dimension not in (1, 2, 3):
-            raise ValueError("dimension must be 1, 2 or 3")
+        if self.dimension not in (1, 2):
+            raise ValueError("dimension must be 1 or 2")
         if v.ndim != 2 or v.shape[1] != self.dimension:
             raise ValueError("vertex array shape mismatch")
         if c.ndim != 2 or c.shape[1] != self.dimension + 1:
@@ -85,6 +85,22 @@ class SpatialMesh:
     def n_cells(self) -> int:
         return self.cells.shape[0]
 
+    @functools.cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell |volume| and inverse Jacobians (reference -> physical)."""
+        vol = cell_volumes(self)
+        if np.any(vol <= 0.0):
+            raise ValueError("cell with nonpositive volume")
+        v = self.vertices[self.cells]
+        if self.dimension == 1:
+            jinv = (1.0 / (v[:, 1, 0] - v[:, 0, 0]))[:, None, None]
+        else:
+            jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+            jinv = np.linalg.inv(jac)
+        for arr in (vol, jinv):
+            arr.setflags(write=False)
+        return vol, jinv
+
 
 def uniform_time_mesh(t_start: float, t_end: float, k: int) -> TimeMesh:
     """Split (t_start, t_end) into 2**k equal elements."""
@@ -105,12 +121,9 @@ def cell_volumes(mesh: SpatialMesh) -> np.ndarray:
     v = mesh.vertices[mesh.cells]
     if mesh.dimension == 1:
         return v[:, 1, 0] - v[:, 0, 0]
-    if mesh.dimension == 2:
-        e1 = v[:, 1] - v[:, 0]
-        e2 = v[:, 2] - v[:, 0]
-        return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    e = v[:, 1:] - v[:, :1]
-    return np.linalg.det(e) / 6.0
+    e1 = v[:, 1] - v[:, 0]
+    e2 = v[:, 2] - v[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
 def _facets(mesh: SpatialMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,46 +191,45 @@ def unit_interval_mesh(m: int) -> SpatialMesh:
     return SpatialMesh(1, vertices, cells, flags)
 
 
-def _bisect_sweep_2d(mesh: SpatialMesh) -> SpatialMesh:
-    cells = mesh.cells
+def _bisect_sweep_2d(vertices: np.ndarray, cells: np.ndarray):
     a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
     ref_edges = np.sort(np.stack([a, b], axis=1), axis=1)
     uniq, inverse = np.unique(ref_edges, axis=0, return_inverse=True)
-    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
-    m = mesh.n_vertices + inverse
-    vertices = np.vstack([mesh.vertices, mids])
+    mids = 0.5 * (vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
+    m = vertices.shape[0] + inverse
     # children of (a,b,c): (c,a,m) and (b,c,m); keeps positive orientation
-    new_cells = np.empty((2 * mesh.n_cells, 3), dtype=np.int64)
+    new_cells = np.empty((2 * cells.shape[0], 3), dtype=np.int64)
     new_cells[0::2] = np.stack([c, a, m], axis=1)
     new_cells[1::2] = np.stack([b, c, m], axis=1)
-    flags = boundary_flags_from_cells(2, vertices, new_cells)
-    return SpatialMesh(2, vertices, new_cells, flags)
+    return np.vstack([vertices, mids]), new_cells
 
 
-def _bisect_sweep_1d(mesh: SpatialMesh) -> SpatialMesh:
-    left, right = mesh.cells[:, 0], mesh.cells[:, 1]
-    mids = 0.5 * (mesh.vertices[left] + mesh.vertices[right])
-    m = mesh.n_vertices + np.arange(mesh.n_cells)
-    vertices = np.vstack([mesh.vertices, mids])
-    new_cells = np.empty((2 * mesh.n_cells, 2), dtype=np.int64)
+def _bisect_sweep_1d(vertices: np.ndarray, cells: np.ndarray):
+    left, right = cells[:, 0], cells[:, 1]
+    mids = 0.5 * (vertices[left] + vertices[right])
+    m = vertices.shape[0] + np.arange(cells.shape[0])
+    new_cells = np.empty((2 * cells.shape[0], 2), dtype=np.int64)
     new_cells[0::2] = np.stack([left, m], axis=1)
     new_cells[1::2] = np.stack([m, right], axis=1)
-    flags = boundary_flags_from_cells(1, vertices, new_cells)
-    return SpatialMesh(1, vertices, new_cells, flags)
+    return np.vstack([vertices, mids]), new_cells
 
 
 def refine_uniform(mesh: SpatialMesh, n: int) -> SpatialMesh:
-    """n sweeps of uniform bisection; returns a new mesh, input untouched."""
+    """n sweeps of uniform bisection; returns a new mesh, input untouched.
+
+    The sweeps act on plain (vertices, cells) arrays; boundary flags are
+    derived once, from the final cells.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n == 0:
+        return mesh
+    sweep = _bisect_sweep_2d if mesh.dimension == 2 else _bisect_sweep_1d
+    vertices, cells = mesh.vertices, mesh.cells
     for _ in range(n):
-        if mesh.dimension == 2:
-            mesh = _bisect_sweep_2d(mesh)
-        elif mesh.dimension == 1:
-            mesh = _bisect_sweep_1d(mesh)
-        else:
-            raise NotImplementedError("3d refinement not implemented")
-    return mesh
+        vertices, cells = sweep(vertices, cells)
+    flags = boundary_flags_from_cells(mesh.dimension, vertices, cells)
+    return SpatialMesh(mesh.dimension, vertices, cells, flags)
 
 
 def dump_mesh(mesh: SpatialMesh) -> str:

@@ -19,9 +19,7 @@ from .assembly import (
     SpaceBasisSpec,
     TimeBasisSpec,
     space_dof_map,
-    space_mass,
-    space_mixed,
-    space_stiffness,
+    space_matrices,
     time_derivative_mixed,
     time_mass_mixed,
     time_mass_trial,
@@ -116,17 +114,35 @@ class GramOperator(KroneckerOperator):
         return float(np.asarray(u) @ self.apply(v))
 
 
-def assemble_B(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> KroneckerOperator:
+def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
+    """Space matrices of the operators at test enrichment l.
+
+    Returns (M, A, M_mix, A_mix, A_test): trial mass and stiffness, mixed
+    (test x trial) mass and stiffness, and test stiffness. When the test
+    space is the trial space the last three are M, A and A themselves, so
+    one assembly pass serves every operator. The test space contains the
+    trial space, so it is nonempty whenever the trial space is.
+    """
+    m, a = space_matrices(space_mesh, TRIAL_SPACE, TRIAL_SPACE)
+    if a.shape[0] == 0:
+        raise ValueError("trial space is empty after boundary elimination")
+    test = test_space_spec(l)
+    if test == TRIAL_SPACE:
+        return m, a, m, a, a
+    m_mix, a_mix = space_matrices(space_mesh, test, TRIAL_SPACE)
+    _, a_test = space_matrices(space_mesh, test, test)
+    return m, a, m_mix, a_mix, a_test
+
+
+def assemble_B(
+    time_mesh: TimeMesh, m_mix: sp.csr_matrix, a_mix: sp.csr_matrix
+) -> KroneckerOperator:
     """Discrete parabolic form: time derivative against mass plus stiffness.
 
     Maps trial coefficients (hats x P1) to duals of the test space
-    (elementwise orthonormal Legendre x P_{1+l}).
+    (elementwise orthonormal Legendre x P_{1+l}); m_mix and a_mix are the
+    mixed space mass and stiffness of space_factors.
     """
-    m_mix, a_mix = space_mixed(space_mesh, TRIAL_SPACE, test_space_spec(l))
-    if m_mix.shape[1] == 0:
-        raise ValueError("trial space is empty after boundary elimination")
-    if m_mix.shape[0] == 0:
-        raise ValueError("test space is empty after boundary elimination")
     d_t = time_derivative_mixed(time_mesh, TEST_TIME)
     n_t = time_mass_mixed(time_mesh, TEST_TIME)
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])
@@ -134,9 +150,7 @@ def assemble_B(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> Kronecke
 
 def gram_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> GramOperator:
     """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
-    a_test = space_stiffness(space_mesh, test_space_spec(l))
-    if a_test.shape[0] == 0:
-        raise ValueError("test space is empty after boundary elimination")
+    a_test = space_factors(space_mesh, l)[4]
     eye_t = sp.identity(
         time_mesh.n_elements * (TEST_TIME.degree + 1), format="csr"
     )
@@ -145,10 +159,7 @@ def gram_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> GramOperator
 
 def gram_X(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> GramOperator:
     """Trial-space Gram: L2-in-time x H1_0 plus H1-in-time x dual-H1 factor."""
-    a = space_stiffness(space_mesh, TRIAL_SPACE)
-    if a.shape[0] == 0:
-        raise ValueError("trial space is empty after boundary elimination")
-    m = space_mass(space_mesh, TRIAL_SPACE)
+    m, a = space_factors(space_mesh, 0)[:2]
     return GramOperator(
         [
             (time_mass_trial(time_mesh), a),
@@ -181,15 +192,15 @@ def _normal_matrix_dense(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -
     which never forms the (much larger) test-space matrices as a Kronecker
     product. Desk-scale meshes only.
     """
-    b_op = assemble_B(time_mesh, space_mesh, l)
-    a_test = space_stiffness(space_mesh, test_space_spec(l))
+    _, _, m_mix, a_mix, a_test = space_factors(space_mesh, l)
+    b_op = assemble_B(time_mesh, m_mix, a_mix)
     lu = splu(a_test.tocsc())
-    space_factors = [s.toarray() for _, s in b_op.terms]
-    solved = [lu.solve(s) for s in space_factors]
+    space_parts = [s.toarray() for _, s in b_op.terms]
+    solved = [lu.solve(s) for s in space_parts]
     time_factors = [t.toarray() for t, _ in b_op.terms]
     n = b_op.shape[1]
     out = np.zeros((n, n))
-    for ta, sa in zip(time_factors, space_factors):
+    for ta, sa in zip(time_factors, space_parts):
         for tb, sb in zip(time_factors, solved):
             out += np.kron(ta.T @ tb, sa.T @ sb)
     return out

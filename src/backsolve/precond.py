@@ -18,18 +18,9 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (
-    space_mass,
-    space_stiffness,
-    time_mass_trial,
-    time_stiffness_trial,
-)
-from .mesh import SpatialMesh, TimeMesh
-from .operators import (
-    TEST_TIME,
-    TRIAL_SPACE,
-    test_space_spec,
-)
+from .assembly import time_mass_trial, time_stiffness_trial
+from .mesh import TimeMesh
+from .operators import TEST_TIME
 
 
 @dataclass(frozen=True)
@@ -43,11 +34,9 @@ class RieszPreconditioner:
         return self._apply(np.asarray(f, dtype=float))
 
 
-def make_G_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> RieszPreconditioner:
-    """Exact test-space Riesz lift: per time dof, one spatial stiffness solve."""
-    a_test = space_stiffness(space_mesh, test_space_spec(l))
-    if a_test.shape[0] == 0:
-        raise ValueError("test space is empty after boundary elimination")
+def make_G_Y(time_mesh: TimeMesh, a_test: sp.csr_matrix) -> RieszPreconditioner:
+    """Exact test-space Riesz lift: per time dof, one solve with a_test,
+    the test space stiffness."""
     try:
         lu = splu(a_test.tocsc())
     except RuntimeError as exc:
@@ -62,11 +51,14 @@ def make_G_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> RieszPreco
     return RieszPreconditioner("Y", apply)
 
 
-def make_G_X(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> RieszPreconditioner:
+def make_G_X(
+    time_mesh: TimeMesh, a: sp.csr_matrix, m: sp.csr_matrix
+) -> RieszPreconditioner:
     """Exact trial-space Riesz lift by diagonalization in time.
 
-    The time pencil (time stiffness, time mass) gives modes z_j with
-    eigenvalues theta_j. On mode j the space part of the inverse is
+    a and m are the trial space stiffness and mass. The time pencil (time
+    stiffness, time mass) gives modes z_j with eigenvalues theta_j. On
+    mode j the space part of the inverse is
     V diag(mu / (mu^2 + theta_j)) V^T over the (stiffness, mass) pencil,
     which equals Re[(A + i sqrt(theta_j) M)^-1]. With more space dofs than
     time modes, one sparse factorization of the block-diagonal complex
@@ -74,10 +66,6 @@ def make_G_X(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> RieszPreconditione
     otherwise the space pencil is diagonalized densely, which then holds
     no more entries than a trial vector.
     """
-    a = space_stiffness(space_mesh, TRIAL_SPACE)
-    if a.shape[0] == 0:
-        raise ValueError("trial space is empty after boundary elimination")
-    m = space_mass(space_mesh, TRIAL_SPACE)
     t_stiff = time_stiffness_trial(time_mesh).toarray()
     t_mass = time_mass_trial(time_mesh).toarray()
     theta, zt = scipy.linalg.eigh(t_stiff, t_mass)

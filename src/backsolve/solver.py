@@ -32,12 +32,10 @@ from .assembly import (
     load_vector_f,
     quad_points_physical,
     space_load,
-    space_mass,
 )
 from .mesh import (
     SpatialMesh,
     TimeMesh,
-    cell_volumes,
     refine_uniform,
     uniform_time_mesh,
     unit_interval_mesh,
@@ -49,6 +47,7 @@ from .operators import (
     TRIAL_SPACE,
     KroneckerOperator,
     assemble_B,
+    space_factors,
     test_space_spec,
 )
 from .oracle import mode_perturbation, random_perturbation
@@ -67,12 +66,14 @@ class LeastSquaresSystem:
     """SPD normal operator of the regularized least-squares functional.
 
     The end trace v(T) and the start trace v(0) of trial coefficients v are
-    the last and first rows of v.reshape(breakpoints, n_x).
+    the last and first rows of v.reshape(breakpoints, n_x). mass_x and
+    stiffness_x are the trial space mass and stiffness.
     """
 
     b_op: KroneckerOperator
     g_y: RieszPreconditioner
     mass_x: object
+    stiffness_x: object
     reg_epsilon: float
     f_load: np.ndarray
     g_load: np.ndarray
@@ -140,8 +141,8 @@ def choose_epsilon(
 ) -> float:
     if dofs < 1:
         raise ValueError("dofs must be at least 1")
-    if d not in (1, 2, 3):
-        raise ValueError("d must be 1, 2 or 3")
+    if d not in (1, 2):
+        raise ValueError("d must be 1 or 2")
     if strategy == "plain":
         return dofs ** (-1.0 / d)
     if strategy == "data-aware":
@@ -173,9 +174,9 @@ def build_system(
     """
     if reg_epsilon < 0.0:
         raise ValueError("reg_epsilon must be nonnegative")
-    b_op = assemble_B(time_mesh, space_mesh, l)
-    g_y = make_G_Y(time_mesh, space_mesh, l)
-    mass_x = space_mass(space_mesh, TRIAL_SPACE)
+    mass_x, stiffness_x, m_mix, a_mix, a_test = space_factors(space_mesh, l)
+    b_op = assemble_B(time_mesh, m_mix, a_mix)
+    g_y = make_G_Y(time_mesh, a_test)
 
     if f is None:
         f_load = np.zeros(b_op.shape[0])
@@ -208,7 +209,9 @@ def build_system(
                 space_mesh, lambda x: g(x) + pert_eval(x), quad_order
             )
 
-    return LeastSquaresSystem(b_op, g_y, mass_x, reg_epsilon, f_load, g_load, g_sq)
+    return LeastSquaresSystem(
+        b_op, g_y, mass_x, stiffness_x, reg_epsilon, f_load, g_load, g_sq
+    )
 
 
 def pcg(system, g_x: RieszPreconditioner, threshold: float, max_iter: int):
@@ -325,7 +328,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
     bp = time_mesh.breakpoints
     mat = coeffs.reshape(bp.size, -1)
     pts, w = _cell_rule(space_mesh, quad_order)
-    vol = cell_volumes(space_mesh)
+    vol, _ = space_mesh.geometry
     cell_w = vol[:, None] * w
     flat = quad_points_physical(space_mesh, pts).reshape(-1, space_mesh.dimension)
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
@@ -520,7 +523,7 @@ def solve_backward(config, k: int | None = None):
             # minimizer without changing how the threshold scales.
             threshold = STOPPING_SAFETY * reg_epsilon * (pert_norm + e_appr)
 
-    g_x = make_G_X(time_mesh, space_mesh)
+    g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
     coeffs, solve_rep = pcg(system, g_x, threshold, config.max_iter)
     err_rep = error_report(
         time_mesh, space_mesh, coeffs, solution, config.slice_times

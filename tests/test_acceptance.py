@@ -17,6 +17,7 @@ from backsolve.operators import (
     gram_X,
     gram_Y,
     infsup_constant,
+    space_factors,
 )
 from backsolve.oracle import (
     SpectralField,
@@ -180,7 +181,7 @@ def test_criterion_3_infsup_stability():
 def test_criterion_4_matrix_free_matches_dense(k1_system):
     tm, sm, system = k1_system
     ops = {
-        "B": assemble_B(tm, sm, 0),
+        "B": assemble_B(tm, *space_factors(sm, 0)[2:4]),
         "Gram_X": gram_X(tm, sm),
         "Gram_Y": gram_Y(tm, sm, 0),
     }

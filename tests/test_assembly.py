@@ -8,13 +8,16 @@ from backsolve.assembly import (
     FEField,
     SpaceBasisSpec,
     TimeBasisSpec,
-
+    _accumulate,
+    _cell_rule,
     integrate_squared,
     l2_projection,
     load_vector_f,
+    ref_shapes,
+    space_dof_map,
     space_load,
     space_mass,
-    space_mixed,
+    space_matrices,
     space_stiffness,
     time_derivative_mixed,
     time_mass_mixed,
@@ -23,7 +26,9 @@ from backsolve.assembly import (
     time_test_dim,
 )
 from backsolve.mesh import (
+    SpatialMesh,
     TimeMesh,
+    cell_volumes,
     refine_uniform,
     uniform_time_mesh,
     unit_interval_mesh,
@@ -283,14 +288,14 @@ class TestSpaceMatrices:
 
     def test_mixed_equal_degree_matches_square(self):
         m = refine_uniform(unit_square_initial(), 1)
-        Mmix, Amix = space_mixed(m, P1_DIRICHLET, P1_DIRICHLET)
+        Mmix, Amix = space_matrices(m, P1_DIRICHLET, P1_DIRICHLET)
         assert np.max(np.abs(Mmix - space_mass(m, P1_DIRICHLET))) <= 1e-14
         assert np.max(np.abs(Amix - space_stiffness(m, P1_DIRICHLET))) <= 1e-14
 
     def test_mixed_enriched_shapes(self):
         m = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~m.boundary_vertex_flags).sum())
-        Mmix, Amix = space_mixed(m, P1_DIRICHLET, P2_DIRICHLET)
+        Mmix, Amix = space_matrices(m, P2_DIRICHLET, P1_DIRICHLET)
         assert Mmix.shape[1] == n_trial
         assert Amix.shape == Mmix.shape
         assert Mmix.shape[0] > n_trial
@@ -298,7 +303,7 @@ class TestSpaceMatrices:
     def test_mixed_single_interval_no_interior(self):
         # one element, P2 test space has one interior bubble; P1 trial empty
         m = unit_interval_mesh(1)
-        Mmix, Amix = space_mixed(m, P1_DIRICHLET, P2_DIRICHLET)
+        Mmix, Amix = space_matrices(m, P2_DIRICHLET, P1_DIRICHLET)
         assert Mmix.shape == (1, 0)
         assert Amix.shape == (1, 0)
 
@@ -309,6 +314,94 @@ class TestSpaceMatrices:
             A = space_stiffness(m, spec).toarray()
             assert np.max(np.abs(M - M.T)) <= 1e-14
             assert np.max(np.abs(A - A.T)) <= 1e-14
+
+
+# ------------------------------------------------- per-pair reference ----
+# The earlier space assembly: one pass per matrix, each computing its own
+# dof maps and cell geometry. Kept as the definition of the matrices.
+
+
+def _ref_geometry(mesh):
+    vol = cell_volumes(mesh)
+    if np.any(vol <= 0.0):
+        raise ValueError("cell with nonpositive volume")
+    v = mesh.vertices[mesh.cells]
+    if mesh.dimension == 1:
+        jinv = (1.0 / (v[:, 1, 0] - v[:, 0, 0]))[:, None, None]
+        return vol, jinv
+    jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    jinv = np.linalg.inv(jac)
+    return vol, jinv
+
+
+def _ref_assemble_pair(mesh, test_spec, trial_spec, kind):
+    dm_test = space_dof_map(mesh, test_spec)
+    dm_trial = space_dof_map(mesh, trial_spec)
+    if kind == "mass":
+        deg = test_spec.degree + trial_spec.degree
+    else:
+        deg = max(1, (test_spec.degree - 1) + (trial_spec.degree - 1))
+    pts, w = _cell_rule(mesh, deg)
+    vol, jinv = _ref_geometry(mesh)
+    te_v, te_g = ref_shapes(mesh.dimension, test_spec.degree, pts)
+    tr_v, tr_g = ref_shapes(mesh.dimension, trial_spec.degree, pts)
+    if kind == "mass":
+        k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
+        local = vol[:, None, None] * k_ref[None]
+    else:
+        gte = np.einsum("qie,ced->cqid", te_g, jinv)
+        gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
+        local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
+    return _accumulate(
+        dm_test.cell_dofs, dm_trial.cell_dofs, local, (dm_test.n_dofs, dm_trial.n_dofs)
+    )
+
+
+def _jittered_square(sweeps, seed):
+    """Refined square with interior vertices moved: cells of many shapes."""
+    m = refine_uniform(unit_square_initial(), sweeps)
+    rng = np.random.default_rng(seed)
+    h = 2.0 ** (-sweeps / 2) / 8
+    shift = rng.uniform(-h, h, size=m.vertices.shape)
+    shift[m.boundary_vertex_flags] = 0.0
+    return SpatialMesh(2, m.vertices + shift, m.cells, m.boundary_vertex_flags)
+
+
+REFERENCE_MESHES = {
+    "interval-1": lambda: unit_interval_mesh(1),
+    "interval-5": lambda: unit_interval_mesh(5),
+    "interval-refined": lambda: refine_uniform(unit_interval_mesh(1), 4),
+    "square-0": unit_square_initial,
+    "square-3": lambda: refine_uniform(unit_square_initial(), 3),
+    "square-jittered": lambda: _jittered_square(4, 3),
+}
+SPACE_PAIRS = {"P1-P1": (1, 1), "P2-P1": (2, 1), "P2-P2": (2, 2)}
+
+
+@pytest.mark.parametrize("dirichlet", [True, False])
+@pytest.mark.parametrize("pair", SPACE_PAIRS)
+@pytest.mark.parametrize("mesh", REFERENCE_MESHES)
+def test_space_matrices_are_bitwise_the_per_pair_assembly(mesh, pair, dirichlet):
+    m = REFERENCE_MESHES[mesh]()
+    test_deg, trial_deg = SPACE_PAIRS[pair]
+    test = SpaceBasisSpec(test_deg, dirichlet)
+    trial = SpaceBasisSpec(trial_deg, dirichlet)
+    got = space_matrices(m, test, trial)
+    for kind, mat in zip(("mass", "stiffness"), got):
+        want = _ref_assemble_pair(m, test, trial, kind)
+        assert mat.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, name), getattr(want, name))
+    if test == trial:
+        assert np.array_equal(space_mass(m, test).data, got[0].data)
+        assert np.array_equal(space_stiffness(m, test).data, got[1].data)
+
+
+@pytest.mark.parametrize("mesh", REFERENCE_MESHES)
+def test_mesh_geometry_is_bitwise_the_earlier_one(mesh):
+    m = REFERENCE_MESHES[mesh]()
+    for got, want in zip(m.geometry, _ref_geometry(m)):
+        assert np.array_equal(got, want)
 
 
 class TestLoadsAndProjections:

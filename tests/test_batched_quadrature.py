@@ -16,7 +16,6 @@ from backsolve import assembly, operators
 from backsolve.assembly import (
     SpaceBasisSpec,
     _cell_rule,
-    _geometry,
     fe_gradients_on_cells,
     fe_values_on_cells,
     load_vector_f,
@@ -24,6 +23,8 @@ from backsolve.assembly import (
     ref_shapes,
     space_dof_map,
     space_load,
+    space_mass,
+    space_stiffness,
 )
 from backsolve.mesh import (
     TimeMesh,
@@ -57,7 +58,7 @@ RTOL = 1e-12
 def _ref_space_load(mesh, spec, func, degree):
     dm = space_dof_map(mesh, spec)
     pts, w = _cell_rule(mesh, degree)
-    vol, _ = _geometry(mesh)
+    vol, _ = mesh.geometry
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
@@ -293,9 +294,11 @@ def _count_calls(monkeypatch, module, name, counts):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
+def test_set_up_work_does_not_grow_with_time_elements(
+    monkeypatch, geometry_computations, d
+):
     counts = {}
-    for name in ("_geometry", "space_dof_map", "space_load"):
+    for name in ("space_dof_map", "space_load"):
         _count_calls(monkeypatch, assembly, name, counts)
     sm = _space_mesh(d, 2)
     solution = get_solution("cubic", d)
@@ -334,6 +337,9 @@ def test_set_up_work_does_not_grow_with_time_elements(monkeypatch, d):
     assert per_mesh[0][0]["phi"] == 1
     assert all(c["phi"] >= 1 for c in per_mesh[0][1:])
     assert all(c["grad_phi"] >= 1 for c in per_mesh[0][2:])
+    # the mesh's cell geometry is computed once, for all eight calls
+    assert len(geometry_computations) == 1
+    assert geometry_computations[0] is sm
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -391,7 +397,9 @@ class TestDenseSizeGuard:
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 1)
         G = gram_X(tm, sm)
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         v = np.random.default_rng(9).standard_normal(G.shape[1])
         got = lift.apply(G.apply(v))
         assert np.max(np.abs(got - v)) <= 1e-8 * max(1.0, np.max(np.abs(v)))

@@ -152,6 +152,8 @@ class TestValidation:
         with pytest.raises(ValueError, match="threshold"):
             self.base(threshold=0.0)
         assert self.base(threshold=1e-8).threshold == 1e-8
+        with pytest.raises(ValueError, match="target_norm"):
+            self.base(target_norm=0.0)
 
     def test_perturbation_guards(self):
         with pytest.raises(ValueError, match="target_norm"):

@@ -183,3 +183,91 @@ class TestMeshValidation:
         lines = text.strip().splitlines()
         assert sum(1 for ln in lines if ln.startswith("v ")) == 5
         assert sum(1 for ln in lines if ln.startswith("c ")) == 4
+
+    def test_three_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SpatialMesh(
+                3,
+                np.eye(4, 3),
+                np.array([[0, 1, 2, 3]]),
+                np.ones(4, dtype=bool),
+            )
+
+
+# ------------------------------------------------- per-sweep reference ----
+# The earlier refinement: every sweep builds a SpatialMesh and recomputes the
+# boundary flags from its cells. Kept as the definition of the refined mesh.
+
+
+def _ref_bisect_sweep_2d(mesh):
+    cells = mesh.cells
+    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
+    ref_edges = np.sort(np.stack([a, b], axis=1), axis=1)
+    uniq, inverse = np.unique(ref_edges, axis=0, return_inverse=True)
+    mids = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+    m = mesh.n_vertices + inverse
+    vertices = np.vstack([mesh.vertices, mids])
+    new_cells = np.empty((2 * mesh.n_cells, 3), dtype=np.int64)
+    new_cells[0::2] = np.stack([c, a, m], axis=1)
+    new_cells[1::2] = np.stack([b, c, m], axis=1)
+    flags = boundary_flags_from_cells(2, vertices, new_cells)
+    return SpatialMesh(2, vertices, new_cells, flags)
+
+
+def _ref_bisect_sweep_1d(mesh):
+    left, right = mesh.cells[:, 0], mesh.cells[:, 1]
+    mids = 0.5 * (mesh.vertices[left] + mesh.vertices[right])
+    m = mesh.n_vertices + np.arange(mesh.n_cells)
+    vertices = np.vstack([mesh.vertices, mids])
+    new_cells = np.empty((2 * mesh.n_cells, 2), dtype=np.int64)
+    new_cells[0::2] = np.stack([left, m], axis=1)
+    new_cells[1::2] = np.stack([m, right], axis=1)
+    flags = boundary_flags_from_cells(1, vertices, new_cells)
+    return SpatialMesh(1, vertices, new_cells, flags)
+
+
+def _ref_refine_uniform(mesh, n):
+    for _ in range(n):
+        if mesh.dimension == 2:
+            mesh = _ref_bisect_sweep_2d(mesh)
+        else:
+            mesh = _ref_bisect_sweep_1d(mesh)
+    return mesh
+
+
+INITIAL_MESHES = {
+    "square": unit_square_initial,
+    "interval-1": lambda: unit_interval_mesh(1),
+    "interval-3": lambda: unit_interval_mesh(3),
+}
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("initial", INITIAL_MESHES)
+def test_refinement_is_bitwise_the_per_sweep_loop(initial, n):
+    got = refine_uniform(INITIAL_MESHES[initial](), n)
+    want = _ref_refine_uniform(INITIAL_MESHES[initial](), n)
+    assert got.dimension == want.dimension
+    for name in ("vertices", "cells", "boundary_vertex_flags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestGeometry:
+    def test_computed_once_and_read_only(self):
+        m = refine_uniform(unit_square_initial(), 2)
+        assert m.geometry is m.geometry
+        vol, jinv = m.geometry
+        with pytest.raises(ValueError):
+            vol[0] = 1.0
+        with pytest.raises(ValueError):
+            jinv[0] = 1.0
+
+    def test_inverted_cell_rejected(self):
+        m = unit_square_initial()
+        flipped = SpatialMesh(
+            2, m.vertices, m.cells[:, [1, 0, 2]], m.boundary_vertex_flags
+        )
+        with pytest.raises(ValueError, match="nonpositive"):
+            flipped.geometry

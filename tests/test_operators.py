@@ -25,6 +25,7 @@ from backsolve.operators import (
     gram_X,
     gram_Y,
     infsup_constant,
+    space_factors,
 )
 
 # aliased so pytest does not collect the source helper as a test
@@ -148,7 +149,7 @@ class TestParabolicOperator:
         # dense Kronecker assembly against the raw quadrature route
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = assemble_B(tm, sm, l=0).to_dense()
+        B = assemble_B(tm, *space_factors(sm, 0)[2:4]).to_dense()
         ref = quadrature_B_1d(tm, sm)
         assert B.shape == ref.shape
         assert np.max(np.abs(B - ref)) <= 1e-13
@@ -157,9 +158,9 @@ class TestParabolicOperator:
         tm = uniform_time_mesh(0.0, 1.0, 0)
         sm = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~sm.boundary_vertex_flags).sum())
-        B = assemble_B(tm, sm, l=0)
+        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
         assert B.shape == (2 * n_trial, 2 * n_trial)
-        B1 = assemble_B(tm, sm, l=1)
+        B1 = assemble_B(tm, *space_factors(sm, 1)[2:4])
         assert B1.shape[1] == 2 * n_trial
         assert B1.shape[0] > B.shape[0]
 
@@ -171,7 +172,8 @@ class TestParabolicOperator:
         n_x = int((~sm.boundary_vertex_flags).sum())
         z_x = rng.standard_normal(n_x)
         z = np.tile(z_x, tm.n_elements + 1)
-        out = assemble_B(tm, sm, 0).apply(z).reshape(tm.n_elements, 2, n_x)
+        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
+        out = B.apply(z).reshape(tm.n_elements, 2, n_x)
         A = space_stiffness(sm, TRIAL_SPACE)
         h = tm.lengths
         # constant test mode picks up sqrt(h) * A z, the linear mode zero
@@ -184,7 +186,7 @@ class TestParabolicOperator:
     def test_adjoint_identity(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
-        B = assemble_B(tm, sm, 0)
+        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
         rng = np.random.default_rng(2)
         z = rng.standard_normal(B.shape[1])
         w = rng.standard_normal(B.shape[0])
@@ -194,7 +196,7 @@ class TestParabolicOperator:
         # (Bz)' G_Y^{-1} (Bz) > 0 for z != 0: no kernel in the trial space
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = assemble_B(tm, sm, 0).to_dense()
+        B = assemble_B(tm, *space_factors(sm, 0)[2:4]).to_dense()
         Y = gram_Y(tm, sm, 0).to_dense()
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -215,8 +217,8 @@ class TestParabolicOperator:
     def test_matrix_free_matches_dense(self, pair):
         tm, sm = pair
         for op in (
-            assemble_B(tm, sm, 0),
-            assemble_B(tm, sm, 1),
+            assemble_B(tm, *space_factors(sm, 0)[2:4]),
+            assemble_B(tm, *space_factors(sm, 1)[2:4]),
             gram_X(tm, sm),
             gram_Y(tm, sm, 0),
         ):

@@ -18,7 +18,7 @@ from backsolve.mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from backsolve.operators import TRIAL_SPACE, gram_X, gram_Y
+from backsolve.operators import TRIAL_SPACE, gram_X, gram_Y, space_factors
 from backsolve.precond import make_G_X, make_G_Y
 
 
@@ -98,7 +98,9 @@ class TestGXForms:
         assert (n_x <= n_t) == (form == "dense")
         reference = reference_G_X(tm, sm)
         sizes = _recording_eigh(monkeypatch)
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         # the dense form also decomposes the space pencil
         assert sorted(sizes) == sorted([n_t, n_x] if form == "dense" else [n_t])
         rng = np.random.default_rng(7)
@@ -112,7 +114,9 @@ class TestGXForms:
     def test_symmetric(self, case):
         tm, sm, _ = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         rng = np.random.default_rng(8)
         for _ in range(3):
             f, g = rng.standard_normal((2, n_t * n_x))
@@ -124,7 +128,9 @@ class TestGXForms:
         n_t, n_x = _dims(tm, sm)
         assert n_x > n_t
         sizes = _recording_eigh(monkeypatch)
-        make_G_X(tm, sm)
+        make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         assert sizes and max(sizes) <= n_t
 
 
@@ -133,7 +139,7 @@ class TestGYLift:
     def test_inverts_gram(self, l):
         tm, sm = mesh_pair_2d()
         G = gram_Y(tm, sm, l)
-        lift = make_G_Y(tm, sm, l)
+        lift = make_G_Y(tm, space_factors(sm, l)[4])
         rng = np.random.default_rng(0)
         for _ in range(5):
             v = rng.standard_normal(G.shape[1])
@@ -147,7 +153,7 @@ class TestGYLift:
         # computed independently by a dense linear solve
         tm, sm = mesh_pair_1d()
         Y = gram_Y(tm, sm, 0).to_dense()
-        lift = make_G_Y(tm, sm, 0)
+        lift = make_G_Y(tm, space_factors(sm, 0)[4])
         rng = np.random.default_rng(1)
         for _ in range(5):
             f = rng.standard_normal(Y.shape[0])
@@ -157,13 +163,13 @@ class TestGYLift:
 
     def test_zero_maps_to_zero(self):
         tm, sm = mesh_pair_1d()
-        lift = make_G_Y(tm, sm, 0)
+        lift = make_G_Y(tm, space_factors(sm, 0)[4])
         out = lift.apply(np.zeros(gram_Y(tm, sm, 0).shape[0]))
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_metadata(self):
         tm, sm = mesh_pair_1d()
-        lift = make_G_Y(tm, sm, 0)
+        lift = make_G_Y(tm, space_factors(sm, 0)[4])
         assert lift.norm == "Y"
 
 
@@ -171,7 +177,9 @@ class TestGXLift:
     def test_inverts_gram(self):
         tm, sm = mesh_pair_2d()
         G = gram_X(tm, sm)
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.standard_normal(G.shape[1])
@@ -180,7 +188,9 @@ class TestGXLift:
 
     def test_positive_on_functionals(self):
         tm, sm = mesh_pair_1d()
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         n = gram_X(tm, sm).shape[0]
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -191,15 +201,21 @@ class TestGXLift:
         tm, sm = mesh_pair_1d()
         rng = np.random.default_rng(5)
         f = rng.standard_normal(gram_X(tm, sm).shape[0])
-        first = make_G_X(tm, sm).apply(f)
-        again_same_lift = make_G_X(tm, sm).apply(f)
+        first = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        ).apply(f)
+        again_same_lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        ).apply(f)
         assert np.array_equal(first, again_same_lift)
 
     def test_norm_equivalence_is_identity(self):
         # exact lift: the preconditioned Rayleigh quotient sits at 1
         tm, sm = mesh_pair_1d()
         G = gram_X(tm, sm)
-        lift = make_G_X(tm, sm)
+        lift = make_G_X(
+            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        )
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.standard_normal(G.shape[1])
