@@ -184,15 +184,14 @@ def check_dense_fits(n: int, arrays: int, what: str) -> None:
         )
 
 
-def _normal_matrix_dense(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> np.ndarray:
+def _normal_matrix_dense(time_mesh: TimeMesh, m_mix, a_mix, a_test) -> np.ndarray:
     """Dense Bt G_Y B on the trial space via the tensor identity
 
         sum_{a,b} (T_a^T T_b) kron (S_a^T A_test^{-1} S_b),
 
     which never forms the (much larger) test-space matrices as a Kronecker
-    product. Desk-scale meshes only.
+    product. Space matrices as from space_factors; desk-scale meshes only.
     """
-    _, _, m_mix, a_mix, a_test = space_factors(space_mesh, l)
     b_op = assemble_B(time_mesh, m_mix, a_mix)
     lu = splu(a_test.tocsc())
     space_parts = [s.toarray() for _, s in b_op.terms]
@@ -218,11 +217,15 @@ def infsup_constant(
         raise ValueError("l_small must not exceed l_big")
     if l_small == l_big:
         return 1.0
+    if (l_small, l_big) != (0, 1):
+        raise ValueError("test space enrichment l must be 0 or 1")
     # the two normal matrices, plus the working copies eigh makes of them
     n = time_mesh.breakpoints.size * space_dof_map(space_mesh, TRIAL_SPACE).n_dofs
     check_dense_fits(n, 4, "infsup_constant")
-    small = _normal_matrix_dense(time_mesh, space_mesh, l_small)
-    big = _normal_matrix_dense(time_mesh, space_mesh, l_big)
+    # the l = 1 factors hold the P1 pair that the l = 0 test space uses
+    m, a, m_mix, a_mix, a_test = space_factors(space_mesh, 1)
+    small = _normal_matrix_dense(time_mesh, m, a, a)
+    big = _normal_matrix_dense(time_mesh, m_mix, a_mix, a_test)
     try:
         eigvals = scipy.linalg.eigh(small, big, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:

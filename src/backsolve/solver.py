@@ -8,9 +8,9 @@ on trial coefficients v, viewed as a (breakpoints x space dofs) array. The
 breakpoints include both ends of the time interval, so v(0) and v(T) are
 its first and last rows and the trace terms act on those rows alone. The
 right-hand side collects the volume source and the end-time data, and the
-minimizer is found by preconditioned conjugate residuals stopped on the
-lifted residual r(G_X r). Error reporting compares against manufactured
-solutions.
+minimizer is found by preconditioned conjugate residuals stopped once the
+lifted residual r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares
+functional. Error reporting compares against manufactured solutions.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ from .solutions import ManufacturedSolution, get_solution
 
 DEFAULT_QUAD_ORDER = 5
 
-# Safety factor applied to the automatic stopping threshold; see
-# solve_backward for why the nominal scale alone stops too early.
-STOPPING_SAFETY = 0.1
-
 
 @dataclass
 class LeastSquaresSystem:
@@ -67,7 +63,7 @@ class LeastSquaresSystem:
 
     The end trace v(T) and the start trace v(0) of trial coefficients v are
     the last and first rows of v.reshape(breakpoints, n_x). mass_x and
-    stiffness_x are the trial space mass and stiffness.
+    stiffness_x are the trial space mass and stiffness; j_zero is J(0).
     """
 
     b_op: KroneckerOperator
@@ -79,9 +75,12 @@ class LeastSquaresSystem:
     g_load: np.ndarray
     g_sq: float
     rhs: np.ndarray = field(init=False)
+    j_zero: float = field(init=False)
 
     def __post_init__(self):
-        rhs = self._rows(self.b_op.apply_transpose(self.g_y.apply(self.f_load)))
+        gy_f = self.g_y.apply(self.f_load)
+        self.j_zero = float(self.f_load @ gy_f) + self.g_sq
+        rhs = self._rows(self.b_op.apply_transpose(gy_f))
         rhs[-1] += self.g_load
         self.rhs = rhs.ravel()
 
@@ -214,26 +213,34 @@ def build_system(
     )
 
 
-def pcg(system, g_x: RieszPreconditioner, threshold: float, max_iter: int):
+def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int):
     """Preconditioned conjugate residual iteration on the normal system.
 
     Conjugate residuals in the G_X geometry minimize r(G_X r) over the
-    Krylov space, so the monitored stopping quantity is monotone.
+    Krylov space, so the monitored stopping quantity is monotone. x is
+    accepted once r(G_X r) <= min(1, eps)^2 J(x), J(x) = J(0) - x.h - x.r
+    (h the right-hand side, r = h - S x), or <= a given positive threshold;
+    the report's threshold is that bound at the final iterate.
     """
-    if threshold <= 0.0:
+    if threshold is not None and threshold <= 0.0:
         raise ValueError("threshold must be positive")
     t0 = _time.perf_counter()
     h = system.rhs
     x = np.zeros_like(h)
     apply_s = system.apply
     apply_g = g_x.apply
+    weight = min(1.0, system.reg_epsilon) ** 2
+
+    def bound(x, r):  # zero data: J = 0 and r = 0, so x = 0 is accepted
+        return threshold or weight * (system.j_zero - float(x @ h) - float(x @ r))
 
     r = h.copy()
     z = apply_g(r)
     rz = float(r @ z)
     history = [rz]
     iterations = 0
-    converged = rz <= threshold
+    accept = bound(x, r)
+    converged = rz <= accept
 
     if not converged:
         s_z = apply_s(z)
@@ -251,7 +258,8 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float, max_iter: int):
             z -= alpha * g_s_p
             rz = float(r @ z)
             history.append(rz)
-            if rz <= threshold:
+            accept = bound(x, r)
+            if rz <= accept:
                 converged = True
                 break
             s_z = apply_s(z)
@@ -265,8 +273,8 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float, max_iter: int):
         iterations=iterations,
         residual_history=np.asarray(history),
         stopping_value=history[-1],
-        threshold=threshold,
-        epsilon=getattr(system, "reg_epsilon", float("nan")),
+        threshold=accept,
+        epsilon=system.reg_epsilon,
         wall_time=_time.perf_counter() - t0,
         converged=converged,
     )
@@ -278,6 +286,7 @@ def interior_points(space_mesh: SpatialMesh) -> np.ndarray:
     return space_mesh.vertices[~space_mesh.boundary_vertex_flags]
 
 
+# not on the solve path; perfbench's tracer resolves this name
 def nodal_interpolant(
     time_mesh: TimeMesh, space_mesh: SpatialMesh, solution: ManufacturedSolution
 ) -> np.ndarray:
@@ -377,6 +386,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
     return tuple(totals), grams["l2"][0] if "l2" in modes else None
 
 
+# not on the solve path; perfbench's tracer resolves this name
 def interpolation_gap_xnorm(
     time_mesh: TimeMesh,
     space_mesh: SpatialMesh,
@@ -505,26 +515,8 @@ def solve_backward(config, k: int | None = None):
     system = build_system(
         time_mesh, space_mesh, config.l, reg_epsilon, f, g, perturbation
     )
-
-    if config.threshold is not None:
-        threshold = config.threshold
-    else:
-        if solution.name == "zero" and pert_norm == 0.0:
-            threshold = 1e-30  # zero data: the iteration stops immediately
-        else:
-            interp = nodal_interpolant(time_mesh, space_mesh, solution)
-            e_appr = interpolation_gap_xnorm(time_mesh, space_mesh, interp, solution)
-            # Residual scale the accuracy argument grants the accepted
-            # iterate: the regularization weight times the total data plus
-            # approximation error.  With the exact Riesz solve the
-            # preconditioned spectrum is so clustered that this scale alone
-            # is crossed within a step or two, short of the discrete
-            # minimizer; one extra order parks the accepted iterate at the
-            # minimizer without changing how the threshold scales.
-            threshold = STOPPING_SAFETY * reg_epsilon * (pert_norm + e_appr)
-
     g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
-    coeffs, solve_rep = pcg(system, g_x, threshold, config.max_iter)
+    coeffs, solve_rep = pcg(system, g_x, config.threshold, config.max_iter)
     err_rep = error_report(
         time_mesh, space_mesh, coeffs, solution, config.slice_times
     )

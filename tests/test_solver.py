@@ -37,6 +37,7 @@ from backsolve.solver import (
     nodal_interpolant,
     pcg,
     solve_backward,
+    trial_dofs,
 )
 
 
@@ -89,11 +90,14 @@ class TestBuildSystem:
         system = build_system(tm, sm, 0, 0.5)
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert system.functional(np.zeros(system.n)) == 0.0
+        assert system.j_zero == 0.0
         g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
-        x, rep = pcg(system, g_x, threshold=1e-30, max_iter=50)
-        assert np.array_equal(x, np.zeros(system.n))
-        assert rep.iterations == 0
-        assert rep.converged
+        # the functional rule needs no zero-data case: J = 0 and r = 0
+        for threshold in (1e-30, None):
+            x, rep = pcg(system, g_x, threshold=threshold, max_iter=50)
+            assert np.array_equal(x, np.zeros(system.n))
+            assert rep.iterations == 0
+            assert rep.converged
 
     def test_normal_operator_spd(self):
         _, _, system = small_system()
@@ -234,6 +238,34 @@ class TestPCG:
         g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
         with pytest.raises(ValueError):
             pcg(system, g_x, threshold=0.0, max_iter=10)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_functional_rule_accepts_first_iterate_below_bound(self, d):
+        # without a threshold the accepted bound is min(1, eps)^2 J(x), with
+        # J read through the two-dot-product identity, and one step fewer
+        # would not have been accepted
+        if d == 1:
+            tm, sm = uniform_time_mesh(0.0, 1.0, 3), unit_interval_mesh(8)
+        else:
+            tm = uniform_time_mesh(0.0, 1.0, 2)
+            sm = refine_uniform(unit_square_initial(), 4)
+        sol = get_solution("cubic", d)
+        eps = choose_epsilon("plain", trial_dofs(tm, sm), d)
+        system = build_system(
+            tm, sm, 0, eps, f=(sol.source, sol.phi), g=lambda x: sol.u(1.0, x)
+        )
+        assert system.j_zero == pytest.approx(
+            system.functional(np.zeros(system.n)), rel=1e-12
+        )
+        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        x, rep = pcg(system, g_x, threshold=None, max_iter=100)
+        assert rep.converged and rep.iterations >= 1
+        assert rep.stopping_value <= rep.threshold
+        assert rep.threshold == pytest.approx(
+            min(1.0, eps) ** 2 * system.functional(x), rel=1e-6
+        )
+        _, early = pcg(system, g_x, threshold=None, max_iter=rep.iterations - 1)
+        assert not early.converged
 
     def test_report_fields(self):
         tm, sm, system = small_system(reg_epsilon=0.25)
@@ -440,12 +472,6 @@ class TestSolveBackward:
         assert set(err_rep.l2_slices) == {0.25, 0.5, 0.75, 1.0}
         assert err_rep.l2l2 > 0.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP): the automatic stopping rule compares "
-        "the squared residual dual norm with a linear error scale, so d=1 "
-        "stops one step early from k=5 on",
-    )
     def test_d1_error_halves_per_level(self):
         cfg = ExperimentConfig(
             experiment="convergence",
@@ -459,13 +485,6 @@ class TestSolveBackward:
         for coarse, fine in zip(errs, errs[1:]):
             assert fine <= 0.6 * coarse
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP): the automatic stopping rule compares "
-        "the squared residual dual norm with a linear error scale, so the "
-        "full window of a d=1 decay interval-length study accepts the zero "
-        "iterate",
-    )
     def test_interval_length_full_window_takes_a_step(self):
         # the L = T variant of an interval-length study; with threshold 1e-20
         # it takes 2 iterations and err_slice@1 falls from |g| = 0.707 to 0.477
