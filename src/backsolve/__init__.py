@@ -17,7 +17,7 @@ from .operators import (
     gram_Y,
     infsup_constant,
 )
-from .precond import RieszPreconditioner, make_G_X, make_G_Y
+from .precond import FactorTooLargeError, RieszPreconditioner, make_G_X, make_G_Y
 from .solver import (
     ErrorReport,
     LeastSquaresSystem,
@@ -39,6 +39,7 @@ __all__ = [
     "DenseTooLargeError",
     "ErrorReport",
     "ExperimentConfig",
+    "FactorTooLargeError",
     "KroneckerOperator",
     "LeastSquaresSystem",
     "RieszPreconditioner",

@@ -45,6 +45,19 @@ def _to_dense(factor) -> np.ndarray:
     return np.asarray(factor)
 
 
+def sparse_lu(mat: sp.spmatrix, what: str):
+    """Sparse LU with a low-fill ordering; `what` names the matrix in errors.
+
+    Minimum degree on A + A^T keeps the fill of these finite element
+    matrices low; scipy's default ordering and supernode sizes give nearly
+    twice the fill and factor two to three times slower.
+    """
+    try:
+        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    except RuntimeError as exc:
+        raise RuntimeError(f"{what} factorization failed: {exc}") from exc
+
+
 class MassSolveMass:
     """Symmetric spatial factor M A^{-1} M with a cached factorization of A."""
 
@@ -53,7 +66,7 @@ class MassSolveMass:
             raise ValueError("mass/stiffness shape mismatch")
         self.shape = mass.shape
         self._mass = mass.tocsr()
-        self._lu = splu(stiffness.tocsc())
+        self._lu = sparse_lu(stiffness, "stiffness")
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         w = self._lu.solve(np.asarray(self._mass @ other))
@@ -172,11 +185,16 @@ class DenseTooLargeError(MemoryError):
     """A dense n x n float64 working set would exceed physical memory."""
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def check_dense_fits(n: int, arrays: int, what: str) -> None:
     """Raise DenseTooLargeError before `arrays` dense n x n float64 arrays
     are allocated if together they exceed the machine's physical memory."""
     need = arrays * n * n * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    have = physical_memory()
     if need > have:
         raise DenseTooLargeError(
             f"{what} needs {arrays} dense {n} x {n} arrays, {need:,} bytes, "
@@ -193,7 +211,7 @@ def _normal_matrix_dense(time_mesh: TimeMesh, m_mix, a_mix, a_test) -> np.ndarra
     product. Space matrices as from space_factors; desk-scale meshes only.
     """
     b_op = assemble_B(time_mesh, m_mix, a_mix)
-    lu = splu(a_test.tocsc())
+    lu = sparse_lu(a_test, "test stiffness")
     space_parts = [s.toarray() for _, s in b_op.terms]
     solved = [lu.solve(s) for s in space_parts]
     time_factors = [t.toarray() for t, _ in b_op.terms]

@@ -1,11 +1,14 @@
 """Riesz-map preconditioners: exact inverses of the space-time Grams.
 
-The test-space lift inverts (identity x stiffness) with one cached sparse
-factorization. The trial-space lift inverts the full anisotropic Gram
-by diagonalization in time: a generalized eigendecomposition of the time
-pencil, then per time mode a shifted space solve (one block-diagonal sparse
-factorization), or a dense space eigendecomposition when space is no larger
-than time. Both lifts are exact, so the norm-equivalence constants are 1.
+The test-space lift inverts (identity x test stiffness) with one sparse
+factorization of the test stiffness; the normal operator reuses that
+factor for its K_t x M_mix^T A_test^-1 M_mix term. The trial-space lift
+inverts the full anisotropic Gram by diagonalization in time: a generalized
+eigendecomposition of the time pencil, then per time mode a shifted space
+solve (one block-diagonal sparse factorization, refused with a named error
+when its predicted size exceeds physical memory), or a dense space
+eigendecomposition when space is no larger than time. Both lifts are exact,
+so the norm-equivalence constants are 1.
 """
 
 from __future__ import annotations
@@ -16,19 +19,27 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .assembly import time_mass_trial, time_stiffness_trial
 from .mesh import TimeMesh
-from .operators import TEST_TIME
+from .operators import TEST_TIME, physical_memory, sparse_lu
+
+
+class FactorTooLargeError(MemoryError):
+    """A sparse factorization would exceed physical memory."""
 
 
 @dataclass(frozen=True)
 class RieszPreconditioner:
-    """SPD lift from functionals to coefficient space."""
+    """SPD lift from functionals to coefficient space.
+
+    space_solve, set for the test-space lift only, applies the inverse of
+    the test stiffness to the columns of an array.
+    """
 
     norm: str  # "X" (trial) or "Y" (test)
     _apply: Callable = field(repr=False)
+    space_solve: Callable | None = field(default=None, repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(f, dtype=float))
@@ -36,11 +47,12 @@ class RieszPreconditioner:
 
 def make_G_Y(time_mesh: TimeMesh, a_test: sp.csr_matrix) -> RieszPreconditioner:
     """Exact test-space Riesz lift: per time dof, one solve with a_test,
-    the test space stiffness."""
-    try:
-        lu = splu(a_test.tocsc())
-    except RuntimeError as exc:
-        raise RuntimeError(f"test stiffness factorization failed: {exc}") from exc
+    the test space stiffness.
+
+    a_test is factored once, with a low-fill ordering; the lift's
+    space_solve hands that factor to the normal operator.
+    """
+    lu = sparse_lu(a_test, "test stiffness")
     n_t = time_mesh.n_elements * (TEST_TIME.degree + 1)
     n_x = a_test.shape[0]
 
@@ -48,7 +60,7 @@ def make_G_Y(time_mesh: TimeMesh, a_test: sp.csr_matrix) -> RieszPreconditioner:
         mat = f.reshape(n_t, n_x)
         return lu.solve(mat.T).T.ravel()
 
-    return RieszPreconditioner("Y", apply)
+    return RieszPreconditioner("Y", apply, lu.solve)
 
 
 def make_G_X(
@@ -64,7 +76,9 @@ def make_G_X(
     time modes, one sparse factorization of the block-diagonal complex
     matrix diag_j(A + i sqrt(theta_j) M) applies every mode in one solve;
     otherwise the space pencil is diagonalized densely, which then holds
-    no more entries than a trial vector.
+    no more entries than a trial vector. Before the block-diagonal
+    factorization, one block is factored alone; if n_t times its size
+    exceeds physical memory, FactorTooLargeError is raised.
     """
     t_stiff = time_stiffness_trial(time_mesh).toarray()
     t_mass = time_mass_trial(time_mesh).toarray()
@@ -83,7 +97,16 @@ def make_G_X(
 
         return RieszPreconditioner("X", apply)
 
-    lu = _shifted_space_factor(a, m, np.sqrt(theta))
+    shifts = np.sqrt(theta)
+    need = n_t * _factor_bytes(_shifted_space_factor(a, m, shifts[:1]))
+    have = physical_memory()
+    if need > have:
+        raise FactorTooLargeError(
+            f"trial-space lift with n_x = {n_x} space dofs and n_t = {n_t} "
+            f"time modes needs about {need:,} bytes for its factor, more "
+            f"than the {have:,} bytes of physical memory"
+        )
+    lu = _shifted_space_factor(a, m, shifts)
 
     def apply(f: np.ndarray) -> np.ndarray:
         w = zt.T @ f.reshape(n_t, n_x)
@@ -109,10 +132,10 @@ def _shifted_space_factor(a: sp.csr_matrix, m: sp.csr_matrix, shifts: np.ndarray
     data = (a.data + 1j * shifts[:, None] * m.data).ravel()
     n = n_x * shifts.size
     mat = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    try:
-        # minimum degree on A + A^T keeps each block's fill low; scipy's
-        # default ordering and supernode sizes give nearly twice the fill
-        # and factor two to three times slower
-        return splu(mat, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-    except RuntimeError as exc:
-        raise RuntimeError(f"shifted space factorization failed: {exc}") from exc
+    return sparse_lu(mat, "shifted space")
+
+
+def _factor_bytes(lu) -> int:
+    """Bytes of a complex sparse LU: values and row indices of its nonzeros
+    plus the column pointers of L and U."""
+    return lu.nnz * (16 + 4) + 2 * 4 * (lu.shape[0] + 1)

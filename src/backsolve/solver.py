@@ -6,11 +6,27 @@ Builds the SPD normal operator
 
 on trial coefficients v, viewed as a (breakpoints x space dofs) array. The
 breakpoints include both ends of the time interval, so v(0) and v(T) are
-its first and last rows and the trace terms act on those rows alone. The
+its first and last rows and the trace terms act on those rows alone.
+S is applied through the space-time energy identity
+
+    Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
+               + (e_T e_T^T - e_0 e_0^T) x M,
+
+so S v = K_t x (M_mix^T A_test^-1 M_mix) v + M_t x A v + 2 M v(T)
++ (reg_epsilon^2 - 1) M v(0), with one A_test solve per breakpoint. K_t and
+M_t are the hat stiffness and mass. The identity is exact because of two
+containments. In time, the elementwise Legendre test space contains the
+hats and their derivatives, so B's time factors D (derivative) and N
+(mass) give DtD = K_t, NtN = M_t and DtN + NtD = e_T e_T^T - e_0 e_0^T
+(the integral of (phi_i phi_j)'). In space, P1 lies in P_{1+l} with the
+same Dirichlet boundary, so the mixed matrices are M_test P and A_test P,
+which gives A_mix^T A_test^-1 A_mix = A and M_mix^T A_test^-1 A_mix = M.
+B itself serves only the right-hand side and the functional. The
 right-hand side collects the volume source and the end-time data, and the
 minimizer is found by preconditioned conjugate residuals stopped once the
-lifted residual r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares
-functional. Error reporting compares against manufactured solutions.
+lifted residual r(G_X r) is at most min(1, eps)^2 J(x), J the
+least-squares functional. Error reporting compares against manufactured
+solutions.
 """
 
 from __future__ import annotations
@@ -32,6 +48,8 @@ from .assembly import (
     load_vector_f,
     quad_points_physical,
     space_load,
+    time_mass_trial,
+    time_stiffness_trial,
 )
 from .mesh import (
     SpatialMesh,
@@ -62,12 +80,19 @@ class LeastSquaresSystem:
     """SPD normal operator of the regularized least-squares functional.
 
     The end trace v(T) and the start trace v(0) of trial coefficients v are
-    the last and first rows of v.reshape(breakpoints, n_x). mass_x and
-    stiffness_x are the trial space mass and stiffness; j_zero is J(0).
+    the last and first rows of v.reshape(breakpoints, n_x). apply uses the
+    energy identity of the module docstring: time_stiffness and time_mass
+    are the hat stiffness K_t and mass M_t, mass_mix is the mixed (test x
+    trial) space mass, and g_y's space factor solves with A_test. b_op (B)
+    and g_y's lift serve the right-hand side, j_zero = J(0) and functional.
+    mass_x and stiffness_x are the trial space mass and stiffness.
     """
 
     b_op: KroneckerOperator
     g_y: RieszPreconditioner
+    time_stiffness: object
+    time_mass: object
+    mass_mix: object
     mass_x: object
     stiffness_x: object
     reg_epsilon: float
@@ -93,11 +118,11 @@ class LeastSquaresSystem:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         rows = self._rows(v)
-        out = self.b_op.apply_transpose(self.g_y.apply(self.b_op.apply(v)))
-        out = self._rows(out)
-        out[-1] += self.mass_x @ rows[-1]
-        if self.reg_epsilon != 0.0:
-            out[0] += self.reg_epsilon**2 * (self.mass_x @ rows[0])
+        cols = self.mass_mix @ (self.time_stiffness @ rows).T
+        out = (self.mass_mix.T @ self.g_y.space_solve(cols)).T
+        out += (self.stiffness_x @ (self.time_mass @ rows).T).T
+        out[-1] += 2.0 * (self.mass_x @ rows[-1])
+        out[0] += (self.reg_epsilon**2 - 1.0) * (self.mass_x @ rows[0])
         return out.ravel()
 
     def functional(self, v: np.ndarray) -> float:
@@ -209,7 +234,17 @@ def build_system(
             )
 
     return LeastSquaresSystem(
-        b_op, g_y, mass_x, stiffness_x, reg_epsilon, f_load, g_load, g_sq
+        b_op,
+        g_y,
+        time_stiffness_trial(time_mesh),
+        time_mass_trial(time_mesh),
+        m_mix,
+        mass_x,
+        stiffness_x,
+        reg_epsilon,
+        f_load,
+        g_load,
+        g_sq,
     )
 
 

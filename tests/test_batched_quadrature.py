@@ -6,13 +6,14 @@ FE evaluation (with its own geometry) per time Gauss point and error mode.
 """
 
 import math
+import os
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from backsolve import assembly, operators
+from backsolve import assembly
 from backsolve.assembly import (
     SpaceBasisSpec,
     _cell_rule,
@@ -375,27 +376,20 @@ class TestDenseSizeGuard:
     def test_small_size_passes(self):
         check_dense_fits(100, 4, "probe")
 
-    def _tiny_memory(self, monkeypatch):
-        real = operators.os.sysconf
-
-        def sysconf(name):
-            return 0 if name == "SC_PHYS_PAGES" else real(name)
-
-        monkeypatch.setattr(operators.os, "sysconf", sysconf)
-
-    def test_infsup_checks_before_allocating(self, monkeypatch):
-        self._tiny_memory(monkeypatch)
+    def test_infsup_checks_before_allocating(self, physical_memory):
+        physical_memory(0)
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 1)
         with pytest.raises(DenseTooLargeError, match="infsup_constant"):
             infsup_constant(tm, sm, 0, 1)
 
-    def test_lift_builds_when_dense_would_not_fit(self, monkeypatch):
-        # the trial-space lift allocates nothing n_x x n_x in d=2, so it
-        # needs no dense guard and builds with zero physical pages reported
-        self._tiny_memory(monkeypatch)
+    def test_lift_builds_when_dense_would_not_fit(self, physical_memory):
+        # the trial-space lift allocates nothing n_x x n_x in d=2: it builds
+        # with less physical memory reported than one such array needs
         tm = uniform_time_mesh(0.0, 1.0, 1)
-        sm = _space_mesh(2, 1)
+        sm = _space_mesh(2, 4)
+        n_x = int((~sm.boundary_vertex_flags).sum())
+        physical_memory(n_x * n_x * 8 - os.sysconf("SC_PAGE_SIZE"))
         G = gram_X(tm, sm)
         lift = make_G_X(
             tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)

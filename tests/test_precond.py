@@ -1,9 +1,13 @@
 """Riesz lifts: exact inverses of the trial and test space Gram operators."""
 
+import os
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+import backsolve
 from backsolve import precond
 from backsolve.assembly import (
     space_mass,
@@ -19,7 +23,7 @@ from backsolve.mesh import (
     unit_square_initial,
 )
 from backsolve.operators import TRIAL_SPACE, gram_X, gram_Y, space_factors
-from backsolve.precond import make_G_X, make_G_Y
+from backsolve.precond import FactorTooLargeError, make_G_X, make_G_Y
 
 
 def mesh_pair_1d():
@@ -172,6 +176,15 @@ class TestGYLift:
         lift = make_G_Y(tm, space_factors(sm, 0)[4])
         assert lift.norm == "Y"
 
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_space_solve_inverts_test_stiffness(self, l):
+        tm, sm = mesh_pair_2d()
+        a_test = space_factors(sm, l)[4]
+        lift = make_G_Y(tm, a_test)
+        cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
+        got = a_test @ lift.space_solve(cols)
+        assert np.max(np.abs(got - cols)) <= 1e-12 * np.max(np.abs(cols))
+
 
 class TestGXLift:
     def test_inverts_gram(self):
@@ -221,3 +234,72 @@ class TestGXLift:
             v = rng.standard_normal(G.shape[1])
             ratio = G.inner(v, lift.apply(G.apply(v))) / G.inner(v, v)
             assert ratio == pytest.approx(1.0, abs=1e-8)
+
+
+class TestGXSizeGuard:
+    """make_G_X factors one shifted block, predicts n_t times its size for
+    the block-diagonal factor and refuses it above physical memory."""
+
+    def _factored_sizes(self, monkeypatch):
+        sizes = []
+        real = precond._shifted_space_factor
+
+        def recording(a, m, shifts):
+            sizes.append(shifts.size)
+            return real(a, m, shifts)
+
+        monkeypatch.setattr(precond, "_shifted_space_factor", recording)
+        return sizes
+
+    def _lift(self, tm, sm):
+        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        return make_G_X(tm, a, m)
+
+    def _predicted_bytes(self, physical_memory, tm, sm):
+        physical_memory(0)
+        with pytest.raises(FactorTooLargeError) as info:
+            self._lift(tm, sm)
+        need = re.search(r"about ([\d,]+) bytes", str(info.value))[1]
+        return int(need.replace(",", ""))
+
+    def test_refuses_before_factoring_all_modes(
+        self, monkeypatch, physical_memory
+    ):
+        tm, sm = uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)
+        n_t, n_x = _dims(tm, sm)
+        sizes = self._factored_sizes(monkeypatch)
+        physical_memory(0)
+        with pytest.raises(FactorTooLargeError) as info:
+            self._lift(tm, sm)
+        msg = str(info.value)
+        assert f"n_x = {n_x} " in msg and f"n_t = {n_t} " in msg
+        assert re.search(r"about [\d,]+ bytes", msg)
+        assert isinstance(info.value, MemoryError)
+        assert backsolve.FactorTooLargeError is FactorTooLargeError
+        assert sizes == [1]  # the probe block only
+
+    def test_builds_at_the_predicted_size(self, monkeypatch, physical_memory):
+        tm, sm = uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)
+        need = self._predicted_bytes(physical_memory, tm, sm)
+        physical_memory(need - os.sysconf("SC_PAGE_SIZE"))
+        with pytest.raises(FactorTooLargeError):
+            self._lift(tm, sm)
+        physical_memory(need)
+        sizes = self._factored_sizes(monkeypatch)
+        self._lift(tm, sm)
+        assert sizes == [1, _dims(tm, sm)[0]]
+
+    def test_prediction_matches_the_factor(self, physical_memory):
+        tm, sm = uniform_time_mesh(0.0, 1.0, 3), _space_mesh(2, 6)
+        need = self._predicted_bytes(physical_memory, tm, sm)
+        theta = eigh(
+            time_stiffness_trial(tm).toarray(),
+            time_mass_trial(tm).toarray(),
+            eigvals_only=True,
+        )
+        lu = precond._shifted_space_factor(
+            space_stiffness(sm, TRIAL_SPACE),
+            space_mass(sm, TRIAL_SPACE),
+            np.sqrt(np.maximum(theta, 0.0)),
+        )
+        assert need == pytest.approx(precond._factor_bytes(lu), rel=0.05)

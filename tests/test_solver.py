@@ -1,5 +1,6 @@
 """Regularized normal system, Krylov iteration, error reporting, meshes."""
 
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -19,15 +20,17 @@ from backsolve.mesh import (
 )
 from backsolve.operators import (
     TRIAL_SPACE,
+    KroneckerOperator,
     assemble_B,
     dense_from_apply,
     gram_X,
     gram_Y,
     space_factors,
 )
-from backsolve.precond import make_G_X
+from backsolve.precond import RieszPreconditioner, make_G_X
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
+    LeastSquaresSystem,
     build_meshes,
     build_system,
     choose_epsilon,
@@ -172,24 +175,30 @@ def _rel(a, b):
     return np.linalg.norm(np.subtract(a, b)) / np.linalg.norm(b)
 
 
+def reference_case(d, l, reg_epsilon):
+    """Meshes and system of the dense reference checks."""
+    if d == 1:
+        tm, sm = uniform_time_mesh(0.0, 1.0, 2), unit_interval_mesh(4)
+    else:
+        tm = uniform_time_mesh(0.0, 1.0, 1)
+        sm = refine_uniform(unit_square_initial(), 2)
+    sol = get_solution("cubic", d)
+    system = build_system(
+        tm,
+        sm,
+        l,
+        reg_epsilon,
+        f=(sol.source, sol.phi),
+        g=lambda x: sol.u(1.0, x),
+    )
+    return tm, sm, system
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("reg_epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_normal_operator_matches_dense(self, d, reg_epsilon):
-        if d == 1:
-            tm, sm = uniform_time_mesh(0.0, 1.0, 2), unit_interval_mesh(4)
-        else:
-            tm = uniform_time_mesh(0.0, 1.0, 1)
-            sm = refine_uniform(unit_square_initial(), 2)
-        sol = get_solution("cubic", d)
-        system = build_system(
-            tm,
-            sm,
-            0,
-            reg_epsilon,
-            f=(sol.source, sol.phi),
-            g=lambda x: sol.u(1.0, x),
-        )
+        tm, sm, system = reference_case(d, 0, reg_epsilon)
         S, rhs, functional = dense_reference(
             tm, sm, 0, reg_epsilon, system.f_load, system.g_load, system.g_sq
         )
@@ -202,6 +211,42 @@ class TestDenseReference:
         # the minimizer of the functional, where its terms nearly cancel
         x = np.linalg.solve(S, rhs)
         assert _rel(system.functional(x), functional(x)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_enriched_normal_operator_matches_dense(self, d):
+        # l = 1: the energy identity needs M_mix = M_test P, A_mix = A_test P
+        tm, sm, system = reference_case(d, 1, 0.3)
+        S, rhs, _ = dense_reference(
+            tm, sm, 1, 0.3, system.f_load, system.g_load, system.g_sq
+        )
+        assert _rel(system.rhs, rhs) <= 1e-12
+        rng = np.random.default_rng(20 + d)
+        for _ in range(5):
+            v = rng.standard_normal(system.n)
+            assert _rel(system.apply(v), S @ v) <= 1e-12
+
+    @pytest.mark.parametrize("reg_epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_energy_identity_against_gram_X(self, d, reg_epsilon):
+        # at l = 0, S = Gram_X + (2 e_T e_T' + (eps^2 - 1) e_0 e_0') x M
+        tm, sm, system = reference_case(d, 0, reg_epsilon)
+        S = dense_from_apply(system.apply, system.n)
+        eye_t = np.eye(tm.breakpoints.size)
+        traces = 2.0 * np.outer(eye_t[-1], eye_t[-1]) + (
+            reg_epsilon**2 - 1.0
+        ) * np.outer(eye_t[0], eye_t[0])
+        M = space_mass(sm, TRIAL_SPACE).toarray()
+        want = gram_X(tm, sm).to_dense() + np.kron(traces, M)
+        assert np.max(np.abs(S - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_normal_operator_symmetric_to_roundoff(self, d, l):
+        # symmetric up to the rounding of one sparse LU solve, well inside
+        # the 1e-13 of test_normal_operator_spd
+        _, _, system = reference_case(d, l, 0.3)
+        S = dense_from_apply(system.apply, system.n)
+        assert np.max(np.abs(S - S.T)) <= 1e-15 * np.max(np.abs(S))
 
 
 class TestPCG:
@@ -410,6 +455,53 @@ class TestBuildMeshes:
 
 
 class TestSolveBackward:
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_normal_operator_reuses_the_test_factor(self, l, monkeypatch):
+        # a d=2 solve makes one real sparse factorization, of A_test (G_X's
+        # are complex), and its normal operator neither applies B nor lifts
+        # by G_Y
+        factored, calls, inside = [], [], [False]
+        for mod in [m for n, m in sys.modules.items() if n.startswith("backsolve")]:
+            if hasattr(mod, "splu"):
+                real_splu = mod.splu
+
+                def splu(mat, _real=real_splu, **kwargs):
+                    factored.append((mat.shape, np.iscomplexobj(mat.data)))
+                    return _real(mat, **kwargs)
+
+                monkeypatch.setattr(mod, "splu", splu)
+        real_normal = LeastSquaresSystem.apply
+
+        def normal(self, v):
+            calls.append(("normal", False))
+            inside[0] = True
+            try:
+                return real_normal(self, v)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(LeastSquaresSystem, "apply", normal)
+        for owner, name in [
+            (KroneckerOperator, "apply"),
+            (KroneckerOperator, "apply_transpose"),
+            (RieszPreconditioner, "apply"),
+        ]:
+
+            def wrapped(self, *args, _real=getattr(owner, name), _name=name):
+                calls.append((_name, inside[0]))
+                return _real(self, *args)
+
+            monkeypatch.setattr(owner, name, wrapped)
+        cfg = ExperimentConfig(
+            experiment="convergence", d=2, T=1.0, k_range=[2], solution="cubic", l=l
+        )
+        solve_backward(cfg)
+        n_test = space_factors(build_meshes(cfg, 2)[1], l)[4].shape[0]
+        assert [shape for shape, cplx in factored if not cplx] == [(n_test, n_test)]
+        assert ("normal", False) in calls
+        assert ("apply_transpose", False) in calls  # B still builds the rhs
+        assert not [call for call in calls if call[1]]
+
     @pytest.mark.parametrize("l, passes", [(0, 1), (1, 3)])
     def test_space_set_up_runs_once(
         self, l, passes, monkeypatch, geometry_computations
