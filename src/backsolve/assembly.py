@@ -3,8 +3,9 @@
 Builds every 1-d matrix the space-time operators are composed of: hat mass,
 derivative and stiffness matrices in time, mixed matrices against an
 element-wise Legendre test basis, Lagrange P1/P2 mass and stiffness on
-simplicial meshes (Dirichlet dofs eliminated, not penalized),
-tensor-quadrature load vectors and L2 projections.
+simplicial meshes (Dirichlet dofs eliminated, not penalized), load
+vectors and L2 projections. Space loads integrate values sampled once at
+the points of a cell rule (quad_points), not a function.
 
 Test dof numbering in time is element-major: dof = element*(p+1) + n where n
 is the local polynomial degree. Spatial P2 numbering lists retained vertex
@@ -22,6 +23,8 @@ from scipy.sparse.linalg import spsolve
 
 from .mesh import SpatialMesh, TimeMesh, _facets
 from .quadrature import gauss_1d_for_degree, triangle_rule
+
+QUAD_ORDER = 5  # exactness degree of the data loads and the error quadrature
 
 
 @dataclass(frozen=True)
@@ -269,26 +272,31 @@ def _scatter_matrix(dm: DofMap) -> sp.csr_matrix:
     )
 
 
+def quad_points(mesh: SpatialMesh, degree: int) -> np.ndarray:
+    """Physical points (cells * q, d), cell-major, of the cell rule exact to
+    `degree`: space_load and integrate_squared take values sampled there."""
+    pts, _ = _cell_rule(mesh, degree)
+    return quad_points_physical(mesh, pts).reshape(-1, mesh.dimension)
+
+
 def space_load(
-    mesh: SpatialMesh, spec: SpaceBasisSpec, func, degree: int
+    mesh: SpatialMesh, spec: SpaceBasisSpec, values, degree: int
 ) -> np.ndarray:
-    """Vector of integrals func * basis_i, quadrature exact to `degree`."""
+    """Vector of integrals f * basis_i, f sampled at quad_points(mesh, degree)."""
     dm = space_dof_map(mesh, spec)
     pts, w = _cell_rule(mesh, degree)
     vol, _ = mesh.geometry
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
-    xq = quad_points_physical(mesh, pts)
-    fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
+    fq = np.reshape(values, (vol.size, w.size))
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
     return _scatter_matrix(dm) @ cell_load.ravel()
 
 
-def integrate_squared(mesh: SpatialMesh, func, degree: int) -> float:
-    """Quadrature of the square of a callable over the mesh."""
-    pts, w = _cell_rule(mesh, degree)
+def integrate_squared(mesh: SpatialMesh, values, degree: int) -> float:
+    """Quadrature of f^2 over the mesh, f sampled at quad_points(mesh, degree)."""
+    _, w = _cell_rule(mesh, degree)
     vol, _ = mesh.geometry
-    xq = quad_points_physical(mesh, pts)
-    fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
+    fq = np.reshape(values, (vol.size, w.size))
     return float(np.einsum("c,q,cq->", vol, w, fq**2))
 
 
@@ -301,7 +309,7 @@ def l2_projection(
     m = space_mass(mesh, spec)
     if m.shape[0] == 0:
         return np.zeros(0)
-    rhs = space_load(mesh, spec, g, quad_degree)
+    rhs = space_load(mesh, spec, g(quad_points(mesh, quad_degree)), quad_degree)
     coeffs = spsolve(m.tocsc(), rhs)
     if not np.all(np.isfinite(coeffs)):
         raise RuntimeError("mass solve produced non-finite values")
@@ -309,30 +317,23 @@ def l2_projection(
 
 
 def load_vector_f(
-    time_mesh: TimeMesh,
-    space_mesh: SpatialMesh,
-    time_spec: TimeBasisSpec,
-    space_spec: SpaceBasisSpec,
-    f,
-    quad_order: int,
+    time_mesh: TimeMesh, time_spec: TimeBasisSpec, source, phi_load: np.ndarray
 ) -> np.ndarray:
     """Tensor-quadrature load F[(e,n),j] = iint f psi_{e,n}(t) eta_j(x).
 
-    The source separates, f(t, x) = c(t) phi(x), and f is the pair (c, phi):
-    c takes a scalar t, phi a point array (m, d). Under the tensor rule the
-    load is exactly the time load h_e sum_q w_q c(t_eq) psi_{e,n}(s_q) times
-    the one space load of phi.
+    The source separates, f(t, x) = source(t) phi(x): source takes a scalar
+    t, and phi_load is the space load of phi. Under the tensor rule the load
+    is exactly the time load h_e sum_q w_q source(t_eq) psi_{e,n}(s_q) times
+    phi_load.
     """
-    c, phi = f
-    sq, wq = gauss_1d_for_degree(quad_order)
+    sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = time_mesh.lengths
     t = time_mesh.breakpoints[:-1, None] + h[:, None] * sq
-    # c at scalar t: numpy's array t**3 can differ from the scalar by an ulp
-    ct = np.array([c(ti) for ti in t.ravel()]).reshape(t.shape)
+    # source at scalar t: numpy's array t**3 can differ from the scalar by an ulp
+    ct = np.array([source(ti) for ti in t.ravel()]).reshape(t.shape)
     psi = test_basis_values(time_spec, sq, h)  # (elements, degree+1, q)
     time_load = h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]
-    space = space_load(space_mesh, space_spec, phi, quad_order)
-    return np.outer(time_load, space).ravel()
+    return np.outer(time_load, phi_load).ravel()
 
 
 # ------------------------------------------------------------- fields ----

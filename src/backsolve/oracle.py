@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FEField, SpaceBasisSpec, space_dof_map, space_mass
+from .assembly import FEField, SpaceBasisSpec, space_dof_map
 from .mesh import SpatialMesh
 
 _EXP_LIMIT = math.log(1e300)
@@ -295,9 +295,10 @@ def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralFie
 
 
 def random_perturbation(
-    space_mesh: SpatialMesh, spec: SpaceBasisSpec, target_norm: float, seed
+    space_mesh: SpatialMesh, spec: SpaceBasisSpec, mass, target_norm: float, seed
 ) -> FEField:
-    """Random nodal field rescaled to an exact L2(Omega) norm."""
+    """Random nodal field rescaled to an exact L2(Omega) norm; mass is the
+    space's mass matrix."""
     if target_norm <= 0.0:
         raise ValueError("target_norm must be positive")
     n = space_dof_map(space_mesh, spec).n_dofs
@@ -305,6 +306,5 @@ def random_perturbation(
         raise ValueError("space has no dofs to perturb")
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, n)
-    mass = space_mass(space_mesh, spec)
     nrm = math.sqrt(float(coeffs @ (mass @ coeffs)))
     return FEField(space_mesh, spec, coeffs * (target_norm / nrm))

@@ -22,11 +22,12 @@ hats and their derivatives, so B's time factors D (derivative) and N
 same Dirichlet boundary, so the mixed matrices are M_test P and A_test P,
 which gives A_mix^T A_test^-1 A_mix = A and M_mix^T A_test^-1 A_mix = M.
 B itself serves only the right-hand side and the functional. The
-right-hand side collects the volume source and the end-time data, and the
-minimizer is found by preconditioned conjugate residuals stopped once the
-lifted residual r(G_X r) is at most min(1, eps)^2 J(x), J the
-least-squares functional. Error reporting compares against manufactured
-solutions.
+right-hand side collects the source f = source(t) phi and the end data
+g = tau(T) phi (plus any perturbation) of a manufactured solution, all
+read from one sample of phi. The minimizer is found by preconditioned
+conjugate residuals stopped once the lifted residual r(G_X r) is at most
+min(1, eps)^2 J(x), J the least-squares functional. Error reporting
+compares against manufactured solutions.
 """
 
 from __future__ import annotations
@@ -40,13 +41,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
+    QUAD_ORDER,
     FEField,
     _cell_rule,
     fe_gradients_on_cells,
     fe_values_on_cells,
     integrate_squared,
     load_vector_f,
-    quad_points_physical,
+    quad_points,
     space_load,
     time_mass_trial,
     time_stiffness_trial,
@@ -71,8 +73,6 @@ from .operators import (
 from .oracle import mode_perturbation, random_perturbation
 from .precond import RieszPreconditioner, make_G_X, make_G_Y
 from .solutions import ManufacturedSolution, get_solution
-
-DEFAULT_QUAD_ORDER = 5
 
 
 @dataclass
@@ -183,55 +183,50 @@ def build_system(
     space_mesh: SpatialMesh,
     l: int,
     reg_epsilon: float,
-    f=None,
-    g=None,
+    solution: ManufacturedSolution,
+    space,
     perturbation=None,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> LeastSquaresSystem:
-    """Assemble the normal operator and data loads.
+    """Assemble the normal operator and the data of a manufactured solution.
 
-    f is the volume source f(t, x) = c(t) phi(x) as the pair (c, phi), with
-    c taking a scalar t and phi a point array (see load_vector_f); g(points)
-    is the end-time observation. Either may be None (zero). perturbation is
-    added to g: a nodal FEField (loads via the mass matrix, exactly) or any
-    object with evaluate(points).
+    space is the level's space_factors(space_mesh, l). The data are the
+    source f = source(t) phi and the end-time observation g = tau(T) phi,
+    T the last breakpoint, plus perturbation: a nodal FEField (loaded
+    through the mass matrix, exactly) or any object with evaluate(points).
+    phi and the perturbation are sampled once, at the load rule's points.
     """
     if reg_epsilon < 0.0:
         raise ValueError("reg_epsilon must be nonnegative")
-    mass_x, stiffness_x, m_mix, a_mix, a_test = space_factors(space_mesh, l)
+    mass_x, stiffness_x, m_mix, a_mix, a_test = space
     b_op = assemble_B(time_mesh, m_mix, a_mix)
     g_y = make_G_Y(time_mesh, a_test)
 
-    if f is None:
+    points = quad_points(space_mesh, QUAD_ORDER)
+    phi = solution.phi(points)
+    phi_load = space_load(space_mesh, TRIAL_SPACE, phi, QUAD_ORDER)
+    if solution.f_is_zero:
         f_load = np.zeros(b_op.shape[0])
     else:
-        f_load = load_vector_f(
-            time_mesh, space_mesh, TEST_TIME, test_space_spec(l), f, quad_order
-        )
+        test_load = phi_load  # at l = 0 the test space is P1 itself
+        if l:
+            test_load = space_load(space_mesh, test_space_spec(l), phi, QUAD_ORDER)
+        f_load = load_vector_f(time_mesh, TEST_TIME, solution.source, test_load)
 
-    n_x = mass_x.shape[0]
-    g_load = (
-        np.zeros(n_x)
-        if g is None
-        else space_load(space_mesh, TRIAL_SPACE, g, quad_order)
-    )
-    g_sq = 0.0 if g is None else integrate_squared(space_mesh, g, quad_order)
-
+    tau_end = solution.tau(time_mesh.breakpoints[-1])
+    g_values = tau_end * phi
+    g_load = tau_end * phi_load
+    noise_sq = 0.0  # a nodal field's |c|^2 + 2 (g, c), exact through the mass
     if isinstance(perturbation, FEField):
-        if perturbation.coeffs.size != n_x:
+        if perturbation.coeffs.size != mass_x.shape[0]:
             raise ValueError("perturbation field lives on a different space")
         c = perturbation.coeffs
-        g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
+        noise_sq = float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
         g_load = g_load + mass_x @ c
     elif perturbation is not None:
-        pert_eval = perturbation.evaluate
-        g_load = g_load + space_load(space_mesh, TRIAL_SPACE, pert_eval, quad_order)
-        if g is None:
-            g_sq = integrate_squared(space_mesh, pert_eval, quad_order)
-        else:
-            g_sq = integrate_squared(
-                space_mesh, lambda x: g(x) + pert_eval(x), quad_order
-            )
+        noise = perturbation.evaluate(points)
+        g_values = g_values + noise
+        g_load = g_load + space_load(space_mesh, TRIAL_SPACE, noise, QUAD_ORDER)
+    g_sq = integrate_squared(space_mesh, g_values, QUAD_ORDER) + noise_sq
 
     return LeastSquaresSystem(
         b_op,
@@ -348,7 +343,7 @@ def _grams(rows, weight, phi):
     return np.array(diag), np.array(nxt), np.array(cross), float(np.vdot(phi, wphi))
 
 
-def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes):
+def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
     """Squared space-time errors by tensor quadrature, one per entry of modes.
 
     mode "l2": values; "h1": gradients; "dt": time derivatives. Also returns
@@ -371,10 +366,10 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
     """
     bp = time_mesh.breakpoints
     mat = coeffs.reshape(bp.size, -1)
-    pts, w = _cell_rule(space_mesh, quad_order)
+    pts, w = _cell_rule(space_mesh, QUAD_ORDER)
     vol, _ = space_mesh.geometry
     cell_w = vol[:, None] * w
-    flat = quad_points_physical(space_mesh, pts).reshape(-1, space_mesh.dimension)
+    flat = quad_points(space_mesh, QUAD_ORDER)
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
 
     def errors(rows, target):  # D_i, one breakpoint at a time
@@ -398,7 +393,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, modes)
         taus = (tau**2, tau[:-1] * tau[1:], -tau, 1.0)
         grams["h1"] = tuple(x + t * osc_sq for x, t in zip(g, taus))
 
-    sq, wq = gauss_1d_for_degree(quad_order)
+    sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = np.diff(bp)[:, None]
     times = (bp[:-1, None] + h * sq).ravel()
     totals = []
@@ -427,7 +422,6 @@ def interpolation_gap_xnorm(
     space_mesh: SpatialMesh,
     coeffs: np.ndarray,
     solution: ManufacturedSolution,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> float:
     """Surrogate for the trial-norm distance between coeffs and the solution.
 
@@ -437,7 +431,7 @@ def interpolation_gap_xnorm(
     """
     lam1 = space_mesh.dimension * math.pi**2
     (grad_sq, dt_sq), _ = _tensor_error_sq(
-        time_mesh, space_mesh, coeffs, solution, quad_order, ("h1", "dt")
+        time_mesh, space_mesh, coeffs, solution, ("h1", "dt")
     )
     return math.sqrt(grad_sq + dt_sq / lam1)
 
@@ -448,7 +442,6 @@ def error_report(
     coeffs: np.ndarray,
     solution: ManufacturedSolution,
     slice_times,
-    quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> ErrorReport:
     """Errors against the exact solution: time slices and space-time norms.
 
@@ -456,7 +449,7 @@ def error_report(
     """
     bp = time_mesh.breakpoints
     (l2_sq, h1_sq), slice_sq = _tensor_error_sq(
-        time_mesh, space_mesh, coeffs, solution, quad_order, ("l2", "h1")
+        time_mesh, space_mesh, coeffs, solution, ("l2", "h1")
     )
     slices = {}
     for t_req in slice_times:
@@ -510,10 +503,10 @@ def trial_dofs(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> int:
     )
 
 
-def _perturbation_for(config, space_mesh):
+def _perturbation_for(config, space_mesh, mass):
     if config.experiment == "perturb-random":
         pert = random_perturbation(
-            space_mesh, TRIAL_SPACE, config.target_norm, config.seed
+            space_mesh, TRIAL_SPACE, mass, config.target_norm, config.seed
         )
         return pert, config.target_norm
     if config.experiment == "perturb-mode":
@@ -539,16 +532,15 @@ def solve_backward(config, k: int | None = None):
     solution = get_solution(config.solution, config.d)
     dofs = trial_dofs(time_mesh, space_mesh)
 
-    perturbation, pert_norm = _perturbation_for(config, space_mesh)
+    space = space_factors(space_mesh, config.l)
+    perturbation, pert_norm = _perturbation_for(config, space_mesh, space[0])
     explicit = None
     if strategy == "explicit":
         explicit = config.epsilon_values[config.k_range.index(k)]
     reg_epsilon = choose_epsilon(strategy, dofs, config.d, pert_norm, explicit)
 
-    f = None if solution.f_is_zero else (solution.source, solution.phi)
-    g = (lambda x: solution.u(config.T, x)) if solution.name != "zero" else None
     system = build_system(
-        time_mesh, space_mesh, config.l, reg_epsilon, f, g, perturbation
+        time_mesh, space_mesh, config.l, reg_epsilon, solution, space, perturbation
     )
     g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
     coeffs, solve_rep = pcg(system, g_x, config.threshold, config.max_iter)

@@ -2,6 +2,7 @@
 
 import functools
 import os
+import sys
 
 import pytest
 
@@ -44,3 +45,33 @@ def geometry_computations(monkeypatch):
     prop.__set_name__(SpatialMesh, "geometry")
     monkeypatch.setattr(SpatialMesh, "geometry", prop)
     return computed
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """Wrapper maker: record_calls(owner, name) returns a list that receives
+    the positional arguments of every later call to owner.name.
+
+    owner is a module, a class (static methods stay static) or any object
+    with the attribute. A module function is also swapped in every
+    backsolve module that copied it with `from .x import name`.
+    """
+
+    def record(owner, name):
+        fn = getattr(owner, name)
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        static = isinstance(vars(owner).get(name), staticmethod)
+        monkeypatch.setattr(owner, name, staticmethod(recorded) if static else recorded)
+        for key, module in list(sys.modules.items()):
+            if key.partition(".")[0] != "backsolve" or module is None:
+                continue
+            if vars(module).get(name) is fn:
+                monkeypatch.setattr(module, name, recorded)
+        return calls
+
+    return record

@@ -71,9 +71,7 @@ def k1_system():
     sol = get_solution("cubic", 2)
     dofs = tm.breakpoints.size * int((~sm.boundary_vertex_flags).sum())
     eps = dofs**-0.5
-    system = build_system(
-        tm, sm, 0, eps, f=(sol.source, sol.phi), g=lambda x: sol.u(1.0, x)
-    )
+    system = build_system(tm, sm, 0, eps, sol, space_factors(sm, 0))
     return tm, sm, system
 
 
@@ -224,14 +222,7 @@ def test_criterion_5_spd_and_minimizer(convergence_run, k1_system):
     for k in cfg.k_range:
         coeffs, solve_rep, _ = levels[k]
         tm, sm = build_meshes(cfg, k)
-        sys_k = build_system(
-            tm,
-            sm,
-            0,
-            solve_rep.epsilon,
-            f=(sol.source, sol.phi),
-            g=lambda x: sol.u(1.0, x),
-        )
+        sys_k = build_system(tm, sm, 0, solve_rep.epsilon, sol, space_factors(sm, 0))
         at_solution = sys_k.functional(coeffs)
         at_interpolant = sys_k.functional(nodal_interpolant(tm, sm, sol))
         margins[k] = (at_solution, at_interpolant)

@@ -13,6 +13,7 @@ from backsolve.assembly import (
     integrate_squared,
     l2_projection,
     load_vector_f,
+    quad_points,
     ref_shapes,
     space_dof_map,
     space_load,
@@ -408,17 +409,15 @@ class TestLoadsAndProjections:
     def test_space_load_constant(self):
         # integrating hats against 1 reproduces the mass row sums
         m = refine_uniform(unit_square_initial(), 1)
-        b = space_load(m, P1_FREE, lambda p: np.ones(len(p)), degree=3)
+        b = space_load(m, P1_FREE, np.ones(len(quad_points(m, 3))), degree=3)
         M = space_mass(m, P1_FREE)
         assert np.allclose(b, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_load_vector_f_zero(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
         m = refine_uniform(unit_square_initial(), 1)
-        F = load_vector_f(
-            tm, m, TEST_TIME, P1_DIRICHLET,
-            (lambda t: 0.0, lambda p: np.zeros(len(p))), quad_order=3,
-        )
+        b = space_load(m, P1_DIRICHLET, np.zeros(len(quad_points(m, 3))), degree=3)
+        F = load_vector_f(tm, TEST_TIME, lambda t: 0.0, b)
         assert np.allclose(F, 0.0, atol=1e-15)
 
     def test_load_vector_f_separable(self):
@@ -426,11 +425,8 @@ class TestLoadsAndProjections:
         # times the space load of the constant
         tm = uniform_time_mesh(0.0, 1.0, 0)
         m = unit_interval_mesh(4)
-        F = load_vector_f(
-            tm, m, TEST_TIME, P1_DIRICHLET,
-            (lambda t: t, lambda p: np.ones(len(p))), quad_order=5,
-        )
-        b = space_load(m, P1_DIRICHLET, lambda p: np.ones(len(p)), degree=3)
+        b = space_load(m, P1_DIRICHLET, np.ones(len(quad_points(m, 3))), degree=3)
+        F = load_vector_f(tm, TEST_TIME, lambda t: t, b)
         # int_0^1 t * 1 dt = 1/2, int_0^1 t * sqrt(3)(2t-1) dt = 1/(2 sqrt 3)
         n_x = b.size
         assert F.shape == (2 * n_x,)
@@ -477,7 +473,7 @@ class TestLoadsAndProjections:
 
     def test_integrate_squared(self):
         m = unit_interval_mesh(16)
-        val = integrate_squared(m, lambda p: np.sin(np.pi * p[:, 0]), degree=6)
+        val = integrate_squared(m, np.sin(np.pi * quad_points(m, 6)[:, 0]), degree=6)
         assert val == pytest.approx(0.5, rel=1e-6)
 
     def test_fe_field_l2_norm(self):
@@ -490,11 +486,10 @@ class TestLoadsAndProjections:
         full = np.zeros(m.n_vertices)
         full[free] = coeffs
         order = np.argsort(m.vertices[:, 0])
+        x = quad_points(m, 4)[:, 0]
         ref = np.sqrt(
             integrate_squared(
-                m,
-                lambda p: np.interp(p[:, 0], m.vertices[order, 0], full[order]),
-                degree=4,
+                m, np.interp(x, m.vertices[order, 0], full[order]), degree=4
             )
         )
         assert field.l2_norm() == pytest.approx(ref, rel=1e-12)

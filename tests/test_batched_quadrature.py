@@ -1,10 +1,12 @@
 """Batched space-time quadrature against the per-time-point loops it replaced.
 
 The reference helpers below are the earlier implementations, kept as the
-definition of the quantities: one spatial load per time Gauss point, and one
-FE evaluation (with its own geometry) per time Gauss point and error mode.
+definition of the quantities: one spatial load per time Gauss point, one FE
+evaluation (with its own geometry) per time Gauss point and error mode, and
+the system data loaded from callables, each evaluated on its own points.
 """
 
+import dataclasses
 import math
 import os
 import warnings
@@ -15,11 +17,14 @@ import pytest
 
 from backsolve import assembly
 from backsolve.assembly import (
+    QUAD_ORDER,
+    FEField,
     SpaceBasisSpec,
     _cell_rule,
     fe_gradients_on_cells,
     fe_values_on_cells,
     load_vector_f,
+    quad_points,
     quad_points_physical,
     ref_shapes,
     space_dof_map,
@@ -42,12 +47,15 @@ from backsolve.operators import (
     check_dense_fits,
     gram_X,
     infsup_constant,
+    space_factors,
 )
+from backsolve.operators import test_space_spec as enriched_space_spec
+from backsolve.oracle import mode_perturbation, random_perturbation
 from backsolve.precond import make_G_X
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
-    DEFAULT_QUAD_ORDER,
+    build_system,
     error_report,
     interpolation_gap_xnorm,
     nodal_interpolant,
@@ -198,11 +206,10 @@ def test_load_vector_f_matches_per_time_point_loop(d, degree):
     spec = SpaceBasisSpec(degree, dirichlet=True)
     sol = get_solution("cubic", d)
     f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
+    phi_load = space_load(sm, spec, sol.phi(quad_points(sm, QUAD_ORDER)), QUAD_ORDER)
     for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
-        got = load_vector_f(
-            tm, sm, TEST_TIME, spec, (sol.source, sol.phi), DEFAULT_QUAD_ORDER
-        )
-        ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, f, DEFAULT_QUAD_ORDER)
+        got = load_vector_f(tm, TEST_TIME, sol.source, phi_load)
+        ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, f, QUAD_ORDER)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
 
@@ -215,8 +222,81 @@ def test_space_load_scatter_is_bytewise_the_add_at_loop(d, spec):
     sm = _space_mesh(d, 2)
     g = lambda x: np.cos(2.0 * x[:, 0]) + x[:, -1]  # noqa: E731
     np.testing.assert_array_equal(
-        space_load(sm, spec, g, 5), _ref_space_load(sm, spec, g, 5)
+        space_load(sm, spec, g(quad_points(sm, 5)), 5), _ref_space_load(sm, spec, g, 5)
     )
+
+
+def _ref_integrate_squared(mesh, func, degree):
+    pts, w = _cell_rule(mesh, degree)
+    vol, _ = mesh.geometry
+    xq = quad_points_physical(mesh, pts)
+    fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
+    return float(np.einsum("c,q,cq->", vol, w, fq**2))
+
+
+def _ref_system_data(tm, sm, l, solution, perturbation):
+    """f_load, g_load and g_sq by the earlier callable route.
+
+    The source is loaded from the callable phi; g = u(T) (None for the zero
+    solution) and the perturbation are callables, each loaded and squared
+    on its own evaluation of the rule points.
+    """
+    q = QUAD_ORDER
+    phi_load = _ref_space_load(sm, enriched_space_spec(l), solution.phi, q)
+    f_load = (
+        np.zeros(tm.n_elements * (TEST_TIME.degree + 1) * phi_load.size)
+        if solution.f_is_zero
+        else load_vector_f(tm, TEST_TIME, solution.source, phi_load)
+    )
+    T = tm.breakpoints[-1]
+    g = (lambda x: solution.u(T, x)) if solution.name != "zero" else None
+    n_x = space_dof_map(sm, TRIAL_SPACE).n_dofs
+    g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, TRIAL_SPACE, g, q)
+    g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
+    if isinstance(perturbation, FEField):
+        c = perturbation.coeffs
+        mass_x = space_mass(sm, TRIAL_SPACE)
+        g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
+        g_load = g_load + mass_x @ c
+    elif perturbation is not None:
+        pert_eval = perturbation.evaluate
+        g_load = g_load + _ref_space_load(sm, TRIAL_SPACE, pert_eval, q)
+        if g is None:
+            g_sq = _ref_integrate_squared(sm, pert_eval, q)
+        else:
+            g_sq = _ref_integrate_squared(sm, lambda x: g(x) + pert_eval(x), q)
+    return f_load, g_load, g_sq
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("T", [1.0, 0.125])
+@pytest.mark.parametrize("noise", [None, "nodal", "spectral"])
+def test_system_data_match_the_callable_route(d, l, T, noise):
+    # at T = 1 the cubic tau(T) = 2 scales exactly, so the data agree
+    # bitwise; at T = 1/8 scaling the phi load by tau(T) rounds differently
+    # from loading tau(T) phi
+    tm = uniform_time_mesh(0.0, T, 2)
+    sm = _space_mesh(d, 2)
+    mass = space_mass(sm, TRIAL_SPACE)
+    perturbation = {
+        None: None,
+        "nodal": random_perturbation(sm, TRIAL_SPACE, mass, 0.01, 3),
+        "spectral": mode_perturbation(1, T, 0.05, d),
+    }[noise]
+    for name in ("cubic", "decay", "zero"):
+        solution = get_solution(name, d)
+        space = space_factors(sm, l)
+        system = build_system(tm, sm, l, 0.3, solution, space, perturbation)
+        f_load, g_load, g_sq = _ref_system_data(tm, sm, l, solution, perturbation)
+        ref = dataclasses.replace(system, f_load=f_load, g_load=g_load, g_sq=g_sq)
+        for key in ("f_load", "g_load", "g_sq", "j_zero", "rhs"):
+            got, want = getattr(system, key), getattr(ref, key)
+            if T == 1.0:
+                np.testing.assert_array_equal(got, want, err_msg=f"{name} {key}")
+            else:
+                gap = np.max(np.abs(np.subtract(got, want)), initial=0.0)
+                assert gap <= 1e-13 * np.max(np.abs(want), initial=0.0), (name, key)
 
 
 def _coeff_cases(tm, sm, solution):
@@ -256,7 +336,7 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
     sm = _space_mesh(d, k)
     solution = get_solution(name, d)
     lam1 = d * math.pi**2
-    q = DEFAULT_QUAD_ORDER
+    q = QUAD_ORDER
     slice_times = [0.0, 0.3, 0.5, 1.0]
     cases = [
         (tm, coeffs)
@@ -283,24 +363,13 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
             assert rep.l2_slices[t] == pytest.approx(err, rel=RTOL)
 
 
-def _count_calls(monkeypatch, module, name, counts):
-    fn = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    counts[name] = 0
-    monkeypatch.setattr(module, name, counted)
-
-
 @pytest.mark.parametrize("d", [1, 2])
 def test_set_up_work_does_not_grow_with_time_elements(
-    monkeypatch, geometry_computations, d
+    record_calls, geometry_computations, d
 ):
-    counts = {}
-    for name in ("space_dof_map", "space_load"):
-        _count_calls(monkeypatch, assembly, name, counts)
+    calls = {
+        name: record_calls(assembly, name) for name in ("space_dof_map", "space_load")
+    }
     sm = _space_mesh(d, 2)
     solution = get_solution("cubic", d)
     # a stand-in with the same factors that counts the phi and grad_phi
@@ -312,7 +381,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
         }
     )
     for name in ("phi", "grad_phi"):
-        _count_calls(monkeypatch, counted, name, counts)
+        calls[name] = record_calls(counted, name)
     spec = SpaceBasisSpec(2, dirichlet=True)
     per_mesh = []
     for k in (1, 4):  # 2 and 16 time elements
@@ -321,16 +390,19 @@ def test_set_up_work_does_not_grow_with_time_elements(
         seen = []
         for call in (
             lambda: load_vector_f(
-                tm, sm, TEST_TIME, spec, (counted.source, counted.phi), 5
+                tm,
+                TEST_TIME,
+                counted.source,
+                assembly.space_load(sm, spec, counted.phi(quad_points(sm, 5)), 5),
             ),
             lambda: nodal_interpolant(tm, sm, counted),
             lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
             lambda: error_report(tm, sm, coeffs, counted, [0.5]),
         ):
-            for name in counts:
-                counts[name] = 0
+            for recorded in calls.values():
+                recorded.clear()
             call()
-            seen.append(dict(counts))
+            seen.append({name: len(recorded) for name, recorded in calls.items()})
         per_mesh.append(seen)
     assert per_mesh[0] == per_mesh[1]
     # the load is one space load of phi; the error calls make none
@@ -353,7 +425,7 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
     # each factored solution against its earlier closures, at the breakpoints
     # (0 and 1 among them) and at time Gauss points formed as the solver does
     bp = uniform_time_mesh(0.0, 1.0, 3).breakpoints
-    sq, _ = gauss_1d_for_degree(DEFAULT_QUAD_ORDER)
+    sq, _ = gauss_1d_for_degree(QUAD_ORDER)
     gauss = [bp[e] + (bp[e + 1] - bp[e]) * s for e in range(bp.size - 1) for s in sq]
     for name, ref in _REF_SOLUTIONS.items():
         sol = get_solution(name, d)

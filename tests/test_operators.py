@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from backsolve import operators
+from backsolve import assembly
 from backsolve.assembly import (
     space_mass,
     space_stiffness,
@@ -306,20 +306,14 @@ class TestInfSup:
         with pytest.raises(ValueError):
             infsup_constant(tm, sm, 1, 0)
 
-    def test_one_assembly_pass_per_distinct_pair(self, monkeypatch):
+    def test_one_assembly_pass_per_distinct_pair(self, record_calls):
         # (P1, P1), (P2, P1) and (P2, P2): the l = 0 pencil side reuses the
         # P1 pair of the l = 1 factors
-        pairs = []
-        real_matrices = operators.space_matrices
-
-        def matrices(mesh, test, trial):
-            pairs.append((test, trial))
-            return real_matrices(mesh, test, trial)
-
-        monkeypatch.setattr(operators, "space_matrices", matrices)
+        calls = record_calls(assembly, "space_matrices")
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
         infsup_constant(tm, sm, 0, 1)
+        pairs = [(test, trial) for _, test, trial in calls]
         assert len(pairs) == len(set(pairs)) == 3
 
     @pytest.mark.parametrize("k", [1, 2])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from backsolve.assembly import integrate_squared
-from backsolve.mesh import unit_interval_mesh
-from backsolve.operators import TRIAL_SPACE
+from backsolve.assembly import integrate_squared, quad_points, space_mass
+from backsolve.mesh import refine_uniform, unit_interval_mesh, unit_square_initial
+from backsolve.operators import TRIAL_SPACE, space_factors
 from backsolve.oracle import (
     SpectralField,
     check_hbeta_stability,
@@ -257,7 +257,8 @@ class TestPerturbations:
         want = a * np.exp((n * np.pi) ** 2 * (1.0 - T)) * np.sin(n * np.pi * x)
         got = f.evaluate(x[:, None])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * f.coeffs[0])
-        quad = integrate_squared(unit_interval_mesh(32), f.evaluate, degree=10)
+        mesh = unit_interval_mesh(32)
+        quad = integrate_squared(mesh, f.evaluate(quad_points(mesh, 10)), degree=10)
         assert f.l2_norm() == pytest.approx(math.sqrt(quad), rel=1e-10)
 
     def test_mode_perturbation_guards(self):
@@ -268,23 +269,37 @@ class TestPerturbations:
 
     def test_random_perturbation_exact_norm(self):
         sm = unit_interval_mesh(16)
-        f = random_perturbation(sm, TRIAL_SPACE, 0.01, seed=42)
+        mass = space_mass(sm, TRIAL_SPACE)
+        f = random_perturbation(sm, TRIAL_SPACE, mass, 0.01, seed=42)
         assert f.l2_norm() == pytest.approx(0.01, rel=1e-12)
+
+    def test_random_perturbation_takes_the_level_mass(self):
+        # the solver hands over the P1 mass of its level's space_factors;
+        # the coefficients are bitwise those normalized by space_mass
+        sm = refine_uniform(unit_square_initial(), 4)
+        level_mass = space_factors(sm, 1)[0]
+        got = random_perturbation(sm, TRIAL_SPACE, level_mass, 0.01, 3)
+        mass = space_mass(sm, TRIAL_SPACE)
+        want = random_perturbation(sm, TRIAL_SPACE, mass, 0.01, 3)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_random_perturbation_deterministic(self):
         sm = unit_interval_mesh(8)
-        a = random_perturbation(sm, TRIAL_SPACE, 0.5, seed=7)
-        b = random_perturbation(sm, TRIAL_SPACE, 0.5, seed=7)
-        c = random_perturbation(sm, TRIAL_SPACE, 0.5, seed=8)
+        mass = space_mass(sm, TRIAL_SPACE)
+        a = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=7)
+        b = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=7)
+        c = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=8)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_random_perturbation_guards(self):
         sm = unit_interval_mesh(8)
         with pytest.raises(ValueError):
-            random_perturbation(sm, TRIAL_SPACE, 0.0, seed=0)
+            random_perturbation(sm, TRIAL_SPACE, space_mass(sm, TRIAL_SPACE), 0.0, 0)
+        empty = unit_interval_mesh(1)
+        mass = space_mass(empty, TRIAL_SPACE)
         with pytest.raises(ValueError):
-            random_perturbation(unit_interval_mesh(1), TRIAL_SPACE, 0.1, seed=0)
+            random_perturbation(empty, TRIAL_SPACE, mass, 0.1, seed=0)
 
     def test_suite_seeded(self):
         a = random_spectral_fields(3, d=1, n_max=4, seed=5)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from backsolve import assembly, operators
+from backsolve import assembly
 from backsolve import mesh as mesh_module
 from backsolve.assembly import space_mass
 from backsolve.config import ExperimentConfig
@@ -71,18 +71,8 @@ class TestChooseEpsilon:
 def small_system(reg_epsilon=0.1, l=0):
     tm = uniform_time_mesh(0.0, 1.0, 1)
     sm = unit_interval_mesh(4)
-    sol = get_solution("cubic", 1)
-    return (
-        tm,
-        sm,
-        build_system(
-            tm,
-            sm,
-            l,
-            reg_epsilon,
-            f=(sol.source, sol.phi),
-            g=lambda x: sol.u(1.0, x),
-        ),
+    return tm, sm, build_system(
+        tm, sm, l, reg_epsilon, get_solution("cubic", 1), space_factors(sm, l)
     )
 
 
@@ -90,7 +80,8 @@ class TestBuildSystem:
     def test_zero_data_zero_minimizer(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        system = build_system(tm, sm, 0, 0.5)
+        zero = get_solution("zero", 1)
+        system = build_system(tm, sm, 0, 0.5, zero, space_factors(sm, 0))
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert system.functional(np.zeros(system.n)) == 0.0
         assert system.j_zero == 0.0
@@ -124,7 +115,8 @@ class TestBuildSystem:
         tm = uniform_time_mesh(0.0, 1.0, 0)
         sm = unit_interval_mesh(2)
         with pytest.raises(ValueError):
-            build_system(tm, sm, 0, -0.1)
+            cubic = get_solution("cubic", 1)
+            build_system(tm, sm, 0, -0.1, cubic, space_factors(sm, 0))
 
     def test_functional_minimized_at_solve(self):
         # the Krylov solution beats nearby vectors in the functional
@@ -182,14 +174,8 @@ def reference_case(d, l, reg_epsilon):
     else:
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
-    sol = get_solution("cubic", d)
     system = build_system(
-        tm,
-        sm,
-        l,
-        reg_epsilon,
-        f=(sol.source, sol.phi),
-        g=lambda x: sol.u(1.0, x),
+        tm, sm, l, reg_epsilon, get_solution("cubic", d), space_factors(sm, l)
     )
     return tm, sm, system
 
@@ -296,9 +282,7 @@ class TestPCG:
             sm = refine_uniform(unit_square_initial(), 4)
         sol = get_solution("cubic", d)
         eps = choose_epsilon("plain", trial_dofs(tm, sm), d)
-        system = build_system(
-            tm, sm, 0, eps, f=(sol.source, sol.phi), g=lambda x: sol.u(1.0, x)
-        )
+        system = build_system(tm, sm, 0, eps, sol, space_factors(sm, 0))
         assert system.j_zero == pytest.approx(
             system.functional(np.zeros(system.n)), rel=1e-12
         )
@@ -502,35 +486,54 @@ class TestSolveBackward:
         assert ("apply_transpose", False) in calls  # B still builds the rhs
         assert not [call for call in calls if call[1]]
 
-    @pytest.mark.parametrize("l, passes", [(0, 1), (1, 3)])
+    @pytest.mark.parametrize(
+        "solution, l, passes, n_loads",
+        [("cubic", 0, 1, 1), ("cubic", 1, 3, 2), ("decay", 1, 3, 1)],
+        ids=["0-1", "1-3", "decay-1-3"],
+    )
     def test_space_set_up_runs_once(
-        self, l, passes, monkeypatch, geometry_computations
+        self, solution, l, passes, n_loads, record_calls, geometry_computations
     ):
         # one space assembly pass per distinct (test, trial) pair, one
         # geometry per mesh, boundary flags for the initial and final mesh
-        pairs, flag_calls = [], []
-        real_matrices = assembly.space_matrices
-        real_flags = mesh_module.boundary_flags_from_cells
-
-        def matrices(mesh, test, trial):
-            pairs.append((test, trial))
-            return real_matrices(mesh, test, trial)
-
-        def flags(*args):
-            flag_calls.append(args[0])
-            return real_flags(*args)
-
-        for module in (assembly, operators):
-            monkeypatch.setattr(module, "space_matrices", matrices)
-        monkeypatch.setattr(mesh_module, "boundary_flags_from_cells", flags)
+        matrices = record_calls(assembly, "space_matrices")
+        flags = record_calls(mesh_module, "boundary_flags_from_cells")
+        mappings = record_calls(assembly, "quad_points_physical")
+        phi = record_calls(ManufacturedSolution, "phi")
+        loads = record_calls(assembly, "space_load")
         cfg = ExperimentConfig(
-            experiment="convergence", d=2, T=1.0, k_range=[2], solution="cubic", l=l
+            experiment="convergence", d=2, T=1.0, k_range=[2], solution=solution, l=l
         )
         solve_backward(cfg)
+        pairs = [(test, trial) for _, test, trial in matrices]
+        flag_calls = [args[0] for args in flags]
         assert len(pairs) == len(set(pairs)) == passes
         meshes = {id(m) for m in geometry_computations}
         assert len(geometry_computations) == len(meshes) == 1
         assert flag_calls == [2, 2]
+        # one phi sample feeds the source, the end data and J(0); the error
+        # report maps and samples once more. l = 1 loads a nonzero source on
+        # P2 too; a source-free solution loads P1 alone
+        assert len(mappings) <= 2
+        assert len(phi) <= 2
+        assert len(loads) == n_loads
+
+    def test_perturb_random_level_assembles_once_per_solve(self, record_calls):
+        # the random field is normalized with the level's own P1 mass, so
+        # each epsilon-strategy solve of a level makes one assembly pass
+        matrices = record_calls(assembly, "space_matrices")
+        cfg = ExperimentConfig(
+            experiment="perturb-random",
+            d=2,
+            T=0.125,
+            k_range=[2],
+            solution="cubic",
+            slice_times=[0.0625],
+            seed=3,
+        )
+        for strategy in ("plain", "data-aware"):
+            solve_backward(replace(cfg, epsilon_strategy=strategy))
+        assert len(matrices) == 2
 
     def test_zero_solution_is_exact(self):
         cfg = ExperimentConfig(
