@@ -13,14 +13,13 @@ byte-reproducible and round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import sys
 from dataclasses import replace
 from functools import partial
 
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ExperimentConfig, parse_config
 from .operators import infsup_constant
 from .oracle import (
     SpectralField,
@@ -119,12 +118,11 @@ def _run_stability_oracle(config: ExperimentConfig):
         }
     )
     suite = random_spectral_fields(100, d=2, n_max=8, seed=config.seed)
-    worst = max(check_log_convexity(f, config.T).max_violation for f in suite)
     rows.append(
         {
             "check": "log_convexity_suite",
             "beta": 0.0,
-            "value": worst,
+            "value": check_log_convexity(suite, config.T).max_violation,
             "reference": 0.0,
         }
     )
@@ -140,7 +138,7 @@ def _run_stability_oracle(config: ExperimentConfig):
         {
             "check": "smoothing_suite",
             "beta": 0.0,
-            "value": max(check_smoothing(f, config.T).constant for f in suite),
+            "value": check_smoothing(suite, config.T).constant,
             "reference": 1.0 / math.e,
         }
     )
@@ -219,28 +217,6 @@ def read_results(path: str):
     return header, rows
 
 
-def _thread_cap(threads):
-    """Context that caps the BLAS/LAPACK thread pools at `threads`.
-
-    The cap only affects speed, so without `threadpoolctl` it warns on
-    stderr and the pools run uncapped.
-    """
-    if threads is None:
-        return contextlib.nullcontext()
-    if threads < 1:
-        raise ConfigError("--threads must be at least 1")
-    try:
-        import threadpoolctl
-    except ImportError:
-        print(
-            f"warning: threadpoolctl cannot be imported; --threads {threads} "
-            "is ignored and the BLAS pools run uncapped",
-            file=sys.stderr,
-        )
-        return contextlib.nullcontext()
-    return threadpoolctl.threadpool_limits(limits=threads)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="backsolve",
@@ -251,9 +227,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True, help="path to a config file")
     run_p.add_argument("--output", default=None, help="CSV output path")
     run_p.add_argument("--seed", type=int, default=None, help="override the seed")
-    run_p.add_argument(
-        "--threads", type=int, default=None, help="cap BLAS/LAPACK thread pools"
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -262,8 +235,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         output = args.output or config.output_path or "results.csv"
-        with _thread_cap(args.threads):
-            _, rows = run(config, output)
+        _, rows = run(config, output)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,22 +22,32 @@ _EXP_LIMIT = math.log(1e300)
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Finite sine series sum_k c_k prod_i sin(k_i pi x_i) on (0,1)^d."""
+    """Finite sine series sum_k c_k prod_i sin(k_i pi x_i) on (0,1)^d.
+
+    coeffs may carry a leading stack axis: shape (count, m) holds count
+    series on the one mode set, validated once. Every function here then
+    answers per series, and the checks take the maximum over series too.
+    """
 
     dimension: int
     modes: np.ndarray  # (m, d) integer multi-indices, entries >= 1
-    coeffs: np.ndarray  # (m,)
+    coeffs: np.ndarray  # (m,), or (count, m) for a stack of series
 
     def __post_init__(self):
         modes = np.atleast_2d(np.asarray(self.modes, dtype=np.int64))
-        coeffs = np.asarray(self.coeffs, dtype=float).ravel()
+        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if modes.shape != (coeffs.size, self.dimension):
-            raise ValueError("modes/coeffs shape mismatch")
+        m = modes.shape[0]
+        shape_ok = modes.shape[1] == self.dimension and coeffs.shape[-1] == m
+        if not shape_ok or coeffs.ndim > 2 or coeffs.size == 0:
+            raise ValueError(
+                f"modes/coeffs shape mismatch: {modes.shape} modes, "
+                f"{coeffs.shape} coeffs; want (m,) or a (count, m) stack"
+            )
         if np.any(modes < 1):
             raise ValueError("mode indices must be >= 1")
-        if len(np.unique(modes, axis=0)) != modes.shape[0]:
+        if len(np.unique(modes, axis=0)) != m:
             raise ValueError("duplicate modes break the Parseval bookkeeping")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "coeffs", coeffs)
@@ -46,39 +56,69 @@ class SpectralField:
     def eigenvalues(self) -> np.ndarray:
         return math.pi**2 * np.sum(self.modes.astype(float) ** 2, axis=1)
 
-    def l2_norm(self) -> float:
-        return math.sqrt(float(np.sum(self.coeffs**2)) / 2**self.dimension)
+    def l2_norm(self):
+        """Parseval norm: a float, or one per series of a stack."""
+        return hbeta_norm(self, 0.0)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(x.shape[0])
-        for k, c in zip(self.modes, self.coeffs):
-            out += c * np.prod(np.sin(math.pi * k[None, :] * x), axis=1)
+        out = np.zeros(self.coeffs.shape[:-1] + (x.shape[0],))
+        for k, c in zip(self.modes, self.coeffs.T):
+            basis = np.prod(np.sin(math.pi * k[None, :] * x), axis=1)
+            out += np.multiply.outer(c, basis)
         return out
 
 
-def _evolve_coeffs(field: SpectralField, times) -> np.ndarray:
-    """Coefficients of heat_evolve(field, t) for every t, one row per time."""
+def _per_series(field: SpectralField, values):
+    """values hold one leading entry per series; a single field (1-D
+    coeffs) gets its one entry back, as a float when that is a scalar."""
+    if field.coeffs.ndim > 1:
+        return values
+    return float(values[0]) if np.ndim(values) == 1 else values[0]
+
+
+def _evolve_coeffs(field: SpectralField, times):
+    """Coefficients of heat_evolve(field, t) for every t.
+
+    Yields one (times, modes) array per series, one series at a time, so a
+    stack never holds more than one series' table; the lambda x t table is
+    built once for the whole stack.
+    """
     times = np.asarray(times, dtype=float)
-    out = np.zeros((times.size, field.coeffs.size))
-    nz = field.coeffs != 0.0
-    # work in log magnitude: exp(-lam*dt) alone may overflow even when the
-    # scaled coefficient is representable
-    log_mag = np.log(np.abs(field.coeffs[nz])) - np.multiply.outer(
-        times, field.eigenvalues[nz]
-    )
+    lam_t = np.multiply.outer(times, field.eigenvalues)
     moved = times != 0.0
-    if np.any(log_mag[moved] > _EXP_LIMIT):
-        raise OverflowError("backward evolution blew a coefficient past 1e300")
-    out[:, nz] = np.sign(field.coeffs[nz]) * np.exp(log_mag)
-    # exp(log|c|) does not round-trip, so t = 0 keeps the coefficients exactly
-    out[~moved] = field.coeffs
-    return out
+    for coeffs in np.atleast_2d(field.coeffs):
+        # work in log magnitude: exp(-lam*dt) alone may overflow even when
+        # the scaled coefficient is representable; a zero coefficient has
+        # log magnitude -inf and stays exactly zero
+        with np.errstate(divide="ignore"):
+            rows = np.log(np.abs(coeffs)) - lam_t
+        if np.any((rows > _EXP_LIMIT)[moved]):
+            raise OverflowError("backward evolution blew a coefficient past 1e300")
+        np.exp(rows, out=rows)
+        rows *= np.sign(coeffs)
+        # exp(log|c|) does not round-trip, so t = 0 keeps the coefficients exactly
+        rows[~moved] = coeffs
+        yield rows
+
+
+def _evolved_norms(field: SpectralField, times, weights=None) -> np.ndarray:
+    """(series, times) norms sqrt(sum_k w_k c_k(t)^2 / 2^d), reduced one
+    series at a time."""
+    norms = np.empty((len(np.atleast_2d(field.coeffs)), np.size(times)))
+    for out, rows in zip(norms, _evolve_coeffs(field, times)):
+        rows *= rows
+        if weights is not None:
+            rows *= weights
+        np.sum(rows, axis=1, out=out)
+    norms /= 2**field.dimension
+    return np.sqrt(norms, out=norms)
 
 
 def heat_evolve(field: SpectralField, dt: float) -> SpectralField:
     """Semigroup action: forward for dt >= 0, backward (amplifying) for dt < 0."""
-    return SpectralField(field.dimension, field.modes, _evolve_coeffs(field, [dt])[0])
+    coeffs = np.array([rows[0] for rows in _evolve_coeffs(field, [dt])])
+    return SpectralField(field.dimension, field.modes, _per_series(field, coeffs))
 
 
 def time_derivative(field: SpectralField) -> SpectralField:
@@ -87,18 +127,21 @@ def time_derivative(field: SpectralField) -> SpectralField:
     )
 
 
-def hbeta_norm(field: SpectralField, beta: float) -> float:
-    """Spectral fractional Sobolev norm (sum of lambda^beta c^2 / 2^d)^(1/2)."""
+def hbeta_norm(field: SpectralField, beta: float):
+    """Spectral fractional Sobolev norm (sum of lambda^beta c^2 / 2^d)^(1/2):
+    a float, or one per series of a stack."""
     if beta < 0.0 or beta > 2.0:
         raise ValueError("beta must lie in [0, 2]")
-    lam = field.eigenvalues
-    return math.sqrt(
-        float(np.sum(lam**beta * field.coeffs**2)) / 2**field.dimension
-    )
+    sq = np.sum(field.eigenvalues**beta * np.atleast_2d(field.coeffs) ** 2, axis=1)
+    return _per_series(field, np.sqrt(sq / 2**field.dimension))
 
 
 @dataclass(frozen=True)
 class StabilityCheckResult:
+    """For a stack, bound_values and actual_values gain a leading series
+    axis, constant_m holds one value per series, and the maxima run over
+    series and samples."""
+
     max_violation: float  # max over samples of actual - bound
     max_ratio: float  # max over samples of actual / bound
     sample_times: np.ndarray
@@ -110,9 +153,40 @@ class StabilityCheckResult:
     constant_m: float
 
 
-def _require_nonzero(field: SpectralField) -> None:
-    if not np.any(field.coeffs != 0.0):
-        raise ValueError("field is identically zero")
+def _start_norms(field: SpectralField) -> np.ndarray:
+    """(series, 1) column of ||u(0)||; an all-zero series has no bound to
+    check, and one whose norm underflows to 0 would divide by it."""
+    zero = ~np.any(np.atleast_2d(field.coeffs) != 0.0, axis=1)
+    if np.any(zero):
+        where = f" (series {int(np.argmax(zero))})" if field.coeffs.ndim > 1 else ""
+        raise ValueError(f"field is identically zero{where}")
+    norms = np.atleast_1d(field.l2_norm())
+    if np.any(norms == 0.0):
+        raise ValueError("||u(0)|| underflows to 0; scale the coefficients up")
+    return norms[:, None]
+
+
+def _end_norms(field: SpectralField, T: float) -> np.ndarray:
+    """(series, 1) column of ||u(T)||; one that underflows to 0 would turn
+    the bounds into false violations or NaN ratios, so it raises."""
+    norms = np.atleast_1d(heat_evolve(field, T).l2_norm())
+    if np.any(norms == 0.0):
+        raise ValueError(f"||u(T)|| underflows to 0 at T = {T:g}; take a shorter T")
+    return norms[:, None]
+
+
+def _stability_result(field, times, omega, bounds, actuals, gain, beta, m_const):
+    return StabilityCheckResult(
+        max_violation=float(np.max(actuals - bounds)),
+        max_ratio=float(np.max(actuals / bounds)),
+        sample_times=times,
+        omega=omega,
+        bound_values=_per_series(field, bounds),
+        actual_values=_per_series(field, actuals),
+        elliptic_regularity_gain=gain,
+        beta=beta,
+        constant_m=_per_series(field, m_const[:, 0]),
+    )
 
 
 def check_log_convexity(
@@ -123,35 +197,22 @@ def check_log_convexity(
     Verifies ||u(t)|| <= ||u(0)||^(1-t/T) ||u(T)||^(t/T) at sampled times;
     a single mode saturates it, multi-mode fields satisfy it strictly.
     """
-    _require_nonzero(field)
+    norm0 = _start_norms(field)
     times = np.linspace(0.0, T, n_samples)
-    norm0 = field.l2_norm()
-    norm_t = heat_evolve(field, T).l2_norm()
+    norm_t = _end_norms(field, T)
     omega = times / T
     bounds = norm0 ** (1.0 - omega) * norm_t**omega
-    rows = _evolve_coeffs(field, times)
-    actuals = np.sqrt(np.sum(rows**2, axis=1) / 2**field.dimension)
-    diffs = actuals - bounds
-    ratios = actuals / bounds
-    return StabilityCheckResult(
-        max_violation=float(np.max(diffs)),
-        max_ratio=float(np.max(ratios)),
-        sample_times=times,
-        omega=omega,
-        bound_values=bounds,
-        actual_values=actuals,
-        elliptic_regularity_gain=2.0,
-        beta=0.0,
-        constant_m=max(norm0, norm_t + 1.0),
-    )
+    actuals = _evolved_norms(field, times)
+    m_const = np.maximum(norm0, norm_t + 1.0)
+    return _stability_result(field, times, omega, bounds, actuals, 2.0, 0.0, m_const)
 
 
 @dataclass(frozen=True)
 class SmoothingReport:
-    constant: float  # sup over samples of t ||u'(t)|| / ||u(0)||
+    constant: float  # sup over samples (and series) of t ||u'(t)|| / ||u(0)||
     t_at_max: float
     sample_times: np.ndarray
-    values: np.ndarray
+    values: np.ndarray  # (series, samples) for a stack
 
 
 def _sample_times_with_critical(field: SpectralField, T: float, n: int) -> np.ndarray:
@@ -169,14 +230,16 @@ def check_smoothing(field: SpectralField, T: float, n_samples: int = 400) -> Smo
     Per mode the envelope t*lambda*exp(-lambda*t) peaks at exactly 1/e, so
     the measured constant is 1/e for a single mode and never exceeds 1/e.
     """
-    _require_nonzero(field)
+    norm0 = _start_norms(field)
     times = _sample_times_with_critical(field, T, n_samples)
-    norm0 = field.l2_norm()
-    ddt = time_derivative(field)
-    rows = _evolve_coeffs(ddt, times)
-    values = times * np.sqrt(np.sum(rows**2, axis=1) / 2**ddt.dimension) / norm0
+    values = times * _evolved_norms(time_derivative(field), times) / norm0
     best = int(np.argmax(values))
-    return SmoothingReport(float(values[best]), float(times[best]), times, values)
+    return SmoothingReport(
+        float(values.flat[best]),
+        float(times[best % times.size]),
+        times,
+        _per_series(field, values),
+    )
 
 
 def check_hbeta_stability(
@@ -193,35 +256,19 @@ def check_hbeta_stability(
     """
     if beta < 0.0 or beta >= 2.0:
         raise ValueError("beta must lie in [0, 2)")
-    _require_nonzero(field)
+    norm0 = _start_norms(field)
     gain = 2.0  # (1 + epsilon)-regularity exponent of the unit box
     times = _sample_times_with_critical(field, T, n_samples)
-    norm0 = field.l2_norm()
-    norm_t = heat_evolve(field, T).l2_norm()
-    m_const = max(norm0, norm_t + 1.0)
+    norm_t = _end_norms(field, T)
+    m_const = np.maximum(norm0, norm_t + 1.0)
     omega = times / T
     bounds = (
         times ** (-beta / gain)
         * m_const
         * (norm_t / m_const) ** ((1.0 - beta / gain) * omega)
     )
-    rows = _evolve_coeffs(field, times)
-    actuals = np.sqrt(
-        np.sum(field.eigenvalues**beta * rows**2, axis=1) / 2**field.dimension
-    )
-    diffs = actuals - bounds
-    ratios = actuals / bounds
-    return StabilityCheckResult(
-        max_violation=float(np.max(diffs)),
-        max_ratio=float(np.max(ratios)),
-        sample_times=times,
-        omega=omega,
-        bound_values=bounds,
-        actual_values=actuals,
-        elliptic_regularity_gain=gain,
-        beta=beta,
-        constant_m=m_const,
-    )
+    actuals = _evolved_norms(field, times, field.eigenvalues**beta)
+    return _stability_result(field, times, omega, bounds, actuals, gain, beta, m_const)
 
 
 def single_mode_hbeta_ratio_exact(beta: float) -> float:
@@ -264,17 +311,18 @@ def decay_rate_fit(
     return slope, xs, ys
 
 
-def random_spectral_fields(
-    count: int, d: int, n_max: int, seed
-) -> list[SpectralField]:
-    """Seeded suite of dense-spectrum fields with uniform(-1,1) coefficients."""
+def random_spectral_fields(count: int, d: int, n_max: int, seed) -> SpectralField:
+    """Seeded stack of count dense-spectrum series on the n_max^d modes, with
+    uniform(-1,1) coefficients: one draw, row for row the count draws of
+    one series each."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     rng = np.random.default_rng(seed)
     axes = [np.arange(1, n_max + 1)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return [
-        SpectralField(d, grid, rng.uniform(-1.0, 1.0, grid.shape[0]))
-        for _ in range(count)
-    ]
+    return SpectralField(d, grid, rng.uniform(-1.0, 1.0, (count, grid.shape[0])))
 
 
 def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralField:

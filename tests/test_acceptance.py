@@ -260,7 +260,7 @@ def test_criterion_7_log_convexity(oracle_suite):
     single = check_log_convexity(
         SpectralField(2, np.array([[1, 1]]), np.array([4.0])), T=1.0
     )
-    worst = max(check_log_convexity(f, T=1.0).max_violation for f in oracle_suite)
+    worst = check_log_convexity(oracle_suite, T=1.0).max_violation
     ok = abs(single.max_violation) <= 1e-12 and worst <= 1e-10
     report(
         "7",
@@ -275,7 +275,7 @@ def test_criterion_8_smoothing_bound(oracle_suite):
         SpectralField(2, np.array([[1, 1]]), np.array([4.0])), T=1.0
     )
     gap = abs(single.constant - 1.0 / np.e)
-    worst = max(check_smoothing(f, T=1.0).constant for f in oracle_suite)
+    worst = check_smoothing(oracle_suite, T=1.0).constant
     ok = gap <= 1e-12 and worst <= 1.0
     report(
         "8",

@@ -3,10 +3,13 @@
 The reference helpers below are the earlier implementations, kept as the
 definition of the quantities: one `heat_evolve` (a fresh SpectralField) per
 sample time, reduced by `l2_norm` or `hbeta_norm`. The batched checks must
-reproduce them bit for bit.
+reproduce them bit for bit, and a check of a stacked field must reproduce
+the checks of its series one by one.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,11 +81,16 @@ def _ref_hbeta(field, T, beta, n_samples=400):
 
 
 def _suite(d, n_max, seed=3):
-    (field,) = random_spectral_fields(1, d=d, n_max=n_max, seed=seed)
-    # the same field with zero coefficients: they must stay exactly zero
-    c = field.coeffs.copy()
+    field = random_spectral_fields(1, d=d, n_max=n_max, seed=seed)
+    # the same series with zero coefficients: they must stay exactly zero
+    c = field.coeffs[0].copy()
     c[::3] = 0.0
-    return [field, SpectralField(d, field.modes, c)]
+    return SpectralField(d, field.modes, np.vstack([field.coeffs, c]))
+
+
+def _series(stack):
+    """The series of a stacked field, each as a field of its own."""
+    return [SpectralField(stack.dimension, stack.modes, c) for c in stack.coeffs]
 
 
 SUITES = [(d, n_max) for d in (1, 2) for n_max in (3, 8, 20)]
@@ -92,7 +100,7 @@ SUITES = [(d, n_max) for d in (1, 2) for n_max in (3, 8, 20)]
 @pytest.mark.parametrize("T", [0.1, 1.0, 2.0])
 class TestChecksBitwise:
     def test_log_convexity(self, d, n_max, T):
-        for f in _suite(d, n_max):
+        for f in _series(_suite(d, n_max)):
             bounds, actuals, m_const = _ref_log_convexity(f, T)
             res = check_log_convexity(f, T)
             assert np.array_equal(res.bound_values, bounds)
@@ -102,7 +110,7 @@ class TestChecksBitwise:
             assert res.constant_m == m_const
 
     def test_smoothing(self, d, n_max, T):
-        for f in _suite(d, n_max):
+        for f in _series(_suite(d, n_max)):
             constant, t_at_max, values = _ref_smoothing(f, T)
             rep = check_smoothing(f, T)
             assert np.array_equal(rep.values, values)
@@ -111,7 +119,7 @@ class TestChecksBitwise:
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
     def test_hbeta(self, d, n_max, T, beta):
-        for f in _suite(d, n_max):
+        for f in _series(_suite(d, n_max)):
             bounds, actuals, m_const = _ref_hbeta(f, T, beta)
             res = check_hbeta_stability(f, T, beta)
             assert np.array_equal(res.bound_values, bounds)
@@ -124,15 +132,15 @@ class TestChecksBitwise:
 @pytest.mark.parametrize("d,n_max", SUITES)
 @pytest.mark.parametrize("dt", [-0.005, -0.0, 0.0, 1e-8, 0.3, 2.0])
 def test_heat_evolve_bitwise(d, n_max, dt):
-    for f in _suite(d, n_max):
+    for f in _series(_suite(d, n_max)):
         want = _ref_heat_evolve(f, dt).coeffs
         assert np.array_equal(heat_evolve(f, dt).coeffs, want)
 
 
 def test_batched_rows_are_single_evolutions():
-    f = _suite(2, 5)[-1]
+    f = _series(_suite(2, 5))[-1]
     times = np.array([0.0, -1e-3, 0.02, 0.0, 1.0])
-    rows = oracle._evolve_coeffs(f, times)
+    (rows,) = oracle._evolve_coeffs(f, times)
     assert rows.shape == (times.size, f.coeffs.size)
     for t, row in zip(times, rows):
         assert np.array_equal(row, _ref_heat_evolve(f, t).coeffs)
@@ -140,10 +148,44 @@ def test_batched_rows_are_single_evolutions():
     assert np.all(rows[:, f.coeffs == 0.0] == 0.0)
 
 
+def test_end_norm_underflow_names_T():
+    # ||u(T)|| = 2 exp(-2 pi^2 T) squares below the smallest double at T = 30
+    one_mode = SpectralField(2, np.array([[1, 1]]), np.array([4.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"underflows to 0 at T = 30"):
+            check_log_convexity(one_mode, 30.0)
+        with pytest.raises(ValueError, match=r"underflows to 0 at T = 30"):
+            check_hbeta_stability(one_mode, 30.0, 0.5)
+    # at T = 1 nothing underflows and both checks are the reference's bits
+    bounds, actuals, m_const = _ref_log_convexity(one_mode, 1.0)
+    res = check_log_convexity(one_mode, 1.0)
+    assert np.array_equal(res.bound_values, bounds)
+    assert np.array_equal(res.actual_values, actuals)
+    assert res.constant_m == m_const
+    bounds, actuals, m_const = _ref_hbeta(one_mode, 1.0, 0.5)
+    res = check_hbeta_stability(one_mode, 1.0, 0.5)
+    assert np.array_equal(res.bound_values, bounds)
+    assert np.array_equal(res.actual_values, actuals)
+    assert res.max_ratio == float(np.max(actuals / bounds))
+
+
+@pytest.mark.parametrize(
+    "check", [check_log_convexity, check_smoothing], ids=["log_convexity", "smoothing"]
+)
+def test_start_norm_underflow_raises(check):
+    # the coefficient is nonzero, but its square underflows
+    tiny = SpectralField(1, np.array([[1]]), np.array([1e-170]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|\|u\(0\)\|\| underflows to 0"):
+            check(tiny, 1.0)
+
+
 def test_batched_overflow_names_the_limit():
     f = SpectralField(1, np.array([[10]]), np.array([1.0]))
     with pytest.raises(OverflowError, match="past 1e300"):
-        oracle._evolve_coeffs(f, [0.0, 0.5, -10.0])
+        list(oracle._evolve_coeffs(f, [0.0, 0.5, -10.0]))
     # the guard looks at evolved rows only: t = 0 returns the field as is
     huge = SpectralField(1, np.array([[1]]), np.array([1e305]))
     assert math.log(1e305) > oracle._EXP_LIMIT
@@ -152,35 +194,125 @@ def test_batched_overflow_names_the_limit():
         heat_evolve(huge, 1e-12)
 
 
+CHECKS = pytest.mark.parametrize(
+    "check",
+    [
+        lambda f, n: check_log_convexity(f, 1.0, n_samples=n),
+        lambda f, n: check_smoothing(f, 1.0, n_samples=n),
+        lambda f, n: check_hbeta_stability(f, 1.0, 0.5, n_samples=n),
+    ],
+    ids=["log_convexity", "smoothing", "hbeta"],
+)
+
+
 class TestEvolutionCallCount:
-    """Each check evolves its field a fixed number of times, whatever n_samples."""
+    """Each check evolves its field a fixed number of times, whatever
+    n_samples, and does its mode-only work once per stack, whatever its
+    size, holding one series' times-by-modes table at a time."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counter = {"n": 0}
-        batched = oracle._evolve_coeffs
-
-        def counting(field, times):
-            counter["n"] += 1
-            return batched(field, times)
-
-        monkeypatch.setattr(oracle, "_evolve_coeffs", counting)
-        return counter
-
-    @pytest.mark.parametrize(
-        "check",
-        [
-            lambda f, n: check_log_convexity(f, 1.0, n_samples=n),
-            lambda f, n: check_smoothing(f, 1.0, n_samples=n),
-            lambda f, n: check_hbeta_stability(f, 1.0, 0.5, n_samples=n),
-        ],
-        ids=["log_convexity", "smoothing", "hbeta"],
-    )
-    def test_independent_of_samples(self, calls, check):
-        field = random_spectral_fields(1, d=2, n_max=4, seed=1)[0]
+    @CHECKS
+    def test_independent_of_samples(self, record_calls, check):
+        field = random_spectral_fields(1, d=2, n_max=4, seed=1)
+        evolved = record_calls(oracle, "_evolve_coeffs")
         counts = []
         for n in (10, 1000):
-            calls["n"] = 0
+            evolved.clear()
             check(field, n)
-            counts.append(calls["n"])
+            counts.append(len(evolved))
         assert counts[0] == counts[1] <= 2
+
+    @CHECKS
+    @pytest.mark.parametrize("count", [1, 100])
+    def test_mode_only_work_runs_once_per_stack(self, record_calls, check, count):
+        sampled = record_calls(oracle, "_sample_times_with_critical")
+        evolved = record_calls(oracle, "_evolve_coeffs")
+        check(random_spectral_fields(count, d=2, n_max=8, seed=0), 400)
+        assert len(sampled) <= 1
+        assert len(evolved) <= 2
+
+    @CHECKS
+    def test_no_evolved_array_exceeds_times_by_modes(self, monkeypatch, check):
+        count = 100
+        stack = random_spectral_fields(count, d=2, n_max=8, seed=0)
+        n_modes = stack.modes.shape[0]
+        n_times = _sample_times_with_critical(stack, 1.0, 400).size
+        tables = []
+        evolve = oracle._evolve_coeffs
+
+        def sized(field, times):
+            for rows in evolve(field, times):
+                tables.append(rows.size)
+                yield rows
+
+        monkeypatch.setattr(oracle, "_evolve_coeffs", sized)
+        tracemalloc.start()
+        try:
+            check(stack, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tables) >= count
+        assert max(tables) <= n_times * n_modes
+        # a few times-by-modes tables and a few (count, times) norm arrays;
+        # one (count, times, modes) array alone would be count tables
+        assert peak <= 8 * 10 * (n_times * n_modes + count * n_times)
+
+
+def _assert_stacked(res, singles):
+    """A stacked StabilityCheckResult against the results of its series."""
+    assert np.array_equal(res.actual_values, [r.actual_values for r in singles])
+    assert np.array_equal(res.bound_values, [r.bound_values for r in singles])
+    assert np.array_equal(res.constant_m, [r.constant_m for r in singles])
+    assert res.max_violation == max(r.max_violation for r in singles)
+    assert res.max_ratio == max(r.max_ratio for r in singles)
+    for r in singles:
+        assert type(r.constant_m) is float and r.actual_values.ndim == 1
+
+
+@pytest.mark.parametrize("d,n_max", SUITES)
+class TestStackedChecks:
+    """A check of a stacked field is the checks of its series, bit for bit."""
+
+    def test_log_convexity(self, d, n_max):
+        stack = _suite(d, n_max)
+        res = check_log_convexity(stack, 1.0)
+        _assert_stacked(res, [check_log_convexity(f, 1.0) for f in _series(stack)])
+
+    def test_hbeta(self, d, n_max):
+        stack = _suite(d, n_max)
+        res = check_hbeta_stability(stack, 1.0, 0.5)
+        singles = [check_hbeta_stability(f, 1.0, 0.5) for f in _series(stack)]
+        _assert_stacked(res, singles)
+
+    def test_smoothing(self, d, n_max):
+        stack = _suite(d, n_max)
+        rep = check_smoothing(stack, 1.0)
+        singles = [check_smoothing(f, 1.0) for f in _series(stack)]
+        assert np.array_equal(rep.values, [r.values for r in singles])
+        assert np.array_equal(rep.sample_times, singles[0].sample_times)
+        worst = max(singles, key=lambda r: r.constant)
+        assert rep.constant == worst.constant
+        assert rep.t_at_max == worst.t_at_max
+
+    def test_field_functions(self, d, n_max):
+        stack = _suite(d, n_max)
+        series = _series(stack)
+        assert np.array_equal(stack.l2_norm(), [f.l2_norm() for f in series])
+        assert np.array_equal(
+            hbeta_norm(stack, 1.5), [hbeta_norm(f, 1.5) for f in series]
+        )
+        for dt in (0.0, 0.3, -1e-3):
+            evolved = heat_evolve(stack, dt).coeffs
+            assert np.array_equal(evolved, [heat_evolve(f, dt).coeffs for f in series])
+        ddt = time_derivative(stack).coeffs
+        assert np.array_equal(ddt, [time_derivative(f).coeffs for f in series])
+        x = np.linspace(0.05, 0.95, 2 * d).reshape(2, d)
+        assert np.array_equal(stack.evaluate(x), [f.evaluate(x) for f in series])
+        assert type(series[0].l2_norm()) is float
+
+
+def test_stacked_draw_is_the_sequential_draws():
+    stack = random_spectral_fields(7, d=2, n_max=5, seed=11)
+    rng = np.random.default_rng(11)
+    sequential = [rng.uniform(-1.0, 1.0, 25) for _ in range(7)]
+    assert np.array_equal(stack.coeffs, sequential)

@@ -1,6 +1,5 @@
 """Command line entry point, CSV output format, determinism."""
 
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -274,38 +273,6 @@ class TestMain:
         code = main(["run", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_threads_validation(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, FAST_CONVERGENCE)
-        code = main(["run", "--config", cfg_path, "--threads", "0"])
-        assert code == 1
-        assert "--threads must be at least 1" in capsys.readouterr().err
-
-    def test_threads_cap_accepted(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, FAST_CONVERGENCE)
-        out_path = str(tmp_path / "res.csv")
-        code = main(
-            ["run", "--config", cfg_path, "--output", out_path, "--threads", "1"]
-        )
-        assert code == 0
-
-    def test_threads_without_threadpoolctl_warns_and_runs(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        cfg_path = write_config(tmp_path, FAST_CONVERGENCE)
-        plain, capped = tmp_path / "plain.csv", tmp_path / "capped.csv"
-        assert main(["run", "--config", cfg_path, "--output", str(plain)]) == 0
-        capsys.readouterr()
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        code = main(
-            ["run", "--config", cfg_path, "--output", str(capped), "--threads", "1"]
-        )
-        assert code == 0
-        err_lines = capsys.readouterr().err.splitlines()
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("warning: threadpoolctl")
-        assert "--threads 1" in err_lines[0]
-        assert capped.read_bytes() == plain.read_bytes()
 
     def test_seed_override_changes_random_study(self, tmp_path):
         text = (

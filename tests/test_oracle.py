@@ -132,8 +132,8 @@ class TestLogConvexity:
         assert np.all(inner < 0.0)
 
     def test_suite(self):
-        for f in random_spectral_fields(25, d=2, n_max=6, seed=11):
-            assert check_log_convexity(f, T=1.0).max_violation <= 1e-10
+        suite = random_spectral_fields(25, d=2, n_max=6, seed=11)
+        assert check_log_convexity(suite, T=1.0).max_violation <= 1e-10
 
     def test_report_structure(self):
         res = check_log_convexity(single_mode(), T=2.0, n_samples=50)
@@ -145,6 +145,22 @@ class TestLogConvexity:
         f = SpectralField(1, np.array([[1]]), np.array([0.0]))
         with pytest.raises(ValueError):
             check_log_convexity(f, T=1.0)
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda f: check_log_convexity(f, T=1.0),
+            lambda f: check_smoothing(f, T=1.0),
+            lambda f: check_hbeta_stability(f, T=1.0, beta=0.5),
+        ],
+        ids=["log_convexity", "smoothing", "hbeta"],
+    )
+    def test_zero_series_of_a_stack_is_named(self, check):
+        suite = random_spectral_fields(4, d=1, n_max=3, seed=0)
+        coeffs = suite.coeffs.copy()
+        coeffs[2] = 0.0
+        with pytest.raises(ValueError, match=r"identically zero \(series 2\)"):
+            check(SpectralField(1, suite.modes, coeffs))
 
     @given(
         c1=st.floats(min_value=-10.0, max_value=10.0),
@@ -167,17 +183,17 @@ class TestSmoothing:
         assert rep.t_at_max == pytest.approx(1.0 / np.pi**2, rel=1e-12)
 
     def test_suite_below_one(self):
-        for f in random_spectral_fields(25, d=2, n_max=6, seed=12):
-            rep = check_smoothing(f, T=1.0)
-            assert rep.constant <= 1.0 + 1e-12
+        rep = check_smoothing(random_spectral_fields(25, d=2, n_max=6, seed=12), T=1.0)
+        assert rep.constant <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_suite_below_one_over_e(self, d):
         # t lambda exp(-lambda t) <= 1/e per mode bounds every field by 1/e
         worst = max(
-            check_smoothing(f, T=1.0).constant
+            check_smoothing(
+                random_spectral_fields(100, d=d, n_max=8, seed=seed), T=1.0
+            ).constant
             for seed in range(20)
-            for f in random_spectral_fields(100, d=d, n_max=8, seed=seed)
         )
         assert worst <= (1.0 / math.e) * (1.0 + 1e-12)
 
@@ -204,10 +220,10 @@ class TestHbetaStability:
         )
 
     def test_suite_bounded(self):
-        for f in random_spectral_fields(10, d=2, n_max=4, seed=13):
-            res = check_hbeta_stability(f, T=1.0, beta=0.5)
-            assert np.isfinite(res.max_ratio)
-            assert res.constant_m >= f.l2_norm()
+        suite = random_spectral_fields(10, d=2, n_max=4, seed=13)
+        res = check_hbeta_stability(suite, T=1.0, beta=0.5)
+        assert np.isfinite(res.max_ratio)
+        assert np.all(res.constant_m >= suite.l2_norm())
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -301,10 +317,15 @@ class TestPerturbations:
         with pytest.raises(ValueError):
             random_perturbation(empty, TRIAL_SPACE, mass, 0.1, seed=0)
 
+    def test_suite_guards(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            random_spectral_fields(0, d=2, n_max=8, seed=0)
+        with pytest.raises(ValueError, match="n_max must be >= 1, got 0"):
+            random_spectral_fields(10, d=2, n_max=0, seed=0)
+
     def test_suite_seeded(self):
         a = random_spectral_fields(3, d=1, n_max=4, seed=5)
         b = random_spectral_fields(3, d=1, n_max=4, seed=5)
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.coeffs, fb.coeffs)
-        assert len(a) == 3
-        assert a[0].modes.shape == (4, 1)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert len(a.coeffs) == 3
+        assert a.modes.shape == (4, 1)
