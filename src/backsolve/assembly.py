@@ -316,15 +316,12 @@ def l2_projection(
     return np.atleast_1d(coeffs)
 
 
-def load_vector_f(
-    time_mesh: TimeMesh, time_spec: TimeBasisSpec, source, phi_load: np.ndarray
-) -> np.ndarray:
-    """Tensor-quadrature load F[(e,n),j] = iint f psi_{e,n}(t) eta_j(x).
+def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.ndarray:
+    """Time load t_c[(e,n)] = h_e sum_q w_q source(t_eq) psi_{e,n}(s_q).
 
-    The source separates, f(t, x) = source(t) phi(x): source takes a scalar
-    t, and phi_load is the space load of phi. Under the tensor rule the load
-    is exactly the time load h_e sum_q w_q source(t_eq) psi_{e,n}(s_q) times
-    phi_load.
+    The source separates, f(t, x) = source(t) phi(x), and source takes a
+    scalar t. Under the tensor rule the load of f against psi_{e,n} eta_j
+    is exactly t_c[(e,n)] times the space load of phi against eta_j.
     """
     sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = time_mesh.lengths
@@ -332,8 +329,7 @@ def load_vector_f(
     # source at scalar t: numpy's array t**3 can differ from the scalar by an ulp
     ct = np.array([source(ti) for ti in t.ravel()]).reshape(t.shape)
     psi = test_basis_values(time_spec, sq, h)  # (elements, degree+1, q)
-    time_load = h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]
-    return np.outer(time_load, phi_load).ravel()
+    return (h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]).ravel()
 
 
 # ------------------------------------------------------------- fields ----

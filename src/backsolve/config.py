@@ -7,7 +7,8 @@ with the offending line number and key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 EXPERIMENTS = (
     "convergence",
@@ -75,6 +76,8 @@ class ExperimentConfig:
                 raise ValueError(
                     "explicit strategy needs epsilon_values matching k_range"
                 )
+        if self.epsilon_values is not None and min(self.epsilon_values) < 0.0:
+            raise ValueError("epsilon_values must be nonnegative")
         if self.solution not in SOLUTIONS:
             raise ValueError(f"unknown solution {self.solution!r}")
         if self.slice_times is None:
@@ -105,19 +108,18 @@ class ConfigError(ValueError):
 
 
 def _parse_scalar(raw: str, kind, key: str, lineno: int):
+    if kind is str:
+        return raw
+    malformed = f"line {lineno}: key {key!r} expects {kind.__name__}, got {raw!r}"
     try:
-        if kind is int:
-            as_float = float(raw)
-            if as_float != int(as_float):
-                raise ValueError
-            return int(as_float)
-        if kind is float:
-            return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}: key {key!r} expects {kind.__name__}, got {raw!r}"
-        ) from None
-    return raw
+        raise ConfigError(malformed) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(malformed)
+    return kind(value)
 
 
 def _parse_list(raw: str, kind, key: str, lineno: int) -> list:

@@ -1,14 +1,15 @@
-"""Riesz-map preconditioners: exact inverses of the space-time Grams.
+"""Riesz-map preconditioner and the test stiffness factor.
 
-The test-space lift inverts (identity x test stiffness) with one sparse
-factorization of the test stiffness; the normal operator reuses that
-factor for its K_t x M_mix^T A_test^-1 M_mix term. The trial-space lift
-inverts the full anisotropic Gram by diagonalization in time: a generalized
-eigendecomposition of the time pencil, then per time mode a shifted space
-solve (one block-diagonal sparse factorization, refused with a named error
-when its predicted size exceeds physical memory), or a dense space
-eigendecomposition when space is no larger than time. Both lifts are exact,
-so the norm-equivalence constants are 1.
+The trial-space lift inverts the full anisotropic Gram by diagonalization
+in time: a generalized eigendecomposition of the time pencil, then per
+time mode a shifted space solve (one block-diagonal sparse factorization,
+refused with a named error when its predicted size exceeds physical
+memory), or a dense space eigendecomposition when space is no larger than
+time. The lift is exact, so the norm-equivalence constants are 1.
+
+The test-space Gram is the identity in time times the test stiffness
+A_test, so no test-space lift is built: make_G_Y factors A_test once, and
+the right-hand side, J(0) and the normal operator use its solve.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 
 from .assembly import time_mass_trial, time_stiffness_trial
 from .mesh import TimeMesh
-from .operators import TEST_TIME, physical_memory, sparse_lu
+from .operators import physical_memory, sparse_lu
 
 
 class FactorTooLargeError(MemoryError):
@@ -31,36 +32,20 @@ class FactorTooLargeError(MemoryError):
 
 @dataclass(frozen=True)
 class RieszPreconditioner:
-    """SPD lift from functionals to coefficient space.
+    """SPD trial-space lift from functionals to coefficient space."""
 
-    space_solve, set for the test-space lift only, applies the inverse of
-    the test stiffness to the columns of an array.
-    """
-
-    norm: str  # "X" (trial) or "Y" (test)
+    norm = "X"  # not a field; perfbench's tracer names apply spans by it
     _apply: Callable = field(repr=False)
-    space_solve: Callable | None = field(default=None, repr=False)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return self._apply(np.asarray(f, dtype=float))
 
 
-def make_G_Y(time_mesh: TimeMesh, a_test: sp.csr_matrix) -> RieszPreconditioner:
-    """Exact test-space Riesz lift: per time dof, one solve with a_test,
-    the test space stiffness.
-
-    a_test is factored once, with a low-fill ordering; the lift's
-    space_solve hands that factor to the normal operator.
+def make_G_Y(a_test: sp.csr_matrix) -> Callable:
+    """Solve with a_test, the test space stiffness, factored once with a
+    low-fill ordering; the solve takes a vector or the columns of an array.
     """
-    lu = sparse_lu(a_test, "test stiffness")
-    n_t = time_mesh.n_elements * (TEST_TIME.degree + 1)
-    n_x = a_test.shape[0]
-
-    def apply(f: np.ndarray) -> np.ndarray:
-        mat = f.reshape(n_t, n_x)
-        return lu.solve(mat.T).T.ravel()
-
-    return RieszPreconditioner("Y", apply, lu.solve)
+    return sparse_lu(a_test, "test stiffness").solve
 
 
 def make_G_X(
@@ -95,7 +80,7 @@ def make_G_X(
             w = (zt.T @ mat @ vx) / denom
             return (zt @ w @ vx.T).ravel()
 
-        return RieszPreconditioner("X", apply)
+        return RieszPreconditioner(apply)
 
     shifts = np.sqrt(theta)
     need = n_t * _factor_bytes(_shifted_space_factor(a, m, shifts[:1]))
@@ -113,7 +98,7 @@ def make_G_X(
         w = lu.solve(w.ravel()).real.reshape(n_t, n_x)
         return (zt @ w).ravel()
 
-    return RieszPreconditioner("X", apply)
+    return RieszPreconditioner(apply)
 
 
 def _shifted_space_factor(a: sp.csr_matrix, m: sp.csr_matrix, shifts: np.ndarray):

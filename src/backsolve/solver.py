@@ -21,13 +21,21 @@ hats and their derivatives, so B's time factors D (derivative) and N
 (the integral of (phi_i phi_j)'). In space, P1 lies in P_{1+l} with the
 same Dirichlet boundary, so the mixed matrices are M_test P and A_test P,
 which gives A_mix^T A_test^-1 A_mix = A and M_mix^T A_test^-1 A_mix = M.
-B itself serves only the right-hand side and the functional. The
-right-hand side collects the source f = source(t) phi and the end data
-g = tau(T) phi (plus any perturbation) of a manufactured solution, all
-read from one sample of phi. The minimizer is found by preconditioned
-conjugate residuals stopped once the lifted residual r(G_X r) is at most
-min(1, eps)^2 J(x), J the least-squares functional. Error reporting
-compares against manufactured solutions.
+The same containments give the data without B. The source separates,
+f = source(t) phi, so it loads on the test space as t_c x l_test: t_c the
+Legendre time load of source, l_test the test-space load of phi. The time
+Gram of the test space is the identity, and A_mix^T A_test^-1 l_test is
+l_P1, the P1 load of phi. So with g_load the P1 load of the end data g =
+tau(T) phi (plus any perturbation), h = Bt G_Y (t_c x l_test) + e_T x g_load
+and J(0) are
+
+    h = (Dt t_c) x (M_mix^T A_test^-1 l_test) + (Nt t_c) x l_P1 + e_T x g_load,
+    J(0) = |t_c|^2 l_test^T A_test^-1 l_test + |g|^2,
+
+from one A_test solve and one sample of phi. The minimizer is found by
+preconditioned conjugate residuals stopped once the lifted residual
+r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares functional.
+Error reporting compares against manufactured solutions.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ import itertools
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -50,6 +59,8 @@ from .assembly import (
     load_vector_f,
     quad_points,
     space_load,
+    time_derivative_mixed,
+    time_mass_mixed,
     time_mass_trial,
     time_stiffness_trial,
 )
@@ -65,7 +76,7 @@ from .quadrature import gauss_1d_for_degree
 from .operators import (
     TEST_TIME,
     TRIAL_SPACE,
-    KroneckerOperator,
+    # not on the solve path; perfbench's tracer resolves this name
     assemble_B,
     space_factors,
     test_space_spec,
@@ -81,60 +92,34 @@ class LeastSquaresSystem:
 
     The end trace v(T) and the start trace v(0) of trial coefficients v are
     the last and first rows of v.reshape(breakpoints, n_x). apply uses the
-    energy identity of the module docstring: time_stiffness and time_mass
-    are the hat stiffness K_t and mass M_t, mass_mix is the mixed (test x
-    trial) space mass, and g_y's space factor solves with A_test. b_op (B)
-    and g_y's lift serve the right-hand side, j_zero = J(0) and functional.
-    mass_x and stiffness_x are the trial space mass and stiffness.
+    energy identity of the module docstring: test_solve solves with A_test,
+    time_stiffness and time_mass are the hat stiffness K_t and mass M_t, and
+    mass_mix is the mixed (test x trial) space mass. mass_x and stiffness_x
+    are the trial space mass and stiffness, rhs is h and j_zero is J(0).
     """
 
-    b_op: KroneckerOperator
-    g_y: RieszPreconditioner
+    test_solve: Callable
     time_stiffness: object
     time_mass: object
     mass_mix: object
     mass_x: object
     stiffness_x: object
     reg_epsilon: float
-    f_load: np.ndarray
-    g_load: np.ndarray
-    g_sq: float
-    rhs: np.ndarray = field(init=False)
-    j_zero: float = field(init=False)
-
-    def __post_init__(self):
-        gy_f = self.g_y.apply(self.f_load)
-        self.j_zero = float(self.f_load @ gy_f) + self.g_sq
-        rhs = self._rows(self.b_op.apply_transpose(gy_f))
-        rhs[-1] += self.g_load
-        self.rhs = rhs.ravel()
+    rhs: np.ndarray
+    j_zero: float
 
     @property
     def n(self) -> int:
-        return self.b_op.shape[1]
-
-    def _rows(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(v).reshape(-1, self.mass_x.shape[0])
+        return self.rhs.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        rows = self._rows(v)
+        rows = np.asarray(v).reshape(-1, self.mass_x.shape[0])
         cols = self.mass_mix @ (self.time_stiffness @ rows).T
-        out = (self.mass_mix.T @ self.g_y.space_solve(cols)).T
+        out = (self.mass_mix.T @ self.test_solve(cols)).T
         out += (self.stiffness_x @ (self.time_mass @ rows).T).T
         out[-1] += 2.0 * (self.mass_x @ rows[-1])
         out[0] += (self.reg_epsilon**2 - 1.0) * (self.mass_x @ rows[0])
         return out.ravel()
-
-    def functional(self, v: np.ndarray) -> float:
-        """Value of the least-squares functional at trial coefficients v."""
-        res = self.b_op.apply(v) - self.f_load
-        val = float(res @ self.g_y.apply(res))
-        rows = self._rows(v)
-        z_end, z0 = rows[-1], rows[0]
-        val += float(z_end @ (self.mass_x @ z_end) - 2.0 * z_end @ self.g_load)
-        val += self.g_sq
-        val += self.reg_epsilon**2 * float(z0 @ (self.mass_x @ z0))
-        return val
 
 
 @dataclass
@@ -178,39 +163,37 @@ def choose_epsilon(
     raise ValueError(f"unknown epsilon strategy {strategy!r}")
 
 
-def build_system(
+def manufactured_data(
     time_mesh: TimeMesh,
     space_mesh: SpatialMesh,
     l: int,
-    reg_epsilon: float,
     solution: ManufacturedSolution,
     space,
     perturbation=None,
-) -> LeastSquaresSystem:
-    """Assemble the normal operator and the data of a manufactured solution.
+):
+    """Loads of a manufactured solution's data: (t_c, l_test, l_P1, g_load, g_sq).
 
-    space is the level's space_factors(space_mesh, l). The data are the
-    source f = source(t) phi and the end-time observation g = tau(T) phi,
-    T the last breakpoint, plus perturbation: a nodal FEField (loaded
-    through the mass matrix, exactly) or any object with evaluate(points).
-    phi and the perturbation are sampled once, at the load rule's points.
+    space is the level's space_factors(space_mesh, l). The source
+    f = source(t) phi loads on the test space as t_c x l_test (both zero
+    for a source-free solution); l_P1 is the P1 load of phi. The end-time
+    observation g = tau(T) phi, T the last breakpoint, plus perturbation,
+    has P1 load g_load and squared L2 norm g_sq. perturbation is a nodal
+    FEField (loaded through the mass matrix, exactly) or any object with
+    evaluate(points). phi and the perturbation are sampled once, at the
+    load rule's points.
     """
-    if reg_epsilon < 0.0:
-        raise ValueError("reg_epsilon must be nonnegative")
-    mass_x, stiffness_x, m_mix, a_mix, a_test = space
-    b_op = assemble_B(time_mesh, m_mix, a_mix)
-    g_y = make_G_Y(time_mesh, a_test)
-
+    mass_x, a_test = space[0], space[4]
     points = quad_points(space_mesh, QUAD_ORDER)
     phi = solution.phi(points)
     phi_load = space_load(space_mesh, TRIAL_SPACE, phi, QUAD_ORDER)
     if solution.f_is_zero:
-        f_load = np.zeros(b_op.shape[0])
+        t_c = np.zeros(time_mesh.n_elements * (TEST_TIME.degree + 1))
+        test_load = np.zeros(a_test.shape[0])
     else:
+        t_c = load_vector_f(time_mesh, TEST_TIME, solution.source)
         test_load = phi_load  # at l = 0 the test space is P1 itself
         if l:
             test_load = space_load(space_mesh, test_space_spec(l), phi, QUAD_ORDER)
-        f_load = load_vector_f(time_mesh, TEST_TIME, solution.source, test_load)
 
     tau_end = solution.tau(time_mesh.breakpoints[-1])
     g_values = tau_end * phi
@@ -227,19 +210,46 @@ def build_system(
         g_values = g_values + noise
         g_load = g_load + space_load(space_mesh, TRIAL_SPACE, noise, QUAD_ORDER)
     g_sq = integrate_squared(space_mesh, g_values, QUAD_ORDER) + noise_sq
+    return t_c, test_load, phi_load, g_load, g_sq
 
+
+def build_system(
+    time_mesh: TimeMesh,
+    space_mesh: SpatialMesh,
+    l: int,
+    reg_epsilon: float,
+    solution: ManufacturedSolution,
+    space,
+    perturbation=None,
+) -> LeastSquaresSystem:
+    """Normal operator, h and J(0) for the manufactured_data of solution.
+
+    space is the level's space_factors(space_mesh, l). h and J(0) come from
+    the identity of the module docstring.
+    """
+    if reg_epsilon < 0.0:
+        raise ValueError("reg_epsilon must be nonnegative")
+    mass_x, stiffness_x, m_mix, _, a_test = space
+    test_solve = make_G_Y(a_test)
+    t_c, test_load, phi_load, g_load, g_sq = manufactured_data(
+        time_mesh, space_mesh, l, solution, space, perturbation
+    )
+    solved = test_solve(test_load)
+    d_t = time_derivative_mixed(time_mesh, TEST_TIME)
+    n_t = time_mass_mixed(time_mesh, TEST_TIME)
+    rhs = np.outer(d_t.T @ t_c, m_mix.T @ solved)
+    rhs += np.outer(n_t.T @ t_c, phi_load)
+    rhs[-1] += g_load
     return LeastSquaresSystem(
-        b_op,
-        g_y,
+        test_solve,
         time_stiffness_trial(time_mesh),
         time_mass_trial(time_mesh),
         m_mix,
         mass_x,
         stiffness_x,
         reg_epsilon,
-        f_load,
-        g_load,
-        g_sq,
+        rhs.ravel(),
+        float(t_c @ t_c) * float(test_load @ solved) + g_sq,
     )
 
 

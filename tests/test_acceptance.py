@@ -34,6 +34,7 @@ from backsolve.solver import (
     nodal_interpolant,
     solve_backward,
 )
+from reference import b_route
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -222,9 +223,9 @@ def test_criterion_5_spd_and_minimizer(convergence_run, k1_system):
     for k in cfg.k_range:
         coeffs, solve_rep, _ = levels[k]
         tm, sm = build_meshes(cfg, k)
-        sys_k = build_system(tm, sm, 0, solve_rep.epsilon, sol, space_factors(sm, 0))
-        at_solution = sys_k.functional(coeffs)
-        at_interpolant = sys_k.functional(nodal_interpolant(tm, sm, sol))
+        functional = b_route(tm, sm, 0, solve_rep.epsilon, sol).functional
+        at_solution = functional(coeffs)
+        at_interpolant = functional(nodal_interpolant(tm, sm, sol))
         margins[k] = (at_solution, at_interpolant)
     minimized = all(a <= b + 1e-12 * abs(b) for a, b in margins.values())
     ok = sym_gap <= 1e-12 and min_eig > 0.0 and minimized

@@ -414,11 +414,11 @@ class TestLoadsAndProjections:
         assert np.allclose(b, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
 
     def test_load_vector_f_zero(self):
+        # a time load: one entry per element and Legendre function
         tm = uniform_time_mesh(0.0, 1.0, 1)
-        m = refine_uniform(unit_square_initial(), 1)
-        b = space_load(m, P1_DIRICHLET, np.zeros(len(quad_points(m, 3))), degree=3)
-        F = load_vector_f(tm, TEST_TIME, lambda t: 0.0, b)
-        assert np.allclose(F, 0.0, atol=1e-15)
+        t_c = load_vector_f(tm, TEST_TIME, lambda t: 0.0)
+        assert t_c.shape == (4,)
+        assert np.allclose(t_c, 0.0, atol=1e-15)
 
     def test_load_vector_f_separable(self):
         # f(t,x) = t * 1 factors: time moments against the Legendre pair
@@ -426,7 +426,7 @@ class TestLoadsAndProjections:
         tm = uniform_time_mesh(0.0, 1.0, 0)
         m = unit_interval_mesh(4)
         b = space_load(m, P1_DIRICHLET, np.ones(len(quad_points(m, 3))), degree=3)
-        F = load_vector_f(tm, TEST_TIME, lambda t: t, b)
+        F = np.outer(load_vector_f(tm, TEST_TIME, lambda t: t), b).ravel()
         # int_0^1 t * 1 dt = 1/2, int_0^1 t * sqrt(3)(2t-1) dt = 1/(2 sqrt 3)
         n_x = b.size
         assert F.shape == (2 * n_x,)

@@ -6,7 +6,6 @@ evaluation (with its own geometry) per time Gauss point and error mode, and
 the system data loaded from callables, each evaluated on its own points.
 """
 
-import dataclasses
 import math
 import os
 import warnings
@@ -58,8 +57,10 @@ from backsolve.solver import (
     build_system,
     error_report,
     interpolation_gap_xnorm,
+    manufactured_data,
     nodal_interpolant,
 )
+from reference import BRoute
 
 RTOL = 1e-12
 
@@ -208,7 +209,7 @@ def test_load_vector_f_matches_per_time_point_loop(d, degree):
     f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
     phi_load = space_load(sm, spec, sol.phi(quad_points(sm, QUAD_ORDER)), QUAD_ORDER)
     for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
-        got = load_vector_f(tm, TEST_TIME, sol.source, phi_load)
+        got = np.outer(load_vector_f(tm, TEST_TIME, sol.source), phi_load).ravel()
         ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, f, QUAD_ORDER)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
@@ -246,7 +247,7 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     f_load = (
         np.zeros(tm.n_elements * (TEST_TIME.degree + 1) * phi_load.size)
         if solution.f_is_zero
-        else load_vector_f(tm, TEST_TIME, solution.source, phi_load)
+        else np.outer(load_vector_f(tm, TEST_TIME, solution.source), phi_load).ravel()
     )
     T = tm.breakpoints[-1]
     g = (lambda x: solution.u(T, x)) if solution.name != "zero" else None
@@ -288,15 +289,23 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
         solution = get_solution(name, d)
         space = space_factors(sm, l)
         system = build_system(tm, sm, l, 0.3, solution, space, perturbation)
-        f_load, g_load, g_sq = _ref_system_data(tm, sm, l, solution, perturbation)
-        ref = dataclasses.replace(system, f_load=f_load, g_load=g_load, g_sq=g_sq)
-        for key in ("f_load", "g_load", "g_sq", "j_zero", "rhs"):
-            got, want = getattr(system, key), getattr(ref, key)
+        t_c, test_load, _, g_load, g_sq = manufactured_data(
+            tm, sm, l, solution, space, perturbation
+        )
+        ref_data = _ref_system_data(tm, sm, l, solution, perturbation)
+        data = (np.outer(t_c, test_load).ravel(), g_load, g_sq)
+        for key, got, want in zip(("f_load", "g_load", "g_sq"), data, ref_data):
             if T == 1.0:
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {key}")
             else:
                 gap = np.max(np.abs(np.subtract(got, want)), initial=0.0)
                 assert gap <= 1e-13 * np.max(np.abs(want), initial=0.0), (name, key)
+        # h and J(0) come from one A_test solve, not from B and the Y lift
+        ref = BRoute(tm, sm, l, 0.3, *ref_data)
+        for key in ("rhs", "j_zero"):
+            got, want = getattr(system, key), getattr(ref, key)
+            gap = np.linalg.norm(np.subtract(got, want))
+            assert gap <= 1e-12 * np.linalg.norm(want), (name, key)
 
 
 def _coeff_cases(tm, sm, solution):
@@ -389,10 +398,8 @@ def test_set_up_work_does_not_grow_with_time_elements(
         coeffs = nodal_interpolant(tm, sm, solution)
         seen = []
         for call in (
-            lambda: load_vector_f(
-                tm,
-                TEST_TIME,
-                counted.source,
+            lambda: np.outer(
+                load_vector_f(tm, TEST_TIME, counted.source),
                 assembly.space_load(sm, spec, counted.phi(quad_points(sm, 5)), 5),
             ),
             lambda: nodal_interpolant(tm, sm, counted),

@@ -58,6 +58,24 @@ class TestParse:
         with pytest.raises(ConfigError, match=r"key 'T' expects float"):
             parse_config("experiment = convergence\nd = 1\nT = one\nk_range = 1")
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("target_norm", "nan"),
+            ("amplitude", "inf"),
+            ("threshold", "-inf"),
+            ("slice_times", "0.5,nan"),
+            ("epsilon_values", "1e400"),
+            ("k_range", "inf"),
+        ],
+    )
+    def test_non_finite_number_names_key_and_line(self, key, raw):
+        # nan and inf parse as floats; unchecked, they ran to an all-NaN CSV
+        # or a slice column read at t = 0, with exit code 0
+        text = f"experiment = perturb-random\nd = 1\nT = 1\n{key} = {raw}\n"
+        with pytest.raises(ConfigError, match=rf"line 4: key '{key}' must be finite"):
+            parse_config(text)
+
     def test_missing_required_keys_listed(self):
         with pytest.raises(ConfigError, match="missing required keys: d, k_range"):
             parse_config("experiment = convergence\nT = 1.0\n")
@@ -135,6 +153,12 @@ class TestValidation:
             )
         ok = self.base(epsilon_strategy="explicit", epsilon_values=[0.1])
         assert ok.epsilon_values == [0.1]
+
+    def test_negative_epsilon_value_rejected(self):
+        # caught here, not in build_system after the level is assembled
+        with pytest.raises(ValueError, match="epsilon_values must be nonnegative"):
+            self.base(epsilon_strategy="explicit", epsilon_values=[-0.5])
+        assert self.base(epsilon_strategy="explicit", epsilon_values=[0.0])
 
     def test_unknown_solution(self):
         with pytest.raises(ValueError, match="unknown solution"):

@@ -1,4 +1,5 @@
-"""Riesz lifts: exact inverses of the trial and test space Gram operators."""
+"""Riesz lifts: the exact trial-space lift, and the test stiffness solve
+that stands in for the test-space lift."""
 
 import os
 import re
@@ -10,6 +11,9 @@ from scipy.linalg import eigh
 import backsolve
 from backsolve import precond
 from backsolve.assembly import (
+    QUAD_ORDER,
+    quad_points,
+    space_load,
     space_mass,
     space_stiffness,
     time_mass_trial,
@@ -23,7 +27,11 @@ from backsolve.mesh import (
     unit_square_initial,
 )
 from backsolve.operators import TRIAL_SPACE, gram_X, gram_Y, space_factors
+from backsolve.operators import test_space_spec as enriched_space_spec
 from backsolve.precond import FactorTooLargeError, make_G_X, make_G_Y
+from backsolve.solutions import get_solution
+from backsolve.solver import build_system
+from reference import system_data
 
 
 def mesh_pair_1d():
@@ -139,50 +147,42 @@ class TestGXForms:
 
 
 class TestGYLift:
-    @pytest.mark.parametrize("l", [0, 1])
-    def test_inverts_gram(self, l):
-        tm, sm = mesh_pair_2d()
-        G = gram_Y(tm, sm, l)
-        lift = make_G_Y(tm, space_factors(sm, l)[4])
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            v = rng.standard_normal(G.shape[1])
-            got = lift.apply(G.apply(v))
-            assert np.max(np.abs(got - v)) <= 1e-12 * max(
-                1.0, np.max(np.abs(v))
-            )
+    """make_G_Y's A_test solve, which the test-space lift reduces to."""
 
     def test_dual_norm_matches_dense_solve(self):
-        # f(G_Y f) is the squared dual norm sup (f v)^2 / ||v||_Y^2,
-        # computed independently by a dense linear solve
-        tm, sm = mesh_pair_1d()
-        Y = gram_Y(tm, sm, 0).to_dense()
-        lift = make_G_Y(tm, space_factors(sm, 0)[4])
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            f = rng.standard_normal(Y.shape[0])
-            assert f @ lift.apply(f) == pytest.approx(
-                f @ np.linalg.solve(Y, f), rel=1e-10
-            )
+        # J(0) - |g|^2 is f(Y^-1 f), f = t_c x l_test the source load: its
+        # squared dual norm sup (f v)^2 / ||v||_Y^2, computed independently
+        # by a dense solve with the test Gram
+        for tm, sm in (mesh_pair_1d(), mesh_pair_2d()):
+            solution = get_solution("cubic", sm.dimension)
+            for l in (0, 1):
+                space = space_factors(sm, l)
+                system = build_system(tm, sm, l, 0.3, solution, space)
+                f_load, _, g_sq = system_data(tm, sm, l, solution)
+                Y = gram_Y(tm, sm, l).to_dense()
+                assert system.j_zero - g_sq == pytest.approx(
+                    f_load @ np.linalg.solve(Y, f_load), rel=1e-10
+                )
 
-    def test_zero_maps_to_zero(self):
-        tm, sm = mesh_pair_1d()
-        lift = make_G_Y(tm, space_factors(sm, 0)[4])
-        out = lift.apply(np.zeros(gram_Y(tm, sm, 0).shape[0]))
-        assert np.array_equal(out, np.zeros_like(out))
-
-    def test_metadata(self):
-        tm, sm = mesh_pair_1d()
-        lift = make_G_Y(tm, space_factors(sm, 0)[4])
-        assert lift.norm == "Y"
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_test_load_maps_to_the_p1_load(self, d):
+        # P1 lies in P2 with the same Dirichlet boundary, so A_mix = A_test P
+        # and A_mix^T A_test^-1 l_test = P^T l_test, the P1 load of the same
+        # sample of phi: the identity that puts l_P1 into the right-hand side
+        sm = _space_mesh(d, 6)
+        _, _, _, a_mix, a_test = space_factors(sm, 1)
+        phi = get_solution("cubic", d).phi(quad_points(sm, QUAD_ORDER))
+        test_load = space_load(sm, enriched_space_spec(1), phi, QUAD_ORDER)
+        p1_load = space_load(sm, TRIAL_SPACE, phi, QUAD_ORDER)
+        got = a_mix.T @ make_G_Y(a_test)(test_load)
+        assert np.linalg.norm(got - p1_load) <= 1e-12 * np.linalg.norm(p1_load)
 
     @pytest.mark.parametrize("l", [0, 1])
     def test_space_solve_inverts_test_stiffness(self, l):
-        tm, sm = mesh_pair_2d()
+        _, sm = mesh_pair_2d()
         a_test = space_factors(sm, l)[4]
-        lift = make_G_Y(tm, a_test)
         cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
-        got = a_test @ lift.space_solve(cols)
+        got = a_test @ make_G_Y(a_test)(cols)
         assert np.max(np.abs(got - cols)) <= 1e-12 * np.max(np.abs(cols))
 
 

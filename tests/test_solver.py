@@ -42,6 +42,7 @@ from backsolve.solver import (
     solve_backward,
     trial_dofs,
 )
+from reference import b_route
 
 
 class TestChooseEpsilon:
@@ -83,7 +84,7 @@ class TestBuildSystem:
         zero = get_solution("zero", 1)
         system = build_system(tm, sm, 0, 0.5, zero, space_factors(sm, 0))
         assert np.array_equal(system.rhs, np.zeros(system.n))
-        assert system.functional(np.zeros(system.n)) == 0.0
+        assert b_route(tm, sm, 0, 0.5, zero).functional(np.zeros(system.n)) == 0.0
         assert system.j_zero == 0.0
         g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
         # the functional rule needs no zero-data case: J = 0 and r = 0
@@ -123,11 +124,12 @@ class TestBuildSystem:
         tm, sm, system = small_system()
         g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
         x, _ = pcg(system, g_x, threshold=1e-24, max_iter=200)
-        base = system.functional(x)
+        functional = b_route(tm, sm, 0, 0.1, get_solution("cubic", 1)).functional
+        base = functional(x)
         rng = np.random.default_rng(1)
         for _ in range(10):
             dv = rng.standard_normal(system.n) * 1e-3
-            assert system.functional(x + dv) >= base - 1e-12
+            assert functional(x + dv) >= base - 1e-12
 
 
 def dense_reference(tm, sm, l, reg_epsilon, f_load, g_load, g_sq):
@@ -185,25 +187,27 @@ class TestDenseReference:
     @pytest.mark.parametrize("d", [1, 2])
     def test_normal_operator_matches_dense(self, d, reg_epsilon):
         tm, sm, system = reference_case(d, 0, reg_epsilon)
+        route = b_route(tm, sm, 0, reg_epsilon, get_solution("cubic", d))
         S, rhs, functional = dense_reference(
-            tm, sm, 0, reg_epsilon, system.f_load, system.g_load, system.g_sq
+            tm, sm, 0, reg_epsilon, route.f_load, route.g_load, route.g_sq
         )
         assert _rel(system.rhs, rhs) <= 1e-12
         rng = np.random.default_rng(10 + d)
         for _ in range(5):
             v = rng.standard_normal(system.n)
             assert _rel(system.apply(v), S @ v) <= 1e-12
-            assert _rel(system.functional(v), functional(v)) <= 1e-12
+            assert _rel(route.functional(v), functional(v)) <= 1e-12
         # the minimizer of the functional, where its terms nearly cancel
         x = np.linalg.solve(S, rhs)
-        assert _rel(system.functional(x), functional(x)) <= 1e-12
+        assert _rel(route.functional(x), functional(x)) <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_enriched_normal_operator_matches_dense(self, d):
         # l = 1: the energy identity needs M_mix = M_test P, A_mix = A_test P
         tm, sm, system = reference_case(d, 1, 0.3)
+        route = b_route(tm, sm, 1, 0.3, get_solution("cubic", d))
         S, rhs, _ = dense_reference(
-            tm, sm, 1, 0.3, system.f_load, system.g_load, system.g_sq
+            tm, sm, 1, 0.3, route.f_load, route.g_load, route.g_sq
         )
         assert _rel(system.rhs, rhs) <= 1e-12
         rng = np.random.default_rng(20 + d)
@@ -283,15 +287,16 @@ class TestPCG:
         sol = get_solution("cubic", d)
         eps = choose_epsilon("plain", trial_dofs(tm, sm), d)
         system = build_system(tm, sm, 0, eps, sol, space_factors(sm, 0))
+        functional = b_route(tm, sm, 0, eps, sol).functional
         assert system.j_zero == pytest.approx(
-            system.functional(np.zeros(system.n)), rel=1e-12
+            functional(np.zeros(system.n)), rel=1e-12
         )
         g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
         x, rep = pcg(system, g_x, threshold=None, max_iter=100)
         assert rep.converged and rep.iterations >= 1
         assert rep.stopping_value <= rep.threshold
         assert rep.threshold == pytest.approx(
-            min(1.0, eps) ** 2 * system.functional(x), rel=1e-6
+            min(1.0, eps) ** 2 * functional(x), rel=1e-6
         )
         _, early = pcg(system, g_x, threshold=None, max_iter=rep.iterations - 1)
         assert not early.converged
@@ -442,8 +447,8 @@ class TestSolveBackward:
     @pytest.mark.parametrize("l", [0, 1])
     def test_normal_operator_reuses_the_test_factor(self, l, monkeypatch):
         # a d=2 solve makes one real sparse factorization, of A_test (G_X's
-        # are complex), and its normal operator neither applies B nor lifts
-        # by G_Y
+        # are complex); nothing applies B, and every Riesz lift is G_X's,
+        # none of them inside the normal operator
         factored, calls, inside = [], [], [False]
         for mod in [m for n, m in sys.modules.items() if n.startswith("backsolve")]:
             if hasattr(mod, "splu"):
@@ -457,7 +462,7 @@ class TestSolveBackward:
         real_normal = LeastSquaresSystem.apply
 
         def normal(self, v):
-            calls.append(("normal", False))
+            calls.append(("normal", None, False))
             inside[0] = True
             try:
                 return real_normal(self, v)
@@ -472,7 +477,7 @@ class TestSolveBackward:
         ]:
 
             def wrapped(self, *args, _real=getattr(owner, name), _name=name):
-                calls.append((_name, inside[0]))
+                calls.append((_name, getattr(self, "norm", None), inside[0]))
                 return _real(self, *args)
 
             monkeypatch.setattr(owner, name, wrapped)
@@ -482,9 +487,9 @@ class TestSolveBackward:
         solve_backward(cfg)
         n_test = space_factors(build_meshes(cfg, 2)[1], l)[4].shape[0]
         assert [shape for shape, cplx in factored if not cplx] == [(n_test, n_test)]
-        assert ("normal", False) in calls
-        assert ("apply_transpose", False) in calls  # B still builds the rhs
-        assert not [call for call in calls if call[1]]
+        assert ("normal", None, False) in calls
+        lifts = {call for call in calls if call[0] != "normal"}
+        assert lifts == {("apply", "X", False)}
 
     @pytest.mark.parametrize(
         "solution, l, passes, n_loads",
