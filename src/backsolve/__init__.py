@@ -9,14 +9,7 @@ from .mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from .operators import (
-    DenseTooLargeError,
-    KroneckerOperator,
-    assemble_B,
-    gram_X,
-    gram_Y,
-    infsup_constant,
-)
+from .operators import DenseTooLargeError, infsup_constant
 from .precond import FactorTooLargeError, RieszPreconditioner, make_G_X, make_G_Y
 from .solver import (
     ErrorReport,
@@ -26,11 +19,10 @@ from .solver import (
     build_system,
     choose_epsilon,
     error_report,
-    fit_rate,
     pcg,
     solve_backward,
 )
-from .cli import main, read_results, run, write_csv
+from .cli import main, run, write_csv
 
 __version__ = "0.1.0"
 
@@ -40,27 +32,21 @@ __all__ = [
     "ErrorReport",
     "ExperimentConfig",
     "FactorTooLargeError",
-    "KroneckerOperator",
     "LeastSquaresSystem",
     "RieszPreconditioner",
     "SolveReport",
     "SpatialMesh",
     "TimeMesh",
-    "assemble_B",
     "build_meshes",
     "build_system",
     "choose_epsilon",
     "error_report",
-    "fit_rate",
-    "gram_X",
-    "gram_Y",
     "infsup_constant",
     "main",
     "make_G_X",
     "make_G_Y",
     "parse_config",
     "pcg",
-    "read_results",
     "refine_uniform",
     "run",
     "solve_backward",

@@ -3,8 +3,8 @@
 Builds every 1-d matrix the space-time operators are composed of: hat mass,
 derivative and stiffness matrices in time, mixed matrices against an
 element-wise Legendre test basis, Lagrange P1/P2 mass and stiffness on
-simplicial meshes (Dirichlet dofs eliminated, not penalized), load
-vectors and L2 projections. Space loads integrate values sampled once at
+simplicial meshes (Dirichlet dofs eliminated, not penalized), and load
+vectors. Space loads integrate values sampled once at
 the points of a cell rule (quad_points), not a function.
 
 Test dof numbering in time is element-major: dof = element*(p+1) + n where n
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import legvander
-from scipy.sparse.linalg import spsolve
 
 from .mesh import SpatialMesh, TimeMesh, _facets
 from .quadrature import gauss_1d_for_degree, triangle_rule
@@ -76,10 +75,6 @@ def time_mass_trial(mesh: TimeMesh) -> sp.csr_matrix:
 def time_stiffness_trial(mesh: TimeMesh) -> sp.csr_matrix:
     ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
     return _element_scatter(ref / mesh.lengths[:, None, None], 1)
-
-
-def time_test_dim(mesh: TimeMesh, test: TimeBasisSpec) -> int:
-    return mesh.n_elements * (test.degree + 1)
 
 
 def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h) -> np.ndarray:
@@ -251,14 +246,6 @@ def space_matrices(
     return mass, stiffness
 
 
-def space_mass(mesh: SpatialMesh, spec: SpaceBasisSpec) -> sp.csr_matrix:
-    return space_matrices(mesh, spec, spec)[0]
-
-
-def space_stiffness(mesh: SpatialMesh, spec: SpaceBasisSpec) -> sp.csr_matrix:
-    return space_matrices(mesh, spec, spec)[1]
-
-
 def _scatter_matrix(dm: DofMap) -> sp.csr_matrix:
     """0/1 matrix summing flattened (cell, local slot) values into dofs.
 
@@ -300,22 +287,6 @@ def integrate_squared(mesh: SpatialMesh, values, degree: int) -> float:
     return float(np.einsum("c,q,cq->", vol, w, fq**2))
 
 
-def l2_projection(
-    mesh: SpatialMesh, spec: SpaceBasisSpec, g, quad_degree: int | None = None
-) -> np.ndarray:
-    """Coefficients of the L2 projection of g onto the space."""
-    if quad_degree is None:
-        quad_degree = 2 * spec.degree + 2
-    m = space_mass(mesh, spec)
-    if m.shape[0] == 0:
-        return np.zeros(0)
-    rhs = space_load(mesh, spec, g(quad_points(mesh, quad_degree)), quad_degree)
-    coeffs = spsolve(m.tocsc(), rhs)
-    if not np.all(np.isfinite(coeffs)):
-        raise RuntimeError("mass solve produced non-finite values")
-    return np.atleast_1d(coeffs)
-
-
 def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.ndarray:
     """Time load t_c[(e,n)] = h_e sum_q w_q source(t_eq) psi_{e,n}(s_q).
 
@@ -342,10 +313,6 @@ class FEField:
     mesh: SpatialMesh
     spec: SpaceBasisSpec
     coeffs: np.ndarray
-
-    def l2_norm(self) -> float:
-        m = space_mass(self.mesh, self.spec)
-        return float(np.sqrt(self.coeffs @ (m @ self.coeffs)))
 
 
 def _slot_coeffs(dm: DofMap, coeffs: np.ndarray, axis: int) -> np.ndarray:

@@ -197,26 +197,6 @@ def write_csv(path: str, header: list, rows: list) -> None:
             writer.writerow([_fmt(row[name]) for name in header])
 
 
-def _parse_cell(cell: str):
-    try:
-        return int(cell)
-    except ValueError:
-        pass
-    try:
-        return float(cell)
-    except ValueError:
-        return cell
-
-
-def read_results(path: str):
-    """Parse a results file back into (header, rows); exact float round-trip."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [dict(zip(header, map(_parse_cell, line))) for line in reader]
-    return header, rows
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="backsolve",

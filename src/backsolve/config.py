@@ -20,6 +20,9 @@ EXPERIMENTS = (
 )
 EPSILON_STRATEGIES = ("plain", "data-aware", "explicit")
 SOLUTIONS = ("cubic", "decay", "zero")
+_FLOAT_FIELDS = (
+    "T", "L", "epsilon_values", "target_norm", "amplitude", "slice_times", "threshold"
+)
 
 
 @dataclass
@@ -49,6 +52,12 @@ class ExperimentConfig:
             )
         if self.d not in (1, 2):
             raise ValueError("d must be 1 or 2")
+        # every range check below is False for NaN, so finiteness comes first
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(v is not None and not math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.T <= 0.0:
             raise ValueError("T must be positive")
         if self.L is None:

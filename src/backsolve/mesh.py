@@ -157,18 +157,6 @@ def boundary_flags_from_cells(dimension: int, vertices, cells) -> np.ndarray:
     return flags
 
 
-def check_conforming(mesh: SpatialMesh) -> None:
-    """Every facet must bound one cell (boundary) or exactly two (interior)."""
-    facets, _, counts = _facets(mesh)
-    bad = np.logical_or(counts < 1, counts > 2)
-    if np.any(bad):
-        raise ValueError(f"non-conforming mesh: facets with counts {counts[bad]}")
-    flags = np.zeros(mesh.n_vertices, dtype=bool)
-    flags[np.unique(facets[counts == 1])] = True
-    if not np.array_equal(flags, mesh.boundary_vertex_flags):
-        raise ValueError("stored boundary flags disagree with facet incidence")
-
-
 def unit_square_initial() -> SpatialMesh:
     """(0,1)^2 cut along its diagonals: 4 triangles around the center vertex."""
     vertices = np.array(
@@ -231,12 +219,3 @@ def refine_uniform(mesh: SpatialMesh, n: int) -> SpatialMesh:
     flags = boundary_flags_from_cells(mesh.dimension, vertices, cells)
     return SpatialMesh(mesh.dimension, vertices, cells, flags)
 
-
-def dump_mesh(mesh: SpatialMesh) -> str:
-    """Plain text dump: one 'v x [y]' line per vertex, one 'c i j [k]' per cell."""
-    lines = []
-    for xy in mesh.vertices:
-        lines.append("v " + " ".join(repr(float(x)) for x in xy))
-    for cell in mesh.cells:
-        lines.append("c " + " ".join(str(int(i)) for i in cell))
-    return "\n".join(lines) + "\n"

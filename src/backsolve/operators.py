@@ -1,9 +1,11 @@
-"""Space-time operators composed from 1-d factors, applied matrix-free.
+"""Space-time operators composed from 1-d factors, and the inf-sup constant.
 
 A space-time coefficient vector is the row-major flattening of a
 (time dofs) x (space dofs) array, so a tensor-product operator acts by
-multiplying a reshaped vector from both sides. Dense materialization is a
-test/oracle facility only; runtime code must use apply().
+multiplying a reshaped vector from both sides. space_factors assembles a
+level's space matrices once. infsup_constant forms the two dense normal
+matrices of its pencil through the space-time energy identity, not
+through B.
 """
 
 from __future__ import annotations
@@ -37,14 +39,6 @@ def test_space_spec(l: int) -> SpaceBasisSpec:
     return SpaceBasisSpec(1 + l, dirichlet=True)
 
 
-def _to_dense(factor) -> np.ndarray:
-    if hasattr(factor, "toarray"):
-        return factor.toarray()
-    if hasattr(factor, "to_dense"):
-        return factor.to_dense()
-    return np.asarray(factor)
-
-
 def sparse_lu(mat: sp.spmatrix, what: str):
     """Sparse LU with a low-fill ordering; `what` names the matrix in errors.
 
@@ -56,28 +50,6 @@ def sparse_lu(mat: sp.spmatrix, what: str):
         return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
     except RuntimeError as exc:
         raise RuntimeError(f"{what} factorization failed: {exc}") from exc
-
-
-class MassSolveMass:
-    """Symmetric spatial factor M A^{-1} M with a cached factorization of A."""
-
-    def __init__(self, mass: sp.spmatrix, stiffness: sp.spmatrix):
-        if mass.shape != stiffness.shape:
-            raise ValueError("mass/stiffness shape mismatch")
-        self.shape = mass.shape
-        self._mass = mass.tocsr()
-        self._lu = sparse_lu(stiffness, "stiffness")
-
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        w = self._lu.solve(np.asarray(self._mass @ other))
-        return self._mass @ w
-
-    @property
-    def T(self) -> "MassSolveMass":
-        return self
-
-    def to_dense(self) -> np.ndarray:
-        return self @ np.eye(self.shape[1])
 
 
 class KroneckerOperator:
@@ -112,20 +84,6 @@ class KroneckerOperator:
             out += np.asarray(s.T @ np.asarray(t.T @ mat).T).T
         return out.ravel()
 
-    def to_dense(self) -> np.ndarray:
-        """Materialized matrix; test/oracle use only (it is dense and large)."""
-        out = np.zeros(self.shape)
-        for t, s in self.terms:
-            out += np.kron(_to_dense(t), _to_dense(s))
-        return out
-
-
-class GramOperator(KroneckerOperator):
-    """KroneckerOperator that realizes an inner product (SPD on its space)."""
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u) @ self.apply(v))
-
 
 def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
     """Space matrices of the operators at test enrichment l.
@@ -147,6 +105,8 @@ def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
     return m, a, m_mix, a_mix, a_test
 
 
+# no solve or study applies B; tests/reference.py builds its B route from it,
+# and perfbench's tracer resolves this name
 def assemble_B(
     time_mesh: TimeMesh, m_mix: sp.csr_matrix, a_mix: sp.csr_matrix
 ) -> KroneckerOperator:
@@ -159,26 +119,6 @@ def assemble_B(
     d_t = time_derivative_mixed(time_mesh, TEST_TIME)
     n_t = time_mass_mixed(time_mesh, TEST_TIME)
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])
-
-
-def gram_Y(time_mesh: TimeMesh, space_mesh: SpatialMesh, l: int) -> GramOperator:
-    """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
-    a_test = space_factors(space_mesh, l)[4]
-    eye_t = sp.identity(
-        time_mesh.n_elements * (TEST_TIME.degree + 1), format="csr"
-    )
-    return GramOperator([(eye_t, a_test)])
-
-
-def gram_X(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> GramOperator:
-    """Trial-space Gram: L2-in-time x H1_0 plus H1-in-time x dual-H1 factor."""
-    m, a = space_factors(space_mesh, 0)[:2]
-    return GramOperator(
-        [
-            (time_mass_trial(time_mesh), a),
-            (time_stiffness_trial(time_mesh), MassSolveMass(m, a)),
-        ]
-    )
 
 
 class DenseTooLargeError(MemoryError):
@@ -202,25 +142,30 @@ def check_dense_fits(n: int, arrays: int, what: str) -> None:
         )
 
 
-def _normal_matrix_dense(time_mesh: TimeMesh, m_mix, a_mix, a_test) -> np.ndarray:
-    """Dense Bt G_Y B on the trial space via the tensor identity
+def _normal_matrices_dense(time_mesh: TimeMesh, space) -> tuple[np.ndarray, ...]:
+    """Dense Bt G_Y B at l = 0 and at l = 1 through the energy identity
 
-        sum_{a,b} (T_a^T T_b) kron (S_a^T A_test^{-1} S_b),
+        Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
+                   + (e_T e_T^T - e_0 e_0^T) x M
 
-    which never forms the (much larger) test-space matrices as a Kronecker
-    product. Space matrices as from space_factors; desk-scale meshes only.
+    of backsolve.solver. Only the first term depends on l; at l = 0 the
+    test space is P1, so M_mix = M and A_test = A. space is
+    space_factors(space_mesh, 1), whose P1 pair serves l = 0. At most three
+    dense n x n arrays are alive at once; desk-scale meshes only.
     """
-    b_op = assemble_B(time_mesh, m_mix, a_mix)
-    lu = sparse_lu(a_test, "test stiffness")
-    space_parts = [s.toarray() for _, s in b_op.terms]
-    solved = [lu.solve(s) for s in space_parts]
-    time_factors = [t.toarray() for t, _ in b_op.terms]
-    n = b_op.shape[1]
-    out = np.zeros((n, n))
-    for ta, sa in zip(time_factors, space_parts):
-        for tb, sb in zip(time_factors, solved):
-            out += np.kron(ta.T @ tb, sa.T @ sb)
-    return out
+    m, a, m_mix, _, a_test = space
+    k_t = time_stiffness_trial(time_mesh).toarray()
+    shared = np.kron(time_mass_trial(time_mesh).toarray(), a.toarray())
+    n_t, n_x = k_t.shape[0], m.shape[0]
+    blocks = shared.reshape(n_t, n_x, n_t, n_x)  # (time, space) x (time, space)
+    blocks[-1, :, -1] += m.toarray()
+    blocks[0, :, 0] -= m.toarray()
+    normal = []
+    for mass, stiffness in ((m, a), (m_mix, a_test)):
+        solved = sparse_lu(stiffness, "test stiffness").solve(mass.toarray())
+        normal.append(np.kron(k_t, mass.T @ solved))
+        normal[-1] += shared
+    return tuple(normal)
 
 
 def infsup_constant(
@@ -229,7 +174,8 @@ def infsup_constant(
     """Stability constant of the small test space relative to the enriched one.
 
     Square root of the smallest generalized eigenvalue of the pencil formed by
-    the two normal matrices. Dense eigensolve; diagnostic, not runtime.
+    the two normal matrices, both from the energy identity. Dense
+    eigensolve; diagnostic, not runtime.
     """
     if l_small > l_big:
         raise ValueError("l_small must not exceed l_big")
@@ -240,10 +186,7 @@ def infsup_constant(
     # the two normal matrices, plus the working copies eigh makes of them
     n = time_mesh.breakpoints.size * space_dof_map(space_mesh, TRIAL_SPACE).n_dofs
     check_dense_fits(n, 4, "infsup_constant")
-    # the l = 1 factors hold the P1 pair that the l = 0 test space uses
-    m, a, m_mix, a_mix, a_test = space_factors(space_mesh, 1)
-    small = _normal_matrix_dense(time_mesh, m, a, a)
-    big = _normal_matrix_dense(time_mesh, m_mix, a_mix, a_test)
+    small, big = _normal_matrices_dense(time_mesh, space_factors(space_mesh, 1))
     try:
         eigvals = scipy.linalg.eigh(small, big, eigvals_only=True)
     except scipy.linalg.LinAlgError as exc:
@@ -253,11 +196,3 @@ def infsup_constant(
         ) from exc
     return float(np.sqrt(max(eigvals[0], 0.0)))
 
-
-def dense_from_apply(apply, n_cols: int) -> np.ndarray:
-    """Materialize a linear map column-by-column; test/oracle helper."""
-    cols = []
-    eye = np.eye(n_cols)
-    for j in range(n_cols):
-        cols.append(apply(eye[:, j]))
-    return np.stack(cols, axis=1)

@@ -2,8 +2,8 @@
 
 Triangle rules return barycentric points and weights summing to 1, so
 integral over a cell K = area(K) * sum(w * f(x)). Tabulated symmetric rules
-cover degree <= 6; higher degrees fall back to a tensor rule under the
-collapsed-square (Duffy) map.
+cover degree <= 5, the highest any assembly or quadrature asks for; a
+higher degree is refused.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ def gauss_1d_for_degree(degree: int) -> tuple[np.ndarray, np.ndarray]:
 def _orbit3(a: float) -> np.ndarray:
     b = 1.0 - 2.0 * a
     return np.array([[b, a, a], [a, b, a], [a, a, b]])
-
-
-def _orbit6(a: float, b: float) -> np.ndarray:
-    c = 1.0 - a - b
-    return np.array(
-        [[a, b, c], [a, c, b], [b, a, c], [b, c, a], [c, a, b], [c, b, a]]
-    )
-
-
-_TRIANGLE_TABLE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _build_triangle_table():
@@ -63,21 +53,6 @@ def _build_triangle_table():
         ]
     )
     t[5] = (pts, w)
-    pts = np.vstack(
-        [
-            _orbit3(0.249286745170910),
-            _orbit3(0.063089014491502),
-            _orbit6(0.310352451033785, 0.636502499121399),
-        ]
-    )
-    w = np.concatenate(
-        [
-            np.full(3, 0.116786275726379),
-            np.full(3, 0.050844906370207),
-            np.full(6, 0.082851075618374),
-        ]
-    )
-    t[6] = (pts, w)
     t[3] = t[4]
     return t
 
@@ -85,24 +60,13 @@ def _build_triangle_table():
 _TRIANGLE_TABLE = _build_triangle_table()
 
 
-def _triangle_duffy(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # f(u, v(1-u))*(1-u) on the square: degree+1 in u, degree in v
-    n = degree // 2 + 2
-    xu, wu = gauss_1d(n)
-    xv, wv = gauss_1d(n)
-    u = np.repeat(xu, n)
-    v = np.tile(xv, n)
-    x = u
-    y = v * (1.0 - u)
-    w = 2.0 * np.repeat(wu, n) * np.tile(wv, n) * (1.0 - u)
-    bary = np.stack([1.0 - x - y, x, y], axis=1)
-    return bary, w
-
-
 def triangle_rule(degree: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule exact for total polynomial degree `degree` on a triangle."""
     if degree < 1:
         degree = 1
-    if degree in _TRIANGLE_TABLE:
-        return _TRIANGLE_TABLE[degree]
-    return _triangle_duffy(degree)
+    if degree not in _TRIANGLE_TABLE:
+        raise ValueError(
+            f"no triangle rule of degree {degree}; the highest tabulated "
+            f"degree is {max(_TRIANGLE_TABLE)}"
+        )
+    return _TRIANGLE_TABLE[degree]

@@ -475,17 +475,6 @@ def error_report(
     return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq), coeffs.size)
 
 
-def fit_rate(dofs, errors) -> float:
-    """Log-log least-squares slope of error against degrees of freedom."""
-    dofs = np.asarray(dofs, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if dofs.size < 3:
-        raise ValueError("need at least 3 points to fit a rate")
-    if np.any(dofs <= 0.0) or np.any(errors <= 0.0):
-        raise ValueError("rate fit needs positive dofs and errors")
-    return float(np.polyfit(np.log(dofs), np.log(errors), 1)[0])
-
-
 def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
     """Level-k mesh pair for an experiment configuration.
 

@@ -1,16 +1,115 @@
-"""The least-squares data the long way: through B and the test-space lift.
+"""References the solver and the studies do not run, to check them against.
 
-The solver builds its right-hand side and J(0) from one time load and one
-test stiffness solve, and never forms the functional. This module keeps the
-route they replaced, as the reference to check them against: the discrete
-form B applied to coefficients, and the test-space Riesz lift, which
-inverts the test Gram (identity in time x test stiffness A_test).
+src/backsolve holds what a solve or a study runs. This module holds what
+only the tests call: the B route of the data and the functional (B applied
+to coefficients, and the test-space Riesz lift, which inverts the test Gram,
+identity in time x A_test), the inf-sup normal matrix through B, the trial
+and test Grams as Kronecker operators with their dense forms, the conformity
+check of a mesh, the log-log rate fit and the CSV reader.
 """
 
-import numpy as np
+import csv
 
-from backsolve.operators import assemble_B, sparse_lu, space_factors
+import numpy as np
+import scipy.sparse as sp
+
+from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
+from backsolve.mesh import _facets
+from backsolve.operators import TEST_TIME, KroneckerOperator, assemble_B
+from backsolve.operators import sparse_lu, space_factors
 from backsolve.solver import manufactured_data
+
+
+def space_mass(mesh, spec):
+    return space_matrices(mesh, spec, spec)[0]
+
+
+def space_stiffness(mesh, spec):
+    return space_matrices(mesh, spec, spec)[1]
+
+
+# ------------------------------------------------ Grams and dense forms ----
+
+
+class MassSolveMass:
+    """Symmetric spatial factor M A^{-1} M with a cached factorization of A."""
+
+    def __init__(self, mass, stiffness):
+        if mass.shape != stiffness.shape:
+            raise ValueError("mass/stiffness shape mismatch")
+        self.shape = mass.shape
+        self._mass = mass.tocsr()
+        self._lu = sparse_lu(stiffness, "stiffness")
+
+    def __matmul__(self, other):
+        w = self._lu.solve(np.asarray(self._mass @ other))
+        return self._mass @ w
+
+    @property
+    def T(self):
+        return self
+
+    def to_dense(self):
+        return self @ np.eye(self.shape[1])
+
+
+def gram_Y(time_mesh, space_mesh, l):
+    """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
+    a_test = space_factors(space_mesh, l)[4]
+    eye_t = sp.identity(time_mesh.n_elements * (TEST_TIME.degree + 1), format="csr")
+    return KroneckerOperator([(eye_t, a_test)])
+
+
+def gram_X(time_mesh, space_mesh):
+    """Trial-space Gram: L2-in-time x H1_0 plus H1-in-time x dual-H1 factor."""
+    m, a = space_factors(space_mesh, 0)[:2]
+    return KroneckerOperator(
+        [
+            (time_mass_trial(time_mesh), a),
+            (time_stiffness_trial(time_mesh), MassSolveMass(m, a)),
+        ]
+    )
+
+
+def dense(op):
+    """Materialized matrix of a KroneckerOperator: the sum of its np.kron terms.
+
+    Time factors are sparse; a space factor is sparse or a MassSolveMass.
+    """
+    out = np.zeros(op.shape)
+    for t, s in op.terms:
+        s_dense = s.to_dense() if isinstance(s, MassSolveMass) else s.toarray()
+        out += np.kron(t.toarray(), s_dense)
+    return out
+
+
+def dense_from_apply(apply, n_cols):
+    """Materialize a linear map column by column."""
+    return np.stack([apply(col) for col in np.eye(n_cols)], axis=1)
+
+
+def normal_matrix_b_route(time_mesh, m_mix, a_mix, a_test):
+    """Dense Bt G_Y B on the trial space via the tensor identity
+
+        sum_{a,b} (T_a^T T_b) kron (S_a^T A_test^{-1} S_b),
+
+    which never forms the (much larger) test-space matrices as a Kronecker
+    product. Space matrices as from space_factors; desk-scale meshes only.
+    """
+    b_op = assemble_B(time_mesh, m_mix, a_mix)
+    lu = sparse_lu(a_test, "test stiffness")
+    space_parts = [s.toarray() for _, s in b_op.terms]
+    solved = [lu.solve(s) for s in space_parts]
+    time_factors = [t.toarray() for t, _ in b_op.terms]
+    n = b_op.shape[1]
+    out = np.zeros((n, n))
+    for ta, sa in zip(time_factors, space_parts):
+        for tb, sb in zip(time_factors, solved):
+            out += np.kron(ta.T @ tb, sa.T @ sb)
+    return out
+
+
+# ------------------------------------------------------ the B route data ----
 
 
 def y_lift(a_test):
@@ -69,3 +168,49 @@ def b_route(time_mesh, space_mesh, l, reg_epsilon, solution, perturbation=None):
     """BRoute of the data build_system reads from solution and perturbation."""
     data = system_data(time_mesh, space_mesh, l, solution, perturbation)
     return BRoute(time_mesh, space_mesh, l, reg_epsilon, *data)
+
+
+# ------------------------------------------------ meshes, rates, results ----
+
+
+def check_conforming(mesh):
+    """Every facet must bound one cell (boundary) or exactly two (interior)."""
+    facets, _, counts = _facets(mesh)
+    bad = np.logical_or(counts < 1, counts > 2)
+    if np.any(bad):
+        raise ValueError(f"non-conforming mesh: facets with counts {counts[bad]}")
+    flags = np.zeros(mesh.n_vertices, dtype=bool)
+    flags[np.unique(facets[counts == 1])] = True
+    if not np.array_equal(flags, mesh.boundary_vertex_flags):
+        raise ValueError("stored boundary flags disagree with facet incidence")
+
+
+def fit_rate(dofs, errors):
+    """Log-log least-squares slope of error against degrees of freedom."""
+    dofs = np.asarray(dofs, dtype=float)
+    errors = np.asarray(errors, dtype=float)
+    if dofs.size < 3:
+        raise ValueError("need at least 3 points to fit a rate")
+    if np.any(dofs <= 0.0) or np.any(errors <= 0.0):
+        raise ValueError("rate fit needs positive dofs and errors")
+    return float(np.polyfit(np.log(dofs), np.log(errors), 1)[0])
+
+
+def _parse_cell(cell):
+    try:
+        return int(cell)
+    except ValueError:
+        pass
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def read_results(path):
+    """Parse a results file back into (header, rows); exact float round-trip."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [dict(zip(header, map(_parse_cell, line))) for line in reader]
+    return header, rows

@@ -1,30 +1,25 @@
-"""Element matrices in time and space, loads, projections, FE fields."""
+"""Element matrices in time and space, and loads."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from backsolve.assembly import (
-    FEField,
     SpaceBasisSpec,
     TimeBasisSpec,
     _accumulate,
     _cell_rule,
     integrate_squared,
-    l2_projection,
     load_vector_f,
     quad_points,
     ref_shapes,
     space_dof_map,
     space_load,
-    space_mass,
     space_matrices,
-    space_stiffness,
     time_derivative_mixed,
     time_mass_mixed,
     time_mass_trial,
     time_stiffness_trial,
-    time_test_dim,
 )
 from backsolve.mesh import (
     SpatialMesh,
@@ -39,6 +34,7 @@ from backsolve.mesh import (
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
 from backsolve.quadrature import gauss_1d_for_degree
+from reference import space_mass, space_stiffness
 
 TEST_TIME = TimeBasisSpec(degree=1)
 
@@ -78,12 +74,6 @@ class TestTimeTrialMatrices:
 
 
 class TestTimeTestBasis:
-    def test_dimension(self):
-        tm = uniform_time_mesh(0.0, 1.0, 2)
-        assert time_test_dim(tm, TEST_TIME) == 4 * 2
-        p0 = TimeBasisSpec(degree=0)
-        assert time_test_dim(tm, p0) == 4
-
     def test_orthonormal_on_element(self):
         # scaled Legendre pair integrates to the identity gram matrix
         h = 0.5
@@ -287,12 +277,6 @@ class TestSpaceMatrices:
         assert lam >= np.pi**2
         assert lam == pytest.approx(np.pi**2, rel=1e-2)
 
-    def test_mixed_equal_degree_matches_square(self):
-        m = refine_uniform(unit_square_initial(), 1)
-        Mmix, Amix = space_matrices(m, P1_DIRICHLET, P1_DIRICHLET)
-        assert np.max(np.abs(Mmix - space_mass(m, P1_DIRICHLET))) <= 1e-14
-        assert np.max(np.abs(Amix - space_stiffness(m, P1_DIRICHLET))) <= 1e-14
-
     def test_mixed_enriched_shapes(self):
         m = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~m.boundary_vertex_flags).sum())
@@ -393,9 +377,6 @@ def test_space_matrices_are_bitwise_the_per_pair_assembly(mesh, pair, dirichlet)
         assert mat.shape == want.shape
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(mat, name), getattr(want, name))
-    if test == trial:
-        assert np.array_equal(space_mass(m, test).data, got[0].data)
-        assert np.array_equal(space_stiffness(m, test).data, got[1].data)
 
 
 @pytest.mark.parametrize("mesh", REFERENCE_MESHES)
@@ -405,7 +386,7 @@ def test_mesh_geometry_is_bitwise_the_earlier_one(mesh):
         assert np.array_equal(got, want)
 
 
-class TestLoadsAndProjections:
+class TestLoads:
     def test_space_load_constant(self):
         # integrating hats against 1 reproduces the mass row sums
         m = refine_uniform(unit_square_initial(), 1)
@@ -433,63 +414,8 @@ class TestLoadsAndProjections:
         assert np.allclose(F[:n_x], 0.5 * b, atol=1e-14)
         assert np.allclose(F[n_x:], b / (2.0 * np.sqrt(3.0)), atol=1e-14)
 
-    def test_projection_recovers_fe_function(self):
-        # projecting a member of the space returns its own coefficients
-        m = unit_interval_mesh(8)
-        rng = np.random.default_rng(3)
-        free = ~m.boundary_vertex_flags
-        coeffs = rng.standard_normal(int(free.sum()))
-        full = np.zeros(m.n_vertices)
-        full[free] = coeffs
-        order = np.argsort(m.vertices[:, 0])
-
-        def g(points):
-            return np.interp(points[:, 0], m.vertices[order, 0], full[order])
-
-        recovered = l2_projection(m, P1_DIRICHLET, g)
-        assert np.max(np.abs(recovered - coeffs)) <= 1e-12
-
-    def test_projection_sine_converges(self):
-        # nodal comparison: the L2 projection of sin(pi x) is O(h^2) close
-        errs = []
-        for n in (8, 16):
-            m = unit_interval_mesh(n)
-            c = l2_projection(
-                m, P1_DIRICHLET, lambda p: np.sin(np.pi * p[:, 0])
-            )
-            nodes = m.vertices[~m.boundary_vertex_flags][:, 0]
-            errs.append(np.max(np.abs(c - np.sin(np.pi * nodes))))
-        assert errs[1] <= errs[0] / 3.0
-
-    def test_projection_zero(self):
-        m = unit_interval_mesh(4)
-        c = l2_projection(m, P1_DIRICHLET, lambda p: np.zeros(len(p)))
-        assert np.allclose(c, 0.0, atol=1e-15)
-
-    def test_projection_empty_space(self):
-        m = unit_interval_mesh(1)
-        c = l2_projection(m, P1_DIRICHLET, lambda p: np.ones(len(p)))
-        assert c.shape == (0,)
-
     def test_integrate_squared(self):
         m = unit_interval_mesh(16)
         val = integrate_squared(m, np.sin(np.pi * quad_points(m, 6)[:, 0]), degree=6)
         assert val == pytest.approx(0.5, rel=1e-6)
 
-    def test_fe_field_l2_norm(self):
-        m = unit_interval_mesh(8)
-        free = ~m.boundary_vertex_flags
-        coeffs = m.vertices[free][:, 0]
-        field = FEField(m, P1_DIRICHLET, coeffs)
-        # the field is x away from the last element, where elimination of
-        # the boundary dof bends it back to 0; quadrature is the reference
-        full = np.zeros(m.n_vertices)
-        full[free] = coeffs
-        order = np.argsort(m.vertices[:, 0])
-        x = quad_points(m, 4)[:, 0]
-        ref = np.sqrt(
-            integrate_squared(
-                m, np.interp(x, m.vertices[order, 0], full[order]), degree=4
-            )
-        )
-        assert field.l2_norm() == pytest.approx(ref, rel=1e-12)

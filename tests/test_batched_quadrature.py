@@ -28,8 +28,6 @@ from backsolve.assembly import (
     ref_shapes,
     space_dof_map,
     space_load,
-    space_mass,
-    space_stiffness,
 )
 from backsolve.mesh import (
     TimeMesh,
@@ -44,7 +42,6 @@ from backsolve.operators import (
     TRIAL_SPACE,
     DenseTooLargeError,
     check_dense_fits,
-    gram_X,
     infsup_constant,
     space_factors,
 )
@@ -60,7 +57,7 @@ from backsolve.solver import (
     manufactured_data,
     nodal_interpolant,
 )
-from reference import BRoute
+from reference import BRoute, gram_X, space_mass, space_stiffness
 
 RTOL = 1e-12
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from backsolve import cli
-from backsolve.cli import main, read_results, run, write_csv
+from backsolve.cli import main, run, write_csv
 from backsolve.config import ExperimentConfig, parse_config
 from backsolve.solver import solve_backward
+from reference import read_results
 
 FAST_CONVERGENCE = """
 experiment = convergence

