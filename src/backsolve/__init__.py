@@ -9,7 +9,6 @@ from .mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from .operators import DenseTooLargeError, infsup_constant
 from .precond import FactorTooLargeError, RieszPreconditioner, make_G_X, make_G_Y
 from .solver import (
     ErrorReport,
@@ -19,6 +18,7 @@ from .solver import (
     build_system,
     choose_epsilon,
     error_report,
+    infsup_constant,
     pcg,
     solve_backward,
 )
@@ -28,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "DenseTooLargeError",
     "ErrorReport",
     "ExperimentConfig",
     "FactorTooLargeError",

@@ -308,10 +308,8 @@ def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.n
 
 @dataclass(frozen=True)
 class FEField:
-    """Spatial finite element function given by coefficients."""
+    """Nodal trial-space function given by its coefficients."""
 
-    mesh: SpatialMesh
-    spec: SpaceBasisSpec
     coeffs: np.ndarray
 
 

@@ -2,7 +2,7 @@
 
 Each experiment maps a refinement-level range to CSV rows: the convergence,
 interval-length and perturbation studies run the backward solver on each of
-their variant configs per level, the inf-sup study runs the dense
+their variant configs per level, the inf-sup study runs the matrix-free
 eigensolve, and the stability-oracle study evaluates the closed-form
 spectral checks. Column sets are fixed per experiment; a solving study
 writes one suffixed group of the same columns per variant. Floats are
@@ -20,7 +20,6 @@ from dataclasses import replace
 from functools import partial
 
 from .config import ExperimentConfig, parse_config
-from .operators import infsup_constant
 from .oracle import (
     SpectralField,
     check_hbeta_stability,
@@ -30,7 +29,7 @@ from .oracle import (
     random_spectral_fields,
     single_mode_hbeta_ratio_exact,
 )
-from .solver import build_meshes, solve_backward, trial_dofs
+from .solver import build_meshes, infsup_constant, solve_backward, trial_dofs
 
 import numpy as np
 

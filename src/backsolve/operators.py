@@ -1,11 +1,9 @@
-"""Space-time operators composed from 1-d factors, and the inf-sup constant.
+"""Space-time operators composed from 1-d factors.
 
 A space-time coefficient vector is the row-major flattening of a
 (time dofs) x (space dofs) array, so a tensor-product operator acts by
 multiplying a reshaped vector from both sides. space_factors assembles a
-level's space matrices once. infsup_constant forms the two dense normal
-matrices of its pencil through the space-time energy identity, not
-through B.
+level's space matrices once, for the solve and the inf-sup study alike.
 """
 
 from __future__ import annotations
@@ -13,19 +11,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (
     SpaceBasisSpec,
     TimeBasisSpec,
-    space_dof_map,
     space_matrices,
     time_derivative_mixed,
     time_mass_mixed,
-    time_mass_trial,
-    time_stiffness_trial,
 )
 from .mesh import SpatialMesh, TimeMesh
 
@@ -121,78 +115,6 @@ def assemble_B(
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])
 
 
-class DenseTooLargeError(MemoryError):
-    """A dense n x n float64 working set would exceed physical memory."""
-
-
 def physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def check_dense_fits(n: int, arrays: int, what: str) -> None:
-    """Raise DenseTooLargeError before `arrays` dense n x n float64 arrays
-    are allocated if together they exceed the machine's physical memory."""
-    need = arrays * n * n * 8
-    have = physical_memory()
-    if need > have:
-        raise DenseTooLargeError(
-            f"{what} needs {arrays} dense {n} x {n} arrays, {need:,} bytes, "
-            f"more than the {have:,} bytes of physical memory"
-        )
-
-
-def _normal_matrices_dense(time_mesh: TimeMesh, space) -> tuple[np.ndarray, ...]:
-    """Dense Bt G_Y B at l = 0 and at l = 1 through the energy identity
-
-        Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
-                   + (e_T e_T^T - e_0 e_0^T) x M
-
-    of backsolve.solver. Only the first term depends on l; at l = 0 the
-    test space is P1, so M_mix = M and A_test = A. space is
-    space_factors(space_mesh, 1), whose P1 pair serves l = 0. At most three
-    dense n x n arrays are alive at once; desk-scale meshes only.
-    """
-    m, a, m_mix, _, a_test = space
-    k_t = time_stiffness_trial(time_mesh).toarray()
-    shared = np.kron(time_mass_trial(time_mesh).toarray(), a.toarray())
-    n_t, n_x = k_t.shape[0], m.shape[0]
-    blocks = shared.reshape(n_t, n_x, n_t, n_x)  # (time, space) x (time, space)
-    blocks[-1, :, -1] += m.toarray()
-    blocks[0, :, 0] -= m.toarray()
-    normal = []
-    for mass, stiffness in ((m, a), (m_mix, a_test)):
-        solved = sparse_lu(stiffness, "test stiffness").solve(mass.toarray())
-        normal.append(np.kron(k_t, mass.T @ solved))
-        normal[-1] += shared
-    return tuple(normal)
-
-
-def infsup_constant(
-    time_mesh: TimeMesh, space_mesh: SpatialMesh, l_small: int, l_big: int
-) -> float:
-    """Stability constant of the small test space relative to the enriched one.
-
-    Square root of the smallest generalized eigenvalue of the pencil formed by
-    the two normal matrices, both from the energy identity. Dense
-    eigensolve; diagnostic, not runtime.
-    """
-    if l_small > l_big:
-        raise ValueError("l_small must not exceed l_big")
-    if l_small == l_big:
-        return 1.0
-    if (l_small, l_big) != (0, 1):
-        raise ValueError("test space enrichment l must be 0 or 1")
-    # the two normal matrices, plus the working copies eigh makes of them
-    n = time_mesh.breakpoints.size * space_dof_map(space_mesh, TRIAL_SPACE).n_dofs
-    check_dense_fits(n, 4, "infsup_constant")
-    small, big = _normal_matrices_dense(time_mesh, space_factors(space_mesh, 1))
-    try:
-        eigvals = scipy.linalg.eigh(small, big, eigvals_only=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise RuntimeError(
-            "enriched normal matrix is singular: the space-time form lost "
-            "injectivity, which points at an assembly bug"
-        ) from exc
-    return float(np.sqrt(max(eigvals[0], 0.0)))
-

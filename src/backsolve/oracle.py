@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FEField, SpaceBasisSpec, space_dof_map
-from .mesh import SpatialMesh
+from .assembly import FEField
 
 _EXP_LIMIT = math.log(1e300)
 
@@ -342,17 +341,15 @@ def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralFie
     return SpectralField(d, np.array([[n] * d]), np.array([coeff]))
 
 
-def random_perturbation(
-    space_mesh: SpatialMesh, spec: SpaceBasisSpec, mass, target_norm: float, seed
-) -> FEField:
+def random_perturbation(mass, target_norm: float, seed) -> FEField:
     """Random nodal field rescaled to an exact L2(Omega) norm; mass is the
-    space's mass matrix."""
+    space's mass matrix, whose order is the number of dofs."""
     if target_norm <= 0.0:
         raise ValueError("target_norm must be positive")
-    n = space_dof_map(space_mesh, spec).n_dofs
+    n = mass.shape[0]
     if n == 0:
         raise ValueError("space has no dofs to perturb")
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, n)
     nrm = math.sqrt(float(coeffs @ (mass @ coeffs)))
-    return FEField(space_mesh, spec, coeffs * (target_norm / nrm))
+    return FEField(coeffs * (target_norm / nrm))

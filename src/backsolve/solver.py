@@ -36,6 +36,12 @@ from one A_test solve and one sample of phi. The minimizer is found by
 preconditioned conjugate residuals stopped once the lifted residual
 r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares functional.
 Error reporting compares against manufactured solutions.
+
+The inf-sup constant of the P1 test space against the P2 one comes from
+the same operator: at reg_epsilon = 0, S - e_T e_T^T x M is Bt G_Y B, so
+each side of the pencil (Bt G_Y,0 B, Bt G_Y,1 B) is a normal operator of
+build_system with its end trace taken back off, and LOBPCG, preconditioned
+by the G_X lift, finds the pencil's smallest eigenvalue matrix-free.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .assembly import (
     QUAD_ORDER,
@@ -321,6 +328,63 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     return x, report
 
 
+# LOBPCG in infsup_constant: the bound on the returned eigenpair's residual
+# (x normalized in the enriched side's norm), the iteration cap, the block size
+INFSUP_TOL = 1e-10
+INFSUP_MAX_ITER = 200
+INFSUP_BLOCK = 4
+
+
+def infsup_constant(
+    time_mesh: TimeMesh, space_mesh: SpatialMesh, l_small: int, l_big: int
+) -> float:
+    """Square root of the smallest eigenvalue of the inf-sup pencil (module
+    docstring) by LOBPCG from a seeded start block; below 5 block sizes scipy
+    solves densely instead. A residual above INFSUP_TOL raises RuntimeError."""
+    if l_small > l_big:
+        raise ValueError("l_small must not exceed l_big")
+    if l_small == l_big:
+        return 1.0
+    if (l_small, l_big) != (0, 1):
+        raise ValueError("test space enrichment l must be 0 or 1")
+    m, a, *_ = space = space_factors(space_mesh, 1)
+    zero = get_solution("zero", space_mesh.dimension)
+
+    def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
+        system = build_system(time_mesh, space_mesh, l, 0.0, zero, factors)
+
+        def matvec(v):
+            out = system.apply(v)
+            out[-m.shape[0]:] -= m @ np.ravel(v)[-m.shape[0]:]
+            return out
+
+        return LinearOperator((system.n, system.n), matvec, dtype=float)
+
+    small, big = pencil_side(0, (m, a, m, a, a)), pencil_side(1, space)
+    n = small.shape[0]
+    lift = LinearOperator((n, n), make_G_X(time_mesh, a, m).apply, dtype=float)
+    start = np.random.default_rng(0).standard_normal((n, INFSUP_BLOCK))
+    try:
+        vals, vecs = lobpcg(
+            small, start, B=big, M=lift, tol=INFSUP_TOL,
+            maxiter=INFSUP_MAX_ITER, largest=False,
+        )
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            "enriched normal matrix is singular: the space-time form lost "
+            "injectivity, which points at an assembly bug"
+        ) from exc
+    x = vecs[:, 0]
+    big_x = big @ x
+    residual = np.linalg.norm(small @ x - vals[0] * big_x) / math.sqrt(x @ big_x)
+    if not residual <= INFSUP_TOL:
+        raise RuntimeError(
+            f"inf-sup eigensolve with n = {n} trial dofs did not converge in "
+            f"{INFSUP_MAX_ITER} iterations: residual {residual:.3e} > {INFSUP_TOL:g}"
+        )
+    return math.sqrt(max(vals[0], 0.0))
+
+
 def interior_points(space_mesh: SpatialMesh) -> np.ndarray:
     """Coordinates of the retained (non-Dirichlet) vertices in dof order."""
     return space_mesh.vertices[~space_mesh.boundary_vertex_flags]
@@ -484,9 +548,15 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
     """
     t_start = config.T - config.L
     if config.experiment == "interval-length":
-        doublings = k + 3 + int(round(math.log2(config.L / config.T)))
-        if abs(math.log2(config.L / config.T) % 1.0) > 1e-12 or doublings < 0:
+        log_ratio = math.log2(config.L / config.T)
+        if abs(log_ratio % 1.0) > 1e-12:
             raise ValueError("interval-length study needs L/T a power of two")
+        doublings = k + 3 + int(round(log_ratio))
+        if doublings < 0:
+            raise ValueError(
+                f"interval-length study at k = {k} with L/T = 2^{round(log_ratio)} "
+                f"needs k + 3 + log2(L/T) >= 0 time doublings, got {doublings}"
+            )
         time_mesh = uniform_time_mesh(t_start, config.T, doublings)
     else:
         time_mesh = uniform_time_mesh(t_start, config.T, k)
@@ -502,11 +572,9 @@ def trial_dofs(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> int:
     )
 
 
-def _perturbation_for(config, space_mesh, mass):
+def _perturbation_for(config, mass):
     if config.experiment == "perturb-random":
-        pert = random_perturbation(
-            space_mesh, TRIAL_SPACE, mass, config.target_norm, config.seed
-        )
+        pert = random_perturbation(mass, config.target_norm, config.seed)
         return pert, config.target_norm
     if config.experiment == "perturb-mode":
         pert = mode_perturbation(config.mode_n, config.T, config.amplitude, config.d)
@@ -532,9 +600,14 @@ def solve_backward(config, k: int | None = None):
     dofs = trial_dofs(time_mesh, space_mesh)
 
     space = space_factors(space_mesh, config.l)
-    perturbation, pert_norm = _perturbation_for(config, space_mesh, space[0])
+    perturbation, pert_norm = _perturbation_for(config, space[0])
     explicit = None
     if strategy == "explicit":
+        if k not in config.k_range:
+            raise ValueError(
+                f"explicit epsilon values are per level of k_range "
+                f"{config.k_range}; k = {k} is not one of them"
+            )
         explicit = config.epsilon_values[config.k_range.index(k)]
     reg_epsilon = choose_epsilon(strategy, dofs, config.d, pert_norm, explicit)
 

@@ -3,9 +3,10 @@
 src/backsolve holds what a solve or a study runs. This module holds what
 only the tests call: the B route of the data and the functional (B applied
 to coefficients, and the test-space Riesz lift, which inverts the test Gram,
-identity in time x A_test), the inf-sup normal matrix through B, the trial
-and test Grams as Kronecker operators with their dense forms, the conformity
-check of a mesh, the log-log rate fit and the CSV reader.
+identity in time x A_test), the dense inf-sup pencil through B and through
+the energy identity, the trial and test Grams as Kronecker operators with
+their dense forms, the conformity check of a mesh, the log-log rate fit and
+the CSV reader.
 """
 
 import csv
@@ -107,6 +108,32 @@ def normal_matrix_b_route(time_mesh, m_mix, a_mix, a_test):
         for tb, sb in zip(time_factors, solved):
             out += np.kron(ta.T @ tb, sa.T @ sb)
     return out
+
+
+def normal_matrices_dense(time_mesh, space):
+    """Dense Bt G_Y B at l = 0 and at l = 1 through the energy identity
+
+        Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
+                   + (e_T e_T^T - e_0 e_0^T) x M
+
+    of backsolve.solver. Only the first term depends on l; at l = 0 the
+    test space is P1, so M_mix = M and A_test = A. space is
+    space_factors(space_mesh, 1), whose P1 pair serves l = 0. At most three
+    dense n x n arrays are alive at once; desk-scale meshes only.
+    """
+    m, a, m_mix, _, a_test = space
+    k_t = time_stiffness_trial(time_mesh).toarray()
+    shared = np.kron(time_mass_trial(time_mesh).toarray(), a.toarray())
+    n_t, n_x = k_t.shape[0], m.shape[0]
+    blocks = shared.reshape(n_t, n_x, n_t, n_x)  # (time, space) x (time, space)
+    blocks[-1, :, -1] += m.toarray()
+    blocks[0, :, 0] -= m.toarray()
+    normal = []
+    for mass, stiffness in ((m, a), (m_mix, a_test)):
+        solved = sparse_lu(stiffness, "test stiffness").solve(mass.toarray())
+        normal.append(np.kron(k_t, mass.T @ solved))
+        normal[-1] += shared
+    return tuple(normal)
 
 
 # ------------------------------------------------------ the B route data ----

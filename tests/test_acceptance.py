@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from backsolve.config import ExperimentConfig
-from backsolve.operators import assemble_B, infsup_constant, space_factors
+from backsolve.operators import assemble_B, space_factors
 from backsolve.oracle import (
     SpectralField,
     check_log_convexity,
@@ -23,6 +23,7 @@ from backsolve.solutions import get_solution
 from backsolve.solver import (
     build_meshes,
     build_system,
+    infsup_constant,
     nodal_interpolant,
     solve_backward,
 )

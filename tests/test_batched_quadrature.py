@@ -40,9 +40,6 @@ from backsolve.mesh import (
 from backsolve.operators import (
     TEST_TIME,
     TRIAL_SPACE,
-    DenseTooLargeError,
-    check_dense_fits,
-    infsup_constant,
     space_factors,
 )
 from backsolve.operators import test_space_spec as enriched_space_spec
@@ -279,7 +276,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     mass = space_mass(sm, TRIAL_SPACE)
     perturbation = {
         None: None,
-        "nodal": random_perturbation(sm, TRIAL_SPACE, mass, 0.01, 3),
+        "nodal": random_perturbation(mass, 0.01, 3),
         "spectral": mode_perturbation(1, T, 0.05, d),
     }[noise]
     for name in ("cubic", "decay", "zero"):
@@ -442,23 +439,6 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
 
 
 class TestDenseSizeGuard:
-    def test_absurd_size_raises_named_error(self):
-        n = 10**9  # 8e18 bytes per array; nothing is allocated
-        with pytest.raises(DenseTooLargeError, match=f"{n} x {n}") as info:
-            check_dense_fits(n, 4, "probe")
-        assert f"{4 * n * n * 8:,} bytes" in str(info.value)
-        assert isinstance(info.value, MemoryError)
-
-    def test_small_size_passes(self):
-        check_dense_fits(100, 4, "probe")
-
-    def test_infsup_checks_before_allocating(self, physical_memory):
-        physical_memory(0)
-        tm = uniform_time_mesh(0.0, 1.0, 1)
-        sm = _space_mesh(2, 1)
-        with pytest.raises(DenseTooLargeError, match="infsup_constant"):
-            infsup_constant(tm, sm, 0, 1)
-
     def test_lift_builds_when_dense_would_not_fit(self, physical_memory):
         # the trial-space lift allocates nothing n_x x n_x in d=2: it builds
         # with less physical memory reported than one such array needs

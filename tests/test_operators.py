@@ -16,12 +16,11 @@ from backsolve.mesh import (
 from backsolve.operators import (
     TRIAL_SPACE,
     KroneckerOperator,
-    _normal_matrices_dense,
     assemble_B,
-    infsup_constant,
     space_factors,
 )
-from backsolve.solver import build_meshes
+from backsolve import solver
+from backsolve.solver import build_meshes, infsup_constant
 
 # aliased so pytest does not collect the source helper as a test
 from backsolve.operators import test_space_spec as enriched_space_spec
@@ -31,6 +30,7 @@ from reference import (
     dense_from_apply,
     gram_X,
     gram_Y,
+    normal_matrices_dense,
     normal_matrix_b_route,
     space_mass,
     space_stiffness,
@@ -320,10 +320,12 @@ class TestInfSup:
         pairs = [(test, trial) for _, test, trial in calls]
         assert len(pairs) == len(set(pairs)) == 3
 
-    @pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3)]
+    )
     def test_identity_pencil_matches_b_route(self, d, k):
-        # the energy identity against the B route it replaced: the same
-        # normal matrices and the same gamma, to round-off
+        # the dense energy-identity pencil against the B route: the same
+        # normal matrices; and the matrix-free gamma against the dense one
         cfg = ExperimentConfig(experiment="infsup", d=d, T=1.0, k_range=[k])
         tm, sm = build_meshes(cfg, k)
         space = space_factors(sm, 1)
@@ -332,16 +334,24 @@ class TestInfSup:
             normal_matrix_b_route(tm, m, a, a),
             normal_matrix_b_route(tm, m_mix, a_mix, a_test),
         )
-        got = _normal_matrices_dense(tm, space)
+        got = normal_matrices_dense(tm, space)
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
         gamma_b = np.sqrt(scipy.linalg.eigh(*want, eigvals_only=True)[0])
         assert infsup_constant(tm, sm, 0, 1) == pytest.approx(gamma_b, rel=1e-11)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_nested_bounded_by_one(self, k):
         tm = uniform_time_mesh(0.0, 1.0, k)
         sm = refine_uniform(unit_square_initial(), 2 * k)
         gamma = infsup_constant(tm, sm, 0, 1)
         assert gamma <= 1.0 + 1e-10
         assert gamma > 0.5
+
+    def test_unconverged_eigenpair_raises(self, monkeypatch):
+        # d=2 k=3 needs far more than one LOBPCG iteration
+        monkeypatch.setattr(solver, "INFSUP_MAX_ITER", 1)
+        tm = uniform_time_mesh(0.0, 1.0, 3)
+        sm = refine_uniform(unit_square_initial(), 6)
+        with pytest.raises(RuntimeError, match=r"n = 1017 .* in 1 iterations"):
+            infsup_constant(tm, sm, 0, 1)

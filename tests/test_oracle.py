@@ -287,7 +287,7 @@ class TestPerturbations:
     def test_random_perturbation_exact_norm(self):
         sm = unit_interval_mesh(16)
         mass = space_mass(sm, TRIAL_SPACE)
-        f = random_perturbation(sm, TRIAL_SPACE, mass, 0.01, seed=42)
+        f = random_perturbation(mass, 0.01, seed=42)
         l2_norm = np.sqrt(f.coeffs @ (mass @ f.coeffs))
         assert l2_norm == pytest.approx(0.01, rel=1e-12)
 
@@ -296,28 +296,28 @@ class TestPerturbations:
         # the coefficients are bitwise those normalized by space_mass
         sm = refine_uniform(unit_square_initial(), 4)
         level_mass = space_factors(sm, 1)[0]
-        got = random_perturbation(sm, TRIAL_SPACE, level_mass, 0.01, 3)
+        got = random_perturbation(level_mass, 0.01, 3)
         mass = space_mass(sm, TRIAL_SPACE)
-        want = random_perturbation(sm, TRIAL_SPACE, mass, 0.01, 3)
+        want = random_perturbation(mass, 0.01, 3)
         assert np.array_equal(got.coeffs, want.coeffs)
 
     def test_random_perturbation_deterministic(self):
         sm = unit_interval_mesh(8)
         mass = space_mass(sm, TRIAL_SPACE)
-        a = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=7)
-        b = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=7)
-        c = random_perturbation(sm, TRIAL_SPACE, mass, 0.5, seed=8)
+        a = random_perturbation(mass, 0.5, seed=7)
+        b = random_perturbation(mass, 0.5, seed=7)
+        c = random_perturbation(mass, 0.5, seed=8)
         assert np.array_equal(a.coeffs, b.coeffs)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_random_perturbation_guards(self):
         sm = unit_interval_mesh(8)
         with pytest.raises(ValueError):
-            random_perturbation(sm, TRIAL_SPACE, space_mass(sm, TRIAL_SPACE), 0.0, 0)
+            random_perturbation(space_mass(sm, TRIAL_SPACE), 0.0, 0)
         empty = unit_interval_mesh(1)
         mass = space_mass(empty, TRIAL_SPACE)
         with pytest.raises(ValueError):
-            random_perturbation(empty, TRIAL_SPACE, mass, 0.1, seed=0)
+            random_perturbation(mass, 0.1, seed=0)
 
     def test_suite_guards(self):
         with pytest.raises(ValueError, match="count must be >= 1, got 0"):

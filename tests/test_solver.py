@@ -442,11 +442,38 @@ class TestBuildMeshes:
             solution="decay",
             slice_times=[0.75, 1.0],
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="L/T a power of two"):
             build_meshes(cfg, 0)
+
+    def test_interval_length_too_few_doublings(self):
+        # L/T = 2^-4 is dyadic, but k + 3 + log2(L/T) = -1 at k = 0
+        cfg = ExperimentConfig(
+            experiment="interval-length",
+            d=1,
+            T=1.0,
+            k_range=[0],
+            L=1.0 / 16.0,
+            solution="decay",
+            slice_times=[1.0],
+        )
+        with pytest.raises(ValueError, match=r"k = 0 with L/T = 2\^-4.* got -1"):
+            build_meshes(cfg, 0)
+        assert build_meshes(cfg, 1)[0].n_elements == 1
 
 
 class TestSolveBackward:
+    def test_explicit_epsilon_outside_k_range(self):
+        cfg = ExperimentConfig(
+            experiment="convergence",
+            d=1,
+            T=1.0,
+            k_range=[1, 2],
+            epsilon_strategy="explicit",
+            epsilon_values=[0.1, 0.2],
+        )
+        with pytest.raises(ValueError, match=r"per level of k_range \[1, 2\].*k = 3"):
+            solve_backward(cfg, 3)
+
     @pytest.mark.parametrize("l", [0, 1])
     def test_normal_operator_reuses_the_test_factor(self, l, monkeypatch):
         # a d=2 solve makes one real sparse factorization, of A_test (G_X's
