@@ -303,16 +303,6 @@ def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.n
     return (h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]).ravel()
 
 
-# ------------------------------------------------------------- fields ----
-
-
-@dataclass(frozen=True)
-class FEField:
-    """Nodal trial-space function given by its coefficients."""
-
-    coeffs: np.ndarray
-
-
 def _slot_coeffs(dm: DofMap, coeffs: np.ndarray, axis: int) -> np.ndarray:
     """Gather coeffs along axis to (cells, local slots); eliminated slots read 0."""
     pad = [(0, 0)] * coeffs.ndim

@@ -1,13 +1,13 @@
 """Configuration-driven experiment runner and command line entry point.
 
 Each experiment maps a refinement-level range to CSV rows: the convergence,
-interval-length and perturbation studies run the backward solver on each of
-their variant configs per level, the inf-sup study runs the matrix-free
-eigensolve, and the stability-oracle study evaluates the closed-form
-spectral checks. Column sets are fixed per experiment; a solving study
-writes one suffixed group of the same columns per variant. Floats are
-written in scientific notation with 17 significant digits so files are
-byte-reproducible and round-trip exactly.
+interval-length and perturbation studies build each level once per time
+window and solve it at each of their epsilon strategies, the inf-sup study
+runs the matrix-free eigensolve, and the stability-oracle study evaluates
+the closed-form spectral checks. Column sets are fixed per experiment; a
+solving study writes one suffixed group of the same columns per window and
+strategy. Floats are written in scientific notation with 17 significant
+digits so files are byte-reproducible and round-trip exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import csv
 import math
 import sys
 from dataclasses import replace
-from functools import partial
 
 from .config import ExperimentConfig, parse_config
 from .oracle import (
@@ -29,7 +28,7 @@ from .oracle import (
     random_spectral_fields,
     single_mode_hbeta_ratio_exact,
 )
-from .solver import build_meshes, infsup_constant, solve_backward, trial_dofs
+from .solver import build_level, build_meshes, infsup_constant, solve_level, trial_dofs
 
 import numpy as np
 
@@ -44,49 +43,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_solves(config: ExperimentConfig, variants_of, shared_dofs: bool = False):
-    """One row per level from solve_backward on every (config, suffix) variant.
-
-    variants_of(config) lists the variants; each writes the same columns
-    with its suffix. With shared_dofs they solve on one mesh, so dofs is
-    written once, unsuffixed.
-    """
-    variants = variants_of(config)
-    rows = []
-    for k in config.k_range:
-        row = {"k": k}
-        for cfg, suffix in variants:
-            _, solve_rep, err_rep = solve_backward(cfg, k)
-            row["dofs" if shared_dofs else f"dofs{suffix}"] = err_rep.dofs
-            row[f"epsilon{suffix}"] = solve_rep.epsilon
-            row[f"pcg_iterations{suffix}"] = solve_rep.iterations
-            row[f"stopping_value{suffix}"] = solve_rep.stopping_value
-            row[f"err_l2l2{suffix}"] = err_rep.l2l2
-            row[f"err_l2h1{suffix}"] = err_rep.l2h1
-            for t in cfg.slice_times:
-                row[f"err_slice@{t:g}{suffix}"] = err_rep.l2_slices[float(t)]
-        rows.append(row)
-    # every row holds the same names, in the order they were first written
-    return list(rows[0]), rows
-
-
 def _windows(config: ExperimentConfig):
+    """(config, suffix) per time window: interval-length adds the full
+    window when L < T; the other studies solve the config's own, unsuffixed."""
+    if config.experiment != "interval-length":
+        return [(config, "")]
     windows = [(config, f"_L{config.L:g}")]
     if config.L != config.T:
         windows.append((replace(config, L=config.T), f"_L{config.T:g}"))
     return windows
 
 
-def _epsilon_strategies(config: ExperimentConfig):
-    return [
-        (replace(config, epsilon_strategy=strategy), suffix)
-        for strategy, suffix in (("plain", "_plain"), ("data-aware", "_aware"))
-    ]
+def _strategies(config: ExperimentConfig):
+    """(epsilon strategy, suffix) per solve of a level: the perturbation
+    studies compare two, the other studies solve at the config's own."""
+    if config.experiment in ("perturb-random", "perturb-mode"):
+        return [("plain", "_plain"), ("data-aware", "_aware")]
+    return [(config.epsilon_strategy, "")]
 
 
-_run_perturbation = partial(
-    _run_solves, variants_of=_epsilon_strategies, shared_dofs=True
-)
+def _run_solves(config: ExperimentConfig):
+    """One row per level k: each window's level is built once, writes its
+    dofs, and is solved at every strategy, each writing the same columns
+    with its window's and its strategy's suffix."""
+    windows, strategies = _windows(config), _strategies(config)
+    rows = []
+    for k in config.k_range:
+        row = {"k": k}
+        for cfg, window in windows:
+            level = build_level(cfg, k)
+            row[f"dofs{window}"] = level.system.n
+            for strategy, tag in strategies:
+                _, solve_rep, err_rep = solve_level(cfg, k, level, strategy)
+                suffix = window + tag
+                row[f"epsilon{suffix}"] = solve_rep.epsilon
+                row[f"pcg_iterations{suffix}"] = solve_rep.iterations
+                row[f"stopping_value{suffix}"] = solve_rep.stopping_value
+                row[f"err_l2l2{suffix}"] = err_rep.l2l2
+                row[f"err_l2h1{suffix}"] = err_rep.l2h1
+                for t in cfg.slice_times:
+                    row[f"err_slice@{t:g}{suffix}"] = err_rep.l2_slices[float(t)]
+            del level  # free this level's factors before the next is built
+        rows.append(row)
+    # every row holds the same names, in the order they were first written
+    return list(rows[0]), rows
 
 
 def _run_infsup(config: ExperimentConfig):
@@ -166,10 +166,10 @@ def _run_stability_oracle(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "convergence": partial(_run_solves, variants_of=lambda config: [(config, "")]),
-    "interval-length": partial(_run_solves, variants_of=_windows),
-    "perturb-random": _run_perturbation,
-    "perturb-mode": _run_perturbation,
+    "convergence": _run_solves,
+    "interval-length": _run_solves,
+    "perturb-random": _run_solves,
+    "perturb-mode": _run_solves,
     "infsup": _run_infsup,
     "stability-oracle": _run_stability_oracle,
 }

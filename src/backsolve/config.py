@@ -8,7 +8,8 @@ with the offending line number and key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args, get_origin, get_type_hints
 
 EXPERIMENTS = (
     "convergence",
@@ -20,9 +21,6 @@ EXPERIMENTS = (
 )
 EPSILON_STRATEGIES = ("plain", "data-aware", "explicit")
 SOLUTIONS = ("cubic", "decay", "zero")
-_FLOAT_FIELDS = (
-    "T", "L", "epsilon_values", "target_norm", "amplitude", "slice_times", "threshold"
-)
 
 
 @dataclass
@@ -30,17 +28,17 @@ class ExperimentConfig:
     experiment: str
     d: int
     T: float
-    k_range: list
+    k_range: list[int]
     L: float = None  # interval length; defaults to T
     l: int = 0
     epsilon_strategy: str = "plain"
-    epsilon_values: list = None
+    epsilon_values: list[float] = None
     solution: str = "zero"
     seed: int = 0
     target_norm: float = 0.01
     mode_n: int = 1
     amplitude: float = 0.05
-    slice_times: list = None
+    slice_times: list[float] = None
     output_path: str = None
     max_iter: int = 5000
     threshold: float = None
@@ -138,27 +136,13 @@ def _parse_list(raw: str, kind, key: str, lineno: int) -> list:
     return [_parse_scalar(part, kind, key, lineno) for part in items]
 
 
-# key -> (target type, is_list)
+# key -> (target type, is_list), read off ExperimentConfig's annotations
 _SCHEMA = {
-    "experiment": (str, False),
-    "d": (int, False),
-    "T": (float, False),
-    "L": (float, False),
-    "k_range": (int, True),
-    "l": (int, False),
-    "epsilon_strategy": (str, False),
-    "epsilon_values": (float, True),
-    "solution": (str, False),
-    "seed": (int, False),
-    "target_norm": (float, False),
-    "mode_n": (int, False),
-    "amplitude": (float, False),
-    "slice_times": (float, True),
-    "output_path": (str, False),
-    "max_iter": (int, False),
-    "threshold": (float, False),
+    key: (get_args(hint)[0], True) if get_origin(hint) is list else (hint, False)
+    for key, hint in get_type_hints(ExperimentConfig).items()
 }
-_REQUIRED = ("experiment", "d", "T", "k_range")
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
+_FLOAT_FIELDS = tuple(key for key, (kind, _) in _SCHEMA.items() if kind is float)
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import FEField
-
 _EXP_LIMIT = math.log(1e300)
 
 
@@ -341,9 +339,9 @@ def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralFie
     return SpectralField(d, np.array([[n] * d]), np.array([coeff]))
 
 
-def random_perturbation(mass, target_norm: float, seed) -> FEField:
-    """Random nodal field rescaled to an exact L2(Omega) norm; mass is the
-    space's mass matrix, whose order is the number of dofs."""
+def random_perturbation(mass, target_norm: float, seed) -> np.ndarray:
+    """Nodal coefficients of a random field rescaled to an exact L2(Omega)
+    norm; mass is the space's mass matrix, whose order is the number of dofs."""
     if target_norm <= 0.0:
         raise ValueError("target_norm must be positive")
     n = mass.shape[0]
@@ -352,4 +350,4 @@ def random_perturbation(mass, target_norm: float, seed) -> FEField:
     rng = np.random.default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, n)
     nrm = math.sqrt(float(coeffs @ (mass @ coeffs)))
-    return FEField(coeffs * (target_norm / nrm))
+    return coeffs * (target_norm / nrm)

@@ -50,7 +50,7 @@ import itertools
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -58,7 +58,6 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .assembly import (
     QUAD_ORDER,
-    FEField,
     _cell_rule,
     fe_gradients_on_cells,
     fe_values_on_cells,
@@ -103,6 +102,8 @@ class LeastSquaresSystem:
     time_stiffness and time_mass are the hat stiffness K_t and mass M_t, and
     mass_mix is the mixed (test x trial) space mass. mass_x and stiffness_x
     are the trial space mass and stiffness, rhs is h and j_zero is J(0).
+    Only the start-trace term reads reg_epsilon, so one system serves every
+    epsilon through dataclasses.replace.
     """
 
     test_solve: Callable
@@ -114,6 +115,10 @@ class LeastSquaresSystem:
     reg_epsilon: float
     rhs: np.ndarray
     j_zero: float
+
+    def __post_init__(self):
+        if self.reg_epsilon < 0.0:
+            raise ValueError("reg_epsilon must be nonnegative")
 
     @property
     def n(self) -> int:
@@ -145,7 +150,6 @@ class ErrorReport:
     l2_slices: dict  # requested slice time -> L2(Omega) error at snapped time
     l2l2: float
     l2h1: float  # L2-in-time of the H1 seminorm
-    dofs: int
 
 
 def choose_epsilon(
@@ -184,10 +188,10 @@ def manufactured_data(
     f = source(t) phi loads on the test space as t_c x l_test (both zero
     for a source-free solution); l_P1 is the P1 load of phi. The end-time
     observation g = tau(T) phi, T the last breakpoint, plus perturbation,
-    has P1 load g_load and squared L2 norm g_sq. perturbation is a nodal
-    FEField (loaded through the mass matrix, exactly) or any object with
-    evaluate(points). phi and the perturbation are sampled once, at the
-    load rule's points.
+    has P1 load g_load and squared L2 norm g_sq. perturbation is an array
+    of nodal trial coefficients (loaded through the mass matrix, exactly)
+    or any object with evaluate(points). phi and the perturbation are
+    sampled once, at the load rule's points.
     """
     mass_x, a_test = space[0], space[4]
     points = quad_points(space_mesh, QUAD_ORDER)
@@ -206,10 +210,10 @@ def manufactured_data(
     g_values = tau_end * phi
     g_load = tau_end * phi_load
     noise_sq = 0.0  # a nodal field's |c|^2 + 2 (g, c), exact through the mass
-    if isinstance(perturbation, FEField):
-        if perturbation.coeffs.size != mass_x.shape[0]:
+    if isinstance(perturbation, np.ndarray):
+        if perturbation.size != mass_x.shape[0]:
             raise ValueError("perturbation field lives on a different space")
-        c = perturbation.coeffs
+        c = perturbation
         noise_sq = float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
         g_load = g_load + mass_x @ c
     elif perturbation is not None:
@@ -224,18 +228,16 @@ def build_system(
     time_mesh: TimeMesh,
     space_mesh: SpatialMesh,
     l: int,
-    reg_epsilon: float,
     solution: ManufacturedSolution,
     space,
     perturbation=None,
 ) -> LeastSquaresSystem:
-    """Normal operator, h and J(0) for the manufactured_data of solution.
+    """Normal operator at reg_epsilon = 0, h and J(0) for the
+    manufactured_data of solution.
 
     space is the level's space_factors(space_mesh, l). h and J(0) come from
     the identity of the module docstring.
     """
-    if reg_epsilon < 0.0:
-        raise ValueError("reg_epsilon must be nonnegative")
     mass_x, stiffness_x, m_mix, _, a_test = space
     test_solve = make_G_Y(a_test)
     t_c, test_load, phi_load, g_load, g_sq = manufactured_data(
@@ -254,7 +256,7 @@ def build_system(
         m_mix,
         mass_x,
         stiffness_x,
-        reg_epsilon,
+        0.0,
         rhs.ravel(),
         float(t_c @ t_c) * float(test_load @ solved) + g_sq,
     )
@@ -351,7 +353,7 @@ def infsup_constant(
     zero = get_solution("zero", space_mesh.dimension)
 
     def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
-        system = build_system(time_mesh, space_mesh, l, 0.0, zero, factors)
+        system = build_system(time_mesh, space_mesh, l, zero, factors)
 
         def matvec(v):
             out = system.apply(v)
@@ -536,7 +538,7 @@ def error_report(
                 f"(distance {snap:.3g} exceeds half an element)"
             )
         slices[float(t_req)] = math.sqrt(slice_sq[idx])
-    return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq), coeffs.size)
+    return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq))
 
 
 def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
@@ -582,25 +584,39 @@ def _perturbation_for(config, mass):
     return None, 0.0
 
 
-def solve_backward(config, k: int | None = None):
-    """End-to-end solve at one refinement level of a configuration.
+@dataclass
+class Level:
+    """The epsilon-independent part of one refinement level: its meshes, the
+    manufactured solution, the perturbation's L2 norm, build_system's normal
+    operator at reg_epsilon = 0 and the G_X lift."""
 
-    Returns (coefficients, SolveReport, ErrorReport). k defaults to the sole
-    entry of config.k_range. Every choice of the solve, the epsilon
-    strategy included, comes from the config; a study that compares
-    choices solves one config per choice.
-    """
-    if k is None:
-        if len(config.k_range) != 1:
-            raise ValueError("config has several levels; pass k explicitly")
-        k = config.k_range[0]
-    strategy = config.epsilon_strategy
+    time_mesh: TimeMesh
+    space_mesh: SpatialMesh
+    solution: ManufacturedSolution
+    pert_norm: float
+    system: LeastSquaresSystem
+    g_x: RieszPreconditioner
+
+
+def build_level(config, k: int) -> Level:
+    """Build level k of a configuration once, for solves at any epsilon."""
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
-    dofs = trial_dofs(time_mesh, space_mesh)
-
     space = space_factors(space_mesh, config.l)
     perturbation, pert_norm = _perturbation_for(config, space[0])
+    system = build_system(
+        time_mesh, space_mesh, config.l, solution, space, perturbation
+    )
+    g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
+    return Level(time_mesh, space_mesh, solution, pert_norm, system, g_x)
+
+
+def solve_level(config, k: int, level: Level, strategy: str):
+    """Solve a built level k at the epsilon of strategy.
+
+    Returns (coefficients, SolveReport, ErrorReport). An explicit epsilon is
+    the entry of config.epsilon_values at k's place in config.k_range.
+    """
     explicit = None
     if strategy == "explicit":
         if k not in config.k_range:
@@ -609,14 +625,16 @@ def solve_backward(config, k: int | None = None):
                 f"{config.k_range}; k = {k} is not one of them"
             )
         explicit = config.epsilon_values[config.k_range.index(k)]
-    reg_epsilon = choose_epsilon(strategy, dofs, config.d, pert_norm, explicit)
-
-    system = build_system(
-        time_mesh, space_mesh, config.l, reg_epsilon, solution, space, perturbation
-    )
-    g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
-    coeffs, solve_rep = pcg(system, g_x, config.threshold, config.max_iter)
+    dofs = level.system.n
+    eps = choose_epsilon(strategy, dofs, config.d, level.pert_norm, explicit)
+    system = replace(level.system, reg_epsilon=eps)
+    coeffs, solve_rep = pcg(system, level.g_x, config.threshold, config.max_iter)
     err_rep = error_report(
-        time_mesh, space_mesh, coeffs, solution, config.slice_times
+        level.time_mesh, level.space_mesh, coeffs, level.solution, config.slice_times
     )
     return coeffs, solve_rep, err_rep
+
+
+def solve_backward(config, k: int):
+    """End-to-end solve of level k at the config's own epsilon strategy."""
+    return solve_level(config, k, build_level(config, k), config.epsilon_strategy)

@@ -17,7 +17,6 @@ import pytest
 from backsolve import assembly
 from backsolve.assembly import (
     QUAD_ORDER,
-    FEField,
     SpaceBasisSpec,
     _cell_rule,
     fe_gradients_on_cells,
@@ -248,8 +247,8 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     n_x = space_dof_map(sm, TRIAL_SPACE).n_dofs
     g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, TRIAL_SPACE, g, q)
     g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
-    if isinstance(perturbation, FEField):
-        c = perturbation.coeffs
+    if isinstance(perturbation, np.ndarray):
+        c = perturbation
         mass_x = space_mass(sm, TRIAL_SPACE)
         g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
         g_load = g_load + mass_x @ c
@@ -282,7 +281,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     for name in ("cubic", "decay", "zero"):
         solution = get_solution(name, d)
         space = space_factors(sm, l)
-        system = build_system(tm, sm, l, 0.3, solution, space, perturbation)
+        system = build_system(tm, sm, l, solution, space, perturbation)
         t_c, test_load, _, g_load, g_sq = manufactured_data(
             tm, sm, l, solution, space, perturbation
         )

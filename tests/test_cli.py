@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from backsolve import cli
+from backsolve import cli, operators, precond, solver
 from backsolve.cli import main, run, write_csv
 from backsolve.config import ExperimentConfig, parse_config
 from backsolve.solver import solve_backward
@@ -143,9 +143,9 @@ def d1_study(experiment, **extra):
 def direct_cells(cfg, k):
     """One solve's column values: dofs, epsilon, iterations, stopping value,
     the two space-time errors, then the slice errors in slice_times order."""
-    _, solve_rep, err_rep = solve_backward(cfg, k)
+    coeffs, solve_rep, err_rep = solve_backward(cfg, k)
     return [
-        err_rep.dofs,
+        coeffs.size,
         solve_rep.epsilon,
         solve_rep.iterations,
         solve_rep.stopping_value,
@@ -248,6 +248,49 @@ class TestSolvingStudies:
             rows,
             [(plain, ["dofs"] + header[2:9]), (aware, ["dofs"] + header[9:])],
         )
+
+    @pytest.mark.parametrize(
+        "experiment, d, k_range, extra, levels, solves",
+        [
+            ("perturb-random", 2, [1, 2], {"T": 0.125, "seed": 3}, 2, 4),
+            ("perturb-mode", 1, [2, 3], {"T": 0.5}, 2, 4),
+            # L < T: the configured and the full window are two levels per k
+            (
+                "interval-length",
+                1,
+                [1, 2],
+                {"T": 1.0, "L": 0.5, "slice_times": [1.0]},
+                4,
+                4,
+            ),
+        ],
+    )
+    def test_each_level_built_once(
+        self, record_calls, experiment, d, k_range, extra, levels, solves
+    ):
+        # one level per k and window, solved at every epsilon strategy: one
+        # mesh pair, space assembly, A_test factor and G_X lift per level
+        calls = {
+            name: record_calls(owner, name)
+            for owner, name in [
+                (solver, "build_meshes"),
+                (operators, "space_factors"),
+                (precond, "make_G_Y"),
+                (precond, "make_G_X"),
+                (solver, "pcg"),
+            ]
+        }
+        cfg = ExperimentConfig(
+            experiment=experiment, d=d, k_range=k_range, solution="cubic", **extra
+        )
+        run(cfg)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "build_meshes": levels,
+            "space_factors": levels,
+            "make_G_Y": levels,
+            "make_G_X": levels,
+            "pcg": solves,
+        }
 
 
 class TestMain:

@@ -288,7 +288,7 @@ class TestPerturbations:
         sm = unit_interval_mesh(16)
         mass = space_mass(sm, TRIAL_SPACE)
         f = random_perturbation(mass, 0.01, seed=42)
-        l2_norm = np.sqrt(f.coeffs @ (mass @ f.coeffs))
+        l2_norm = np.sqrt(f @ (mass @ f))
         assert l2_norm == pytest.approx(0.01, rel=1e-12)
 
     def test_random_perturbation_takes_the_level_mass(self):
@@ -299,7 +299,7 @@ class TestPerturbations:
         got = random_perturbation(level_mass, 0.01, 3)
         mass = space_mass(sm, TRIAL_SPACE)
         want = random_perturbation(mass, 0.01, 3)
-        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(got, want)
 
     def test_random_perturbation_deterministic(self):
         sm = unit_interval_mesh(8)
@@ -307,8 +307,8 @@ class TestPerturbations:
         a = random_perturbation(mass, 0.5, seed=7)
         b = random_perturbation(mass, 0.5, seed=7)
         c = random_perturbation(mass, 0.5, seed=8)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert not np.array_equal(a.coeffs, c.coeffs)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_random_perturbation_guards(self):
         sm = unit_interval_mesh(8)

@@ -155,7 +155,7 @@ class TestGYLift:
             solution = get_solution("cubic", sm.dimension)
             for l in (0, 1):
                 space = space_factors(sm, l)
-                system = build_system(tm, sm, l, 0.3, solution, space)
+                system = build_system(tm, sm, l, solution, space)
                 f_load, _, g_sq = system_data(tm, sm, l, solution)
                 Y = dense(gram_Y(tm, sm, l))
                 assert system.j_zero - g_sq == pytest.approx(
