@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial.legendre import legvander
 
-from .mesh import SpatialMesh, TimeMesh, _facets
+from .mesh import SpatialMesh, TimeMesh
 from .quadrature import gauss_1d_for_degree, triangle_rule
 
 QUAD_ORDER = 5  # exactness degree of the data loads and the error quadrature
@@ -179,7 +179,7 @@ def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
         mids = n + np.arange(mesh.n_cells)
         cd = np.column_stack([vdof[mesh.cells], mids])
         return DofMap(n + mesh.n_cells, cd)
-    facets, cell_facets, counts = _facets(mesh)
+    facets, cell_facets, counts = mesh.facets
     keep_e = counts == 2 if spec.dirichlet else np.ones(len(counts), dtype=bool)
     edof = np.full(len(facets), -1, dtype=np.int64)
     edof[keep_e] = n + np.arange(keep_e.sum())

@@ -94,7 +94,7 @@ def _run_infsup(config: ExperimentConfig):
     rows = []
     for k in config.k_range:
         time_mesh, space_mesh = build_meshes(config, k)
-        gamma = infsup_constant(time_mesh, space_mesh, l_small=0, l_big=1)
+        gamma = infsup_constant(time_mesh, space_mesh)
         dofs = trial_dofs(time_mesh, space_mesh)
         rows.append({"k": k, "dofs": dofs, "gamma_infsup": gamma})
     return header, rows

@@ -87,14 +87,12 @@ class ExperimentConfig:
             raise ValueError("epsilon_values must be nonnegative")
         if self.solution not in SOLUTIONS:
             raise ValueError(f"unknown solution {self.solution!r}")
-        if self.slice_times is None:
-            self.slice_times = [
-                self.T / 4.0,
-                self.T / 2.0,
-                3.0 * self.T / 4.0,
-                self.T,
-            ]
         lo = self.T - self.L
+        if self.slice_times is None:
+            # quarter points of the solved interval (T - L, T); T itself,
+            # since lo + L can round off it
+            self.slice_times = [lo + self.L * q for q in (0.25, 0.5, 0.75)]
+            self.slice_times.append(self.T)
         for t in self.slice_times:
             if t < lo - 1e-12 or t > self.T + 1e-12:
                 raise ValueError(

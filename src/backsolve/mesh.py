@@ -50,32 +50,28 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class SpatialMesh:
-    """Conforming simplicial mesh with per-vertex boundary flags."""
+    """Conforming simplicial mesh; facets and boundary flags follow from the
+    cells and are derived on first use, like the geometry."""
 
     dimension: int
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_vertex_flags: np.ndarray
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
         c = np.ascontiguousarray(np.asarray(self.cells, dtype=np.int64))
-        f = np.asarray(self.boundary_vertex_flags, dtype=bool)
         if self.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
         if v.ndim != 2 or v.shape[1] != self.dimension:
             raise ValueError("vertex array shape mismatch")
         if c.ndim != 2 or c.shape[1] != self.dimension + 1:
             raise ValueError("cell array shape mismatch")
-        if f.shape != (v.shape[0],):
-            raise ValueError("boundary flag length mismatch")
         if c.size and (c.min() < 0 or c.max() >= v.shape[0]):
             raise ValueError("cell index out of range")
-        for arr in (v, c, f):
+        for arr in (v, c):
             arr.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "cells", c)
-        object.__setattr__(self, "boundary_vertex_flags", f)
 
     @property
     def n_vertices(self) -> int:
@@ -100,6 +96,34 @@ class SpatialMesh:
         for arr in (vol, jinv):
             arr.setflags(write=False)
         return vol, jinv
+
+    @functools.cached_property
+    def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unique facets, cell->facet map and per-facet incidence counts."""
+        d = self.dimension
+        if d == 1:
+            raw = self.cells.reshape(-1, 1)
+        else:
+            # facet k of a cell is the (sorted) set of vertices without local vertex k
+            nloc = d + 1
+            idx = [[j for j in range(nloc) if j != i] for i in range(nloc)]
+            raw = np.sort(self.cells[:, idx].reshape(-1, d), axis=1)
+        facets, inverse, counts = np.unique(
+            raw, axis=0, return_inverse=True, return_counts=True
+        )
+        cell_facets = inverse.reshape(self.n_cells, -1)
+        for arr in (facets, cell_facets, counts):
+            arr.setflags(write=False)
+        return facets, cell_facets, counts
+
+    @functools.cached_property
+    def boundary_vertex_flags(self) -> np.ndarray:
+        """Flags of the vertices on facets that belong to exactly one cell."""
+        facets, _, counts = self.facets
+        flags = np.zeros(self.n_vertices, dtype=bool)
+        flags[np.unique(facets[counts == 1])] = True
+        flags.setflags(write=False)
+        return flags
 
 
 def uniform_time_mesh(t_start: float, t_end: float, k: int) -> TimeMesh:
@@ -126,37 +150,6 @@ def cell_volumes(mesh: SpatialMesh) -> np.ndarray:
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 
-def _facets(mesh: SpatialMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unique facets, cell->facet map and per-facet incidence counts."""
-    cells = mesh.cells
-    d = mesh.dimension
-    if d == 1:
-        raw = cells.reshape(-1, 1)
-    else:
-        # facet k of a cell is the (sorted) set of vertices without local vertex k
-        nloc = d + 1
-        idx = [[j for j in range(nloc) if j != i] for i in range(nloc)]
-        raw = np.sort(cells[:, idx].reshape(-1, d), axis=1)
-    facets, inverse, counts = np.unique(
-        raw, axis=0, return_inverse=True, return_counts=True
-    )
-    return facets, inverse.reshape(mesh.n_cells, -1), counts
-
-
-def boundary_flags_from_cells(dimension: int, vertices, cells) -> np.ndarray:
-    """Flag vertices lying on facets that belong to exactly one cell."""
-    probe = SpatialMesh(
-        dimension,
-        vertices,
-        cells,
-        np.zeros(np.asarray(vertices).shape[0], dtype=bool),
-    )
-    facets, _, counts = _facets(probe)
-    flags = np.zeros(probe.n_vertices, dtype=bool)
-    flags[np.unique(facets[counts == 1])] = True
-    return flags
-
-
 def unit_square_initial() -> SpatialMesh:
     """(0,1)^2 cut along its diagonals: 4 triangles around the center vertex."""
     vertices = np.array(
@@ -164,8 +157,7 @@ def unit_square_initial() -> SpatialMesh:
     )
     # refinement edge first two, newest vertex (center) last
     cells = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
-    flags = boundary_flags_from_cells(2, vertices, cells)
-    return SpatialMesh(2, vertices, cells, flags)
+    return SpatialMesh(2, vertices, cells)
 
 
 def unit_interval_mesh(m: int) -> SpatialMesh:
@@ -174,9 +166,7 @@ def unit_interval_mesh(m: int) -> SpatialMesh:
         raise ValueError("need at least one element")
     vertices = (np.arange(m + 1) / m).reshape(-1, 1)
     cells = np.stack([np.arange(m), np.arange(1, m + 1)], axis=1)
-    flags = np.zeros(m + 1, dtype=bool)
-    flags[[0, -1]] = True
-    return SpatialMesh(1, vertices, cells, flags)
+    return SpatialMesh(1, vertices, cells)
 
 
 def _bisect_sweep_2d(vertices: np.ndarray, cells: np.ndarray):
@@ -205,8 +195,8 @@ def _bisect_sweep_1d(vertices: np.ndarray, cells: np.ndarray):
 def refine_uniform(mesh: SpatialMesh, n: int) -> SpatialMesh:
     """n sweeps of uniform bisection; returns a new mesh, input untouched.
 
-    The sweeps act on plain (vertices, cells) arrays; boundary flags are
-    derived once, from the final cells.
+    The sweeps act on plain (vertices, cells) arrays; only the final cells
+    become a mesh.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -216,6 +206,5 @@ def refine_uniform(mesh: SpatialMesh, n: int) -> SpatialMesh:
     vertices, cells = mesh.vertices, mesh.cells
     for _ in range(n):
         vertices, cells = sweep(vertices, cells)
-    flags = boundary_flags_from_cells(mesh.dimension, vertices, cells)
-    return SpatialMesh(mesh.dimension, vertices, cells, flags)
+    return SpatialMesh(mesh.dimension, vertices, cells)
 

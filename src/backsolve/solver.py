@@ -337,18 +337,10 @@ INFSUP_MAX_ITER = 200
 INFSUP_BLOCK = 4
 
 
-def infsup_constant(
-    time_mesh: TimeMesh, space_mesh: SpatialMesh, l_small: int, l_big: int
-) -> float:
+def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
     """Square root of the smallest eigenvalue of the inf-sup pencil (module
     docstring) by LOBPCG from a seeded start block; below 5 block sizes scipy
     solves densely instead. A residual above INFSUP_TOL raises RuntimeError."""
-    if l_small > l_big:
-        raise ValueError("l_small must not exceed l_big")
-    if l_small == l_big:
-        return 1.0
-    if (l_small, l_big) != (0, 1):
-        raise ValueError("test space enrichment l must be 0 or 1")
     m, a, *_ = space = space_factors(space_mesh, 1)
     zero = get_solution("zero", space_mesh.dimension)
 

@@ -27,24 +27,36 @@ def physical_memory(monkeypatch):
     return report
 
 
-@pytest.fixture
-def geometry_computations(monkeypatch):
-    """List that receives the mesh of every cell geometry computation.
+def _computations(monkeypatch, name):
+    """List that receives the mesh of every computation of the cached
+    SpatialMesh property name.
 
-    SpatialMesh.geometry is computed on first access and then kept on the
-    mesh, so each entry is one computation, not one access.
+    The property is computed on first access and then kept on the mesh, so
+    each entry is one computation, not one access.
     """
     computed = []
-    compute = SpatialMesh.geometry.func
+    compute = vars(SpatialMesh)[name].func
 
     def counted(mesh):
         computed.append(mesh)
         return compute(mesh)
 
     prop = functools.cached_property(counted)
-    prop.__set_name__(SpatialMesh, "geometry")
-    monkeypatch.setattr(SpatialMesh, "geometry", prop)
+    prop.__set_name__(SpatialMesh, name)
+    monkeypatch.setattr(SpatialMesh, name, prop)
     return computed
+
+
+@pytest.fixture
+def geometry_computations(monkeypatch):
+    """List that receives the mesh of every cell geometry computation."""
+    return _computations(monkeypatch, "geometry")
+
+
+@pytest.fixture
+def facet_computations(monkeypatch):
+    """List that receives the mesh of every facet table computation."""
+    return _computations(monkeypatch, "facets")
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
-from backsolve.mesh import _facets
 from backsolve.operators import TEST_TIME, KroneckerOperator, assemble_B
 from backsolve.operators import sparse_lu, space_factors
 from backsolve.solver import manufactured_data
@@ -202,14 +201,10 @@ def b_route(time_mesh, space_mesh, l, reg_epsilon, solution, perturbation=None):
 
 def check_conforming(mesh):
     """Every facet must bound one cell (boundary) or exactly two (interior)."""
-    facets, _, counts = _facets(mesh)
+    counts = mesh.facets[2]
     bad = np.logical_or(counts < 1, counts > 2)
     if np.any(bad):
         raise ValueError(f"non-conforming mesh: facets with counts {counts[bad]}")
-    flags = np.zeros(mesh.n_vertices, dtype=bool)
-    flags[np.unique(facets[counts == 1])] = True
-    if not np.array_equal(flags, mesh.boundary_vertex_flags):
-        raise ValueError("stored boundary flags disagree with facet incidence")
 
 
 def fit_rate(dofs, errors):

@@ -158,7 +158,7 @@ def test_criterion_3_infsup_stability():
     )
     for k in cfg.k_range:
         tm, sm = build_meshes(cfg, k)
-        gammas[k] = infsup_constant(tm, sm, 0, 1)
+        gammas[k] = infsup_constant(tm, sm)
     vals = list(gammas.values())
     ok = max(vals) / min(vals) < 2.0 and min(vals) > 0.1
     report(

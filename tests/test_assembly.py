@@ -349,7 +349,7 @@ def _jittered_square(sweeps, seed):
     h = 2.0 ** (-sweeps / 2) / 8
     shift = rng.uniform(-h, h, size=m.vertices.shape)
     shift[m.boundary_vertex_flags] = 0.0
-    return SpatialMesh(2, m.vertices + shift, m.cells, m.boundary_vertex_flags)
+    return SpatialMesh(2, m.vertices + shift, m.cells)
 
 
 REFERENCE_MESHES = {

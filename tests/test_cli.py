@@ -213,6 +213,19 @@ class TestSolvingStudies:
         assert rows[0]["epsilon_L0.5"] == pytest.approx(1.0 / 9.0, rel=1e-15)
         assert all(row["epsilon_L0.5"] > row["epsilon_L1"] for row in rows)
 
+    def test_interval_length_default_slice_times(self, tmp_path):
+        # the default slices are the quarter points of the window (T - L, T),
+        # so they lie in both windows
+        path = str(tmp_path / "i.csv")
+        run(d1_study("interval-length", L=0.5), path)
+        header, rows = read_results(path)
+        assert [row["k"] for row in rows] == [1, 2]
+        for window in ("_L0.5", "_L1"):
+            slices = [name for name in header if name.startswith("err_slice")]
+            assert [name for name in slices if name.endswith(window)] == [
+                f"err_slice@{t}{window}" for t in ("0.625", "0.75", "0.875", "1")
+            ]
+
     @pytest.mark.parametrize(
         "experiment, extra",
         [

@@ -166,6 +166,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown solution"):
             self.base(solution="quartic")
 
+    def test_default_slice_times_are_the_window_quarter_points(self):
+        assert self.base(L=0.5).slice_times == [0.625, 0.75, 0.875, 1.0]
+
+    @pytest.mark.parametrize("T", [1.0, 0.1, 0.3, 1.0 / 3.0, 7.0])
+    def test_default_slice_times_on_the_full_window_are_bitwise_unchanged(self, T):
+        assert self.base(T=T).slice_times == [T / 4, T / 2, 3 * T / 4, T]
+
     def test_slice_times_window(self):
         with pytest.raises(ValueError, match="outside the solved interval"):
             self.base(L=0.25, slice_times=[0.5])

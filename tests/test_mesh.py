@@ -1,5 +1,7 @@
 """Temporal grid and spatial mesh construction, refinement, conformity."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,6 @@ from hypothesis import given, strategies as st
 from backsolve.mesh import (
     SpatialMesh,
     TimeMesh,
-    boundary_flags_from_cells,
     cell_volumes,
     refine_uniform,
     uniform_time_mesh,
@@ -155,41 +156,40 @@ class TestRefinement:
 
 
 class TestMeshValidation:
-    def test_boundary_flags_recomputed(self):
-        m = refine_uniform(unit_square_initial(), 2)
-        flags = boundary_flags_from_cells(2, m.vertices, m.cells)
-        assert np.array_equal(flags, m.boundary_vertex_flags)
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize(
+        "initial",
+        [unit_square_initial, lambda: unit_interval_mesh(3)],
+        ids=["square", "interval-3"],
+    )
+    def test_boundary_flags_are_the_vertices_on_the_boundary(self, initial, n):
+        # the boundary of (0,1)^d is where some coordinate is 0 or 1
+        m = refine_uniform(initial(), n)
+        on_boundary = np.any((m.vertices == 0.0) | (m.vertices == 1.0), axis=1)
+        assert np.array_equal(m.boundary_vertex_flags, on_boundary)
 
-    def test_wrong_flags_rejected(self):
-        m = unit_square_initial()
-        bad = SpatialMesh(
-            2, m.vertices, m.cells, np.zeros(m.n_vertices, dtype=bool)
-        )
-        with pytest.raises(ValueError):
-            check_conforming(bad)
+    def test_derived_data_kept_and_read_only(self):
+        # no wrong flag array can be stored: they follow from the cells
+        m = refine_uniform(unit_square_initial(), 2)
+        assert m.facets is m.facets
+        assert m.boundary_vertex_flags is m.boundary_vertex_flags
+        for arr in (*m.facets, m.boundary_vertex_flags):
+            assert not arr.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            m.boundary_vertex_flags = np.ones(m.n_vertices, dtype=bool)
 
     def test_out_of_range_cell_rejected(self):
         with pytest.raises(ValueError):
-            SpatialMesh(
-                1,
-                np.array([[0.0], [1.0]]),
-                np.array([[0, 2]]),
-                np.array([True, True]),
-            )
+            SpatialMesh(1, np.array([[0.0], [1.0]]), np.array([[0, 2]]))
 
     def test_three_dimensions_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            SpatialMesh(
-                3,
-                np.eye(4, 3),
-                np.array([[0, 1, 2, 3]]),
-                np.ones(4, dtype=bool),
-            )
+            SpatialMesh(3, np.eye(4, 3), np.array([[0, 1, 2, 3]]))
 
 
 # ------------------------------------------------- per-sweep reference ----
-# The earlier refinement: every sweep builds a SpatialMesh and recomputes the
-# boundary flags from its cells. Kept as the definition of the refined mesh.
+# The earlier refinement: every sweep builds a SpatialMesh from its cells.
+# Kept as the definition of the refined mesh.
 
 
 def _ref_bisect_sweep_2d(mesh):
@@ -203,8 +203,7 @@ def _ref_bisect_sweep_2d(mesh):
     new_cells = np.empty((2 * mesh.n_cells, 3), dtype=np.int64)
     new_cells[0::2] = np.stack([c, a, m], axis=1)
     new_cells[1::2] = np.stack([b, c, m], axis=1)
-    flags = boundary_flags_from_cells(2, vertices, new_cells)
-    return SpatialMesh(2, vertices, new_cells, flags)
+    return SpatialMesh(2, vertices, new_cells)
 
 
 def _ref_bisect_sweep_1d(mesh):
@@ -215,8 +214,7 @@ def _ref_bisect_sweep_1d(mesh):
     new_cells = np.empty((2 * mesh.n_cells, 2), dtype=np.int64)
     new_cells[0::2] = np.stack([left, m], axis=1)
     new_cells[1::2] = np.stack([m, right], axis=1)
-    flags = boundary_flags_from_cells(1, vertices, new_cells)
-    return SpatialMesh(1, vertices, new_cells, flags)
+    return SpatialMesh(1, vertices, new_cells)
 
 
 def _ref_refine_uniform(mesh, n):
@@ -259,8 +257,6 @@ class TestGeometry:
 
     def test_inverted_cell_rejected(self):
         m = unit_square_initial()
-        flipped = SpatialMesh(
-            2, m.vertices, m.cells[:, [1, 0, 2]], m.boundary_vertex_flags
-        )
+        flipped = SpatialMesh(2, m.vertices, m.cells[:, [1, 0, 2]])
         with pytest.raises(ValueError, match="nonpositive"):
             flipped.geometry

@@ -298,25 +298,13 @@ class TestGramX:
 
 
 class TestInfSup:
-    def test_equal_enrichment_is_one(self):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
-        sm = refine_uniform(unit_square_initial(), 1)
-        assert infsup_constant(tm, sm, 0, 0) == 1.0
-        assert infsup_constant(tm, sm, 1, 1) == 1.0
-
-    def test_reversed_enrichment_rejected(self):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
-        sm = refine_uniform(unit_square_initial(), 1)
-        with pytest.raises(ValueError):
-            infsup_constant(tm, sm, 1, 0)
-
     def test_one_assembly_pass_per_distinct_pair(self, record_calls):
         # (P1, P1), (P2, P1) and (P2, P2): the l = 0 pencil side reuses the
         # P1 pair of the l = 1 factors
         calls = record_calls(assembly, "space_matrices")
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
-        infsup_constant(tm, sm, 0, 1)
+        infsup_constant(tm, sm)
         pairs = [(test, trial) for _, test, trial in calls]
         assert len(pairs) == len(set(pairs)) == 3
 
@@ -338,13 +326,13 @@ class TestInfSup:
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
         gamma_b = np.sqrt(scipy.linalg.eigh(*want, eigvals_only=True)[0])
-        assert infsup_constant(tm, sm, 0, 1) == pytest.approx(gamma_b, rel=1e-11)
+        assert infsup_constant(tm, sm) == pytest.approx(gamma_b, rel=1e-11)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_nested_bounded_by_one(self, k):
         tm = uniform_time_mesh(0.0, 1.0, k)
         sm = refine_uniform(unit_square_initial(), 2 * k)
-        gamma = infsup_constant(tm, sm, 0, 1)
+        gamma = infsup_constant(tm, sm)
         assert gamma <= 1.0 + 1e-10
         assert gamma > 0.5
 
@@ -354,4 +342,4 @@ class TestInfSup:
         tm = uniform_time_mesh(0.0, 1.0, 3)
         sm = refine_uniform(unit_square_initial(), 6)
         with pytest.raises(RuntimeError, match=r"n = 1017 .* in 1 iterations"):
-            infsup_constant(tm, sm, 0, 1)
+            infsup_constant(tm, sm)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from backsolve import assembly
-from backsolve import mesh as mesh_module
 from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     TimeMesh,
@@ -526,12 +525,18 @@ class TestSolveBackward:
         ids=["0-1", "1-3", "decay-1-3"],
     )
     def test_space_set_up_runs_once(
-        self, solution, l, passes, n_loads, record_calls, geometry_computations
+        self,
+        solution,
+        l,
+        passes,
+        n_loads,
+        record_calls,
+        geometry_computations,
+        facet_computations,
     ):
-        # one space assembly pass per distinct (test, trial) pair, one
-        # geometry per mesh, boundary flags for the initial and final mesh
+        # one space assembly pass per distinct (test, trial) pair; one
+        # geometry and one facet table, both for the level's mesh
         matrices = record_calls(assembly, "space_matrices")
-        flags = record_calls(mesh_module, "boundary_flags_from_cells")
         mappings = record_calls(assembly, "quad_points_physical")
         phi = record_calls(ManufacturedSolution, "phi")
         loads = record_calls(assembly, "space_load")
@@ -540,11 +545,9 @@ class TestSolveBackward:
         )
         solve_backward(cfg, 2)
         pairs = [(test, trial) for _, test, trial in matrices]
-        flag_calls = [args[0] for args in flags]
         assert len(pairs) == len(set(pairs)) == passes
-        meshes = {id(m) for m in geometry_computations}
-        assert len(geometry_computations) == len(meshes) == 1
-        assert flag_calls == [2, 2]
+        (level_mesh,) = geometry_computations
+        assert [m is level_mesh for m in facet_computations] == [True]
         # one phi sample feeds the source, the end data and J(0); the error
         # report maps and samples once more. l = 1 loads a nonzero source on
         # P2 too; a source-free solution loads P1 alone
