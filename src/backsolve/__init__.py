@@ -9,7 +9,12 @@ from .mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from .precond import FactorTooLargeError, RieszPreconditioner, make_G_X, make_G_Y
+from .precond import (
+    RieszPreconditioner,
+    UnsupportedMeshError,
+    make_G_X,
+    make_G_Y,
+)
 from .solver import (
     ErrorReport,
     LeastSquaresSystem,
@@ -30,12 +35,12 @@ __all__ = [
     "ConfigError",
     "ErrorReport",
     "ExperimentConfig",
-    "FactorTooLargeError",
     "LeastSquaresSystem",
     "RieszPreconditioner",
     "SolveReport",
     "SpatialMesh",
     "TimeMesh",
+    "UnsupportedMeshError",
     "build_meshes",
     "build_system",
     "choose_epsilon",

@@ -220,3 +220,7 @@ def main(argv=None) -> int:
         return 1
     print(f"wrote {output} ({len(rows)} rows)")
     return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -108,9 +108,12 @@ class SpatialMesh:
             nloc = d + 1
             idx = [[j for j in range(nloc) if j != i] for i in range(nloc)]
             raw = np.sort(self.cells[:, idx].reshape(-1, d), axis=1)
-        facets, inverse, counts = np.unique(
-            raw, axis=0, return_inverse=True, return_counts=True
+        # a sorted vertex tuple keyed as one integer sorts like the row
+        shape = (self.n_vertices,) * d
+        keys, inverse, counts = np.unique(
+            np.ravel_multi_index(raw.T, shape), return_inverse=True, return_counts=True
         )
+        facets = np.stack(np.unravel_index(keys, shape), axis=1)
         cell_facets = inverse.reshape(self.n_cells, -1)
         for arr in (facets, cell_facets, counts):
             arr.setflags(write=False)
@@ -171,9 +174,11 @@ def unit_interval_mesh(m: int) -> SpatialMesh:
 
 def _bisect_sweep_2d(vertices: np.ndarray, cells: np.ndarray):
     a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    ref_edges = np.sort(np.stack([a, b], axis=1), axis=1)
-    uniq, inverse = np.unique(ref_edges, axis=0, return_inverse=True)
-    mids = 0.5 * (vertices[uniq[:, 0]] + vertices[uniq[:, 1]])
+    # each refinement edge keyed as lo * n_vertices + hi, sorted like (lo, hi)
+    keys = np.minimum(a, b) * vertices.shape[0] + np.maximum(a, b)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    lo, hi = np.divmod(uniq, vertices.shape[0])
+    mids = 0.5 * (vertices[lo] + vertices[hi])
     m = vertices.shape[0] + inverse
     # children of (a,b,c): (c,a,m) and (b,c,m); keeps positive orientation
     new_cells = np.empty((2 * cells.shape[0], 3), dtype=np.int64)

@@ -8,8 +8,6 @@ level's space matrices once, for the solve and the inf-sup study alike.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -113,8 +111,3 @@ def assemble_B(
     d_t = time_derivative_mixed(time_mesh, TEST_TIME)
     n_t = time_mass_mixed(time_mesh, TEST_TIME)
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])
-
-
-def physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -356,7 +356,8 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
     small, big = pencil_side(0, (m, a, m, a, a)), pencil_side(1, space)
     n = small.shape[0]
-    lift = LinearOperator((n, n), make_G_X(time_mesh, a, m).apply, dtype=float)
+    g_x = make_G_X(time_mesh, space_mesh, a, m)
+    lift = LinearOperator((n, n), g_x.apply, dtype=float)
     start = np.random.default_rng(0).standard_normal((n, INFSUP_BLOCK))
     try:
         vals, vecs = lobpcg(
@@ -538,7 +539,8 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
 
     Time: 2^k elements on (T-L, T); the interval-length study instead uses
     the restriction of a 2^(k+3)-element mesh of (0, T), which for dyadic
-    L/T is again uniform. Space: d*k bisection sweeps of the initial mesh.
+    L/T is again uniform. Space: d*k bisection sweeps of the initial mesh,
+    the uniform meshes on which make_G_X solves its lift in closed form.
     """
     t_start = config.T - config.L
     if config.experiment == "interval-length":
@@ -599,7 +601,7 @@ def build_level(config, k: int) -> Level:
     system = build_system(
         time_mesh, space_mesh, config.l, solution, space, perturbation
     )
-    g_x = make_G_X(time_mesh, system.stiffness_x, system.mass_x)
+    g_x = make_G_X(time_mesh, space_mesh, system.stiffness_x, system.mass_x)
     return Level(time_mesh, space_mesh, solution, pert_norm, system, g_x)
 
 

@@ -1,30 +1,11 @@
 """Shared fixtures."""
 
 import functools
-import os
 import sys
 
 import pytest
 
 from backsolve.mesh import SpatialMesh
-
-
-@pytest.fixture
-def physical_memory(monkeypatch):
-    """Setter that makes the machine report nbytes of physical memory,
-    rounded up to whole pages."""
-    real = os.sysconf
-    page = real("SC_PAGE_SIZE")
-
-    def report(nbytes):
-        pages = -(-nbytes // page)
-        monkeypatch.setattr(
-            os,
-            "sysconf",
-            lambda name: pages if name == "SC_PHYS_PAGES" else real(name),
-        )
-
-    return report
 
 
 def _computations(monkeypatch, name):

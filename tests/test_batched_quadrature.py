@@ -7,7 +7,7 @@ the system data loaded from callables, each evaluated on its own points.
 """
 
 import math
-import os
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -438,17 +438,21 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
 
 
 class TestDenseSizeGuard:
-    def test_lift_builds_when_dense_would_not_fit(self, physical_memory):
-        # the trial-space lift allocates nothing n_x x n_x in d=2: it builds
-        # with less physical memory reported than one such array needs
+    def test_lift_builds_when_dense_would_not_fit(self):
+        # the trial-space lift allocates nothing n_x x n_x in d=2: its set-up
+        # and one apply together peak below one such float64 array
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 4)
-        n_x = int((~sm.boundary_vertex_flags).sum())
-        physical_memory(n_x * n_x * 8 - os.sysconf("SC_PAGE_SIZE"))
+        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        n_x = a.shape[0]
         G = gram_X(tm, sm)
-        lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
         v = np.random.default_rng(9).standard_normal(G.shape[1])
-        got = lift.apply(G.apply(v))
+        f = G.apply(v)
+        tracemalloc.start()
+        try:
+            got = make_G_X(tm, sm, a, m).apply(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_x * n_x * 8
         assert np.max(np.abs(got - v)) <= 1e-8 * max(1.0, np.max(np.abs(v)))

@@ -1,6 +1,10 @@
 """Command line entry point, CSV output format, determinism."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,3 +356,21 @@ class TestMain:
         code = main(["run", "--config", cfg_path])
         assert code == 0
         assert (tmp_path / "from_config.csv").exists()
+
+    def test_module_entry_points_write_the_same_csv(self, tmp_path):
+        # `python -m backsolve.cli` runs main like `python -m backsolve`
+        cfg_path = write_config(tmp_path, FAST_CONVERGENCE)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        written = []
+        for module in ("backsolve.cli", "backsolve"):
+            out_path = tmp_path / f"{module}.csv"
+            done = subprocess.run(
+                [sys.executable, "-m", module, "run", "--config", cfg_path,
+                 "--output", str(out_path)],
+                env=env, capture_output=True, text=True, check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            written.append(out_path.read_bytes())
+        assert written[0] == written[1]

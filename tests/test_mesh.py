@@ -233,7 +233,7 @@ INITIAL_MESHES = {
 }
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", [*range(7), 12])
 @pytest.mark.parametrize("initial", INITIAL_MESHES)
 def test_refinement_is_bitwise_the_per_sweep_loop(initial, n):
     got = refine_uniform(INITIAL_MESHES[initial](), n)
@@ -243,6 +243,29 @@ def test_refinement_is_bitwise_the_per_sweep_loop(initial, n):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+def _ref_facets(mesh):
+    """The earlier facet table: a row-unique sort of the sorted vertex tuples."""
+    d = mesh.dimension
+    if d == 1:
+        raw = mesh.cells.reshape(-1, 1)
+    else:
+        idx = [[j for j in range(d + 1) if j != i] for i in range(d + 1)]
+        raw = np.sort(mesh.cells[:, idx].reshape(-1, d), axis=1)
+    facets, inverse, counts = np.unique(
+        raw, axis=0, return_inverse=True, return_counts=True
+    )
+    return facets, inverse.reshape(mesh.n_cells, -1), counts
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("initial", INITIAL_MESHES)
+def test_facets_are_bitwise_the_row_unique_table(initial, n):
+    mesh = refine_uniform(INITIAL_MESHES[initial](), n)
+    for got, want in zip(mesh.facets, _ref_facets(mesh), strict=True):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestGeometry:

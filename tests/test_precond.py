@@ -1,14 +1,11 @@
 """Riesz lifts: the exact trial-space lift, and the test stiffness solve
 that stands in for the test-space lift."""
 
-import os
-import re
-
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import eigh
 
-import backsolve
 from backsolve import precond
 from backsolve.assembly import (
     QUAD_ORDER,
@@ -18,6 +15,7 @@ from backsolve.assembly import (
     time_stiffness_trial,
 )
 from backsolve.mesh import (
+    SpatialMesh,
     TimeMesh,
     refine_uniform,
     uniform_time_mesh,
@@ -26,7 +24,7 @@ from backsolve.mesh import (
 )
 from backsolve.operators import TRIAL_SPACE, space_factors
 from backsolve.operators import test_space_spec as enriched_space_spec
-from backsolve.precond import FactorTooLargeError, make_G_X, make_G_Y
+from backsolve.precond import UnsupportedMeshError, make_G_X, make_G_Y
 from backsolve.solutions import get_solution
 from backsolve.solver import build_system
 from reference import dense, gram_X, gram_Y, space_mass, space_stiffness, system_data
@@ -70,7 +68,8 @@ def _space_mesh(d, bisections):
     return refine_uniform(initial, bisections)
 
 
-# (time mesh, space mesh, form make_G_X takes): "dense" when n_x <= n_t
+# (time mesh, space mesh, form make_G_X takes): "dense" when n_x <= n_t, else
+# "sparse", the closed form on the sparse stencil matrices
 LIFT_CASES = {
     "d2-dense": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 2), "dense"),
     "d2-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4), "sparse"),
@@ -78,9 +77,11 @@ LIFT_CASES = {
     "d1-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5), "sparse"),
     "d2-sparse-nonuniform": (
         TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
-        _space_mesh(2, 3),
+        _space_mesh(2, 4),
         "sparse",
     ),
+    # N = 2: one grid dof, with no axis neighbour, and four centres
+    "d2-sparse-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(2, 2), "sparse"),
 }
 
 
@@ -109,7 +110,7 @@ class TestGXForms:
         reference = reference_G_X(tm, sm)
         sizes = _recording_eigh(monkeypatch)
         lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         # the dense form also decomposes the space pencil
         assert sorted(sizes) == sorted([n_t, n_x] if form == "dense" else [n_t])
@@ -125,7 +126,7 @@ class TestGXForms:
         tm, sm, _ = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
         lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         rng = np.random.default_rng(8)
         for _ in range(3):
@@ -139,9 +140,51 @@ class TestGXForms:
         assert n_x > n_t
         sizes = _recording_eigh(monkeypatch)
         make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         assert sizes and max(sizes) <= n_t
+
+
+def _jittered(mesh, seed):
+    """mesh with its interior vertices moved at random by well under a
+    thousandth of an edge: the same cells, no longer uniform."""
+    rng = np.random.default_rng(seed)
+    interior = ~mesh.boundary_vertex_flags
+    step = 1e-3 / np.sqrt(mesh.n_cells)
+    vertices = mesh.vertices.copy()
+    vertices[interior] += rng.uniform(-step, step, (interior.sum(), mesh.dimension))
+    return SpatialMesh(mesh.dimension, vertices, mesh.cells)
+
+
+class TestGXClosedForm:
+    """The n_x > n_t form solves the uniform meshes the solver builds in
+    closed form, and refuses any other mesh before any work."""
+
+    @pytest.mark.parametrize(
+        "sm",
+        [
+            _space_mesh(2, 3),
+            _jittered(_space_mesh(2, 4), 1),
+            _jittered(_space_mesh(1, 4), 2),
+        ],
+        ids=["d2-three-sweeps", "d2-jittered", "d1-jittered"],
+    )
+    def test_other_meshes_raise(self, sm, monkeypatch):
+        tm = uniform_time_mesh(0.0, 1.0, 1)
+        n_t, n_x = _dims(tm, sm)
+        assert n_x > n_t
+        sizes = _recording_eigh(monkeypatch)
+        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        with pytest.raises(UnsupportedMeshError, match="not the stencils"):
+            make_G_X(tm, sm, a, m)
+        assert isinstance(UnsupportedMeshError(), ValueError)
+        assert sizes == []  # not even the time pencil
+
+    def test_makes_no_sparse_factorization(self, record_calls):
+        tm, sm = uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 8)
+        factored = record_calls(scipy.sparse.linalg, "splu")
+        make_G_X(tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE))
+        assert factored == []
 
 
 class TestGYLift:
@@ -189,7 +232,7 @@ class TestGXLift:
         tm, sm = mesh_pair_2d()
         G = gram_X(tm, sm)
         lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         rng = np.random.default_rng(2)
         for _ in range(5):
@@ -200,7 +243,7 @@ class TestGXLift:
     def test_positive_on_functionals(self):
         tm, sm = mesh_pair_1d()
         lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         n = gram_X(tm, sm).shape[0]
         rng = np.random.default_rng(3)
@@ -213,10 +256,10 @@ class TestGXLift:
         rng = np.random.default_rng(5)
         f = rng.standard_normal(gram_X(tm, sm).shape[0])
         first = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         ).apply(f)
         again_same_lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         ).apply(f)
         assert np.array_equal(first, again_same_lift)
 
@@ -225,79 +268,10 @@ class TestGXLift:
         tm, sm = mesh_pair_1d()
         G = gram_X(tm, sm)
         lift = make_G_X(
-            tm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.standard_normal(G.shape[1])
             ratio = v @ G.apply(lift.apply(G.apply(v))) / (v @ G.apply(v))
             assert ratio == pytest.approx(1.0, abs=1e-8)
-
-
-class TestGXSizeGuard:
-    """make_G_X factors one shifted block, predicts n_t times its size for
-    the block-diagonal factor and refuses it above physical memory."""
-
-    def _factored_sizes(self, monkeypatch):
-        sizes = []
-        real = precond._shifted_space_factor
-
-        def recording(a, m, shifts):
-            sizes.append(shifts.size)
-            return real(a, m, shifts)
-
-        monkeypatch.setattr(precond, "_shifted_space_factor", recording)
-        return sizes
-
-    def _lift(self, tm, sm):
-        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        return make_G_X(tm, a, m)
-
-    def _predicted_bytes(self, physical_memory, tm, sm):
-        physical_memory(0)
-        with pytest.raises(FactorTooLargeError) as info:
-            self._lift(tm, sm)
-        need = re.search(r"about ([\d,]+) bytes", str(info.value))[1]
-        return int(need.replace(",", ""))
-
-    def test_refuses_before_factoring_all_modes(
-        self, monkeypatch, physical_memory
-    ):
-        tm, sm = uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)
-        n_t, n_x = _dims(tm, sm)
-        sizes = self._factored_sizes(monkeypatch)
-        physical_memory(0)
-        with pytest.raises(FactorTooLargeError) as info:
-            self._lift(tm, sm)
-        msg = str(info.value)
-        assert f"n_x = {n_x} " in msg and f"n_t = {n_t} " in msg
-        assert re.search(r"about [\d,]+ bytes", msg)
-        assert isinstance(info.value, MemoryError)
-        assert backsolve.FactorTooLargeError is FactorTooLargeError
-        assert sizes == [1]  # the probe block only
-
-    def test_builds_at_the_predicted_size(self, monkeypatch, physical_memory):
-        tm, sm = uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)
-        need = self._predicted_bytes(physical_memory, tm, sm)
-        physical_memory(need - os.sysconf("SC_PAGE_SIZE"))
-        with pytest.raises(FactorTooLargeError):
-            self._lift(tm, sm)
-        physical_memory(need)
-        sizes = self._factored_sizes(monkeypatch)
-        self._lift(tm, sm)
-        assert sizes == [1, _dims(tm, sm)[0]]
-
-    def test_prediction_matches_the_factor(self, physical_memory):
-        tm, sm = uniform_time_mesh(0.0, 1.0, 3), _space_mesh(2, 6)
-        need = self._predicted_bytes(physical_memory, tm, sm)
-        theta = eigh(
-            time_stiffness_trial(tm).toarray(),
-            time_mass_trial(tm).toarray(),
-            eigvals_only=True,
-        )
-        lu = precond._shifted_space_factor(
-            space_stiffness(sm, TRIAL_SPACE),
-            space_mass(sm, TRIAL_SPACE),
-            np.sqrt(np.maximum(theta, 0.0)),
-        )
-        assert need == pytest.approx(precond._factor_bytes(lu), rel=0.05)

@@ -89,7 +89,7 @@ class TestBuildSystem:
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert b_route(tm, sm, 0, 0.5, zero).functional(np.zeros(system.n)) == 0.0
         assert system.j_zero == 0.0
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         # the functional rule needs no zero-data case: J = 0 and r = 0
         for threshold in (1e-30, None):
             x, rep = pcg(system, g_x, threshold=threshold, max_iter=50)
@@ -124,7 +124,7 @@ class TestBuildSystem:
     def test_functional_minimized_at_solve(self):
         # the Krylov solution beats nearby vectors in the functional
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         x, _ = pcg(system, g_x, threshold=1e-24, max_iter=200)
         functional = b_route(tm, sm, 0, 0.1, get_solution("cubic", 1)).functional
         base = functional(x)
@@ -242,7 +242,7 @@ class TestDenseReference:
 class TestPCG:
     def test_matches_dense_solve(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         x, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         S = dense_from_apply(system.apply, system.n)
         x_ref = np.linalg.solve(S, system.rhs)
@@ -255,14 +255,14 @@ class TestPCG:
         # the conjugate residual variant minimizes the monitored quantity,
         # so its history never increases
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         _, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         hist = rep.residual_history
         assert np.all(np.diff(hist) <= 1e-14 * hist[0])
 
     def test_max_iter_exhaustion_flagged(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         _, rep = pcg(system, g_x, threshold=1e-40, max_iter=1)
         assert rep.iterations == 1
         assert not rep.converged
@@ -270,7 +270,7 @@ class TestPCG:
 
     def test_invalid_arguments(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         with pytest.raises(ValueError):
             pcg(system, g_x, threshold=0.0, max_iter=10)
 
@@ -293,7 +293,7 @@ class TestPCG:
         assert system.j_zero == pytest.approx(
             functional(np.zeros(system.n)), rel=1e-12
         )
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         x, rep = pcg(system, g_x, threshold=None, max_iter=100)
         assert rep.converged and rep.iterations >= 1
         assert rep.stopping_value <= rep.threshold
@@ -305,7 +305,7 @@ class TestPCG:
 
     def test_report_fields(self):
         tm, sm, system = small_system(reg_epsilon=0.25)
-        g_x = make_G_X(tm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
         _, rep = pcg(system, g_x, threshold=1e-20, max_iter=300)
         assert rep.epsilon == 0.25
         assert rep.threshold == 1e-20
@@ -474,9 +474,9 @@ class TestSolveBackward:
 
     @pytest.mark.parametrize("l", [0, 1])
     def test_normal_operator_reuses_the_test_factor(self, l, monkeypatch):
-        # a d=2 solve makes one real sparse factorization, of A_test (G_X's
-        # are complex); nothing applies B, and every Riesz lift is G_X's,
-        # none of them inside the normal operator
+        # a d=2 solve makes one sparse factorization, of A_test (G_X's lift
+        # is solved in closed form); nothing applies B, and every Riesz lift
+        # is G_X's, none of them inside the normal operator
         factored, calls, inside = [], [], [False]
         for mod in [m for n, m in sys.modules.items() if n.startswith("backsolve")]:
             if hasattr(mod, "splu"):
@@ -514,7 +514,7 @@ class TestSolveBackward:
         )
         solve_backward(cfg, 2)
         n_test = space_factors(build_meshes(cfg, 2)[1], l)[4].shape[0]
-        assert [shape for shape, cplx in factored if not cplx] == [(n_test, n_test)]
+        assert factored == [((n_test, n_test), False)]
         assert ("normal", None, False) in calls
         lifts = {call for call in calls if call[0] != "normal"}
         assert lifts == {("apply", "X", False)}
