@@ -2,10 +2,9 @@
 
 The trial-space lift inverts the full anisotropic Gram by diagonalization
 in time: a generalized eigendecomposition of the time pencil, then per
-time mode a shifted space solve, in closed form on the uniform meshes the
-solver builds, or by a dense space eigendecomposition when space is no
-larger than time. The lift is exact, so the norm-equivalence constants
-are 1.
+time mode a shifted space solve in closed form. It solves only the
+uniform meshes the solver builds. The lift is exact, so the
+norm-equivalence constants are 1.
 
 The test-space Gram is the identity in time times the test stiffness
 A_test, so no test-space lift is built: make_G_Y factors A_test once, and
@@ -58,31 +57,19 @@ def make_G_X(
     pencil (time stiffness, time mass) gives modes z_j with eigenvalues
     theta_j. On mode j the space part of the inverse is
     V diag(mu / (mu^2 + theta_j)) V^T over the (stiffness, mass) pencil,
-    which equals Re[(A + i sqrt(theta_j) M)^-1]. With more space dofs than
-    time modes, every mode is solved in closed form (_shifted_space_solve),
-    after _stencils has checked, before any other work, that a and m are
-    the stencils of a mesh it solves; otherwise the space pencil is
-    diagonalized densely, which then holds no more entries than a trial
-    vector.
+    which equals Re[(A + i sqrt(theta_j) M)^-1], solved for every mode in
+    closed form (_shifted_space_solve). The only meshes solved are those the
+    solver builds: dyadic uniform interval meshes and
+    refine_uniform(unit_square_initial(), 2k). Before any other work,
+    _stencils checks that a and m are the stencils of such a mesh, else
+    UnsupportedMeshError is raised.
     """
     n_t, n_x = time_mesh.n_elements + 1, a.shape[0]
-    stencils = _stencils(space_mesh, a, m) if n_x > n_t else None
+    stencils = _stencils(space_mesh, a, m)
     t_stiff = time_stiffness_trial(time_mesh).toarray()
     t_mass = time_mass_trial(time_mesh).toarray()
     theta, zt = scipy.linalg.eigh(t_stiff, t_mass)
     theta = np.maximum(theta, 0.0)  # constants-in-time give an exact zero
-
-    if n_x <= n_t:
-        mu, vx = scipy.linalg.eigh(a.toarray(), m.toarray())  # vx is m-orthonormal
-        denom = mu[None, :] + theta[:, None] / mu[None, :]
-
-        def apply(f: np.ndarray) -> np.ndarray:
-            mat = f.reshape(n_t, n_x)
-            w = (zt.T @ mat @ vx) / denom
-            return (zt @ w @ vx.T).ravel()
-
-        return RieszPreconditioner(apply)
-
     solve = _shifted_space_solve(stencils, np.sqrt(theta))
 
     def apply(f: np.ndarray) -> np.ndarray:
@@ -163,12 +150,13 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     With E = tridiag(1, 0, 1) of size N - 1 and P the centre-to-corner
     incidence, the shifted stencils give per shift K_cc = alpha I,
     K_cg = beta P and K_gg = gamma0 I + gamma1 (E x I + I x E) (in d = 1,
-    gamma0 I + gamma1 E and no centres). Since P^T P = (E + 2I) x (E + 2I),
-    condensing the centres leaves the grid Schur complement K_gg -
-    (beta^2 / alpha) (E + 2I) x (E + 2I), which the orthonormal sine matrix
-    S_pi = sqrt(2/N) sin(p i pi / N) diagonalizes on each axis, E's
-    eigenvalues being 2 cos(p pi / N): the tensor-product direct method of
-    Lynch, Rice and Thomas (1964), batched over the shifts.
+    gamma0 I + gamma1 E and no centres, so only Re(1 / lam) of each
+    eigenvalue lam reaches the output and the solve is real). Since
+    P^T P = (E + 2I) x (E + 2I), condensing the centres leaves the grid
+    Schur complement K_gg - (beta^2 / alpha) (E + 2I) x (E + 2I), which the
+    orthonormal sine matrix S_pi = sqrt(2/N) sin(p i pi / N) diagonalizes on
+    each axis, E's eigenvalues being 2 cos(p pi / N): the tensor-product
+    direct method of Lynch, Rice and Thomas (1964), batched over the shifts.
     """
     n, grid, centres, stiff, mass = stencils
     d = grid.ndim
@@ -178,16 +166,18 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     p = np.arange(1, n)
     e = 2.0 * np.cos(np.pi * p / n)
     sine = math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(p, p) / n)
-    if d == 1:
+    if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
         lam = gamma0 + gamma1 * e
+        lam = lam.real + lam.imag**2 / lam.real
     else:
         ratio = beta / alpha
         lam = gamma0 + gamma1 * np.add.outer(e, e)
         lam -= beta * ratio * np.outer(e + 2.0, e + 2.0)
 
     def transform(x):  # the sine matrix on each space axis, one GEMM per axis
+        rows = math.prod(x.shape[:-1])  # not -1: with N = 1 x is empty
         for _ in range(d):
-            x = (x.reshape(-1, n - 1) @ sine).reshape(x.shape)
+            x = (x.reshape(rows, n - 1) @ sine).reshape(x.shape)
             if d == 2:  # S X S = ((X S)^T S)^T, S symmetric
                 x = x.swapaxes(1, 2)
         return x

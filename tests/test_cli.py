@@ -69,6 +69,18 @@ class TestRun:
         assert all(row["pcg_iterations"] >= 1 for row in rows)
         assert all(row["err_l2l2"] > 0.0 for row in rows)
 
+    def test_convergence_from_the_one_dof_square(self, tmp_path):
+        # d=2 k=0 has one space dof, a square centre, and no grid dof
+        cfg = ExperimentConfig(
+            experiment="convergence", d=2, T=1.0, k_range=[0, 1], solution="cubic"
+        )
+        path = str(tmp_path / "c.csv")
+        run(cfg, path)
+        _, rows = read_results(path)
+        assert [(row["k"], row["dofs"]) for row in rows] == [(0, 2), (1, 15)]
+        assert all(row["pcg_iterations"] >= 1 for row in rows)
+        assert all(0.0 < row["err_l2l2"] < 1.0 for row in rows)
+
     def test_byte_deterministic(self, tmp_path):
         cfg = parse_config(FAST_CONVERGENCE)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")

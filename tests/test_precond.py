@@ -68,20 +68,25 @@ def _space_mesh(d, bisections):
     return refine_uniform(initial, bisections)
 
 
-# (time mesh, space mesh, form make_G_X takes): "dense" when n_x <= n_t, else
-# "sparse", the closed form on the sparse stencil matrices
+# (time mesh, space mesh): meshes the solver builds, with more and with
+# fewer space dofs than time dofs, all solved by the one closed form
 LIFT_CASES = {
-    "d2-dense": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 2), "dense"),
-    "d2-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4), "sparse"),
-    "d1-dense": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(1, 3), "dense"),
-    "d1-sparse": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5), "sparse"),
-    "d2-sparse-nonuniform": (
+    "d2-k1-long-time": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 2)),
+    "d2-k2": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)),
+    "d1-k3-long-time": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(1, 3)),
+    "d1-k5": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5)),
+    "d2-nonuniform-time": (
         TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
         _space_mesh(2, 4),
-        "sparse",
     ),
     # N = 2: one grid dof, with no axis neighbour, and four centres
-    "d2-sparse-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(2, 2), "sparse"),
+    "d2-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(2, 2)),
+    # N = 1: one centre and no grid dof
+    "d2-k0": (uniform_time_mesh(0.0, 1.0, 0), _space_mesh(2, 0)),
+    # N = 2: one grid dof, with no neighbour
+    "d1-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(1, 1)),
+    # a level of the d=1 convergence benchmark
+    "d1-k6": (uniform_time_mesh(0.0, 1.0, 6), _space_mesh(1, 6)),
 }
 
 
@@ -104,16 +109,14 @@ def _recording_eigh(monkeypatch):
 class TestGXForms:
     @pytest.mark.parametrize("case", LIFT_CASES)
     def test_matches_double_eigendecomposition(self, case, monkeypatch):
-        tm, sm, form = LIFT_CASES[case]
+        tm, sm = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
-        assert (n_x <= n_t) == (form == "dense")
         reference = reference_G_X(tm, sm)
         sizes = _recording_eigh(monkeypatch)
         lift = make_G_X(
             tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
-        # the dense form also decomposes the space pencil
-        assert sorted(sizes) == sorted([n_t, n_x] if form == "dense" else [n_t])
+        assert sizes == [n_t]  # the time pencil only
         rng = np.random.default_rng(7)
         for _ in range(3):
             f = rng.standard_normal(n_t * n_x)
@@ -123,7 +126,7 @@ class TestGXForms:
 
     @pytest.mark.parametrize("case", LIFT_CASES)
     def test_symmetric(self, case):
-        tm, sm, _ = LIFT_CASES[case]
+        tm, sm = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
         lift = make_G_X(
             tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
@@ -133,16 +136,18 @@ class TestGXForms:
             f, g = rng.standard_normal((2, n_t * n_x))
             assert f @ lift.apply(g) == pytest.approx(g @ lift.apply(f), rel=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_d2_decomposes_nothing_larger_than_time(self, k, monkeypatch):
-        tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(2, 2 * k)
-        n_t, n_x = _dims(tm, sm)
-        assert n_x > n_t
+    @pytest.mark.parametrize(
+        "d, k", [(2, k) for k in (1, 2, 3)] + [(1, k) for k in range(1, 9)]
+    )
+    def test_decomposes_only_the_time_pencil(self, d, k, monkeypatch):
+        # the levels of build_meshes, where d=1 has fewer space than time dofs
+        tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(d, d * k)
+        n_t, _ = _dims(tm, sm)
         sizes = _recording_eigh(monkeypatch)
         make_G_X(
             tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         )
-        assert sizes and max(sizes) <= n_t
+        assert sizes == [n_t]
 
 
 def _jittered(mesh, seed):
@@ -157,8 +162,9 @@ def _jittered(mesh, seed):
 
 
 class TestGXClosedForm:
-    """The n_x > n_t form solves the uniform meshes the solver builds in
-    closed form, and refuses any other mesh before any work."""
+    """make_G_X solves the uniform meshes the solver builds in closed form,
+    and refuses any other mesh before any work, whatever its size against
+    the time mesh."""
 
     @pytest.mark.parametrize(
         "sm",
@@ -166,13 +172,12 @@ class TestGXClosedForm:
             _space_mesh(2, 3),
             _jittered(_space_mesh(2, 4), 1),
             _jittered(_space_mesh(1, 4), 2),
+            unit_interval_mesh(5),
         ],
-        ids=["d2-three-sweeps", "d2-jittered", "d1-jittered"],
+        ids=["d2-three-sweeps", "d2-jittered", "d1-jittered", "d1-non-dyadic"],
     )
     def test_other_meshes_raise(self, sm, monkeypatch):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
-        n_t, n_x = _dims(tm, sm)
-        assert n_x > n_t
+        tm = uniform_time_mesh(0.0, 1.0, 3)  # 9 time dofs: d1-non-dyadic has 4
         sizes = _recording_eigh(monkeypatch)
         a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         with pytest.raises(UnsupportedMeshError, match="not the stencils"):
