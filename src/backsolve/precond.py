@@ -1,14 +1,16 @@
-"""Riesz-map preconditioner and the test stiffness factor.
+"""Riesz-map preconditioner and the test stiffness solve.
 
 The trial-space lift inverts the full anisotropic Gram by diagonalization
-in time: a generalized eigendecomposition of the time pencil, then per
-time mode a shifted space solve in closed form. It solves only the
-uniform meshes the solver builds. The lift is exact, so the
-norm-equivalence constants are 1.
+in time: the time pencil's modes are known cosines on the uniform time
+mesh, and per time mode a shifted space solve is done in closed form. It
+solves only the uniform meshes the solver builds. The lift is exact, so
+the norm-equivalence constants are 1.
 
 The test-space Gram is the identity in time times the test stiffness
-A_test, so no test-space lift is built: make_G_Y factors A_test once, and
-the right-hand side, J(0) and the normal operator use its solve.
+A_test, so no test-space lift is built: the right-hand side, J(0) and the
+normal operator use an A_test solve. At l = 0 A_test is the trial
+stiffness, solved by the same closed form at shift 0 (stiffness_solve);
+at l = 1 make_G_Y factors the P2 stiffness once.
 """
 
 from __future__ import annotations
@@ -18,16 +20,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import time_mass_trial, time_stiffness_trial
 from .mesh import SpatialMesh, TimeMesh
 from .operators import sparse_lu
 
 
 class UnsupportedMeshError(ValueError):
-    """The closed-form trial-space lift does not solve this space mesh."""
+    """The closed-form solves do not solve this mesh."""
 
 
 @dataclass(frozen=True)
@@ -48,37 +48,66 @@ def make_G_Y(a_test: sp.csr_matrix) -> Callable:
     return sparse_lu(a_test, "test stiffness").solve
 
 
-def make_G_X(
-    time_mesh: TimeMesh, space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix
-) -> RieszPreconditioner:
+def stiffness_solve(stencils) -> Callable:
+    """Solve with the trial stiffness A in closed form: _shifted_space_solve
+    at shift 0, for the space_stencils of A. Like make_G_Y's solve, it takes
+    a vector or the columns of an array.
+    """
+    solve = _shifted_space_solve(stencils, np.zeros(1))
+    return lambda w: solve(np.atleast_2d(w.T)).T.reshape(w.shape)
+
+
+def make_G_X(time_mesh: TimeMesh, stencils) -> RieszPreconditioner:
     """Exact trial-space Riesz lift by diagonalization in time.
 
-    a and m are the trial space stiffness and mass on space_mesh. The time
-    pencil (time stiffness, time mass) gives modes z_j with eigenvalues
-    theta_j. On mode j the space part of the inverse is
-    V diag(mu / (mu^2 + theta_j)) V^T over the (stiffness, mass) pencil,
-    which equals Re[(A + i sqrt(theta_j) M)^-1], solved for every mode in
-    closed form (_shifted_space_solve). The only meshes solved are those the
-    solver builds: dyadic uniform interval meshes and
-    refine_uniform(unit_square_initial(), 2k). Before any other work,
-    _stencils checks that a and m are the stencils of such a mesh, else
-    UnsupportedMeshError is raised.
+    stencils are the space_stencils of the trial space stiffness and mass
+    (A, M). The time pencil (time stiffness, time mass) has modes z_j with
+    eigenvalues theta_j, in closed form (_time_modes). On mode j the space
+    part of the inverse is V diag(mu / (mu^2 + theta_j)) V^T over the
+    (stiffness, mass) pencil, which equals Re[(A + i sqrt(theta_j) M)^-1],
+    solved for every mode in closed form (_shifted_space_solve). A
+    non-uniform time mesh raises UnsupportedMeshError before any other work.
     """
-    n_t, n_x = time_mesh.n_elements + 1, a.shape[0]
-    stencils = _stencils(space_mesh, a, m)
-    t_stiff = time_stiffness_trial(time_mesh).toarray()
-    t_mass = time_mass_trial(time_mesh).toarray()
-    theta, zt = scipy.linalg.eigh(t_stiff, t_mass)
-    theta = np.maximum(theta, 0.0)  # constants-in-time give an exact zero
+    theta, zt = _time_modes(time_mesh)
     solve = _shifted_space_solve(stencils, np.sqrt(theta))
 
     def apply(f: np.ndarray) -> np.ndarray:
-        return (zt @ solve(zt.T @ f.reshape(n_t, n_x))).ravel()
+        return (zt @ solve(zt.T @ f.reshape(theta.size, -1))).ravel()
 
     return RieszPreconditioner(apply)
 
 
-def _stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
+def _time_modes(time_mesh: TimeMesh):
+    """(theta, Z): the time pencil's eigenvalues, ascending, and its modes
+    as columns, Z^T M_t Z = I, in closed form on a uniform time mesh.
+
+    With n elements of length h, K_t = tridiag(-1, 2, -1) / h and
+    M_t = h tridiag(1, 4, 1) / 6, each halved in its two corners. With
+    c_j = cos(j pi / n), the cosines z_j(i) = cos(i j pi / n), j = 0..n, give
+    K_t z_j = theta_j M_t z_j, theta_j = (6 / h^2)(1 - c_j) / (2 + c_j), and
+    M_t z_j = (h / 3)(2 + c_j) W z_j, W = diag(1/2, 1, ..., 1, 1/2). Under
+    W the cosines are orthogonal with squared norms n / 2, doubled at j = 0
+    and j = n (the DCT-I). 1 - c_j is taken as 2 sin^2(j pi / 2n), so the
+    small theta_j keep their relative accuracy, and i j is reduced mod 2n
+    before it is scaled by pi / n. A breakpoint more than 4 ulps off the
+    uniform grid raises UnsupportedMeshError.
+    """
+    bp = time_mesh.breakpoints
+    n, span = bp.size - 1, bp[-1] - bp[0]
+    j = np.arange(n + 1)
+    uniform = bp[0] + span * (j / n)
+    if np.abs(bp - uniform).max() > 4 * np.spacing(np.abs(bp).max()):
+        raise UnsupportedMeshError(
+            f"the time mesh with {n} elements is not uniform; the closed-form "
+            "time modes need equal elements"
+        )
+    c = np.cos(np.pi * j / n)
+    theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
+    sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
+    return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
+
+
+def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
     """(N, grid dofs, centre dofs, stiffness and mass stencil constants).
 
     A dyadic uniform interval mesh has the N - 1 interior grid points as
@@ -88,7 +117,8 @@ def _stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
     in grid order. Per class of entries (grid diagonal, centre diagonal,
     axis neighbours, centre-corner pairs) the constant is read at the
     class's first entry, and a and m must equal their stencil models
-    exactly, else UnsupportedMeshError is raised.
+    exactly, else UnsupportedMeshError is raised. These are the only space
+    meshes the closed-form solves take; the solver builds no other.
     """
     d, n_x = space_mesh.dimension, a.shape[0]
     n = n_x + 1 if d == 1 else (1 + math.isqrt(2 * n_x - 1)) // 2
@@ -144,6 +174,13 @@ def _box(x: np.ndarray) -> np.ndarray:
     return x[..., :-1, :-1] + x[..., :-1, 1:] + x[..., 1:, :-1] + x[..., 1:, 1:]
 
 
+def _sine(n: int) -> np.ndarray:
+    """The orthonormal sine matrix sqrt(2/N) sin(p i pi / N), p, i = 1..N-1,
+    with p i reduced mod 2N before it is scaled by pi / N."""
+    p = np.arange(1, n)
+    return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
+
+
 def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     """Solve mapping rows w_j to Re[(A + i s_j M)^-1] w_j in closed form.
 
@@ -155,24 +192,28 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     P^T P = (E + 2I) x (E + 2I), condensing the centres leaves the grid
     Schur complement K_gg - (beta^2 / alpha) (E + 2I) x (E + 2I), which the
     orthonormal sine matrix S_pi = sqrt(2/N) sin(p i pi / N) diagonalizes on
-    each axis, E's eigenvalues being 2 cos(p pi / N): the tensor-product
-    direct method of Lynch, Rice and Thomas (1964), batched over the shifts.
+    each axis, E's eigenvalues being 2 - sigma_p, sigma_p = 4 sin^2(p pi / 2N):
+    the tensor-product direct method of Lynch, Rice and Thomas (1964),
+    batched over the shifts. The eigenvalues are polynomials in sigma whose
+    constant terms, formed from the stencil sums, are exactly 0 for the
+    stiffness at shift 0, so the smallest keep their relative accuracy.
     """
     n, grid, centres, stiff, mass = stencils
     d = grid.ndim
+    scale = 1j * shifts if shifts.any() else shifts  # all shifts 0: real
     gamma0, alpha, gamma1, beta = (
-        (s + 1j * t * shifts).reshape(-1, *(1,) * d) for s, t in zip(stiff, mass)
+        (s + t * scale).reshape(-1, *(1,) * d) for s, t in zip(stiff, mass)
     )
-    p = np.arange(1, n)
-    e = 2.0 * np.cos(np.pi * p / n)
-    sine = math.sqrt(2.0 / n) * np.sin(np.pi * np.outer(p, p) / n)
+    sigma = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2  # 2 - eig(E)
+    sine = _sine(n)
     if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
-        lam = gamma0 + gamma1 * e
+        lam = (gamma0 + 2.0 * gamma1) - gamma1 * sigma
         lam = lam.real + lam.imag**2 / lam.real
     else:
         ratio = beta / alpha
-        lam = gamma0 + gamma1 * np.add.outer(e, e)
-        lam -= beta * ratio * np.outer(e + 2.0, e + 2.0)
+        b_r = beta * ratio
+        lam = gamma0 + 4.0 * gamma1 - 16.0 * b_r - b_r * np.outer(sigma, sigma)
+        lam -= (gamma1 - 4.0 * b_r) * np.add.outer(sigma, sigma)
 
     def transform(x):  # the sine matrix on each space axis, one GEMM per axis
         rows = math.prod(x.shape[:-1])  # not -1: with N = 1 x is empty

@@ -46,7 +46,6 @@ by the G_X lift, finds the pencil's smallest eigenvalue matrix-free.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time as _time
 import warnings
@@ -88,7 +87,13 @@ from .operators import (
     test_space_spec,
 )
 from .oracle import mode_perturbation, random_perturbation
-from .precond import RieszPreconditioner, make_G_X, make_G_Y
+from .precond import (
+    RieszPreconditioner,
+    make_G_X,
+    make_G_Y,
+    space_stencils,
+    stiffness_solve,
+)
 from .solutions import ManufacturedSolution, get_solution
 
 
@@ -231,15 +236,23 @@ def build_system(
     solution: ManufacturedSolution,
     space,
     perturbation=None,
+    stencils=None,
 ) -> LeastSquaresSystem:
     """Normal operator at reg_epsilon = 0, h and J(0) for the
     manufactured_data of solution.
 
     space is the level's space_factors(space_mesh, l). h and J(0) come from
-    the identity of the module docstring.
+    the identity of the module docstring. At l = 0 A_test is the trial
+    stiffness, solved in closed form from stencils, the level's
+    space_stencils (read here if not given); at l = 1 make_G_Y factors it.
     """
     mass_x, stiffness_x, m_mix, _, a_test = space
-    test_solve = make_G_Y(a_test)
+    if l:
+        test_solve = make_G_Y(a_test)
+    else:
+        test_solve = stiffness_solve(
+            stencils or space_stencils(space_mesh, stiffness_x, mass_x)
+        )
     t_c, test_load, phi_load, g_load, g_sq = manufactured_data(
         time_mesh, space_mesh, l, solution, space, perturbation
     )
@@ -286,7 +299,8 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     r = h.copy()
     z = apply_g(r)
     rz = float(r @ z)
-    history = [rz]
+    # rounding can take an exact zero a hair below 0; the accept test reads rz
+    history = [max(rz, 0.0)]
     iterations = 0
     accept = bound(x, r)
     converged = rz <= accept
@@ -306,7 +320,7 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
             r -= alpha * s_p
             z -= alpha * g_s_p
             rz = float(r @ z)
-            history.append(rz)
+            history.append(max(rz, 0.0))
             accept = bound(x, r)
             if rz <= accept:
                 converged = True
@@ -345,7 +359,7 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
     zero = get_solution("zero", space_mesh.dimension)
 
     def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
-        system = build_system(time_mesh, space_mesh, l, zero, factors)
+        system = build_system(time_mesh, space_mesh, l, zero, factors, None, stencils)
 
         def matvec(v):
             out = system.apply(v)
@@ -354,9 +368,10 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
         return LinearOperator((system.n, system.n), matvec, dtype=float)
 
+    stencils = space_stencils(space_mesh, a, m)
     small, big = pencil_side(0, (m, a, m, a, a)), pencil_side(1, space)
     n = small.shape[0]
-    g_x = make_G_X(time_mesh, space_mesh, a, m)
+    g_x = make_G_X(time_mesh, stencils)
     lift = LinearOperator((n, n), g_x.apply, dtype=float)
     start = np.random.default_rng(0).standard_normal((n, INFSUP_BLOCK))
     try:
@@ -395,21 +410,19 @@ def nodal_interpolant(
 
 
 def _grams(rows, weight, phi):
-    """(R_i, R_i), (R_i, R_{i+1}), (R_i, phi), (phi, phi) for streamed rows R_i.
+    """(R_i, R_i), (R_i, R_{i+1}), (R_i, phi), (phi, phi) for the rows R_i of
+    a 3-d array.
 
-    (a, b) sums weight * a * b; rows are taken one at a time.
+    (a, b) sums weight * a * b over the last two axes; each Gram is one
+    einsum, with no temporary of the size of rows.
     """
     wphi = weight * phi
-    diag, nxt, cross = [], [], []
-    prev = None
-    for row in rows:
-        w_row = weight * row
-        diag.append(np.vdot(w_row, row))
-        cross.append(np.vdot(row, wphi))
-        if prev is not None:
-            nxt.append(np.vdot(w_row, prev))
-        prev = row
-    return np.array(diag), np.array(nxt), np.array(cross), float(np.vdot(phi, wphi))
+    return (
+        np.einsum("ijk,jk,ijk->i", rows, weight, rows),
+        np.einsum("ijk,jk,ijk->i", rows[1:], weight, rows[:-1]),
+        np.einsum("ijk,jk->i", rows, wphi),
+        float(np.vdot(phi, wphi)),
+    )
 
 
 def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
@@ -441,18 +454,20 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
     flat = quad_points(space_mesh, QUAD_ORDER)
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
 
-    def errors(rows, target):  # D_i, one breakpoint at a time
-        return (rows[i] - t * target for i, t in enumerate(tau))
+    def errors(rows, target):  # D_i, formed in place in the rows
+        for row, t in zip(rows, tau):
+            row -= t * target
+        return rows
 
     grams = {}
     if "l2" in modes or "dt" in modes:
         vals = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat, pts)
         phi = solution.phi(flat).reshape(cell_w.shape)
+        errs = errors(vals, phi)
         if "l2" in modes:
-            grams["l2"] = _grams(errors(vals, phi), cell_w, phi)
-        if "dt" in modes:
-            steps = (b - a for a, b in itertools.pairwise(errors(vals, phi)))
-            grams["dt"] = _grams(steps, cell_w, phi)
+            grams["l2"] = _grams(errs, cell_w, phi)
+        if "dt" in modes:  # a new array: errs stays D_i
+            grams["dt"] = _grams(np.diff(errs, axis=0), cell_w, phi)
     if "h1" in modes:
         grads = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, mat, pts[:1])
         grad_phi = solution.grad_phi(flat).reshape(*cell_w.shape, -1)
@@ -597,11 +612,12 @@ def build_level(config, k: int) -> Level:
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
     space = space_factors(space_mesh, config.l)
+    stencils = space_stencils(space_mesh, space[1], space[0])
     perturbation, pert_norm = _perturbation_for(config, space[0])
     system = build_system(
-        time_mesh, space_mesh, config.l, solution, space, perturbation
+        time_mesh, space_mesh, config.l, solution, space, perturbation, stencils
     )
-    g_x = make_G_X(time_mesh, space_mesh, system.stiffness_x, system.mass_x)
+    g_x = make_G_X(time_mesh, stencils)
     return Level(time_mesh, space_mesh, solution, pert_norm, system, g_x)
 
 

@@ -43,10 +43,11 @@ from backsolve.operators import (
 )
 from backsolve.operators import test_space_spec as enriched_space_spec
 from backsolve.oracle import mode_perturbation, random_perturbation
-from backsolve.precond import make_G_X
+from backsolve.precond import make_G_X, space_stencils
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
+    _tensor_error_sq,
     build_system,
     error_report,
     interpolation_gap_xnorm,
@@ -366,6 +367,22 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_error_modes_asked_together_match_each_alone(d):
+    # "l2" and "dt" read the same errors D_i, formed once in place in the FE
+    # values; asked together, each mode gives what it gives alone
+    tm, sm = uniform_time_mesh(0.0, 1.0, 3), _space_mesh(d, 3)
+    solution = get_solution("cubic", d)
+    for coeffs in _coeff_cases(tm, sm, solution):
+        modes = ("l2", "dt", "h1")
+        together, slices = _tensor_error_sq(tm, sm, coeffs, solution, modes)
+        for mode, got in zip(modes, together):
+            (alone,), _ = _tensor_error_sq(tm, sm, coeffs, solution, (mode,))
+            assert got == alone
+        _, alone_slices = _tensor_error_sq(tm, sm, coeffs, solution, ("l2",))
+        np.testing.assert_array_equal(slices, alone_slices)
+
+
+@pytest.mark.parametrize("d", [1, 2])
 def test_set_up_work_does_not_grow_with_time_elements(
     record_calls, geometry_computations, d
 ):
@@ -450,7 +467,7 @@ class TestDenseSizeGuard:
         f = G.apply(v)
         tracemalloc.start()
         try:
-            got = make_G_X(tm, sm, a, m).apply(f)
+            got = make_G_X(tm, space_stencils(sm, a, m)).apply(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

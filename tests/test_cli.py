@@ -294,29 +294,39 @@ class TestSolvingStudies:
             ),
         ],
     )
+    @pytest.mark.parametrize("l", [0, 1])
     def test_each_level_built_once(
-        self, record_calls, experiment, d, k_range, extra, levels, solves
+        self, record_calls, experiment, d, k_range, extra, levels, solves, l
     ):
         # one level per k and window, solved at every epsilon strategy: one
-        # mesh pair, space assembly, A_test factor and G_X lift per level
+        # mesh pair, space assembly, stencil read and G_X lift per level, and
+        # an A_test factor only at l = 1 (at l = 0 A_test is solved in
+        # closed form from the stencils)
         calls = {
             name: record_calls(owner, name)
             for owner, name in [
                 (solver, "build_meshes"),
                 (operators, "space_factors"),
+                (precond, "space_stencils"),
                 (precond, "make_G_Y"),
                 (precond, "make_G_X"),
                 (solver, "pcg"),
             ]
         }
         cfg = ExperimentConfig(
-            experiment=experiment, d=d, k_range=k_range, solution="cubic", **extra
+            experiment=experiment,
+            d=d,
+            k_range=k_range,
+            solution="cubic",
+            l=l,
+            **extra,
         )
         run(cfg)
         assert {name: len(c) for name, c in calls.items()} == {
             "build_meshes": levels,
             "space_factors": levels,
-            "make_G_Y": levels,
+            "space_stencils": levels,
+            "make_G_Y": levels if l else 0,
             "make_G_X": levels,
             "pcg": solves,
         }

@@ -3,6 +3,7 @@ that stands in for the test-space lift."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from scipy.linalg import eigh
 
@@ -24,7 +25,13 @@ from backsolve.mesh import (
 )
 from backsolve.operators import TRIAL_SPACE, space_factors
 from backsolve.operators import test_space_spec as enriched_space_spec
-from backsolve.precond import UnsupportedMeshError, make_G_X, make_G_Y
+from backsolve.precond import (
+    UnsupportedMeshError,
+    make_G_X,
+    make_G_Y,
+    space_stencils,
+    stiffness_solve,
+)
 from backsolve.solutions import get_solution
 from backsolve.solver import build_system
 from reference import dense, gram_X, gram_Y, space_mass, space_stiffness, system_data
@@ -68,6 +75,16 @@ def _space_mesh(d, bisections):
     return refine_uniform(initial, bisections)
 
 
+def _stencils(sm):
+    return space_stencils(
+        sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+    )
+
+
+def _lift(tm, sm):
+    return make_G_X(tm, _stencils(sm))
+
+
 # (time mesh, space mesh): meshes the solver builds, with more and with
 # fewer space dofs than time dofs, all solved by the one closed form
 LIFT_CASES = {
@@ -75,10 +92,8 @@ LIFT_CASES = {
     "d2-k2": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)),
     "d1-k3-long-time": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(1, 3)),
     "d1-k5": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5)),
-    "d2-nonuniform-time": (
-        TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
-        _space_mesh(2, 4),
-    ),
+    # the restricted window of the interval-length study
+    "d2-k2-window": (uniform_time_mesh(0.75, 1.0, 2), _space_mesh(2, 4)),
     # N = 2: one grid dof, with no axis neighbour, and four centres
     "d2-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(2, 2)),
     # N = 1: one centre and no grid dof
@@ -95,28 +110,26 @@ def _dims(time_mesh, space_mesh):
 
 
 def _recording_eigh(monkeypatch):
+    """List that receives the size of every scipy or numpy eigh call."""
     sizes = []
-    real = precond.scipy.linalg.eigh
+    for owner in (scipy.linalg, np.linalg):
+        real = owner.eigh
 
-    def recording(a, *args, **kwargs):
-        sizes.append(np.shape(a)[0])
-        return real(a, *args, **kwargs)
+        def recording(a, *args, _real=real, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(precond.scipy.linalg, "eigh", recording)
+        monkeypatch.setattr(owner, "eigh", recording)
     return sizes
 
 
 class TestGXForms:
     @pytest.mark.parametrize("case", LIFT_CASES)
-    def test_matches_double_eigendecomposition(self, case, monkeypatch):
+    def test_matches_double_eigendecomposition(self, case):
         tm, sm = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
         reference = reference_G_X(tm, sm)
-        sizes = _recording_eigh(monkeypatch)
-        lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
-        assert sizes == [n_t]  # the time pencil only
+        lift = _lift(tm, sm)
         rng = np.random.default_rng(7)
         for _ in range(3):
             f = rng.standard_normal(n_t * n_x)
@@ -128,9 +141,7 @@ class TestGXForms:
     def test_symmetric(self, case):
         tm, sm = LIFT_CASES[case]
         n_t, n_x = _dims(tm, sm)
-        lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
+        lift = _lift(tm, sm)
         rng = np.random.default_rng(8)
         for _ in range(3):
             f, g = rng.standard_normal((2, n_t * n_x))
@@ -139,15 +150,47 @@ class TestGXForms:
     @pytest.mark.parametrize(
         "d, k", [(2, k) for k in (1, 2, 3)] + [(1, k) for k in range(1, 9)]
     )
-    def test_decomposes_only_the_time_pencil(self, d, k, monkeypatch):
-        # the levels of build_meshes, where d=1 has fewer space than time dofs
+    def test_makes_no_eigendecomposition(self, d, k, monkeypatch):
+        # the levels of build_meshes, where d=1 has fewer space than time
+        # dofs: the time modes are in closed form too
         tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(d, d * k)
-        n_t, _ = _dims(tm, sm)
+        stencils = _stencils(sm)
         sizes = _recording_eigh(monkeypatch)
-        make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
-        assert sizes == [n_t]
+        make_G_X(tm, stencils)
+        assert sizes == []
+
+
+def _time_pencil(tm):
+    return time_stiffness_trial(tm).toarray(), time_mass_trial(tm).toarray()
+
+
+class TestTimeModes:
+    """The closed-form eigenpairs of the time pencil and the trig tables."""
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_match_eigh(self, k):
+        tm = uniform_time_mesh(0.0, 1.0, k)
+        theta, z = precond._time_modes(tm)
+        want, want_z = eigh(*_time_pencil(tm))
+        # relative to the largest: eigh's small eigenvalues carry an absolute
+        # error of some eps * theta_max (5e-12 relative to theta_1 at k = 10)
+        assert np.max(np.abs(theta - want)) <= 1e-14 * want[-1]
+        assert theta[0] == 0.0  # constants in time
+        signs = np.sign(np.sum(z * want_z, axis=0))
+        assert np.max(np.abs(z - signs * want_z)) <= 1e-10 * np.max(np.abs(want_z))
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_tables_orthonormal(self, k):
+        # i j and p i reduced mod 2N before the scaling by pi / N; unreduced,
+        # the sine table is off by 20 eps at N = 64 and 180 eps at N = 1024
+        eps = np.finfo(float).eps
+        tm = uniform_time_mesh(0.0, 1.0, k)
+        _, z = precond._time_modes(tm)
+        _, t_mass = _time_pencil(tm)
+        assert np.max(np.abs(z.T @ t_mass @ z - np.eye(z.shape[0]))) <= 8 * eps
+        sine = precond._sine(2**k)
+        residual = np.abs(sine @ sine - np.eye(sine.shape[0]))
+        assert np.max(residual, initial=0.0) <= 8 * eps  # N = 1: empty
 
 
 def _jittered(mesh, seed):
@@ -162,9 +205,9 @@ def _jittered(mesh, seed):
 
 
 class TestGXClosedForm:
-    """make_G_X solves the uniform meshes the solver builds in closed form,
-    and refuses any other mesh before any work, whatever its size against
-    the time mesh."""
+    """The closed forms solve the uniform meshes the solver builds and refuse
+    any other mesh before any work: space_stencils a space mesh and
+    make_G_X a time mesh."""
 
     @pytest.mark.parametrize(
         "sm",
@@ -176,24 +219,39 @@ class TestGXClosedForm:
         ],
         ids=["d2-three-sweeps", "d2-jittered", "d1-jittered", "d1-non-dyadic"],
     )
-    def test_other_meshes_raise(self, sm, monkeypatch):
-        tm = uniform_time_mesh(0.0, 1.0, 3)  # 9 time dofs: d1-non-dyadic has 4
-        sizes = _recording_eigh(monkeypatch)
+    def test_other_meshes_raise(self, sm):
+        # the stencils are read, and refused, before the time mesh is seen
         a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
         with pytest.raises(UnsupportedMeshError, match="not the stencils"):
-            make_G_X(tm, sm, a, m)
+            space_stencils(sm, a, m)
         assert isinstance(UnsupportedMeshError(), ValueError)
-        assert sizes == []  # not even the time pencil
+
+    @pytest.mark.parametrize(
+        "tm",
+        [
+            TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
+            # breakpoint 5 of 8 equal elements moved by 1e-9 of an element
+            TimeMesh(np.arange(9) / 8 + 1e-9 / 8 * (np.arange(9) == 5)),
+        ],
+        ids=["nonuniform", "one-breakpoint-moved"],
+    )
+    def test_nonuniform_time_meshes_raise(self, tm, record_calls):
+        stencils = _stencils(_space_mesh(2, 4))
+        solves = record_calls(precond, "_shifted_space_solve")
+        with pytest.raises(UnsupportedMeshError, match="not uniform"):
+            make_G_X(tm, stencils)
+        assert solves == []  # before any other work
 
     def test_makes_no_sparse_factorization(self, record_calls):
         tm, sm = uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 8)
         factored = record_calls(scipy.sparse.linalg, "splu")
-        make_G_X(tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE))
+        _lift(tm, sm)
         assert factored == []
 
 
 class TestGYLift:
-    """make_G_Y's A_test solve, which the test-space lift reduces to."""
+    """The A_test solve, which the test-space lift reduces to: in closed
+    form at l = 0, make_G_Y's factor at l = 1."""
 
     def test_dual_norm_matches_dense_solve(self):
         # J(0) - |g|^2 is f(Y^-1 f), f = t_c x l_test the source load: its
@@ -227,18 +285,30 @@ class TestGYLift:
     def test_space_solve_inverts_test_stiffness(self, l):
         _, sm = mesh_pair_2d()
         a_test = space_factors(sm, l)[4]
+        solve = make_G_Y(a_test) if l else stiffness_solve(_stencils(sm))
         cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
-        got = a_test @ make_G_Y(a_test)(cols)
+        got = a_test @ solve(cols)
         assert np.max(np.abs(got - cols)) <= 1e-12 * np.max(np.abs(cols))
+
+    @pytest.mark.parametrize("d, bisections", [(1, 8), (2, 10)])
+    def test_closed_form_stiffness_solve_matches_superlu(self, d, bisections):
+        # the l = 0 A_test solve, on a vector and on the columns of an array
+        sm = _space_mesh(d, bisections)
+        a = space_stiffness(sm, TRIAL_SPACE)
+        solve, factored = stiffness_solve(_stencils(sm)), make_G_Y(a)
+        rng = np.random.default_rng(10)
+        for shape in (a.shape[0], (a.shape[0], 5)):
+            w = rng.standard_normal(shape)
+            got, want = solve(w), factored(w)
+            assert got.shape == w.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestGXLift:
     def test_inverts_gram(self):
         tm, sm = mesh_pair_2d()
         G = gram_X(tm, sm)
-        lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
+        lift = _lift(tm, sm)
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.standard_normal(G.shape[1])
@@ -247,9 +317,7 @@ class TestGXLift:
 
     def test_positive_on_functionals(self):
         tm, sm = mesh_pair_1d()
-        lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
+        lift = _lift(tm, sm)
         n = gram_X(tm, sm).shape[0]
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -260,21 +328,15 @@ class TestGXLift:
         tm, sm = mesh_pair_1d()
         rng = np.random.default_rng(5)
         f = rng.standard_normal(gram_X(tm, sm).shape[0])
-        first = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        ).apply(f)
-        again_same_lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        ).apply(f)
+        first = _lift(tm, sm).apply(f)
+        again_same_lift = _lift(tm, sm).apply(f)
         assert np.array_equal(first, again_same_lift)
 
     def test_norm_equivalence_is_identity(self):
         # exact lift: the preconditioned Rayleigh quotient sits at 1
         tm, sm = mesh_pair_1d()
         G = gram_X(tm, sm)
-        lift = make_G_X(
-            tm, sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
-        )
+        lift = _lift(tm, sm)
         rng = np.random.default_rng(6)
         for _ in range(20):
             v = rng.standard_normal(G.shape[1])

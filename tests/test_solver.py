@@ -2,10 +2,12 @@
 
 import sys
 from dataclasses import replace
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from backsolve import assembly
 from backsolve.config import ExperimentConfig
@@ -22,7 +24,7 @@ from backsolve.operators import (
     assemble_B,
     space_factors,
 )
-from backsolve.precond import RieszPreconditioner, make_G_X
+from backsolve.precond import RieszPreconditioner, make_G_X, space_stencils
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     LeastSquaresSystem,
@@ -89,7 +91,7 @@ class TestBuildSystem:
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert b_route(tm, sm, 0, 0.5, zero).functional(np.zeros(system.n)) == 0.0
         assert system.j_zero == 0.0
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         # the functional rule needs no zero-data case: J = 0 and r = 0
         for threshold in (1e-30, None):
             x, rep = pcg(system, g_x, threshold=threshold, max_iter=50)
@@ -124,7 +126,7 @@ class TestBuildSystem:
     def test_functional_minimized_at_solve(self):
         # the Krylov solution beats nearby vectors in the functional
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         x, _ = pcg(system, g_x, threshold=1e-24, max_iter=200)
         functional = b_route(tm, sm, 0, 0.1, get_solution("cubic", 1)).functional
         base = functional(x)
@@ -242,7 +244,7 @@ class TestDenseReference:
 class TestPCG:
     def test_matches_dense_solve(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         x, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         S = dense_from_apply(system.apply, system.n)
         x_ref = np.linalg.solve(S, system.rhs)
@@ -255,14 +257,14 @@ class TestPCG:
         # the conjugate residual variant minimizes the monitored quantity,
         # so its history never increases
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         _, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         hist = rep.residual_history
         assert np.all(np.diff(hist) <= 1e-14 * hist[0])
 
     def test_max_iter_exhaustion_flagged(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         _, rep = pcg(system, g_x, threshold=1e-40, max_iter=1)
         assert rep.iterations == 1
         assert not rep.converged
@@ -270,7 +272,7 @@ class TestPCG:
 
     def test_invalid_arguments(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         with pytest.raises(ValueError):
             pcg(system, g_x, threshold=0.0, max_iter=10)
 
@@ -293,7 +295,7 @@ class TestPCG:
         assert system.j_zero == pytest.approx(
             functional(np.zeros(system.n)), rel=1e-12
         )
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         x, rep = pcg(system, g_x, threshold=None, max_iter=100)
         assert rep.converged and rep.iterations >= 1
         assert rep.stopping_value <= rep.threshold
@@ -305,12 +307,35 @@ class TestPCG:
 
     def test_report_fields(self):
         tm, sm, system = small_system(reg_epsilon=0.25)
-        g_x = make_G_X(tm, sm, system.stiffness_x, system.mass_x)
+        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
         _, rep = pcg(system, g_x, threshold=1e-20, max_iter=300)
         assert rep.epsilon == 0.25
         assert rep.threshold == 1e-20
         assert rep.stopping_value == rep.residual_history[-1]
         assert rep.wall_time >= 0.0
+
+    def test_negative_rounding_reported_as_zero(self):
+        # a lift that takes r.z a hair below 0: the monitored value is
+        # reported as 0, and x = 0 is still accepted at once
+        _, _, system = small_system()
+        g_x = RieszPreconditioner(lambda f: -1e-300 * f)
+        _, rep = pcg(system, g_x, threshold=None, max_iter=10)
+        assert rep.converged and rep.iterations == 0
+        assert rep.stopping_value == 0.0
+        assert list(rep.residual_history) == [0.0]
+
+    def test_cubic_d2_from_k0_reports_no_negative_value(self):
+        # at k = 0 the accepted iterate's r.z sits at round-off (-5.5e-33
+        # when A_test was factored): every reported value is at least 0, and
+        # both levels stop after 2 iterations
+        cfg = ExperimentConfig(
+            experiment="convergence", d=2, T=1.0, k_range=[0, 1], solution="cubic"
+        )
+        for k in cfg.k_range:
+            _, rep, _ = solve_backward(cfg, k)
+            assert rep.converged and rep.iterations == 2
+            assert rep.stopping_value >= 0.0
+            assert np.all(rep.residual_history >= 0.0)
 
 
 def linear_fe_solution(sm):
@@ -460,6 +485,31 @@ class TestBuildMeshes:
 
 
 class TestSolveBackward:
+    def test_l0_solve_calls_no_factorization_or_lapack(
+        self, record_calls, monkeypatch
+    ):
+        # at l = 0 A_test and the G_X lift are solved in closed form: no
+        # SuperLU factor and no scipy.linalg (LAPACK) call on the solve path
+        factored = record_calls(scipy.sparse.linalg, "splu")
+        dense = []
+        for name in scipy.linalg.__all__:
+            fn = getattr(scipy.linalg, name)
+            if isinstance(fn, FunctionType):
+
+                def recorded(*args, _fn=fn, _name=name, **kwargs):
+                    dense.append(_name)
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(scipy.linalg, name, recorded)
+        cfg = ExperimentConfig(
+            experiment="convergence", d=2, T=1.0, k_range=[3], solution="cubic"
+        )
+        _, rep, _ = solve_backward(cfg, 3)
+        assert rep.converged
+        assert factored == [] and dense == []
+        scipy.linalg.eigh(np.eye(2))  # the recording sees a call
+        assert dense == ["eigh"]
+
     def test_explicit_epsilon_outside_k_range(self):
         cfg = ExperimentConfig(
             experiment="convergence",
@@ -474,9 +524,10 @@ class TestSolveBackward:
 
     @pytest.mark.parametrize("l", [0, 1])
     def test_normal_operator_reuses_the_test_factor(self, l, monkeypatch):
-        # a d=2 solve makes one sparse factorization, of A_test (G_X's lift
-        # is solved in closed form); nothing applies B, and every Riesz lift
-        # is G_X's, none of them inside the normal operator
+        # a d=2 solve makes one sparse factorization at l = 1, of the P2
+        # A_test, and none at l = 0, where A_test = A is solved in closed
+        # form like G_X's lift; nothing applies B, and every Riesz lift is
+        # G_X's, none of them inside the normal operator
         factored, calls, inside = [], [], [False]
         for mod in [m for n, m in sys.modules.items() if n.startswith("backsolve")]:
             if hasattr(mod, "splu"):
@@ -514,7 +565,7 @@ class TestSolveBackward:
         )
         solve_backward(cfg, 2)
         n_test = space_factors(build_meshes(cfg, 2)[1], l)[4].shape[0]
-        assert factored == [((n_test, n_test), False)]
+        assert factored == ([((n_test, n_test), False)] if l else [])
         assert ("normal", None, False) in calls
         lifts = {call for call in calls if call[0] != "normal"}
         assert lifts == {("apply", "X", False)}
