@@ -1,15 +1,17 @@
 """Temporal and spatial finite element assembly.
 
 Builds every 1-d matrix the space-time operators are composed of: hat mass,
-derivative and stiffness matrices in time, mixed matrices against an
-element-wise Legendre test basis, Lagrange P1/P2 mass and stiffness on
-simplicial meshes (Dirichlet dofs eliminated, not penalized), and load
-vectors. Space loads integrate values sampled once at
-the points of a cell rule (quad_points), not a function.
+derivative and stiffness matrices in time, mixed matrices against the
+element-wise degree-1 Legendre test basis, Lagrange P1/P2 mass and stiffness
+on simplicial meshes (Dirichlet dofs eliminated, not penalized), and load
+vectors. Space loads integrate values sampled once at the points of a cell
+rule (quad_points), not a function.
 
-Test dof numbering in time is element-major: dof = element*(p+1) + n where n
-is the local polynomial degree. Spatial P2 numbering lists retained vertex
-dofs first, then retained edge (2d) or element-midpoint (1d) dofs.
+The time test basis has degree 1, the least that holds the hats and their
+derivatives, as the energy identity of backsolve.solver needs (DtD = K_t,
+NtN = M_t, DtN + NtD = e_T e_T^T - e_0 e_0^T). Its dofs are element-major:
+dof = 2*element + n, n the local degree. Spatial P2 numbering lists retained
+vertex dofs first, then retained edge (2d) or element-midpoint (1d) dofs.
 """
 
 from __future__ import annotations
@@ -36,17 +38,6 @@ class SpaceBasisSpec:
     def __post_init__(self):
         if self.degree not in (1, 2):
             raise ValueError("only degrees 1 and 2 are supported")
-
-
-@dataclass(frozen=True)
-class TimeBasisSpec:
-    """Discontinuous element-wise Legendre test basis, orthonormal per element."""
-
-    degree: int = 1
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
 
 
 # ---------------------------------------------------------------- time ----
@@ -77,36 +68,36 @@ def time_stiffness_trial(mesh: TimeMesh) -> sp.csr_matrix:
     return _element_scatter(ref / mesh.lengths[:, None, None], 1)
 
 
-def test_basis_values(test: TimeBasisSpec, s: np.ndarray, h) -> np.ndarray:
+def test_basis_values(s: np.ndarray, h) -> np.ndarray:
     """Values of the element test basis at local coordinates s in (0,1).
 
-    Returns shape (..., degree+1, len(s)) for element lengths h of shape
-    (...): Legendre polynomials scaled to unit L2 norm on an element of
-    length h, so the time Gram of the test space is the identity.
+    Returns shape (..., 2, len(s)) for element lengths h of shape (...):
+    Legendre polynomials of degrees 0 and 1 scaled to unit L2 norm on an
+    element of length h, so the time Gram of the test space is the identity.
+    Degree 1 is fixed: the least that holds the hats (module docstring).
     """
-    v = legvander(2.0 * np.asarray(s) - 1.0, test.degree).T
-    n = np.arange(test.degree + 1)
-    scale = np.sqrt((2.0 * n + 1.0) / np.asarray(h)[..., None])
+    v = legvander(2.0 * np.asarray(s) - 1.0, 1).T
+    scale = np.sqrt(np.array([1.0, 3.0]) / np.asarray(h)[..., None])  # 2n + 1, n = 0, 1
     return v * scale[..., None]
 
 
-def time_mass_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
+def time_mass_mixed(mesh: TimeMesh) -> sp.csr_matrix:
     """N_t[i][j] = integral of trial hat j against test function i."""
-    sq, wq = gauss_1d_for_degree(test.degree + 1)
+    sq, wq = gauss_1d_for_degree(2)
     hats = np.stack([1.0 - sq, sq])  # (2, q)
-    psi = test_basis_values(test, sq, mesh.lengths)
+    psi = test_basis_values(sq, mesh.lengths)
     local = mesh.lengths[:, None, None] * np.einsum("q,eiq,jq->eij", wq, psi, hats)
-    return _element_scatter(local, test.degree + 1)
+    return _element_scatter(local, 2)
 
 
-def time_derivative_mixed(mesh: TimeMesh, test: TimeBasisSpec) -> sp.csr_matrix:
+def time_derivative_mixed(mesh: TimeMesh) -> sp.csr_matrix:
     """D_t[i][j] = integral of (trial hat j)' against test function i."""
-    sq, wq = gauss_1d_for_degree(test.degree)
+    sq, wq = gauss_1d_for_degree(1)
     h = mesh.lengths[:, None]
     # integral of each test function over its element
-    ints = (h[:, :, None] * test_basis_values(test, sq, mesh.lengths)) @ wq
+    ints = (h[:, :, None] * test_basis_values(sq, mesh.lengths)) @ wq
     slopes = np.stack([-1.0 / h, 1.0 / h], axis=2)  # (elements, 1, 2)
-    return _element_scatter(slopes * ints[:, :, None], test.degree + 1)
+    return _element_scatter(slopes * ints[:, :, None], 2)
 
 
 # --------------------------------------------------------------- space ----
@@ -246,19 +237,6 @@ def space_matrices(
     return mass, stiffness
 
 
-def _scatter_matrix(dm: DofMap) -> sp.csr_matrix:
-    """0/1 matrix summing flattened (cell, local slot) values into dofs.
-
-    Eliminated (-1) slots have no entry. Each row lists its slots in
-    ascending order, so a product adds them up in cell order.
-    """
-    slots = dm.cell_dofs.ravel()
-    keep = np.flatnonzero(slots >= 0)
-    return sp.csr_matrix(
-        (np.ones(keep.size), (slots[keep], keep)), shape=(dm.n_dofs, slots.size)
-    )
-
-
 def quad_points(mesh: SpatialMesh, degree: int) -> np.ndarray:
     """Physical points (cells * q, d), cell-major, of the cell rule exact to
     `degree`: space_load and integrate_squared take values sampled there."""
@@ -276,7 +254,9 @@ def space_load(
     vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
     fq = np.reshape(values, (vol.size, w.size))
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
-    return _scatter_matrix(dm) @ cell_load.ravel()
+    slots = dm.cell_dofs.ravel()  # bincount sums a dof's slots in cell order
+    keep = slots >= 0  # eliminated (-1) slots drop out
+    return np.bincount(slots[keep], cell_load.ravel()[keep], minlength=dm.n_dofs)
 
 
 def integrate_squared(mesh: SpatialMesh, values, degree: int) -> float:
@@ -287,7 +267,7 @@ def integrate_squared(mesh: SpatialMesh, values, degree: int) -> float:
     return float(np.einsum("c,q,cq->", vol, w, fq**2))
 
 
-def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.ndarray:
+def load_vector_f(time_mesh: TimeMesh, source) -> np.ndarray:
     """Time load t_c[(e,n)] = h_e sum_q w_q source(t_eq) psi_{e,n}(s_q).
 
     The source separates, f(t, x) = source(t) phi(x), and source takes a
@@ -299,7 +279,7 @@ def load_vector_f(time_mesh: TimeMesh, time_spec: TimeBasisSpec, source) -> np.n
     t = time_mesh.breakpoints[:-1, None] + h[:, None] * sq
     # source at scalar t: numpy's array t**3 can differ from the scalar by an ulp
     ct = np.array([source(ti) for ti in t.ravel()]).reshape(t.shape)
-    psi = test_basis_values(time_spec, sq, h)  # (elements, degree+1, q)
+    psi = test_basis_values(sq, h)  # (elements, 2, q)
     return (h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]).ravel()
 
 

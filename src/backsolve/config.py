@@ -124,6 +124,8 @@ def _parse_scalar(raw: str, kind, key: str, lineno: int):
         raise ConfigError(f"line {lineno}: key {key!r} must be finite, got {raw!r}")
     if kind is int and value != int(value):
         raise ConfigError(malformed)
+    if kind is int and raw.lstrip("+-").isdigit():
+        return int(raw)  # exact, where value keeps only 53 bits
     return kind(value)
 
 

@@ -32,14 +32,6 @@ class TimeMesh:
         object.__setattr__(self, "breakpoints", bp)
 
     @property
-    def t_start(self) -> float:
-        return float(self.breakpoints[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.breakpoints[-1])
-
-    @property
     def n_elements(self) -> int:
         return self.breakpoints.size - 1
 

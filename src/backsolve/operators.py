@@ -14,14 +14,12 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (
     SpaceBasisSpec,
-    TimeBasisSpec,
     space_matrices,
     time_derivative_mixed,
     time_mass_mixed,
 )
 from .mesh import SpatialMesh, TimeMesh
 
-TEST_TIME = TimeBasisSpec(1)
 TRIAL_SPACE = SpaceBasisSpec(1, dirichlet=True)
 
 
@@ -108,6 +106,6 @@ def assemble_B(
     (elementwise orthonormal Legendre x P_{1+l}); m_mix and a_mix are the
     mixed space mass and stiffness of space_factors.
     """
-    d_t = time_derivative_mixed(time_mesh, TEST_TIME)
-    n_t = time_mass_mixed(time_mesh, TEST_TIME)
+    d_t = time_derivative_mixed(time_mesh)
+    n_t = time_mass_mixed(time_mesh)
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])

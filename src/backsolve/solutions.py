@@ -43,9 +43,6 @@ class ManufacturedSolution:
             out *= np.sin(px[:, ::-1])
         return out
 
-    def u(self, t, x: np.ndarray) -> np.ndarray:
-        return self.tau(t) * self.phi(x)
-
     def source(self, t):
         """Time factor of the source: f(t, x) = source(t) phi(x)."""
         lam = self.dimension * np.pi**2

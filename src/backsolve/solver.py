@@ -79,7 +79,6 @@ from .mesh import (
 )
 from .quadrature import gauss_1d_for_degree
 from .operators import (
-    TEST_TIME,
     TRIAL_SPACE,
     # not on the solve path; perfbench's tracer resolves this name
     assemble_B,
@@ -203,10 +202,10 @@ def manufactured_data(
     phi = solution.phi(points)
     phi_load = space_load(space_mesh, TRIAL_SPACE, phi, QUAD_ORDER)
     if solution.f_is_zero:
-        t_c = np.zeros(time_mesh.n_elements * (TEST_TIME.degree + 1))
+        t_c = np.zeros(2 * time_mesh.n_elements)
         test_load = np.zeros(a_test.shape[0])
     else:
-        t_c = load_vector_f(time_mesh, TEST_TIME, solution.source)
+        t_c = load_vector_f(time_mesh, solution.source)
         test_load = phi_load  # at l = 0 the test space is P1 itself
         if l:
             test_load = space_load(space_mesh, test_space_spec(l), phi, QUAD_ORDER)
@@ -235,30 +234,25 @@ def build_system(
     l: int,
     solution: ManufacturedSolution,
     space,
-    perturbation=None,
-    stencils=None,
+    perturbation,
+    stencils,
 ) -> LeastSquaresSystem:
     """Normal operator at reg_epsilon = 0, h and J(0) for the
     manufactured_data of solution.
 
     space is the level's space_factors(space_mesh, l). h and J(0) come from
-    the identity of the module docstring. At l = 0 A_test is the trial
-    stiffness, solved in closed form from stencils, the level's
-    space_stencils (read here if not given); at l = 1 make_G_Y factors it.
+    the identity of the module docstring. At l = 0 A_test is solved in
+    closed form from stencils, the level's space_stencils; make_G_Y factors
+    it at l = 1.
     """
     mass_x, stiffness_x, m_mix, _, a_test = space
-    if l:
-        test_solve = make_G_Y(a_test)
-    else:
-        test_solve = stiffness_solve(
-            stencils or space_stencils(space_mesh, stiffness_x, mass_x)
-        )
+    test_solve = make_G_Y(a_test) if l else stiffness_solve(stencils)
     t_c, test_load, phi_load, g_load, g_sq = manufactured_data(
         time_mesh, space_mesh, l, solution, space, perturbation
     )
     solved = test_solve(test_load)
-    d_t = time_derivative_mixed(time_mesh, TEST_TIME)
-    n_t = time_mass_mixed(time_mesh, TEST_TIME)
+    d_t = time_derivative_mixed(time_mesh)
+    n_t = time_mass_mixed(time_mesh)
     rhs = np.outer(d_t.T @ t_c, m_mix.T @ solved)
     rhs += np.outer(n_t.T @ t_c, phi_load)
     rhs[-1] += g_load

@@ -15,9 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
-from backsolve.operators import TEST_TIME, KroneckerOperator, assemble_B
+from backsolve.operators import KroneckerOperator, assemble_B
 from backsolve.operators import sparse_lu, space_factors
-from backsolve.solver import manufactured_data
+from backsolve.precond import space_stencils
+from backsolve.solver import build_system, manufactured_data
 
 
 def space_mass(mesh, spec):
@@ -56,7 +57,7 @@ class MassSolveMass:
 def gram_Y(time_mesh, space_mesh, l):
     """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
     a_test = space_factors(space_mesh, l)[4]
-    eye_t = sp.identity(time_mesh.n_elements * (TEST_TIME.degree + 1), format="csr")
+    eye_t = sp.identity(2 * time_mesh.n_elements, format="csr")
     return KroneckerOperator([(eye_t, a_test)])
 
 
@@ -146,6 +147,16 @@ def y_lift(a_test):
         return lu.solve(np.reshape(f, (-1, a_test.shape[0])).T).T.ravel()
 
     return apply
+
+
+def level_system(time_mesh, space_mesh, l, solution, space=None, perturbation=None):
+    """build_system with the level's space_factors (unless given) and
+    space_stencils, as a solve's level passes them."""
+    space = space_factors(space_mesh, l) if space is None else space
+    stencils = space_stencils(space_mesh, space[1], space[0])
+    return build_system(
+        time_mesh, space_mesh, l, solution, space, perturbation, stencils
+    )
 
 
 def system_data(time_mesh, space_mesh, l, solution, perturbation=None):

@@ -22,12 +22,19 @@ from backsolve.oracle import (
 from backsolve.solutions import get_solution
 from backsolve.solver import (
     build_meshes,
-    build_system,
     infsup_constant,
     nodal_interpolant,
     solve_backward,
 )
-from reference import b_route, dense, dense_from_apply, fit_rate, gram_X, gram_Y
+from reference import (
+    b_route,
+    dense,
+    dense_from_apply,
+    fit_rate,
+    gram_X,
+    gram_Y,
+    level_system,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -65,7 +72,7 @@ def k1_system():
     sol = get_solution("cubic", 2)
     dofs = tm.breakpoints.size * int((~sm.boundary_vertex_flags).sum())
     eps = dofs**-0.5
-    system = build_system(tm, sm, 0, sol, space_factors(sm, 0))
+    system = level_system(tm, sm, 0, sol)
     return tm, sm, replace(system, reg_epsilon=eps)
 
 

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from backsolve.assembly import (
     SpaceBasisSpec,
-    TimeBasisSpec,
     _accumulate,
     _cell_rule,
     integrate_squared,
@@ -35,8 +34,6 @@ from backsolve.mesh import (
 from backsolve.assembly import test_basis_values as legendre_values
 from backsolve.quadrature import gauss_1d_for_degree
 from reference import space_mass, space_stiffness
-
-TEST_TIME = TimeBasisSpec(degree=1)
 
 
 class TestTimeTrialMatrices:
@@ -73,6 +70,13 @@ class TestTimeTrialMatrices:
         assert T[1, 1] == pytest.approx(4.0, abs=1e-14)
 
 
+def _jittered_time_mesh(n):
+    """n elements on (0, 1), each inner breakpoint moved by up to 0.3 / n."""
+    bp = np.linspace(0.0, 1.0, n + 1)
+    bp[1:-1] += np.random.default_rng(n).uniform(-0.3, 0.3, n - 1) / n
+    return TimeMesh(bp)
+
+
 class TestTimeTestBasis:
     def test_orthonormal_on_element(self):
         # scaled Legendre pair integrates to the identity gram matrix
@@ -80,13 +84,13 @@ class TestTimeTestBasis:
         s, w = np.polynomial.legendre.leggauss(4)
         s = (s + 1.0) / 2.0  # local coordinates in (0,1)
         w = w * h / 2.0  # physical weights on an element of length h
-        vals = legendre_values(TEST_TIME, s, h)
+        vals = legendre_values(s, h)
         gram = (vals * w) @ vals.T
         assert np.allclose(gram, np.eye(2), atol=1e-14)
 
     def test_mixed_mass_single_element(self):
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        Mx = time_mass_mixed(tm, TEST_TIME).toarray()
+        Mx = time_mass_mixed(tm).toarray()
         expected = np.array(
             [[0.5, 0.5], [-1.0 / (2.0 * np.sqrt(3.0)), 1.0 / (2.0 * np.sqrt(3.0))]]
         )
@@ -95,77 +99,93 @@ class TestTimeTestBasis:
 
     def test_mixed_mass_shape(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
-        Mx = time_mass_mixed(tm, TEST_TIME).toarray()
+        Mx = time_mass_mixed(tm).toarray()
         assert Mx.shape == (8 * 2, 8 + 1)
 
     def test_mixed_mass_partition_of_unity(self):
         # hats sum to one, so each row integrates one test function:
         # the constant mode gives sqrt(h), the linear mode zero
         tm = uniform_time_mesh(0.0, 1.0, 2)
-        Mx = time_mass_mixed(tm, TEST_TIME).toarray()
+        Mx = time_mass_mixed(tm).toarray()
         sums = Mx @ np.ones(tm.n_elements + 1)
         h = tm.lengths
         expected = np.zeros(2 * tm.n_elements)
         expected[0::2] = np.sqrt(h)
         assert np.allclose(sums, expected, atol=1e-14)
 
-    def test_mixed_derivative_p0(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
-        p0 = TimeBasisSpec(degree=0)
-        D = time_derivative_mixed(tm, p0).toarray()
-        assert np.allclose(D, [[-1.0, 1.0]], atol=1e-14)
-
     def test_mixed_derivative_kills_constants(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
-        D = time_derivative_mixed(tm, TEST_TIME).toarray()
+        D = time_derivative_mixed(tm).toarray()
         assert np.allclose(D @ np.ones(tm.n_elements + 1), 0.0, atol=1e-14)
 
     def test_mixed_derivative_locality(self):
         # hat j only overlaps test functions on elements j-1 and j
         tm = uniform_time_mesh(0.0, 1.0, 2)
-        D = time_derivative_mixed(tm, TEST_TIME).toarray()
+        D = time_derivative_mixed(tm).toarray()
         for j in range(5):
             rows = np.nonzero(np.abs(D[:, j]) > 1e-14)[0]
             elements = set(rows // 2)
             assert elements <= {j - 1, j}
+
+    @pytest.mark.parametrize(
+        "tm",
+        [
+            uniform_time_mesh(0.0, 1.0, 0),
+            uniform_time_mesh(0.25, 2.25, 3),
+            uniform_time_mesh(0.0, 1.0, 6),
+            _jittered_time_mesh(31),
+        ],
+        ids=["one-element", "shifted-k3", "k6", "jittered-31"],
+    )
+    def test_contains_the_hats_and_their_derivatives(self, tm):
+        # the degree-1 test space holds the hats and their derivatives, and
+        # the energy identity of the normal operator rests on that
+        D = time_derivative_mixed(tm).toarray()
+        N = time_mass_mixed(tm).toarray()
+        trace = np.zeros((tm.n_elements + 1,) * 2)
+        trace[-1, -1], trace[0, 0] = 1.0, -1.0
+        for got, want in [
+            (D.T @ D, time_stiffness_trial(tm).toarray()),
+            (N.T @ N, time_mass_trial(tm).toarray()),
+            (D.T @ N + N.T @ D, trace),
+        ]:
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 # The earlier per-element assembly of the mixed time matrices, one COO entry
 # at a time: the reference the table-driven versions must equal bit for bit.
 
 
-def _ref_time_mass_mixed(mesh, test):
-    p = test.degree
-    sq, wq = gauss_1d_for_degree(p + 1)
+def _ref_time_mass_mixed(mesh):
+    sq, wq = gauss_1d_for_degree(2)
     n = mesh.n_elements
     rows, cols, vals = [], [], []
     hats = np.stack([1.0 - sq, sq])
     for e in range(n):
         h = mesh.lengths[e]
-        psi = legendre_values(test, sq, h)
+        psi = legendre_values(sq, h)
         loc = h * np.einsum("q,iq,jq->ij", wq, psi, hats)
-        for i in range(p + 1):
+        for i in range(2):
             for j in range(2):
-                rows.append(e * (p + 1) + i)
+                rows.append(e * 2 + i)
                 cols.append(e + j)
                 vals.append(loc[i, j])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n * (p + 1), n + 1)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n * 2, n + 1)).tocsr()
 
 
-def _ref_time_derivative_mixed(mesh, test):
-    p = test.degree
-    sq, wq = gauss_1d_for_degree(p)
+def _ref_time_derivative_mixed(mesh):
+    sq, wq = gauss_1d_for_degree(1)
     n = mesh.n_elements
     rows, cols, vals = [], [], []
     for e in range(n):
         h = mesh.lengths[e]
-        ints = h * legendre_values(test, sq, h) @ wq
-        for i in range(p + 1):
+        ints = h * legendre_values(sq, h) @ wq
+        for i in range(2):
             for j, slope in ((0, -1.0 / h), (1, 1.0 / h)):
-                rows.append(e * (p + 1) + i)
+                rows.append(e * 2 + i)
                 cols.append(e + j)
                 vals.append(slope * ints[i])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n * (p + 1), n + 1)).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n * 2, n + 1)).tocsr()
 
 
 def _time_meshes(k):
@@ -174,7 +194,6 @@ def _time_meshes(k):
 
 
 @pytest.mark.parametrize("k", [0, 3, 6, 8])
-@pytest.mark.parametrize("p", [0, 1, 2])
 @pytest.mark.parametrize(
     "build, ref",
     [
@@ -182,9 +201,9 @@ def _time_meshes(k):
         (time_derivative_mixed, _ref_time_derivative_mixed),
     ],
 )
-def test_mixed_time_matrices_are_bitwise_the_element_loop(k, p, build, ref):
+def test_mixed_time_matrices_are_bitwise_the_element_loop(k, build, ref):
     for tm in _time_meshes(k):
-        got, want = build(tm, TimeBasisSpec(p)), ref(tm, TimeBasisSpec(p))
+        got, want = build(tm), ref(tm)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert got.shape == want.shape
@@ -397,7 +416,7 @@ class TestLoads:
     def test_load_vector_f_zero(self):
         # a time load: one entry per element and Legendre function
         tm = uniform_time_mesh(0.0, 1.0, 1)
-        t_c = load_vector_f(tm, TEST_TIME, lambda t: 0.0)
+        t_c = load_vector_f(tm, lambda t: 0.0)
         assert t_c.shape == (4,)
         assert np.allclose(t_c, 0.0, atol=1e-15)
 
@@ -407,7 +426,7 @@ class TestLoads:
         tm = uniform_time_mesh(0.0, 1.0, 0)
         m = unit_interval_mesh(4)
         b = space_load(m, P1_DIRICHLET, np.ones(len(quad_points(m, 3))), degree=3)
-        F = np.outer(load_vector_f(tm, TEST_TIME, lambda t: t), b).ravel()
+        F = np.outer(load_vector_f(tm, lambda t: t), b).ravel()
         # int_0^1 t * 1 dt = 1/2, int_0^1 t * sqrt(3)(2t-1) dt = 1/(2 sqrt 3)
         n_x = b.size
         assert F.shape == (2 * n_x,)

@@ -37,7 +37,6 @@ from backsolve.mesh import (
     unit_square_initial,
 )
 from backsolve.operators import (
-    TEST_TIME,
     TRIAL_SPACE,
     space_factors,
 )
@@ -48,13 +47,12 @@ from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     _tensor_error_sq,
-    build_system,
     error_report,
     interpolation_gap_xnorm,
     manufactured_data,
     nodal_interpolant,
 )
-from reference import BRoute, gram_X, space_mass, space_stiffness
+from reference import BRoute, gram_X, level_system, space_mass, space_stiffness
 
 RTOL = 1e-12
 
@@ -74,19 +72,18 @@ def _ref_space_load(mesh, spec, func, degree):
     return out
 
 
-def _ref_load_vector_f(time_mesh, space_mesh, time_spec, space_spec, f, quad_order):
+def _ref_load_vector_f(time_mesh, space_mesh, space_spec, f, quad_order):
     n_x = space_dof_map(space_mesh, space_spec).n_dofs
-    p = time_spec.degree
-    out = np.zeros((time_mesh.n_elements * (p + 1), n_x))
+    out = np.zeros((2 * time_mesh.n_elements, n_x))
     sq, wq = gauss_1d_for_degree(quad_order)
     for e in range(time_mesh.n_elements):
         t0, t1 = time_mesh.breakpoints[e], time_mesh.breakpoints[e + 1]
         h = t1 - t0
-        psi = assembly.test_basis_values(time_spec, sq, h)
+        psi = assembly.test_basis_values(sq, h)
         for q in range(sq.size):
             t = t0 + h * sq[q]
             lx = _ref_space_load(space_mesh, space_spec, lambda x: f(t, x), quad_order)
-            out[e * (p + 1) : (e + 1) * (p + 1)] += (h * wq[q]) * np.outer(
+            out[2 * e : 2 * e + 2] += (h * wq[q]) * np.outer(
                 psi[:, q], lx
             )
     return out.reshape(-1)
@@ -120,7 +117,7 @@ def _ref_tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, mo
             else:
                 c = (1.0 - s) * mat[e] + s * mat[e + 1]
                 approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
-                exact = solution.u(t, flat).reshape(approx.shape)
+                exact = solution.tau(t) * solution.phi(flat).reshape(approx.shape)
                 diff_sq = (approx - exact) ** 2
             total += h * tw * float(np.einsum("c,q,cq->", vol, w, diff_sq))
     return total
@@ -203,8 +200,8 @@ def test_load_vector_f_matches_per_time_point_loop(d, degree):
     f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
     phi_load = space_load(sm, spec, sol.phi(quad_points(sm, QUAD_ORDER)), QUAD_ORDER)
     for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
-        got = np.outer(load_vector_f(tm, TEST_TIME, sol.source), phi_load).ravel()
-        ref = _ref_load_vector_f(tm, sm, TEST_TIME, spec, f, QUAD_ORDER)
+        got = np.outer(load_vector_f(tm, sol.source), phi_load).ravel()
+        ref = _ref_load_vector_f(tm, sm, spec, f, QUAD_ORDER)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
 
@@ -239,12 +236,12 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     q = QUAD_ORDER
     phi_load = _ref_space_load(sm, enriched_space_spec(l), solution.phi, q)
     f_load = (
-        np.zeros(tm.n_elements * (TEST_TIME.degree + 1) * phi_load.size)
+        np.zeros(2 * tm.n_elements * phi_load.size)
         if solution.f_is_zero
-        else np.outer(load_vector_f(tm, TEST_TIME, solution.source), phi_load).ravel()
+        else np.outer(load_vector_f(tm, solution.source), phi_load).ravel()
     )
     T = tm.breakpoints[-1]
-    g = (lambda x: solution.u(T, x)) if solution.name != "zero" else None
+    g = None if solution.name == "zero" else lambda x: solution.tau(T) * solution.phi(x)
     n_x = space_dof_map(sm, TRIAL_SPACE).n_dofs
     g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, TRIAL_SPACE, g, q)
     g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
@@ -282,7 +279,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     for name in ("cubic", "decay", "zero"):
         solution = get_solution(name, d)
         space = space_factors(sm, l)
-        system = build_system(tm, sm, l, solution, space, perturbation)
+        system = level_system(tm, sm, l, solution, space, perturbation)
         t_c, test_load, _, g_load, g_sq = manufactured_data(
             tm, sm, l, solution, space, perturbation
         )
@@ -409,7 +406,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
         seen = []
         for call in (
             lambda: np.outer(
-                load_vector_f(tm, TEST_TIME, counted.source),
+                load_vector_f(tm, counted.source),
                 assembly.space_load(sm, spec, counted.phi(quad_points(sm, 5)), 5),
             ),
             lambda: nodal_interpolant(tm, sm, counted),
@@ -448,7 +445,7 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
         sol = get_solution(name, d)
         u, du_dt, grad, f = ref(d)
         for t in [0.0, 1.0, *bp, *gauss]:
-            np.testing.assert_array_equal(sol.u(t, x), u(t, x))
+            np.testing.assert_array_equal(sol.tau(t) * phi(x), u(t, x))
             np.testing.assert_array_equal(sol.source(t) * phi(x), f(t, x))
             np.testing.assert_array_equal(sol.dtau(t) * phi(x), du_dt(t, x))
             np.testing.assert_array_equal(sol.tau(t) * grad_phi(x), grad(t, x))

@@ -56,6 +56,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="expects int"):
             parse_config("experiment = convergence\nd = 1.5\nT = 1\nk_range = 1")
 
+    @pytest.mark.parametrize("seed", [9007199254740993, 123456789012345678901])
+    def test_integer_above_2_53_kept_exact(self, seed):
+        # read through float these came back as 9007199254740992 and
+        # 123456789012345683968, unlike `backsolve run --seed`
+        cfg = parse_config(MINIMAL + f"seed = {seed}\n")
+        assert type(cfg.seed) is int and cfg.seed == seed
+
+    def test_integral_float_form_accepted_for_int_key(self):
+        cfg = parse_config(MINIMAL + "seed = 3.0\n")
+        assert type(cfg.seed) is int and cfg.seed == 3
+        with pytest.raises(ConfigError, match=r"line 6: key 'seed' expects int"):
+            parse_config(MINIMAL + "seed = 2.5\n")
+
     def test_malformed_float(self):
         with pytest.raises(ConfigError, match=r"key 'T' expects float"):
             parse_config("experiment = convergence\nd = 1\nT = one\nk_range = 1")

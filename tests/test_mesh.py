@@ -46,8 +46,8 @@ class TestTimeMesh:
 
     def test_endpoints_and_lengths(self):
         tm = uniform_time_mesh(0.25, 2.25, 3)
-        assert tm.t_start == 0.25
-        assert tm.t_end == 2.25
+        assert tm.breakpoints[0] == 0.25
+        assert tm.breakpoints[-1] == 2.25
         assert np.all(tm.lengths > 0.0)
         assert tm.lengths.sum() == pytest.approx(2.0, abs=1e-15)
 

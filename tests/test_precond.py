@@ -33,8 +33,15 @@ from backsolve.precond import (
     stiffness_solve,
 )
 from backsolve.solutions import get_solution
-from backsolve.solver import build_system
-from reference import dense, gram_X, gram_Y, space_mass, space_stiffness, system_data
+from reference import (
+    dense,
+    gram_X,
+    gram_Y,
+    level_system,
+    space_mass,
+    space_stiffness,
+    system_data,
+)
 
 
 def mesh_pair_1d():
@@ -260,8 +267,7 @@ class TestGYLift:
         for tm, sm in (mesh_pair_1d(), mesh_pair_2d()):
             solution = get_solution("cubic", sm.dimension)
             for l in (0, 1):
-                space = space_factors(sm, l)
-                system = build_system(tm, sm, l, solution, space)
+                system = level_system(tm, sm, l, solution)
                 f_load, _, g_sq = system_data(tm, sm, l, solution)
                 Y = dense(gram_Y(tm, sm, l))
                 assert system.j_zero - g_sq == pytest.approx(

@@ -29,7 +29,6 @@ from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     LeastSquaresSystem,
     build_meshes,
-    build_system,
     choose_epsilon,
     error_report,
     interior_points,
@@ -45,6 +44,7 @@ from reference import (
     fit_rate,
     gram_X,
     gram_Y,
+    level_system,
     space_mass,
 )
 
@@ -76,7 +76,7 @@ class TestChooseEpsilon:
 def small_system(reg_epsilon=0.1, l=0):
     tm = uniform_time_mesh(0.0, 1.0, 1)
     sm = unit_interval_mesh(4)
-    system = build_system(tm, sm, l, get_solution("cubic", 1), space_factors(sm, l))
+    system = level_system(tm, sm, l, get_solution("cubic", 1))
     return tm, sm, replace(system, reg_epsilon=reg_epsilon)
 
 
@@ -86,7 +86,7 @@ class TestBuildSystem:
         sm = unit_interval_mesh(4)
         zero = get_solution("zero", 1)
         system = replace(
-            build_system(tm, sm, 0, zero, space_factors(sm, 0)), reg_epsilon=0.5
+            level_system(tm, sm, 0, zero), reg_epsilon=0.5
         )
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert b_route(tm, sm, 0, 0.5, zero).functional(np.zeros(system.n)) == 0.0
@@ -180,7 +180,7 @@ def reference_case(d, l, reg_epsilon):
     else:
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
-    system = build_system(tm, sm, l, get_solution("cubic", d), space_factors(sm, l))
+    system = level_system(tm, sm, l, get_solution("cubic", d))
     return tm, sm, replace(system, reg_epsilon=reg_epsilon)
 
 
@@ -289,7 +289,7 @@ class TestPCG:
         sol = get_solution("cubic", d)
         eps = choose_epsilon("plain", trial_dofs(tm, sm), d)
         system = replace(
-            build_system(tm, sm, 0, sol, space_factors(sm, 0)), reg_epsilon=eps
+            level_system(tm, sm, 0, sol), reg_epsilon=eps
         )
         functional = b_route(tm, sm, 0, eps, sol).functional
         assert system.j_zero == pytest.approx(
@@ -436,7 +436,7 @@ class TestBuildMeshes:
         )
         tm, sm = build_meshes(cfg, 2)
         assert tm.n_elements == 4
-        assert tm.t_start == 0.0 and tm.t_end == 1.0
+        assert tm.breakpoints[0] == 0.0 and tm.breakpoints[-1] == 1.0
         assert sm.n_cells == 4 * 2**4
 
     def test_interval_length_restriction(self):
@@ -453,7 +453,7 @@ class TestBuildMeshes:
         )
         tm, _ = build_meshes(cfg, 0)
         assert tm.n_elements == 4
-        assert tm.t_start == 0.5
+        assert tm.breakpoints[0] == 0.5
 
     def test_interval_length_requires_dyadic_ratio(self):
         cfg = ExperimentConfig(

@@ -1,8 +1,10 @@
-"""Every top-level function and class in src/backsolve is used there.
+"""Every top-level function and class in src/backsolve is used there, and
+so is every method and property of its classes.
 
 Another module of src/backsolve (outside __init__), or another statement
-of its own module, must name it; names perfbench's tracer resolves are
-exempt. What only the tests call lives in tests/reference.py.
+of its own module, must name a definition; some module must read a member
+as an attribute. Names perfbench's tracer resolves are exempt. What only
+the tests call lives in tests/reference.py.
 """
 
 import ast
@@ -43,16 +45,54 @@ def unused_definitions(sources, exempt):
     return unused
 
 
-def test_every_src_definition_is_used():
+def unused_members(sources, exempt):
+    """(module, "Class.member") of each non-dunder method or property of a
+    top-level class that no module reads as an attribute.
+
+    Dataclass fields are not members here; exempt holds "Class.member" names.
+    """
+    read = {
+        node.attr
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for module, text in sources.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                name = f"{cls.name}.{node.name}"
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if not dunder and node.name not in read and name not in exempt:
+                    unused.append((module, name))
+    return unused
+
+
+def _src_sources():
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
-    # a tracer target names a function or a class, then maybe its method
-    exempt = {target.partition(":")[2].partition(".")[0] for target in TARGETS}
     assert sources
-    assert unused_definitions(sources, exempt) == []
+    return sources
+
+
+# a tracer target names a function or a class, then maybe its method
+QUALNAMES = {target.partition(":")[2] for target in TARGETS}
+
+
+def test_every_src_definition_is_used():
+    exempt = {qualname.partition(".")[0] for qualname in QUALNAMES}
+    assert unused_definitions(_src_sources(), exempt) == []
+
+
+def test_every_src_class_member_is_read():
+    assert unused_members(_src_sources(), QUALNAMES) == []
 
 
 def test_check_flags_an_unused_definition():
@@ -62,3 +102,34 @@ def test_check_flags_an_unused_definition():
     }
     assert unused_definitions(sources, set()) == [("a", "dead")]
     assert unused_definitions(sources, {"dead"}) == []
+
+
+_MEMBER_CASE = """
+from dataclasses import dataclass
+
+
+@dataclass
+class Mesh:
+    points: list
+
+    def __post_init__(self):
+        self.size = len(self.points)
+
+    @property
+    def first(self):
+        return self.points[0]
+
+    @property
+    def last(self):
+        return self.points[-1]
+
+    def scaled(self, c):
+        return [c * p for p in self.points]
+"""
+
+
+def test_check_flags_an_unread_member():
+    sources = {"a": _MEMBER_CASE, "b": "def start(mesh):\n    return mesh.first\n"}
+    # points is a field and size is only stored: neither is a member here
+    assert unused_members(sources, set()) == [("a", "Mesh.last"), ("a", "Mesh.scaled")]
+    assert unused_members(sources, {"Mesh.last", "Mesh.scaled"}) == []
