@@ -113,6 +113,12 @@ class TestTimeTestBasis:
         expected[0::2] = np.sqrt(h)
         assert np.allclose(sums, expected, atol=1e-14)
 
+    def test_mixed_derivative_single_element(self):
+        # the hats' slopes are -1 and 1; only the constant mode has a mean
+        tm = uniform_time_mesh(0.0, 1.0, 0)
+        D = time_derivative_mixed(tm).toarray()
+        assert np.allclose(D, [[-1.0, 1.0], [0.0, 0.0]], atol=1e-14)
+
     def test_mixed_derivative_kills_constants(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
         D = time_derivative_mixed(tm).toarray()
@@ -188,12 +194,15 @@ def _ref_time_derivative_mixed(mesh):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n * 2, n + 1)).tocsr()
 
 
-def _time_meshes(k):
+def _time_mesh(kind, k):
+    if kind == "uniform":
+        return uniform_time_mesh(0.0, 1.0, k)
     steps = np.random.default_rng(k).uniform(0.2, 1.0, 2**k)
-    return uniform_time_mesh(0.0, 1.0, k), TimeMesh(np.cumsum(np.r_[0.25, steps]))
+    return TimeMesh(np.cumsum(np.r_[0.25, steps]))
 
 
 @pytest.mark.parametrize("k", [0, 3, 6, 8])
+@pytest.mark.parametrize("kind", ["uniform", "random-steps"])
 @pytest.mark.parametrize(
     "build, ref",
     [
@@ -201,12 +210,12 @@ def _time_meshes(k):
         (time_derivative_mixed, _ref_time_derivative_mixed),
     ],
 )
-def test_mixed_time_matrices_are_bitwise_the_element_loop(k, build, ref):
-    for tm in _time_meshes(k):
-        got, want = build(tm), ref(tm)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        assert got.shape == want.shape
+def test_mixed_time_matrices_are_bitwise_the_element_loop(k, kind, build, ref):
+    tm = _time_mesh(kind, k)
+    got, want = build(tm), ref(tm)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.shape == want.shape
 
 
 def _ref_hat_matrix(mesh, entries):
@@ -244,7 +253,7 @@ def _ref_time_stiffness_trial(mesh):
     ],
 )
 def test_hat_matrices_are_bitwise_the_coo_assembly(k, build, ref):
-    for tm in _time_meshes(k):
+    for tm in (_time_mesh("uniform", k), _time_mesh("random-steps", k)):
         got, want = build(tm), ref(tm)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
