@@ -4,8 +4,9 @@ Builds every 1-d matrix the space-time operators are composed of: hat mass,
 derivative and stiffness matrices in time, mixed matrices against the
 element-wise degree-1 Legendre test basis, Lagrange P1/P2 mass and stiffness
 on simplicial meshes (Dirichlet dofs eliminated, not penalized), and load
-vectors. Space loads integrate values sampled once at the points of a cell
-rule (quad_points), not a function.
+vectors. Intervals and triangles share one reference simplex, in
+barycentric coordinates. Space loads integrate values sampled once at the
+points of a cell rule (quad_points), not a function.
 
 The time test basis has degree 1, the least that holds the hats and their
 derivatives, as the energy identity of backsolve.solver needs (DtD = K_t,
@@ -111,48 +112,25 @@ class DofMap:
     cell_dofs: np.ndarray
 
 
-def _ref_shapes_interval(degree: int, s: np.ndarray):
-    s = np.asarray(s)
-    if degree == 1:
-        vals = np.stack([1.0 - s, s], axis=1)
-        grads = np.broadcast_to(
-            np.array([[-1.0], [1.0]]), (s.size, 2, 1)
-        ).copy()
-        return vals, grads
-    vals = np.stack(
-        [(1.0 - s) * (1.0 - 2.0 * s), s * (2.0 * s - 1.0), 4.0 * s * (1.0 - s)],
-        axis=1,
-    )
-    grads = np.stack(
-        [4.0 * s - 3.0, 4.0 * s - 1.0, 4.0 - 8.0 * s], axis=1
-    )[:, :, None]
-    return vals, grads
-
-
-def _ref_shapes_triangle(degree: int, bary: np.ndarray):
+def ref_shapes(degree: int, bary: np.ndarray):
+    """Shape values (q, nloc) and reference gradients (q, nloc, d) at
+    barycentric points (q, d + 1); the P2 edge dofs follow the vertex dofs,
+    on the local edges (01), or (01, 12, 20) on a triangle."""
     lam = np.asarray(bary)
-    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    q, n = lam.shape
+    dlam = np.vstack([-np.ones(n - 1), np.eye(n - 1)])  # constant grad lambda_i
     if degree == 1:
-        vals = lam.copy()
-        grads = np.broadcast_to(dlam, (lam.shape[0], 3, 2)).copy()
-        return vals, grads
-    q = lam.shape[0]
-    vals = np.empty((q, 6))
-    grads = np.empty((q, 6, 2))
-    for i in range(3):
+        return lam.copy(), np.broadcast_to(dlam, (q, n, n - 1)).copy()
+    edges = [(i, (i + 1) % n) for i in range(n * (n - 1) // 2)]
+    vals = np.empty((q, n + len(edges)))
+    grads = np.empty((q, n + len(edges), n - 1))
+    for i in range(n):
         vals[:, i] = lam[:, i] * (2.0 * lam[:, i] - 1.0)
         grads[:, i] = (4.0 * lam[:, i, None] - 1.0) * dlam[i]
-    for k, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-        vals[:, 3 + k] = 4.0 * lam[:, i] * lam[:, j]
-        grads[:, 3 + k] = 4.0 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])
+    for k, (i, j) in enumerate(edges):
+        vals[:, n + k] = 4.0 * lam[:, i] * lam[:, j]
+        grads[:, n + k] = 4.0 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])
     return vals, grads
-
-
-def ref_shapes(dimension: int, degree: int, pts: np.ndarray):
-    """Shape values (q, nloc) and reference gradients (q, nloc, d)."""
-    if dimension == 1:
-        return _ref_shapes_interval(degree, pts)
-    return _ref_shapes_triangle(degree, pts)
 
 
 def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
@@ -181,22 +159,18 @@ def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
 
 
 def _cell_rule(mesh: SpatialMesh, degree: int):
-    # both rules have weights summing to 1: integral = |cell| * sum(w * f)
+    """Barycentric points (q, d + 1) and weights summing to 1, so that
+    integral = |cell| * sum(w * f); the interval's Gauss points s are the
+    rows (1 - s, s)."""
     if mesh.dimension == 1:
-        return gauss_1d_for_degree(degree)
+        s, w = gauss_1d_for_degree(degree)
+        return np.column_stack([1.0 - s, s]), w
     return triangle_rule(degree)
 
 
 def quad_points_physical(mesh: SpatialMesh, pts: np.ndarray) -> np.ndarray:
-    """Map reference/barycentric rule points to all cells: (nc, q, d)."""
-    v = mesh.vertices[mesh.cells]
-    if mesh.dimension == 1:
-        s = np.asarray(pts)
-        return (
-            v[:, None, 0, :] * (1.0 - s)[None, :, None]
-            + v[:, None, 1, :] * s[None, :, None]
-        )
-    return np.einsum("qi,cid->cqd", np.asarray(pts), v)
+    """Map barycentric rule points to all cells: (nc, q, d)."""
+    return np.einsum("qi,cid->cqd", np.asarray(pts), mesh.vertices[mesh.cells])
 
 
 def _accumulate(rows_t, cols_t, local, shape):
@@ -221,15 +195,15 @@ def space_matrices(
     vol, jinv = mesh.geometry
 
     pts, w = _cell_rule(mesh, test.degree + trial.degree)
-    te_v, _ = ref_shapes(mesh.dimension, test.degree, pts)
-    tr_v, _ = ref_shapes(mesh.dimension, trial.degree, pts)
+    te_v, _ = ref_shapes(test.degree, pts)
+    tr_v, _ = ref_shapes(trial.degree, pts)
     k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
     local = vol[:, None, None] * k_ref[None]
     mass = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
 
     pts, w = _cell_rule(mesh, max(1, test.degree + trial.degree - 2))
-    _, te_g = ref_shapes(mesh.dimension, test.degree, pts)
-    _, tr_g = ref_shapes(mesh.dimension, trial.degree, pts)
+    _, te_g = ref_shapes(test.degree, pts)
+    _, tr_g = ref_shapes(trial.degree, pts)
     gte = np.einsum("qie,ced->cqid", te_g, jinv)
     gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
     local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
@@ -251,7 +225,7 @@ def space_load(
     dm = space_dof_map(mesh, spec)
     pts, w = _cell_rule(mesh, degree)
     vol, _ = mesh.geometry
-    vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
+    vals, _ = ref_shapes(spec.degree, pts)
     fq = np.reshape(values, (vol.size, w.size))
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
     slots = dm.cell_dofs.ravel()  # bincount sums a dof's slots in cell order
@@ -299,7 +273,7 @@ def fe_values_on_cells(
     breakpoint) are kept in the result.
     """
     dm = space_dof_map(mesh, spec)
-    vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
+    vals, _ = ref_shapes(spec.degree, pts)
     c = _slot_coeffs(dm, coeffs, -1)
     return (c.reshape(-1, c.shape[-1]) @ vals.T).reshape(*c.shape[:-1], -1)
 
@@ -312,7 +286,7 @@ def fe_gradients_on_cells(
     coeffs is (..., n_dofs), batched as in fe_values_on_cells.
     """
     dm = space_dof_map(mesh, spec)
-    _, grads = ref_shapes(mesh.dimension, spec.degree, pts)
+    _, grads = ref_shapes(spec.degree, pts)
     _, jinv = mesh.geometry
     # (nc, q, d, nloc): physical gradients of the local shape functions
     phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)

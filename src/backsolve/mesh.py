@@ -75,16 +75,13 @@ class SpatialMesh:
 
     @functools.cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell |volume| and inverse Jacobians (reference -> physical)."""
+        """Per-cell |volume| and inverse Jacobians (reference -> physical);
+        a Jacobian's columns are the edge vectors v_i - v_0."""
         vol = cell_volumes(self)
         if np.any(vol <= 0.0):
             raise ValueError("cell with nonpositive volume")
         v = self.vertices[self.cells]
-        if self.dimension == 1:
-            jinv = (1.0 / (v[:, 1, 0] - v[:, 0, 0]))[:, None, None]
-        else:
-            jac = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
-            jinv = np.linalg.inv(jac)
+        jinv = np.linalg.inv(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
         for arr in (vol, jinv):
             arr.setflags(write=False)
         return vol, jinv

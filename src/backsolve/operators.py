@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .assembly import (
     SpaceBasisSpec,
@@ -27,19 +26,6 @@ def test_space_spec(l: int) -> SpaceBasisSpec:
     if l not in (0, 1):
         raise ValueError("test space enrichment l must be 0 or 1")
     return SpaceBasisSpec(1 + l, dirichlet=True)
-
-
-def sparse_lu(mat: sp.spmatrix, what: str):
-    """Sparse LU with a low-fill ordering; `what` names the matrix in errors.
-
-    Minimum degree on A + A^T keeps the fill of these finite element
-    matrices low; scipy's default ordering and supernode sizes give nearly
-    twice the fill and factor two to three times slower.
-    """
-    try:
-        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-    except RuntimeError as exc:
-        raise RuntimeError(f"{what} factorization failed: {exc}") from exc
 
 
 class KroneckerOperator:

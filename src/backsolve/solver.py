@@ -53,7 +53,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .assembly import (
     QUAD_ORDER,
@@ -349,6 +348,8 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
     """Square root of the smallest eigenvalue of the inf-sup pencil (module
     docstring) by LOBPCG from a seeded start block; below 5 block sizes scipy
     solves densely instead. A residual above INFSUP_TOL raises RuntimeError."""
+    from scipy.sparse.linalg import LinearOperator, lobpcg  # only this study
+
     m, a, *_ = space = space_factors(space_mesh, 1)
     zero = get_solution("zero", space_mesh.dimension)
 

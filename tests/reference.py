@@ -16,8 +16,8 @@ import scipy.sparse as sp
 
 from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
 from backsolve.operators import KroneckerOperator, assemble_B
-from backsolve.operators import sparse_lu, space_factors
-from backsolve.precond import space_stencils
+from backsolve.operators import space_factors
+from backsolve.precond import make_G_Y, space_stencils
 from backsolve.solver import build_system, manufactured_data
 
 
@@ -40,10 +40,10 @@ class MassSolveMass:
             raise ValueError("mass/stiffness shape mismatch")
         self.shape = mass.shape
         self._mass = mass.tocsr()
-        self._lu = sparse_lu(stiffness, "stiffness")
+        self._solve = make_G_Y(stiffness)
 
     def __matmul__(self, other):
-        w = self._lu.solve(np.asarray(self._mass @ other))
+        w = self._solve(np.asarray(self._mass @ other))
         return self._mass @ w
 
     @property
@@ -98,9 +98,9 @@ def normal_matrix_b_route(time_mesh, m_mix, a_mix, a_test):
     product. Space matrices as from space_factors; desk-scale meshes only.
     """
     b_op = assemble_B(time_mesh, m_mix, a_mix)
-    lu = sparse_lu(a_test, "test stiffness")
+    solve = make_G_Y(a_test)
     space_parts = [s.toarray() for _, s in b_op.terms]
-    solved = [lu.solve(s) for s in space_parts]
+    solved = [solve(s) for s in space_parts]
     time_factors = [t.toarray() for t, _ in b_op.terms]
     n = b_op.shape[1]
     out = np.zeros((n, n))
@@ -130,7 +130,7 @@ def normal_matrices_dense(time_mesh, space):
     blocks[0, :, 0] -= m.toarray()
     normal = []
     for mass, stiffness in ((m, a), (m_mix, a_test)):
-        solved = sparse_lu(stiffness, "test stiffness").solve(mass.toarray())
+        solved = make_G_Y(stiffness)(mass.toarray())
         normal.append(np.kron(k_t, mass.T @ solved))
         normal[-1] += shared
     return tuple(normal)
@@ -141,10 +141,10 @@ def normal_matrices_dense(time_mesh, space):
 
 def y_lift(a_test):
     """Exact test-space Riesz lift: one a_test solve per time dof."""
-    lu = sparse_lu(a_test, "test stiffness")
+    solve = make_G_Y(a_test)
 
     def apply(f):
-        return lu.solve(np.reshape(f, (-1, a_test.shape[0])).T).T.ravel()
+        return solve(np.reshape(f, (-1, a_test.shape[0])).T).T.ravel()
 
     return apply
 

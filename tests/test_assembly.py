@@ -11,6 +11,7 @@ from backsolve.assembly import (
     integrate_squared,
     load_vector_f,
     quad_points,
+    quad_points_physical,
     ref_shapes,
     space_dof_map,
     space_load,
@@ -356,8 +357,8 @@ def _ref_assemble_pair(mesh, test_spec, trial_spec, kind):
         deg = max(1, (test_spec.degree - 1) + (trial_spec.degree - 1))
     pts, w = _cell_rule(mesh, deg)
     vol, jinv = _ref_geometry(mesh)
-    te_v, te_g = ref_shapes(mesh.dimension, test_spec.degree, pts)
-    tr_v, tr_g = ref_shapes(mesh.dimension, trial_spec.degree, pts)
+    te_v, te_g = ref_shapes(test_spec.degree, pts)
+    tr_v, tr_g = ref_shapes(trial_spec.degree, pts)
     if kind == "mass":
         k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
         local = vol[:, None, None] * k_ref[None]
@@ -412,6 +413,36 @@ def test_mesh_geometry_is_bitwise_the_earlier_one(mesh):
     m = REFERENCE_MESHES[mesh]()
     for got, want in zip(m.geometry, _ref_geometry(m)):
         assert np.array_equal(got, want)
+
+
+def _jittered_interval(m, seed):
+    rng = np.random.default_rng(seed)
+    x = np.arange(m + 1) / m
+    x[1:-1] += rng.uniform(-0.25, 0.25, m - 1) / m
+    return SpatialMesh(1, x[:, None], np.stack([np.arange(m), np.arange(1, m + 1)], 1))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_interval_as_the_1_simplex_is_bitwise_the_closed_forms_in_s(degree):
+    # the barycentric rows (1 - s, s) of the Gauss points s reproduce the
+    # interval's earlier closed forms in s exactly
+    s, _ = gauss_1d_for_degree(degree)
+    meshes = [refine_uniform(unit_interval_mesh(1), 4), _jittered_interval(7, 5)]
+    pts, _ = _cell_rule(meshes[0], degree)
+    p1_vals, p1_grads = ref_shapes(1, pts)
+    assert np.array_equal(p1_vals, np.stack([1.0 - s, s], axis=1))
+    assert np.array_equal(p1_grads, np.broadcast_to([[-1.0], [1.0]], (s.size, 2, 1)))
+    p2_vals, p2_grads = ref_shapes(2, pts)
+    want_vals = [(1.0 - s) * (1.0 - 2.0 * s), s * (2.0 * s - 1.0), 4.0 * s * (1.0 - s)]
+    want_grads = [4.0 * s - 3.0, 4.0 * s - 1.0, 4.0 - 8.0 * s]
+    assert np.array_equal(p2_vals, np.stack(want_vals, axis=1))
+    assert np.array_equal(p2_grads, np.stack(want_grads, axis=1)[:, :, None])
+    for mesh in meshes:
+        v = mesh.vertices[mesh.cells]  # (cells, 2, 1)
+        want = v[:, None, 0] * (1.0 - s)[:, None] + v[:, None, 1] * s[:, None]
+        assert np.array_equal(quad_points_physical(mesh, pts), want)
+        jinv = mesh.geometry[1]
+        assert np.array_equal(jinv, 1.0 / (v[:, 1:] - v[:, :1]))
 
 
 class TestLoads:

@@ -61,7 +61,7 @@ def _ref_space_load(mesh, spec, func, degree):
     dm = space_dof_map(mesh, spec)
     pts, w = _cell_rule(mesh, degree)
     vol, _ = mesh.geometry
-    vals, _ = ref_shapes(mesh.dimension, spec.degree, pts)
+    vals, _ = ref_shapes(spec.degree, pts)
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)

@@ -1,7 +1,12 @@
 """Regularized normal system, Krylov iteration, error reporting, meshes."""
 
+import json
+import os
+import subprocess
 import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 from types import FunctionType, SimpleNamespace
 
 import numpy as np
@@ -510,6 +515,35 @@ class TestSolveBackward:
         scipy.linalg.eigh(np.eye(2))  # the recording sees a call
         assert dense == ["eigh"]
 
+    def test_l0_solve_loads_no_scipy_solver_module(self):
+        # in a fresh interpreter: an l = 0 build and solve loads neither
+        # scipy.sparse.linalg nor scipy.linalg; an l = 1 build factors its
+        # A_test with SuperLU and so loads scipy.sparse.linalg
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from dataclasses import replace
+            import backsolve
+            from backsolve.solver import build_level, solve_level
+            cfg = backsolve.ExperimentConfig(
+                experiment="convergence", d=2, T=1.0, k_range=[3], solution="cubic"
+            )
+            _, rep, _ = solve_level(cfg, 3, build_level(cfg, 3), "plain")
+            l0 = [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+            build_level(replace(cfg, l=1), 3)
+            print(json.dumps([rep.converged, l0, "scipy.sparse.linalg" in sys.modules]))
+            """
+        )
+        src = str(Path(assembly.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [True, [], True]
+
     def test_explicit_epsilon_outside_k_range(self):
         cfg = ExperimentConfig(
             experiment="convergence",
@@ -529,15 +563,13 @@ class TestSolveBackward:
         # form like G_X's lift; nothing applies B, and every Riesz lift is
         # G_X's, none of them inside the normal operator
         factored, calls, inside = [], [], [False]
-        for mod in [m for n, m in sys.modules.items() if n.startswith("backsolve")]:
-            if hasattr(mod, "splu"):
-                real_splu = mod.splu
+        real_splu = scipy.sparse.linalg.splu
 
-                def splu(mat, _real=real_splu, **kwargs):
-                    factored.append((mat.shape, np.iscomplexobj(mat.data)))
-                    return _real(mat, **kwargs)
+        def splu(mat, **kwargs):
+            factored.append((mat.shape, np.iscomplexobj(mat.data)))
+            return real_splu(mat, **kwargs)
 
-                monkeypatch.setattr(mod, "splu", splu)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         real_normal = LeastSquaresSystem.apply
 
         def normal(self, v):

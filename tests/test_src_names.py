@@ -72,6 +72,33 @@ def unused_members(sources, exempt):
     return unused
 
 
+def unused_imports(sources, exempt):
+    """(module, name) of each name a module-level import binds that no other
+    statement of that module reads.
+
+    exempt holds (module, name) pairs; __future__ imports bind no name.
+    """
+    unused = []
+    for module, text in sources.items():
+        body = ast.parse(text).body
+        imports = [s for s in body if isinstance(s, (ast.Import, ast.ImportFrom))]
+        read = {
+            node.id
+            for statement in body
+            if statement not in imports
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for statement in imports:
+            if getattr(statement, "module", None) == "__future__":
+                continue
+            for alias in statement.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read and (module, name) not in exempt:
+                    unused.append((module, name))
+    return unused
+
+
 def _src_sources():
     sources = {
         path.stem: path.read_text(encoding="utf-8")
@@ -93,6 +120,15 @@ def test_every_src_definition_is_used():
 
 def test_every_src_class_member_is_read():
     assert unused_members(_src_sources(), QUALNAMES) == []
+
+
+def test_every_src_import_is_read():
+    # a tracer target may be imported only for the tracer to wrap it there
+    exempt = {
+        (module.rpartition(".")[2], qualname.partition(".")[0])
+        for module, _, qualname in (target.partition(":") for target in TARGETS)
+    }
+    assert unused_imports(_src_sources(), exempt) == []
 
 
 def test_check_flags_an_unused_definition():
@@ -133,3 +169,17 @@ def test_check_flags_an_unread_member():
     # points is a field and size is only stored: neither is a member here
     assert unused_members(sources, set()) == [("a", "Mesh.last"), ("a", "Mesh.scaled")]
     assert unused_members(sources, {"Mesh.last", "Mesh.scaled"}) == []
+
+
+def test_check_flags_an_unread_import():
+    sources = {
+        "a": (
+            "from __future__ import annotations\n\nimport os\nimport numpy as np\n"
+            "import scipy.sparse\nfrom .b import used, stale\n\n"
+            "def f(n: int):\n    return np.zeros(used(n)), scipy.sparse\n"
+        ),
+        "b": "def used(n):\n    return n\n\nos = None\nstale = os\n",
+    }
+    # a read in another module (b's os and stale) does not count
+    assert unused_imports(sources, set()) == [("a", "os"), ("a", "stale")]
+    assert unused_imports(sources, {("a", "os"), ("a", "stale")}) == []
