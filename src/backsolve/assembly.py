@@ -3,10 +3,12 @@
 Builds every 1-d matrix the space-time operators are composed of: hat mass,
 derivative and stiffness matrices in time, mixed matrices against the
 element-wise degree-1 Legendre test basis, Lagrange P1/P2 mass and stiffness
-on simplicial meshes (Dirichlet dofs eliminated, not penalized), and load
-vectors. Intervals and triangles share one reference simplex, in
-barycentric coordinates. Space loads integrate values sampled once at the
-points of a cell rule (quad_points), not a function.
+on simplicial meshes, and load vectors. A space is named by its Lagrange
+degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
+eliminated, not penalized. Intervals and triangles share one reference
+simplex, in barycentric coordinates. Space loads integrate values sampled
+once at the points of the QUAD_ORDER cell rule (quad_points), not a
+function.
 
 The time test basis has degree 1, the least that holds the hats and their
 derivatives, as the energy identity of backsolve.solver needs (DtD = K_t,
@@ -27,18 +29,6 @@ from .mesh import SpatialMesh, TimeMesh
 from .quadrature import gauss_1d_for_degree, triangle_rule
 
 QUAD_ORDER = 5  # exactness degree of the data loads and the error quadrature
-
-
-@dataclass(frozen=True)
-class SpaceBasisSpec:
-    """Continuous Lagrange space of the given degree, optionally H_0^1."""
-
-    degree: int = 1
-    dirichlet: bool = True
-
-    def __post_init__(self):
-        if self.degree not in (1, 2):
-            raise ValueError("only degrees 1 and 2 are supported")
 
 
 # ---------------------------------------------------------------- time ----
@@ -133,23 +123,22 @@ def ref_shapes(degree: int, bary: np.ndarray):
     return vals, grads
 
 
-def space_dof_map(mesh: SpatialMesh, spec: SpaceBasisSpec) -> DofMap:
-    keep_v = (
-        ~mesh.boundary_vertex_flags
-        if spec.dirichlet
-        else np.ones(mesh.n_vertices, dtype=bool)
-    )
+def space_dof_map(mesh: SpatialMesh, p: int) -> DofMap:
+    """Dofs of the degree-p Lagrange space with the boundary dofs eliminated."""
+    if p not in (1, 2):
+        raise ValueError(f"only Lagrange degrees 1 and 2 are supported, got {p}")
+    keep_v = ~mesh.boundary_vertex_flags
     vdof = np.full(mesh.n_vertices, -1, dtype=np.int64)
     vdof[keep_v] = np.arange(keep_v.sum())
     n = int(keep_v.sum())
-    if spec.degree == 1:
+    if p == 1:
         return DofMap(n, vdof[mesh.cells])
     if mesh.dimension == 1:
         mids = n + np.arange(mesh.n_cells)
         cd = np.column_stack([vdof[mesh.cells], mids])
         return DofMap(n + mesh.n_cells, cd)
     facets, cell_facets, counts = mesh.facets
-    keep_e = counts == 2 if spec.dirichlet else np.ones(len(counts), dtype=bool)
+    keep_e = counts == 2  # interior facets
     edof = np.full(len(facets), -1, dtype=np.int64)
     edof[keep_e] = n + np.arange(keep_e.sum())
     # local edges (01, 12, 20) are the facets opposite local vertices (2, 0, 1)
@@ -182,9 +171,10 @@ def _accumulate(rows_t, cols_t, local, shape):
 
 
 def space_matrices(
-    mesh: SpatialMesh, test: SpaceBasisSpec, trial: SpaceBasisSpec
+    mesh: SpatialMesh, test: int, trial: int
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Mass and stiffness, shape (dim test) x (dim trial), in one pass.
+    """Mass and stiffness, shape (dim test) x (dim trial), in one pass; test
+    and trial are Lagrange degrees.
 
     Both share the dof maps and the cell geometry; each integrates with a
     rule exact for its own integrand degree.
@@ -194,16 +184,16 @@ def space_matrices(
     shape = (dm_test.n_dofs, dm_trial.n_dofs)
     vol, jinv = mesh.geometry
 
-    pts, w = _cell_rule(mesh, test.degree + trial.degree)
-    te_v, _ = ref_shapes(test.degree, pts)
-    tr_v, _ = ref_shapes(trial.degree, pts)
+    pts, w = _cell_rule(mesh, test + trial)
+    te_v, _ = ref_shapes(test, pts)
+    tr_v, _ = ref_shapes(trial, pts)
     k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
     local = vol[:, None, None] * k_ref[None]
     mass = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
 
-    pts, w = _cell_rule(mesh, max(1, test.degree + trial.degree - 2))
-    _, te_g = ref_shapes(test.degree, pts)
-    _, tr_g = ref_shapes(trial.degree, pts)
+    pts, w = _cell_rule(mesh, max(1, test + trial - 2))
+    _, te_g = ref_shapes(test, pts)
+    _, tr_g = ref_shapes(trial, pts)
     gte = np.einsum("qie,ced->cqid", te_g, jinv)
     gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
     local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
@@ -211,21 +201,20 @@ def space_matrices(
     return mass, stiffness
 
 
-def quad_points(mesh: SpatialMesh, degree: int) -> np.ndarray:
-    """Physical points (cells * q, d), cell-major, of the cell rule exact to
-    `degree`: space_load and integrate_squared take values sampled there."""
-    pts, _ = _cell_rule(mesh, degree)
+def quad_points(mesh: SpatialMesh) -> np.ndarray:
+    """Physical points (cells * q, d), cell-major, of the QUAD_ORDER cell
+    rule: space_load and integrate_squared take values sampled there."""
+    pts, _ = _cell_rule(mesh, QUAD_ORDER)
     return quad_points_physical(mesh, pts).reshape(-1, mesh.dimension)
 
 
-def space_load(
-    mesh: SpatialMesh, spec: SpaceBasisSpec, values, degree: int
-) -> np.ndarray:
-    """Vector of integrals f * basis_i, f sampled at quad_points(mesh, degree)."""
-    dm = space_dof_map(mesh, spec)
-    pts, w = _cell_rule(mesh, degree)
+def space_load(mesh: SpatialMesh, p: int, values) -> np.ndarray:
+    """Vector of integrals f * basis_i over the degree-p space, f sampled at
+    quad_points(mesh)."""
+    dm = space_dof_map(mesh, p)
+    pts, w = _cell_rule(mesh, QUAD_ORDER)
     vol, _ = mesh.geometry
-    vals, _ = ref_shapes(spec.degree, pts)
+    vals, _ = ref_shapes(p, pts)
     fq = np.reshape(values, (vol.size, w.size))
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
     slots = dm.cell_dofs.ravel()  # bincount sums a dof's slots in cell order
@@ -233,9 +222,9 @@ def space_load(
     return np.bincount(slots[keep], cell_load.ravel()[keep], minlength=dm.n_dofs)
 
 
-def integrate_squared(mesh: SpatialMesh, values, degree: int) -> float:
-    """Quadrature of f^2 over the mesh, f sampled at quad_points(mesh, degree)."""
-    _, w = _cell_rule(mesh, degree)
+def integrate_squared(mesh: SpatialMesh, values) -> float:
+    """Quadrature of f^2 over the mesh, f sampled at quad_points(mesh)."""
+    _, w = _cell_rule(mesh, QUAD_ORDER)
     vol, _ = mesh.geometry
     fq = np.reshape(values, (vol.size, w.size))
     return float(np.einsum("c,q,cq->", vol, w, fq**2))
@@ -265,28 +254,28 @@ def _slot_coeffs(dm: DofMap, coeffs: np.ndarray, axis: int) -> np.ndarray:
 
 
 def fe_values_on_cells(
-    mesh: SpatialMesh, spec: SpaceBasisSpec, coeffs: np.ndarray, pts: np.ndarray
+    mesh: SpatialMesh, coeffs: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """FE values at rule points of every cell: (..., nc, q). Eliminated dofs are 0.
+    """P1 values at rule points of every cell: (..., nc, q). Eliminated dofs are 0.
 
     coeffs is (..., n_dofs); leading axes (say, one row per time
     breakpoint) are kept in the result.
     """
-    dm = space_dof_map(mesh, spec)
-    vals, _ = ref_shapes(spec.degree, pts)
+    dm = space_dof_map(mesh, 1)
+    vals, _ = ref_shapes(1, pts)
     c = _slot_coeffs(dm, coeffs, -1)
     return (c.reshape(-1, c.shape[-1]) @ vals.T).reshape(*c.shape[:-1], -1)
 
 
 def fe_gradients_on_cells(
-    mesh: SpatialMesh, spec: SpaceBasisSpec, coeffs: np.ndarray, pts: np.ndarray
+    mesh: SpatialMesh, coeffs: np.ndarray, pts: np.ndarray
 ) -> np.ndarray:
-    """FE gradients at rule points of every cell: (..., nc, q, d).
+    """P1 gradients at rule points of every cell: (..., nc, q, d).
 
     coeffs is (..., n_dofs), batched as in fe_values_on_cells.
     """
-    dm = space_dof_map(mesh, spec)
-    _, grads = ref_shapes(spec.degree, pts)
+    dm = space_dof_map(mesh, 1)
+    _, grads = ref_shapes(1, pts)
     _, jinv = mesh.geometry
     # (nc, q, d, nloc): physical gradients of the local shape functions
     phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)

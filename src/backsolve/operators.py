@@ -11,21 +11,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    SpaceBasisSpec,
-    space_matrices,
-    time_derivative_mixed,
-    time_mass_mixed,
-)
+from .assembly import space_matrices, time_derivative_mixed, time_mass_mixed
 from .mesh import SpatialMesh, TimeMesh
-
-TRIAL_SPACE = SpaceBasisSpec(1, dirichlet=True)
-
-
-def test_space_spec(l: int) -> SpaceBasisSpec:
-    if l not in (0, 1):
-        raise ValueError("test space enrichment l must be 0 or 1")
-    return SpaceBasisSpec(1 + l, dirichlet=True)
 
 
 class KroneckerOperator:
@@ -62,22 +49,27 @@ class KroneckerOperator:
 
 
 def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
-    """Space matrices of the operators at test enrichment l.
+    """Space matrices of the operators at test enrichment l, 0 or 1: the
+    trial space is P1 and the test space P_{1+l}.
 
     Returns (M, A, M_mix, A_mix, A_test): trial mass and stiffness, mixed
-    (test x trial) mass and stiffness, and test stiffness. When the test
-    space is the trial space the last three are M, A and A themselves, so
-    one assembly pass serves every operator. The test space contains the
-    trial space, so it is nonempty whenever the trial space is.
+    (test x trial) mass and stiffness, and test stiffness. At l = 0 the
+    last three are M, A and A themselves, so one assembly pass serves every
+    operator. The test space contains the trial space, so it is nonempty
+    whenever the trial space is.
     """
-    m, a = space_matrices(space_mesh, TRIAL_SPACE, TRIAL_SPACE)
+    if l not in (0, 1):
+        raise ValueError(f"test space enrichment l must be 0 or 1, got {l}")
+    m, a = space_matrices(space_mesh, 1, 1)
     if a.shape[0] == 0:
-        raise ValueError("trial space is empty after boundary elimination")
-    test = test_space_spec(l)
-    if test == TRIAL_SPACE:
+        raise ValueError(
+            f"the {space_mesh.dimension}-d mesh with {space_mesh.n_vertices} "
+            "vertices has no interior vertex"
+        )
+    if l == 0:
         return m, a, m, a, a
-    m_mix, a_mix = space_matrices(space_mesh, test, TRIAL_SPACE)
-    _, a_test = space_matrices(space_mesh, test, test)
+    m_mix, a_mix = space_matrices(space_mesh, 2, 1)
+    _, a_test = space_matrices(space_mesh, 2, 2)
     return m, a, m_mix, a_mix, a_test
 
 

@@ -117,7 +117,8 @@ def _time_modes(time_mesh: TimeMesh):
 
 
 def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
-    """(N, grid dofs, centre dofs, stiffness and mass stencil constants).
+    """(N, grid dofs, centre dofs, stiffness and mass stencil constants,
+    the sine matrix _sine(N)), read once per level.
 
     A dyadic uniform interval mesh has the N - 1 interior grid points as
     dofs; refine_uniform(unit_square_initial(), 2k), the criss-cross mesh
@@ -175,7 +176,7 @@ def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
             raise unsupported
         return values
 
-    return n, grid, centres, constants(a), constants(m)
+    return n, grid, centres, constants(a), constants(m), _sine(n)
 
 
 def _box(x: np.ndarray) -> np.ndarray:
@@ -207,14 +208,13 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     constant terms, formed from the stencil sums, are exactly 0 for the
     stiffness at shift 0, so the smallest keep their relative accuracy.
     """
-    n, grid, centres, stiff, mass = stencils
+    n, grid, centres, stiff, mass, sine = stencils
     d = grid.ndim
     scale = 1j * shifts if shifts.any() else shifts  # all shifts 0: real
     gamma0, alpha, gamma1, beta = (
         (s + t * scale).reshape(-1, *(1,) * d) for s, t in zip(stiff, mass)
     )
     sigma = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2  # 2 - eig(E)
-    sine = _sine(n)
     if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
         lam = (gamma0 + 2.0 * gamma1) - gamma1 * sigma
         lam = lam.real + lam.imag**2 / lam.real

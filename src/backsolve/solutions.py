@@ -24,7 +24,6 @@ class ManufacturedSolution:
     dimension: int
     tau: Callable  # scalar t -> time factor of u
     dtau: Callable  # scalar t -> its derivative
-    f_is_zero: bool
 
     @staticmethod
     def phi(x: np.ndarray) -> np.ndarray:
@@ -50,25 +49,23 @@ class ManufacturedSolution:
 
 
 def _cubic(d: int) -> ManufacturedSolution:
-    return ManufacturedSolution(
-        "cubic", d, lambda t: 1.0 + t**3, lambda t: 3.0 * t**2, False
-    )
+    return ManufacturedSolution("cubic", d, lambda t: 1.0 + t**3, lambda t: 3.0 * t**2)
 
 
 def _decay(d: int) -> ManufacturedSolution:
-    # caloric: exponent matches the eigenvalue, so f vanishes identically
+    # caloric: exponent matches the eigenvalue, so f vanishes identically;
+    # dtau is -lam times the same float as tau, so source rounds to exactly 0
     lam = d * np.pi**2
     return ManufacturedSolution(
         "decay",
         d,
         lambda t: np.exp(lam * (1.0 - t)),
         lambda t: -lam * np.exp(lam * (1.0 - t)),
-        True,
     )
 
 
 def _zero(d: int) -> ManufacturedSolution:
-    return ManufacturedSolution("zero", d, lambda t: 0.0, lambda t: 0.0, True)
+    return ManufacturedSolution("zero", d, lambda t: 0.0, lambda t: 0.0)
 
 
 _REGISTRY = {"cubic": _cubic, "decay": _decay, "zero": _zero}

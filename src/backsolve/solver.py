@@ -78,11 +78,9 @@ from .mesh import (
 )
 from .quadrature import gauss_1d_for_degree
 from .operators import (
-    TRIAL_SPACE,
     # not on the solve path; perfbench's tracer resolves this name
     assemble_B,
     space_factors,
-    test_space_spec,
 )
 from .oracle import mode_perturbation, random_perturbation
 from .precond import (
@@ -188,26 +186,21 @@ def manufactured_data(
     """Loads of a manufactured solution's data: (t_c, l_test, l_P1, g_load, g_sq).
 
     space is the level's space_factors(space_mesh, l). The source
-    f = source(t) phi loads on the test space as t_c x l_test (both zero
-    for a source-free solution); l_P1 is the P1 load of phi. The end-time
+    f = source(t) phi loads on the test space as t_c x l_test (t_c is
+    exactly zero for a caloric solution, whose source dtau + d pi^2 tau
+    rounds to 0); l_P1 is the P1 load of phi. The end-time
     observation g = tau(T) phi, T the last breakpoint, plus perturbation,
     has P1 load g_load and squared L2 norm g_sq. perturbation is an array
     of nodal trial coefficients (loaded through the mass matrix, exactly)
     or any object with evaluate(points). phi and the perturbation are
     sampled once, at the load rule's points.
     """
-    mass_x, a_test = space[0], space[4]
-    points = quad_points(space_mesh, QUAD_ORDER)
+    mass_x = space[0]
+    points = quad_points(space_mesh)
     phi = solution.phi(points)
-    phi_load = space_load(space_mesh, TRIAL_SPACE, phi, QUAD_ORDER)
-    if solution.f_is_zero:
-        t_c = np.zeros(2 * time_mesh.n_elements)
-        test_load = np.zeros(a_test.shape[0])
-    else:
-        t_c = load_vector_f(time_mesh, solution.source)
-        test_load = phi_load  # at l = 0 the test space is P1 itself
-        if l:
-            test_load = space_load(space_mesh, test_space_spec(l), phi, QUAD_ORDER)
+    phi_load = space_load(space_mesh, 1, phi)
+    t_c = load_vector_f(time_mesh, solution.source)
+    test_load = space_load(space_mesh, 2, phi) if l else phi_load  # P1 at l = 0
 
     tau_end = solution.tau(time_mesh.breakpoints[-1])
     g_values = tau_end * phi
@@ -222,8 +215,8 @@ def manufactured_data(
     elif perturbation is not None:
         noise = perturbation.evaluate(points)
         g_values = g_values + noise
-        g_load = g_load + space_load(space_mesh, TRIAL_SPACE, noise, QUAD_ORDER)
-    g_sq = integrate_squared(space_mesh, g_values, QUAD_ORDER) + noise_sq
+        g_load = g_load + space_load(space_mesh, 1, noise)
+    g_sq = integrate_squared(space_mesh, g_values) + noise_sq
     return t_c, test_load, phi_load, g_load, g_sq
 
 
@@ -446,7 +439,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
     pts, w = _cell_rule(space_mesh, QUAD_ORDER)
     vol, _ = space_mesh.geometry
     cell_w = vol[:, None] * w
-    flat = quad_points(space_mesh, QUAD_ORDER)
+    flat = quad_points(space_mesh)
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
 
     def errors(rows, target):  # D_i, formed in place in the rows
@@ -456,7 +449,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
 
     grams = {}
     if "l2" in modes or "dt" in modes:
-        vals = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat, pts)
+        vals = fe_values_on_cells(space_mesh, mat, pts)
         phi = solution.phi(flat).reshape(cell_w.shape)
         errs = errors(vals, phi)
         if "l2" in modes:
@@ -464,7 +457,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
         if "dt" in modes:  # a new array: errs stays D_i
             grams["dt"] = _grams(np.diff(errs, axis=0), cell_w, phi)
     if "h1" in modes:
-        grads = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, mat, pts[:1])
+        grads = fe_gradients_on_cells(space_mesh, mat, pts[:1])
         grad_phi = solution.grad_phi(flat).reshape(*cell_w.shape, -1)
         mean = np.tensordot(w, grad_phi, axes=(0, 1))  # (cells, d)
         osc_sq = float(np.vdot(cell_w, np.sum((grad_phi - mean[:, None]) ** 2, 2)))

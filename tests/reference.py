@@ -21,12 +21,12 @@ from backsolve.precond import make_G_Y, space_stencils
 from backsolve.solver import build_system, manufactured_data
 
 
-def space_mass(mesh, spec):
-    return space_matrices(mesh, spec, spec)[0]
+def space_mass(mesh, p):
+    return space_matrices(mesh, p, p)[0]
 
 
-def space_stiffness(mesh, spec):
-    return space_matrices(mesh, spec, spec)[1]
+def space_stiffness(mesh, p):
+    return space_matrices(mesh, p, p)[1]
 
 
 # ------------------------------------------------ Grams and dense forms ----

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from backsolve.assembly import (
-    SpaceBasisSpec,
     _accumulate,
     _cell_rule,
     integrate_squared,
@@ -34,6 +33,7 @@ from backsolve.mesh import (
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
 from backsolve.quadrature import gauss_1d_for_degree
+from backsolve.solutions import get_solution
 from reference import space_mass, space_stiffness
 
 
@@ -261,38 +261,40 @@ def test_hat_matrices_are_bitwise_the_coo_assembly(k, build, ref):
         assert got.shape == want.shape
 
 
-P1_DIRICHLET = SpaceBasisSpec(degree=1, dirichlet=True)
-P1_FREE = SpaceBasisSpec(degree=1, dirichlet=False)
-P2_DIRICHLET = SpaceBasisSpec(degree=2, dirichlet=True)
-
-
 class TestSpaceMatrices:
     def test_mass_two_element_interval(self):
         m = unit_interval_mesh(2)
-        M = space_mass(m, P1_DIRICHLET)
+        M = space_mass(m, 1)
         assert M.shape == (1, 1)
         assert M[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
-    def test_mass_partition_of_unity(self):
-        m = refine_uniform(unit_square_initial(), 2)
-        M = space_mass(m, P1_FREE)
-        assert M.sum() == pytest.approx(1.0, abs=1e-13)
-
     def test_mass_spd(self):
         m = refine_uniform(unit_square_initial(), 2)
-        M = space_mass(m, P1_DIRICHLET).toarray()
+        M = space_mass(m, 1).toarray()
         assert np.allclose(M, M.T, atol=1e-15)
         assert np.linalg.eigvalsh(M).min() > 0.0
 
     def test_stiffness_two_element_interval(self):
         m = unit_interval_mesh(2)
-        A = space_stiffness(m, P1_DIRICHLET)
+        A = space_stiffness(m, 1)
         assert A[0, 0] == pytest.approx(4.0, abs=1e-14)
 
-    def test_stiffness_row_sums_vanish_without_bc(self):
-        m = refine_uniform(unit_square_initial(), 1)
-        A = space_stiffness(m, P1_FREE).toarray()
-        assert np.allclose(A.sum(axis=1), 0.0, atol=1e-13)
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_mass_sum_closed_form(self, n):
+        # the free mass sums to 1; eliminating the two boundary hats takes
+        # off a row and a column of sum h/2 each and gives back the twice
+        # subtracted diagonal h/3: 1 - 4(h/2) + 2(h/3) = 1 - 4h/3
+        M = space_mass(unit_interval_mesh(n), 1)
+        assert M.sum() == pytest.approx(1.0 - 4.0 / (3.0 * n), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_stiffness_exact_for_quadratics(self, n):
+        # P1 on an interval is nodally exact: A applied to the vertex values
+        # of u = x(1 - x) is the load of -u'' = 2, which is 2h in every row
+        m = unit_interval_mesh(n)
+        x = m.vertices[~m.boundary_vertex_flags, 0]
+        got = space_stiffness(m, 1) @ (x * (1.0 - x))
+        np.testing.assert_allclose(got, 2.0 / n, rtol=0.0, atol=1e-14)
 
     def test_smallest_eigenvalue_1d(self):
         # Dirichlet Laplacian on (0,1): lambda_1 = pi^2, FE value above
@@ -300,8 +302,8 @@ class TestSpaceMatrices:
         import scipy.linalg
 
         m = unit_interval_mesh(32)
-        A = space_stiffness(m, P1_DIRICHLET).toarray()
-        M = space_mass(m, P1_DIRICHLET).toarray()
+        A = space_stiffness(m, 1).toarray()
+        M = space_mass(m, 1).toarray()
         lam = scipy.linalg.eigh(A, M, eigvals_only=True)[0]
         assert lam >= np.pi**2
         assert lam == pytest.approx(np.pi**2, rel=1e-2)
@@ -309,7 +311,7 @@ class TestSpaceMatrices:
     def test_mixed_enriched_shapes(self):
         m = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~m.boundary_vertex_flags).sum())
-        Mmix, Amix = space_matrices(m, P2_DIRICHLET, P1_DIRICHLET)
+        Mmix, Amix = space_matrices(m, 2, 1)
         assert Mmix.shape[1] == n_trial
         assert Amix.shape == Mmix.shape
         assert Mmix.shape[0] > n_trial
@@ -317,15 +319,20 @@ class TestSpaceMatrices:
     def test_mixed_single_interval_no_interior(self):
         # one element, P2 test space has one interior bubble; P1 trial empty
         m = unit_interval_mesh(1)
-        Mmix, Amix = space_matrices(m, P2_DIRICHLET, P1_DIRICHLET)
+        Mmix, Amix = space_matrices(m, 2, 1)
         assert Mmix.shape == (1, 0)
         assert Amix.shape == (1, 0)
 
-    @pytest.mark.parametrize("spec", [P1_DIRICHLET, P1_FREE, P2_DIRICHLET])
-    def test_symmetry(self, spec):
+    def test_only_degrees_1_and_2(self):
+        for p in (0, 3):
+            with pytest.raises(ValueError, match=f"degrees 1 and 2 .* got {p}"):
+                space_matrices(unit_interval_mesh(4), p, 1)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_symmetry(self, p):
         for m in (unit_interval_mesh(4), refine_uniform(unit_square_initial(), 2)):
-            M = space_mass(m, spec).toarray()
-            A = space_stiffness(m, spec).toarray()
+            M = space_mass(m, p).toarray()
+            A = space_stiffness(m, p).toarray()
             assert np.max(np.abs(M - M.T)) <= 1e-14
             assert np.max(np.abs(A - A.T)) <= 1e-14
 
@@ -348,17 +355,17 @@ def _ref_geometry(mesh):
     return vol, jinv
 
 
-def _ref_assemble_pair(mesh, test_spec, trial_spec, kind):
-    dm_test = space_dof_map(mesh, test_spec)
-    dm_trial = space_dof_map(mesh, trial_spec)
+def _ref_assemble_pair(mesh, test, trial, kind):
+    dm_test = space_dof_map(mesh, test)
+    dm_trial = space_dof_map(mesh, trial)
     if kind == "mass":
-        deg = test_spec.degree + trial_spec.degree
+        deg = test + trial
     else:
-        deg = max(1, (test_spec.degree - 1) + (trial_spec.degree - 1))
+        deg = max(1, (test - 1) + (trial - 1))
     pts, w = _cell_rule(mesh, deg)
     vol, jinv = _ref_geometry(mesh)
-    te_v, te_g = ref_shapes(test_spec.degree, pts)
-    tr_v, tr_g = ref_shapes(trial_spec.degree, pts)
+    te_v, te_g = ref_shapes(test, pts)
+    tr_v, tr_g = ref_shapes(trial, pts)
     if kind == "mass":
         k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
         local = vol[:, None, None] * k_ref[None]
@@ -392,14 +399,11 @@ REFERENCE_MESHES = {
 SPACE_PAIRS = {"P1-P1": (1, 1), "P2-P1": (2, 1), "P2-P2": (2, 2)}
 
 
-@pytest.mark.parametrize("dirichlet", [True, False])
 @pytest.mark.parametrize("pair", SPACE_PAIRS)
 @pytest.mark.parametrize("mesh", REFERENCE_MESHES)
-def test_space_matrices_are_bitwise_the_per_pair_assembly(mesh, pair, dirichlet):
+def test_space_matrices_are_bitwise_the_per_pair_assembly(mesh, pair):
     m = REFERENCE_MESHES[mesh]()
-    test_deg, trial_deg = SPACE_PAIRS[pair]
-    test = SpaceBasisSpec(test_deg, dirichlet)
-    trial = SpaceBasisSpec(trial_deg, dirichlet)
+    test, trial = SPACE_PAIRS[pair]
     got = space_matrices(m, test, trial)
     for kind, mat in zip(("mass", "stiffness"), got):
         want = _ref_assemble_pair(m, test, trial, kind)
@@ -446,12 +450,29 @@ def test_interval_as_the_1_simplex_is_bitwise_the_closed_forms_in_s(degree):
 
 
 class TestLoads:
-    def test_space_load_constant(self):
-        # integrating hats against 1 reproduces the mass row sums
-        m = refine_uniform(unit_square_initial(), 1)
-        b = space_load(m, P1_FREE, np.ones(len(quad_points(m, 3))), degree=3)
-        M = space_mass(m, P1_FREE)
-        assert np.allclose(b, np.asarray(M.sum(axis=1)).ravel(), atol=1e-14)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_caloric_time_loads_are_exact_zeros(self, d):
+        # source = dtau + d pi^2 tau rounds to exactly 0 for a caloric
+        # solution, so its data need no source-free branch
+        steps = np.random.default_rng(d).uniform(0.2, 1.0, 5)
+        meshes = [
+            uniform_time_mesh(0.0, 1.0, 0),
+            uniform_time_mesh(0.25, 2.25, 3),
+            TimeMesh(np.concatenate([[0.0], np.cumsum(steps)])),
+        ]
+        for name in ("decay", "zero"):
+            source = get_solution(name, d).source
+            for tm in meshes:
+                t_c = load_vector_f(tm, source)
+                assert t_c.shape == (2 * tm.n_elements,)
+                assert np.all(t_c == 0.0), (name, tm.n_elements)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_space_load_constant(self, n):
+        # each of the n - 1 interior hats integrates 1 to h = 1/n
+        m = unit_interval_mesh(n)
+        b = space_load(m, 1, np.ones(len(quad_points(m))))
+        assert b.sum() == pytest.approx(1.0 - 1.0 / n, abs=1e-14)
 
     def test_load_vector_f_zero(self):
         # a time load: one entry per element and Legendre function
@@ -465,7 +486,7 @@ class TestLoads:
         # times the space load of the constant
         tm = uniform_time_mesh(0.0, 1.0, 0)
         m = unit_interval_mesh(4)
-        b = space_load(m, P1_DIRICHLET, np.ones(len(quad_points(m, 3))), degree=3)
+        b = space_load(m, 1, np.ones(len(quad_points(m))))
         F = np.outer(load_vector_f(tm, lambda t: t), b).ravel()
         # int_0^1 t * 1 dt = 1/2, int_0^1 t * sqrt(3)(2t-1) dt = 1/(2 sqrt 3)
         n_x = b.size
@@ -475,6 +496,6 @@ class TestLoads:
 
     def test_integrate_squared(self):
         m = unit_interval_mesh(16)
-        val = integrate_squared(m, np.sin(np.pi * quad_points(m, 6)[:, 0]), degree=6)
+        val = integrate_squared(m, np.sin(np.pi * quad_points(m)[:, 0]))
         assert val == pytest.approx(0.5, rel=1e-6)
 

@@ -17,7 +17,6 @@ import pytest
 from backsolve import assembly
 from backsolve.assembly import (
     QUAD_ORDER,
-    SpaceBasisSpec,
     _cell_rule,
     fe_gradients_on_cells,
     fe_values_on_cells,
@@ -36,11 +35,7 @@ from backsolve.mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from backsolve.operators import (
-    TRIAL_SPACE,
-    space_factors,
-)
-from backsolve.operators import test_space_spec as enriched_space_spec
+from backsolve.operators import space_factors
 from backsolve.oracle import mode_perturbation, random_perturbation
 from backsolve.precond import make_G_X, space_stencils
 from backsolve.quadrature import gauss_1d_for_degree
@@ -57,11 +52,11 @@ from reference import BRoute, gram_X, level_system, space_mass, space_stiffness
 RTOL = 1e-12
 
 
-def _ref_space_load(mesh, spec, func, degree):
-    dm = space_dof_map(mesh, spec)
+def _ref_space_load(mesh, p, func, degree):
+    dm = space_dof_map(mesh, p)
     pts, w = _cell_rule(mesh, degree)
     vol, _ = mesh.geometry
-    vals, _ = ref_shapes(spec.degree, pts)
+    vals, _ = ref_shapes(p, pts)
     xq = quad_points_physical(mesh, pts)
     fq = np.asarray(func(xq.reshape(-1, mesh.dimension))).reshape(xq.shape[:2])
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
@@ -72,8 +67,8 @@ def _ref_space_load(mesh, spec, func, degree):
     return out
 
 
-def _ref_load_vector_f(time_mesh, space_mesh, space_spec, f, quad_order):
-    n_x = space_dof_map(space_mesh, space_spec).n_dofs
+def _ref_load_vector_f(time_mesh, space_mesh, p, f, quad_order):
+    n_x = space_dof_map(space_mesh, p).n_dofs
     out = np.zeros((2 * time_mesh.n_elements, n_x))
     sq, wq = gauss_1d_for_degree(quad_order)
     for e in range(time_mesh.n_elements):
@@ -82,7 +77,7 @@ def _ref_load_vector_f(time_mesh, space_mesh, space_spec, f, quad_order):
         psi = assembly.test_basis_values(sq, h)
         for q in range(sq.size):
             t = t0 + h * sq[q]
-            lx = _ref_space_load(space_mesh, space_spec, lambda x: f(t, x), quad_order)
+            lx = _ref_space_load(space_mesh, p, lambda x: f(t, x), quad_order)
             out[2 * e : 2 * e + 2] += (h * wq[q]) * np.outer(
                 psi[:, q], lx
             )
@@ -105,18 +100,18 @@ def _ref_tensor_error_sq(time_mesh, space_mesh, coeffs, solution, quad_order, mo
             t = t0 + h * s
             if mode == "dt":
                 c = (mat[e + 1] - mat[e]) / h
-                approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                approx = fe_values_on_cells(space_mesh, c, pts)
                 exact = solution.dtau(t) * solution.phi(flat).reshape(approx.shape)
                 diff_sq = (approx - exact) ** 2
             elif mode == "h1":
                 c = (1.0 - s) * mat[e] + s * mat[e + 1]
-                approx = fe_gradients_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                approx = fe_gradients_on_cells(space_mesh, c, pts)
                 exact = solution.tau(t) * solution.grad_phi(flat)
                 exact = exact.reshape(approx.shape)
                 diff_sq = np.sum((approx - exact) ** 2, axis=2)
             else:
                 c = (1.0 - s) * mat[e] + s * mat[e + 1]
-                approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, c, pts)
+                approx = fe_values_on_cells(space_mesh, c, pts)
                 exact = solution.tau(t) * solution.phi(flat).reshape(approx.shape)
                 diff_sq = (approx - exact) ** 2
             total += h * tw * float(np.einsum("c,q,cq->", vol, w, diff_sq))
@@ -195,26 +190,23 @@ def _space_mesh(d, k):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_load_vector_f_matches_per_time_point_loop(d, degree):
     sm = _space_mesh(d, 2)
-    spec = SpaceBasisSpec(degree, dirichlet=True)
     sol = get_solution("cubic", d)
     f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
-    phi_load = space_load(sm, spec, sol.phi(quad_points(sm, QUAD_ORDER)), QUAD_ORDER)
+    phi_load = space_load(sm, degree, sol.phi(quad_points(sm)))
     for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
         got = np.outer(load_vector_f(tm, sol.source), phi_load).ravel()
-        ref = _ref_load_vector_f(tm, sm, spec, f, QUAD_ORDER)
+        ref = _ref_load_vector_f(tm, sm, degree, f, QUAD_ORDER)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize(
-    "spec", [SpaceBasisSpec(1, True), SpaceBasisSpec(2, True), SpaceBasisSpec(2, False)]
-)
-def test_space_load_scatter_is_bytewise_the_add_at_loop(d, spec):
+@pytest.mark.parametrize("p", [1, 2])
+def test_space_load_scatter_is_bytewise_the_add_at_loop(d, p):
     sm = _space_mesh(d, 2)
     g = lambda x: np.cos(2.0 * x[:, 0]) + x[:, -1]  # noqa: E731
     np.testing.assert_array_equal(
-        space_load(sm, spec, g(quad_points(sm, 5)), 5), _ref_space_load(sm, spec, g, 5)
+        space_load(sm, p, g(quad_points(sm))), _ref_space_load(sm, p, g, QUAD_ORDER)
     )
 
 
@@ -234,25 +226,21 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     on its own evaluation of the rule points.
     """
     q = QUAD_ORDER
-    phi_load = _ref_space_load(sm, enriched_space_spec(l), solution.phi, q)
-    f_load = (
-        np.zeros(2 * tm.n_elements * phi_load.size)
-        if solution.f_is_zero
-        else np.outer(load_vector_f(tm, solution.source), phi_load).ravel()
-    )
+    phi_load = _ref_space_load(sm, 1 + l, solution.phi, q)
+    f_load = np.outer(load_vector_f(tm, solution.source), phi_load).ravel()
     T = tm.breakpoints[-1]
     g = None if solution.name == "zero" else lambda x: solution.tau(T) * solution.phi(x)
-    n_x = space_dof_map(sm, TRIAL_SPACE).n_dofs
-    g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, TRIAL_SPACE, g, q)
+    n_x = space_dof_map(sm, 1).n_dofs
+    g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, 1, g, q)
     g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
     if isinstance(perturbation, np.ndarray):
         c = perturbation
-        mass_x = space_mass(sm, TRIAL_SPACE)
+        mass_x = space_mass(sm, 1)
         g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
         g_load = g_load + mass_x @ c
     elif perturbation is not None:
         pert_eval = perturbation.evaluate
-        g_load = g_load + _ref_space_load(sm, TRIAL_SPACE, pert_eval, q)
+        g_load = g_load + _ref_space_load(sm, 1, pert_eval, q)
         if g is None:
             g_sq = _ref_integrate_squared(sm, pert_eval, q)
         else:
@@ -270,7 +258,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     # from loading tau(T) phi
     tm = uniform_time_mesh(0.0, T, 2)
     sm = _space_mesh(d, 2)
-    mass = space_mass(sm, TRIAL_SPACE)
+    mass = space_mass(sm, 1)
     perturbation = {
         None: None,
         "nodal": random_perturbation(mass, 0.01, 3),
@@ -315,7 +303,7 @@ def _ref_slice_errors(time_mesh, space_mesh, coeffs, solution, slice_times, quad
     out = {}
     for t_req in slice_times:
         idx = int(np.argmin(np.abs(bp - t_req)))
-        approx = fe_values_on_cells(space_mesh, TRIAL_SPACE, mat[idx], pts)
+        approx = fe_values_on_cells(space_mesh, mat[idx], pts)
         exact = solution.tau(bp[idx]) * phi
         err_sq = float(np.einsum("c,q,cq->", vol, w, (approx - exact) ** 2))
         out[float(t_req)] = math.sqrt(max(err_sq, 0.0))
@@ -398,7 +386,6 @@ def test_set_up_work_does_not_grow_with_time_elements(
     )
     for name in ("phi", "grad_phi"):
         calls[name] = record_calls(counted, name)
-    spec = SpaceBasisSpec(2, dirichlet=True)
     per_mesh = []
     for k in (1, 4):  # 2 and 16 time elements
         tm = uniform_time_mesh(0.0, 1.0, k)
@@ -407,7 +394,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
         for call in (
             lambda: np.outer(
                 load_vector_f(tm, counted.source),
-                assembly.space_load(sm, spec, counted.phi(quad_points(sm, 5)), 5),
+                assembly.space_load(sm, 2, counted.phi(quad_points(sm))),
             ),
             lambda: nodal_interpolant(tm, sm, counted),
             lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
@@ -457,7 +444,7 @@ class TestDenseSizeGuard:
         # and one apply together peak below one such float64 array
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 4)
-        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        a, m = space_stiffness(sm, 1), space_mass(sm, 1)
         n_x = a.shape[0]
         G = gram_X(tm, sm)
         v = np.random.default_rng(9).standard_normal(G.shape[1])

@@ -125,6 +125,15 @@ class TestRun:
         with pytest.raises(RuntimeError, match="interval-length.*failed"):
             run(bad)
 
+    def test_empty_trial_space_names_the_mesh(self):
+        # d = 1 at k = 0 is the one-cell interval, all of whose vertices
+        # lie on the boundary
+        cfg = ExperimentConfig(experiment="convergence", d=1, T=1.0, k_range=[0])
+        with pytest.raises(
+            RuntimeError, match="the 1-d mesh with 2 vertices has no interior vertex"
+        ):
+            run(cfg)
+
     def test_no_output_path_skips_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = ExperimentConfig(

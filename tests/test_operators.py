@@ -14,16 +14,12 @@ from backsolve.mesh import (
     unit_square_initial,
 )
 from backsolve.operators import (
-    TRIAL_SPACE,
     KroneckerOperator,
     assemble_B,
     space_factors,
 )
 from backsolve import solver
 from backsolve.solver import build_meshes, infsup_constant
-
-# aliased so pytest does not collect the source helper as a test
-from backsolve.operators import test_space_spec as enriched_space_spec
 from reference import (
     MassSolveMass,
     dense,
@@ -123,15 +119,19 @@ def quadrature_B_1d(tm, sm):
 
 class TestFactors:
     def test_enriched_space_spec(self):
-        assert enriched_space_spec(0).degree == 1
-        assert enriched_space_spec(1).degree == 2
-        with pytest.raises(ValueError):
-            enriched_space_spec(2)
+        # l = 0 tests with P1 itself, l = 1 with P2; no other l is accepted
+        sm = unit_interval_mesh(4)
+        _, a, _, _, a_test = space_factors(sm, 0)
+        assert a_test is a
+        assert space_factors(sm, 1)[4].shape == (7, 7)  # 3 vertices, 4 midpoints
+        for l in (2, -1):
+            with pytest.raises(ValueError, match="must be 0 or 1, got"):
+                space_factors(sm, l)
 
     def test_mass_solve_mass(self):
         sm = unit_interval_mesh(4)
-        M = space_mass(sm, TRIAL_SPACE)
-        A = space_stiffness(sm, TRIAL_SPACE)
+        M = space_mass(sm, 1)
+        A = space_stiffness(sm, 1)
         op = MassSolveMass(M, A)
         want = M.toarray() @ np.linalg.solve(A.toarray(), M.toarray())
         rng = np.random.default_rng(0)
@@ -179,7 +179,7 @@ class TestParabolicOperator:
         z = np.tile(z_x, tm.n_elements + 1)
         B = assemble_B(tm, *space_factors(sm, 0)[2:4])
         out = B.apply(z).reshape(tm.n_elements, 2, n_x)
-        A = space_stiffness(sm, TRIAL_SPACE)
+        A = space_stiffness(sm, 1)
         h = tm.lengths
         # constant test mode picks up sqrt(h) * A z, the linear mode zero
         for e in range(tm.n_elements):
@@ -271,8 +271,8 @@ class TestGramX:
         # mu * int tau^2 + (1/mu) * int (tau')^2
         tm = uniform_time_mesh(0.0, 1.0, 2)
         sm = unit_interval_mesh(8)
-        A = space_stiffness(sm, TRIAL_SPACE).toarray()
-        M = space_mass(sm, TRIAL_SPACE).toarray()
+        A = space_stiffness(sm, 1).toarray()
+        M = space_mass(sm, 1).toarray()
         mus, vecs = scipy.linalg.eigh(A, M)
         G = gram_X(tm, sm)
         Mt = time_mass_trial(tm).toarray()

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from backsolve.assembly import integrate_squared, quad_points
 from backsolve.mesh import refine_uniform, unit_interval_mesh, unit_square_initial
-from backsolve.operators import TRIAL_SPACE, space_factors
+from backsolve.operators import space_factors
 from backsolve.oracle import (
     SpectralField,
     check_hbeta_stability,
@@ -275,7 +275,7 @@ class TestPerturbations:
         got = f.evaluate(x[:, None])
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * f.coeffs[0])
         mesh = unit_interval_mesh(32)
-        quad = integrate_squared(mesh, f.evaluate(quad_points(mesh, 10)), degree=10)
+        quad = integrate_squared(mesh, f.evaluate(quad_points(mesh)))
         assert f.l2_norm() == pytest.approx(math.sqrt(quad), rel=1e-10)
 
     def test_mode_perturbation_guards(self):
@@ -286,7 +286,7 @@ class TestPerturbations:
 
     def test_random_perturbation_exact_norm(self):
         sm = unit_interval_mesh(16)
-        mass = space_mass(sm, TRIAL_SPACE)
+        mass = space_mass(sm, 1)
         f = random_perturbation(mass, 0.01, seed=42)
         l2_norm = np.sqrt(f @ (mass @ f))
         assert l2_norm == pytest.approx(0.01, rel=1e-12)
@@ -297,13 +297,13 @@ class TestPerturbations:
         sm = refine_uniform(unit_square_initial(), 4)
         level_mass = space_factors(sm, 1)[0]
         got = random_perturbation(level_mass, 0.01, 3)
-        mass = space_mass(sm, TRIAL_SPACE)
+        mass = space_mass(sm, 1)
         want = random_perturbation(mass, 0.01, 3)
         assert np.array_equal(got, want)
 
     def test_random_perturbation_deterministic(self):
         sm = unit_interval_mesh(8)
-        mass = space_mass(sm, TRIAL_SPACE)
+        mass = space_mass(sm, 1)
         a = random_perturbation(mass, 0.5, seed=7)
         b = random_perturbation(mass, 0.5, seed=7)
         c = random_perturbation(mass, 0.5, seed=8)
@@ -313,9 +313,9 @@ class TestPerturbations:
     def test_random_perturbation_guards(self):
         sm = unit_interval_mesh(8)
         with pytest.raises(ValueError):
-            random_perturbation(space_mass(sm, TRIAL_SPACE), 0.0, 0)
+            random_perturbation(space_mass(sm, 1), 0.0, 0)
         empty = unit_interval_mesh(1)
-        mass = space_mass(empty, TRIAL_SPACE)
+        mass = space_mass(empty, 1)
         with pytest.raises(ValueError):
             random_perturbation(mass, 0.1, seed=0)
 

@@ -9,7 +9,6 @@ from scipy.linalg import eigh
 
 from backsolve import precond
 from backsolve.assembly import (
-    QUAD_ORDER,
     quad_points,
     space_load,
     time_mass_trial,
@@ -23,8 +22,8 @@ from backsolve.mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from backsolve.operators import TRIAL_SPACE, space_factors
-from backsolve.operators import test_space_spec as enriched_space_spec
+from backsolve.config import ExperimentConfig
+from backsolve.operators import space_factors
 from backsolve.precond import (
     UnsupportedMeshError,
     make_G_X,
@@ -33,6 +32,7 @@ from backsolve.precond import (
     stiffness_solve,
 )
 from backsolve.solutions import get_solution
+from backsolve.solver import solve_backward
 from reference import (
     dense,
     gram_X,
@@ -59,8 +59,8 @@ def reference_G_X(time_mesh, space_mesh):
     """Trial-space lift by a double dense eigendecomposition of the time
     pencil and the space pencil, the earlier form of make_G_X for every size."""
     mu, vx = eigh(
-        space_stiffness(space_mesh, TRIAL_SPACE).toarray(),
-        space_mass(space_mesh, TRIAL_SPACE).toarray(),
+        space_stiffness(space_mesh, 1).toarray(),
+        space_mass(space_mesh, 1).toarray(),
     )
     theta, zt = eigh(
         time_stiffness_trial(time_mesh).toarray(),
@@ -84,7 +84,7 @@ def _space_mesh(d, bisections):
 
 def _stencils(sm):
     return space_stencils(
-        sm, space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        sm, space_stiffness(sm, 1), space_mass(sm, 1)
     )
 
 
@@ -113,7 +113,7 @@ LIFT_CASES = {
 
 
 def _dims(time_mesh, space_mesh):
-    return time_mesh.n_elements + 1, space_mass(space_mesh, TRIAL_SPACE).shape[0]
+    return time_mesh.n_elements + 1, space_mass(space_mesh, 1).shape[0]
 
 
 def _recording_eigh(monkeypatch):
@@ -228,7 +228,7 @@ class TestGXClosedForm:
     )
     def test_other_meshes_raise(self, sm):
         # the stencils are read, and refused, before the time mesh is seen
-        a, m = space_stiffness(sm, TRIAL_SPACE), space_mass(sm, TRIAL_SPACE)
+        a, m = space_stiffness(sm, 1), space_mass(sm, 1)
         with pytest.raises(UnsupportedMeshError, match="not the stencils"):
             space_stencils(sm, a, m)
         assert isinstance(UnsupportedMeshError(), ValueError)
@@ -254,6 +254,14 @@ class TestGXClosedForm:
         factored = record_calls(scipy.sparse.linalg, "splu")
         _lift(tm, sm)
         assert factored == []
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sine_table_built_once_per_level(self, d, record_calls):
+        # the l = 0 A_test solve and the G_X lift read the stencils' table
+        tables = record_calls(precond, "_sine")
+        cfg = ExperimentConfig(experiment="convergence", d=d, T=1.0, k_range=[3], l=0)
+        solve_backward(cfg, 3)
+        assert len(tables) == 1
 
 
 class TestGYLift:
@@ -281,9 +289,9 @@ class TestGYLift:
         # sample of phi: the identity that puts l_P1 into the right-hand side
         sm = _space_mesh(d, 6)
         _, _, _, a_mix, a_test = space_factors(sm, 1)
-        phi = get_solution("cubic", d).phi(quad_points(sm, QUAD_ORDER))
-        test_load = space_load(sm, enriched_space_spec(1), phi, QUAD_ORDER)
-        p1_load = space_load(sm, TRIAL_SPACE, phi, QUAD_ORDER)
+        phi = get_solution("cubic", d).phi(quad_points(sm))
+        test_load = space_load(sm, 2, phi)
+        p1_load = space_load(sm, 1, phi)
         got = a_mix.T @ make_G_Y(a_test)(test_load)
         assert np.linalg.norm(got - p1_load) <= 1e-12 * np.linalg.norm(p1_load)
 
@@ -300,7 +308,7 @@ class TestGYLift:
     def test_closed_form_stiffness_solve_matches_superlu(self, d, bisections):
         # the l = 0 A_test solve, on a vector and on the columns of an array
         sm = _space_mesh(d, bisections)
-        a = space_stiffness(sm, TRIAL_SPACE)
+        a = space_stiffness(sm, 1)
         solve, factored = stiffness_solve(_stencils(sm)), make_G_Y(a)
         rng = np.random.default_rng(10)
         for shape in (a.shape[0], (a.shape[0], 5)):

@@ -24,7 +24,6 @@ from backsolve.mesh import (
     unit_square_initial,
 )
 from backsolve.operators import (
-    TRIAL_SPACE,
     KroneckerOperator,
     assemble_B,
     space_factors,
@@ -115,7 +114,7 @@ class TestBuildSystem:
         tm, sm, with_eps = small_system(reg_epsilon=0.3)
         _, _, without = small_system(reg_epsilon=0.0)
         first = np.eye(tm.breakpoints.size)[:1]
-        start_term = np.kron(first.T @ first, space_mass(sm, TRIAL_SPACE).toarray())
+        start_term = np.kron(first.T @ first, space_mass(sm, 1).toarray())
         rng = np.random.default_rng(0)
         v = rng.standard_normal(with_eps.n)
         assert np.allclose(
@@ -149,7 +148,7 @@ def dense_reference(tm, sm, l, reg_epsilon, f_load, g_load, g_sq):
     """
     B = dense(assemble_B(tm, *space_factors(sm, l)[2:4]))
     Y = dense(gram_Y(tm, sm, l))
-    M = space_mass(sm, TRIAL_SPACE).toarray()
+    M = space_mass(sm, 1).toarray()
     eye_t = np.eye(tm.breakpoints.size)
     start = np.kron(eye_t[:1], np.eye(M.shape[0]))  # v -> v(0)
     end = np.kron(eye_t[-1:], np.eye(M.shape[0]))  # v -> v(T)
@@ -232,7 +231,7 @@ class TestDenseReference:
         traces = 2.0 * np.outer(eye_t[-1], eye_t[-1]) + (
             reg_epsilon**2 - 1.0
         ) * np.outer(eye_t[0], eye_t[0])
-        M = space_mass(sm, TRIAL_SPACE).toarray()
+        M = space_mass(sm, 1).toarray()
         want = dense(gram_X(tm, sm)) + np.kron(traces, M)
         assert np.max(np.abs(S - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -367,7 +366,6 @@ def linear_fe_solution(sm):
         dtau=lambda t: 1.0,
         phi=shape,
         grad_phi=lambda p: slope(p)[:, None],
-        f_is_zero=True,
     )
 
 
@@ -386,7 +384,7 @@ class TestErrorReport:
         # u(t,x) = sin(pi x): l2l2 is sqrt(1/2), h1 is pi times larger
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(16)
-        sol = ManufacturedSolution("sine", 1, lambda t: 1.0, lambda t: 0.0, True)
+        sol = ManufacturedSolution("sine", 1, lambda t: 1.0, lambda t: 0.0)
         n = (tm.n_elements + 1) * int((~sm.boundary_vertex_flags).sum())
         rep = error_report(tm, sm, np.zeros(n), sol, [0.5])
         assert rep.l2l2 == pytest.approx(np.sqrt(0.5), rel=1e-9)
@@ -604,7 +602,7 @@ class TestSolveBackward:
 
     @pytest.mark.parametrize(
         "solution, l, passes, n_loads",
-        [("cubic", 0, 1, 1), ("cubic", 1, 3, 2), ("decay", 1, 3, 1)],
+        [("cubic", 0, 1, 1), ("cubic", 1, 3, 2), ("decay", 1, 3, 2)],
         ids=["0-1", "1-3", "decay-1-3"],
     )
     def test_space_set_up_runs_once(
@@ -632,8 +630,8 @@ class TestSolveBackward:
         (level_mesh,) = geometry_computations
         assert [m is level_mesh for m in facet_computations] == [True]
         # one phi sample feeds the source, the end data and J(0); the error
-        # report maps and samples once more. l = 1 loads a nonzero source on
-        # P2 too; a source-free solution loads P1 alone
+        # report maps and samples once more. l = 1 loads the source on P2
+        # too, a caloric one (its time load exactly zero) included
         assert len(mappings) <= 2
         assert len(phi) <= 2
         assert len(loads) == n_loads

@@ -1,5 +1,6 @@
 """Every top-level function and class in src/backsolve is used there, and
-so is every method and property of its classes.
+so is every method and property of its classes, every module-level import
+and every local a function assigns.
 
 Another module of src/backsolve (outside __init__), or another statement
 of its own module, must name a definition; some module must read a member
@@ -99,6 +100,31 @@ def unused_imports(sources, exempt):
     return unused
 
 
+def dead_locals(sources):
+    """(module, function, name) of each name a function assigns and never
+    reads.
+
+    A function's nested functions and comprehensions are part of it, so a
+    closure's read of an outer local counts. An augmented assignment reads
+    its target; _ is exempt.
+    """
+    dead = []
+    for module, text in sources.items():
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, read = {}, {"_"}
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, None)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.AugAssign):
+                    read.add(getattr(node.target, "id", None))
+            dead += [(module, func.name, name) for name in stored if name not in read]
+    return dead
+
+
 def _src_sources():
     sources = {
         path.stem: path.read_text(encoding="utf-8")
@@ -129,6 +155,10 @@ def test_every_src_import_is_read():
         for module, _, qualname in (target.partition(":") for target in TARGETS)
     }
     assert unused_imports(_src_sources(), exempt) == []
+
+
+def test_no_src_function_has_a_dead_local():
+    assert dead_locals(_src_sources()) == []
 
 
 def test_check_flags_an_unused_definition():
@@ -183,3 +213,17 @@ def test_check_flags_an_unread_import():
     # a read in another module (b's os and stale) does not count
     assert unused_imports(sources, set()) == [("a", "os"), ("a", "stale")]
     assert unused_imports(sources, {("a", "os"), ("a", "stale")}) == []
+
+
+def test_check_flags_a_dead_local():
+    source = (
+        "def f(space, rows):\n"
+        "    mass, stale = space[0], space[4]\n"
+        "    def shift(row):\n"
+        "        row -= mass\n"
+        "    for _, row in rows:\n"
+        "        shift(row)\n"
+    )
+    # row is read by its augmented assignment, mass by the closure
+    assert dead_locals({"a": source}) == [("a", "f", "stale")]
+    assert dead_locals({"a": source.replace("stale", "_")}) == []
