@@ -296,6 +296,32 @@ class TestSpaceMatrices:
         got = space_stiffness(m, 1) @ (x * (1.0 - x))
         np.testing.assert_allclose(got, 2.0 / n, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_p2_mass_sum_closed_form(self, n):
+        # the kept P2 functions sum to 1 - phi_0 - phi_n; on an end cell
+        # int (1 - phi)^2 = int_0^1 (3s - 2s^2)^2 h ds = 4h/5, and 1 on the
+        # rest: 1 - 2h + 2(4h/5) = 1 - 2h/5
+        M = space_mass(unit_interval_mesh(n), 2)
+        assert M.sum() == pytest.approx(1.0 - 2.0 / (5.0 * n), abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 64])
+    def test_p2_stiffness_exact_for_quadratics(self, n):
+        # u = x(1 - x) lies in P2, so A applied to its dof values is the
+        # load of -u'' = 2: 2(h/3) on a vertex function, 2(2h/3) on a bubble
+        m = unit_interval_mesh(n)
+        dm = space_dof_map(m, 2)
+        x_cell = m.vertices[m.cells, 0]
+        x_local = np.column_stack([x_cell, x_cell.mean(axis=1)])
+        x = np.empty(dm.n_dofs)
+        kept = dm.cell_dofs >= 0
+        x[dm.cell_dofs[kept]] = x_local[kept]
+        is_bubble = np.zeros(dm.n_dofs, dtype=bool)
+        is_bubble[dm.cell_dofs[:, 2]] = True
+        want = np.where(is_bubble, 4.0 / (3.0 * n), 2.0 / (3.0 * n))
+        got = space_stiffness(m, 2) @ (x * (1.0 - x))
+        # the entries of A are of order n, so is the round-off of the product
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15 * n)
+
     def test_smallest_eigenvalue_1d(self):
         # Dirichlet Laplacian on (0,1): lambda_1 = pi^2, FE value above
         # and within 1 percent at h = 1/32
