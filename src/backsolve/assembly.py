@@ -217,6 +217,23 @@ def space_load(mesh: SpatialMesh, p: int, values) -> np.ndarray:
     vals, _ = ref_shapes(p, pts)
     fq = np.reshape(values, (vol.size, w.size))
     cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
+    return _scatter_load(dm, cell_load)
+
+
+def gradient_load(mesh: SpatialMesh, field) -> np.ndarray:
+    """Vector of integrals field . grad(eta_i) over the P1 space, field
+    constant per cell: (cells, d)."""
+    dm = space_dof_map(mesh, 1)
+    vol, jinv = mesh.geometry
+    _, grads = ref_shapes(1, np.eye(mesh.dimension + 1)[:1])  # constant: any point
+    # physical gradients contract jinv on its first index, as in
+    # fe_gradients_on_cells: (cells, local slots, d)
+    phys = np.einsum("ie,ced->cid", grads[0], jinv)
+    return _scatter_load(dm, vol[:, None] * np.einsum("cid,cd->ci", phys, field))
+
+
+def _scatter_load(dm: DofMap, cell_load: np.ndarray) -> np.ndarray:
+    """Sum cell loads (cells, local slots) into the dofs of dm."""
     slots = dm.cell_dofs.ravel()  # bincount sums a dof's slots in cell order
     keep = slots >= 0  # eliminated (-1) slots drop out
     return np.bincount(slots[keep], cell_load.ravel()[keep], minlength=dm.n_dofs)

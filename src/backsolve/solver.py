@@ -35,7 +35,26 @@ and J(0) are
 from one A_test solve and one sample of phi. The minimizer is found by
 preconditioned conjugate residuals stopped once the lifted residual
 r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares functional.
-Error reporting compares against manufactured solutions.
+
+Error reporting compares against manufactured solutions, from the
+iterate's coefficients alone. With I phi the nodal P1 interpolant of phi
+and psi = phi - I phi at the load rule's points, the breakpoint error
+D_i = U_i - tau_i phi is E_i - tau_i psi, where E_i = U_i - tau_i I phi is
+a P1 coefficient row, so
+
+    (D_i, D_j) = E_i^T M E_j - tau_j E_i.c - tau_i E_j.c + tau_i tau_j q,
+    (D_i, phi) = E_i.l_phi - tau_i (psi, phi),
+
+c the P1 load of psi, q = |psi|^2 and l_phi the P1 load of phi. M is exact
+for products of P1 functions, as the load rule is, so this is exact
+algebra. The gradient Grams are the same with the stiffness A in place of
+M. P1 gradients are constant per cell, so grad phi splits into its cell
+means and an oscillation orthogonal to every cellwise constant: psi' =
+(cell mean of grad phi) - grad I phi and the stiffness loads of psi' and
+of the means take the places of psi and l_phi, and the oscillation's
+squared norm adds to q, (psi, phi) and (phi, phi). error_terms computes
+every term but E once per level; a report forms E, one column E_i per
+breakpoint, M E, A E and dot products.
 
 The inf-sup constant of the P1 test space against the P2 one comes from
 the same operator: at reg_epsilon = 0, S - e_T e_T^T x M is Bt G_Y B, so
@@ -59,6 +78,7 @@ from .assembly import (
     _cell_rule,
     fe_gradients_on_cells,
     fe_values_on_cells,
+    gradient_load,
     integrate_squared,
     load_vector_f,
     quad_points,
@@ -181,23 +201,23 @@ def manufactured_data(
     l: int,
     solution: ManufacturedSolution,
     space,
+    sample,
     perturbation=None,
 ):
     """Loads of a manufactured solution's data: (t_c, l_test, l_P1, g_load, g_sq).
 
-    space is the level's space_factors(space_mesh, l). The source
+    space is the level's space_factors(space_mesh, l) and sample its
+    phi_sample. The source
     f = source(t) phi loads on the test space as t_c x l_test (t_c is
     exactly zero for a caloric solution, whose source dtau + d pi^2 tau
     rounds to 0); l_P1 is the P1 load of phi. The end-time
     observation g = tau(T) phi, T the last breakpoint, plus perturbation,
     has P1 load g_load and squared L2 norm g_sq. perturbation is an array
     of nodal trial coefficients (loaded through the mass matrix, exactly)
-    or any object with evaluate(points). phi and the perturbation are
-    sampled once, at the load rule's points.
+    or any object with evaluate(points), evaluated at the sample's points.
     """
     mass_x = space[0]
-    points = quad_points(space_mesh)
-    phi = solution.phi(points)
+    points, phi, _ = sample
     phi_load = space_load(space_mesh, 1, phi)
     t_c = load_vector_f(time_mesh, solution.source)
     test_load = space_load(space_mesh, 2, phi) if l else phi_load  # P1 at l = 0
@@ -221,16 +241,10 @@ def manufactured_data(
 
 
 def build_system(
-    time_mesh: TimeMesh,
-    space_mesh: SpatialMesh,
-    l: int,
-    solution: ManufacturedSolution,
-    space,
-    perturbation,
-    stencils,
+    time_mesh: TimeMesh, l: int, space, stencils, data
 ) -> LeastSquaresSystem:
-    """Normal operator at reg_epsilon = 0, h and J(0) for the
-    manufactured_data of solution.
+    """Normal operator at reg_epsilon = 0, h and J(0) for data, the
+    manufactured_data of a solution.
 
     space is the level's space_factors(space_mesh, l). h and J(0) come from
     the identity of the module docstring. At l = 0 A_test is solved in
@@ -239,9 +253,7 @@ def build_system(
     """
     mass_x, stiffness_x, m_mix, _, a_test = space
     test_solve = make_G_Y(a_test) if l else stiffness_solve(stencils)
-    t_c, test_load, phi_load, g_load, g_sq = manufactured_data(
-        time_mesh, space_mesh, l, solution, space, perturbation
-    )
+    t_c, test_load, phi_load, g_load, g_sq = data
     solved = test_solve(test_load)
     d_t = time_derivative_mixed(time_mesh)
     n_t = time_mass_mixed(time_mesh)
@@ -345,9 +357,11 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
     m, a, *_ = space = space_factors(space_mesh, 1)
     zero = get_solution("zero", space_mesh.dimension)
+    sample = phi_sample(space_mesh, zero)
 
     def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
-        system = build_system(time_mesh, space_mesh, l, zero, factors, None, stencils)
+        data = manufactured_data(time_mesh, space_mesh, l, zero, factors, sample)
+        system = build_system(time_mesh, l, factors, stencils, data)
 
         def matvec(v):
             out = system.apply(v)
@@ -384,8 +398,21 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
 
 def interior_points(space_mesh: SpatialMesh) -> np.ndarray:
-    """Coordinates of the retained (non-Dirichlet) vertices in dof order."""
+    """Coordinates of the retained (non-Dirichlet) vertices in dof order:
+    phi there is the P1 coefficient row of its nodal interpolant."""
     return space_mesh.vertices[~space_mesh.boundary_vertex_flags]
+
+
+def phi_sample(space_mesh: SpatialMesh, solution: ManufacturedSolution):
+    """A level's one sample of phi: (points, phi there, I phi).
+
+    points are quad_points(space_mesh) and I phi is phi at interior_points.
+    One phi call takes both point sets; phi acts row by row, so each part
+    is what a call on it alone returns.
+    """
+    points = quad_points(space_mesh)
+    values = solution.phi(np.concatenate([points, interior_points(space_mesh)]))
+    return points, values[: len(points)], values[len(points) :]
 
 
 # not on the solve path; perfbench's tracer resolves this name
@@ -395,6 +422,54 @@ def nodal_interpolant(
     """Trial coefficients interpolating the solution at breakpoints/vertices."""
     phi = solution.phi(interior_points(space_mesh))
     return np.concatenate([solution.tau(t) * phi for t in time_mesh.breakpoints])
+
+
+@dataclass
+class ErrorTerms:
+    """The epsilon-independent terms of a level's error report (module
+    docstring). interp is I phi; grams maps "l2" to (M, c, q, l_phi,
+    (psi, phi), (phi, phi)) and "h1" to the same gradient terms, with A."""
+
+    interp: np.ndarray
+    grams: dict
+
+
+def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
+    """ErrorTerms of a level: space is its space_factors, sample its
+    phi_sample and phi_load manufactured_data's P1 load of phi.
+
+    psi is formed at the points: expanding |psi|^2 through phi and I phi
+    would lose about 6 digits to cancellation at d=2 k=5, 10 at d=1 k=8.
+    """
+    points, phi, interp = sample
+    pts, w = _cell_rule(space_mesh, QUAD_ORDER)
+    vol, _ = space_mesh.geometry
+    cell_w = vol[:, None] * w
+    phi = phi.reshape(cell_w.shape)
+    psi = phi - fe_values_on_cells(space_mesh, interp, pts)
+    w_psi = cell_w * psi
+    l2 = (
+        space[0],
+        space_load(space_mesh, 1, psi),
+        float(np.vdot(psi, w_psi)),
+        phi_load,
+        float(np.vdot(phi, w_psi)),
+        float(np.vdot(phi, cell_w * phi)),
+    )
+    grad_phi = solution.grad_phi(points).reshape(*cell_w.shape, -1)
+    mean = np.tensordot(w, grad_phi, axes=(0, 1))  # (cells, d)
+    osc_sq = float(np.vdot(cell_w, np.sum((grad_phi - mean[:, None]) ** 2, 2)))
+    psi_grad = mean - fe_gradients_on_cells(space_mesh, interp, pts[:1])[:, 0]
+    v_psi = vol[:, None] * psi_grad
+    h1 = (
+        space[1],
+        gradient_load(space_mesh, psi_grad),
+        float(np.vdot(psi_grad, v_psi)) + osc_sq,
+        gradient_load(space_mesh, mean),
+        float(np.vdot(mean, v_psi)) + osc_sq,
+        float(np.vdot(mean, vol[:, None] * mean)) + osc_sq,
+    )
+    return ErrorTerms(interp, {"l2": l2, "h1": h1})
 
 
 def _grams(rows, weight, phi):
@@ -413,26 +488,36 @@ def _grams(rows, weight, phi):
     )
 
 
+def _coefficient_grams(errs, tau, matrix, c, q, load, psi_phi, phi_sq):
+    """_grams of D_i = E_i - tau_i psi from the columns E_i of errs and one
+    mode's ErrorTerms (module docstring)."""
+    prod = matrix @ errs  # errs is C-ordered (n_x, n_t): no copy for the product
+    e_c = c @ errs
+    return (
+        np.einsum("ji,ji->i", errs, prod) - 2.0 * tau * e_c + tau * tau * q,
+        np.einsum("ji,ji->i", errs[:, 1:], prod[:, :-1])
+        - tau[1:] * e_c[:-1] - tau[:-1] * e_c[1:] + tau[:-1] * tau[1:] * q,
+        load @ errs - tau * psi_phi,
+        phi_sq,
+    )
+
+
+# not on the solve path: error_report reads its Grams from ErrorTerms. It
+# stays as the engine of interpolation_gap_xnorm, which perfbench's tracer
+# resolves, and the tests take it as error_report's reference.
 def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
     """Squared space-time errors by tensor quadrature, one per entry of modes.
 
     mode "l2": values; "h1": gradients; "dt": time derivatives. Also returns
     the squared L2(Omega) error at each breakpoint (None without "l2").
 
-    The time Gauss point loop, rearranged exactly: the iterate is linear in
-    time, so with D_i = U_i - tau(t_i) phi (FE values against phi, or P1
-    gradients against grad phi), at local time s of element e
-
-        U - u = (1-s) D_e + s D_{e+1} - rho phi,
-        d/dt (U - u) = (D_{e+1} - D_e) / h + sigma phi,
-
-    rho = tau(t) - (1-s) tau_e - s tau_{e+1}, sigma = (tau_{e+1} - tau_e) / h
-    - tau'(t). The spatial products of D_i, of D_{e+1} - D_e (formed before
-    the product) and of phi are taken once per breakpoint; the Gauss points
-    combine scalars. P1 gradients are cellwise constant, so grad phi is split
-    into cell means and an oscillation of zero weighted mean per cell (the
-    weights sum to 1), orthogonal to cellwise constants: gradient rows run
-    over cells, and the oscillation adds its squared norm.
+    With D_i = U_i - tau(t_i) phi (FE values against phi, or P1 gradients
+    against grad phi), the spatial products of D_i, of D_{e+1} - D_e (formed
+    before the product) and of phi are taken once per breakpoint, and
+    _time_quadrature combines them. P1 gradients are cellwise constant, so
+    grad phi is split into cell means and an oscillation of zero weighted
+    mean per cell (the weights sum to 1), orthogonal to cellwise constants:
+    gradient rows run over cells, and the oscillation adds its squared norm.
     """
     bp = time_mesh.breakpoints
     mat = coeffs.reshape(bp.size, -1)
@@ -465,12 +550,30 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
         taus = (tau**2, tau[:-1] * tau[1:], -tau, 1.0)
         grams["h1"] = tuple(x + t * osc_sq for x, t in zip(g, taus))
 
+    totals = _time_quadrature(time_mesh, solution, tau, {m: grams[m] for m in modes})
+    return totals, grams["l2"][0] if "l2" in modes else None
+
+
+def _time_quadrature(time_mesh, solution, tau, grams):
+    """Squared space-time errors, one per entry of grams (mode -> the four
+    breakpoint Grams of _grams), tau the time factor at the breakpoints.
+
+    The time Gauss point loop, rearranged exactly: the iterate is linear in
+    time, so at local time s of element e
+
+        U - u = (1-s) D_e + s D_{e+1} - rho phi,
+        d/dt (U - u) = (D_{e+1} - D_e) / h + sigma phi,
+
+    rho = tau(t) - (1-s) tau_e - s tau_{e+1}, sigma = (tau_{e+1} - tau_e) / h
+    - tau'(t), and the Gauss points combine scalars.
+    """
+    bp = time_mesh.breakpoints
     sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = np.diff(bp)[:, None]
     times = (bp[:-1, None] + h * sq).ravel()
     totals = []
-    for mode in modes:
-        diag, nxt, cross, phi_sq = (np.asarray(x)[..., None] for x in grams[mode])
+    for mode, gram in grams.items():
+        diag, nxt, cross, phi_sq = (np.asarray(x)[..., None] for x in gram)
         if mode == "dt":
             dtau = np.reshape([solution.dtau(t) for t in times], (h.size, sq.size))
             sigma = np.diff(tau)[:, None] / h - dtau
@@ -485,7 +588,7 @@ def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
             )
         # rounding can take an exact zero a hair below 0
         totals.append(max(float(np.sum(h * wq * err_sq)), 0.0))
-    return tuple(totals), grams["l2"][0] if "l2" in modes else None
+    return tuple(totals)
 
 
 # not on the solve path; perfbench's tracer resolves this name
@@ -510,19 +613,24 @@ def interpolation_gap_xnorm(
 
 def error_report(
     time_mesh: TimeMesh,
-    space_mesh: SpatialMesh,
     coeffs: np.ndarray,
     solution: ManufacturedSolution,
+    terms: ErrorTerms,
     slice_times,
 ) -> ErrorReport:
     """Errors against the exact solution: time slices and space-time norms.
 
-    A slice error is read at the breakpoint nearest the requested time.
+    terms is the level's error_terms, so a report forms only E, M E, A E
+    and dot products (module docstring); it samples no function and maps no
+    point. A slice error is read at the breakpoint nearest the requested
+    time.
     """
     bp = time_mesh.breakpoints
-    (l2_sq, h1_sq), slice_sq = _tensor_error_sq(
-        time_mesh, space_mesh, coeffs, solution, ("l2", "h1")
-    )
+    tau = np.array([solution.tau(t) for t in bp], dtype=float)
+    errs = coeffs.reshape(bp.size, -1).T - np.outer(terms.interp, tau)
+    grams = {m: _coefficient_grams(errs, tau, *g) for m, g in terms.grams.items()}
+    l2_sq, h1_sq = _time_quadrature(time_mesh, solution, tau, grams)
+    slice_sq = grams["l2"][0]
     slices = {}
     for t_req in slice_times:
         idx = int(np.argmin(np.abs(bp - t_req)))
@@ -533,7 +641,8 @@ def error_report(
                 f"slice time {t_req} snapped to breakpoint {bp[idx]} "
                 f"(distance {snap:.3g} exceeds half an element)"
             )
-        slices[float(t_req)] = math.sqrt(slice_sq[idx])
+        # the expanded Gram can round an exact zero a hair below 0
+        slices[float(t_req)] = math.sqrt(max(slice_sq[idx], 0.0))
     return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq))
 
 
@@ -583,30 +692,38 @@ def _perturbation_for(config, mass):
 
 @dataclass
 class Level:
-    """The epsilon-independent part of one refinement level: its meshes, the
-    manufactured solution, the perturbation's L2 norm, build_system's normal
-    operator at reg_epsilon = 0 and the G_X lift."""
+    """The epsilon-independent part of one refinement level: its time mesh,
+    the manufactured solution, the perturbation's L2 norm, build_system's
+    normal operator at reg_epsilon = 0, the G_X lift and the error_terms of
+    its error reports."""
 
     time_mesh: TimeMesh
-    space_mesh: SpatialMesh
     solution: ManufacturedSolution
     pert_norm: float
     system: LeastSquaresSystem
     g_x: RieszPreconditioner
+    error_terms: ErrorTerms
 
 
 def build_level(config, k: int) -> Level:
-    """Build level k of a configuration once, for solves at any epsilon."""
+    """Build level k of a configuration once, for solves at any epsilon.
+
+    The level maps the load rule's points and samples phi once (phi_sample),
+    for the data and the error terms, and grad phi once, in error_terms.
+    """
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
     space = space_factors(space_mesh, config.l)
     stencils = space_stencils(space_mesh, space[1], space[0])
     perturbation, pert_norm = _perturbation_for(config, space[0])
-    system = build_system(
-        time_mesh, space_mesh, config.l, solution, space, perturbation, stencils
+    sample = phi_sample(space_mesh, solution)
+    data = manufactured_data(
+        time_mesh, space_mesh, config.l, solution, space, sample, perturbation
     )
+    system = build_system(time_mesh, config.l, space, stencils, data)
+    terms = error_terms(space_mesh, space, solution, sample, data[2])
     g_x = make_G_X(time_mesh, stencils)
-    return Level(time_mesh, space_mesh, solution, pert_norm, system, g_x)
+    return Level(time_mesh, solution, pert_norm, system, g_x, terms)
 
 
 def solve_level(config, k: int, level: Level, strategy: str):
@@ -628,7 +745,7 @@ def solve_level(config, k: int, level: Level, strategy: str):
     system = replace(level.system, reg_epsilon=eps)
     coeffs, solve_rep = pcg(system, level.g_x, config.threshold, config.max_iter)
     err_rep = error_report(
-        level.time_mesh, level.space_mesh, coeffs, level.solution, config.slice_times
+        level.time_mesh, coeffs, level.solution, level.error_terms, config.slice_times
     )
     return coeffs, solve_rep, err_rep
 

@@ -14,11 +14,18 @@ import csv
 import numpy as np
 import scipy.sparse as sp
 
+from backsolve import assembly
 from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
 from backsolve.operators import KroneckerOperator, assemble_B
 from backsolve.operators import space_factors
 from backsolve.precond import make_G_Y, space_stencils
-from backsolve.solver import build_system, manufactured_data
+from backsolve.solver import (
+    build_system,
+    error_report,
+    error_terms,
+    manufactured_data,
+    phi_sample,
+)
 
 
 def space_mass(mesh, p):
@@ -149,22 +156,45 @@ def y_lift(a_test):
     return apply
 
 
+def level_data(time_mesh, space_mesh, l, solution, space=None, perturbation=None):
+    """manufactured_data with the level's space_factors (unless given) and
+    phi_sample, as build_level passes them."""
+    space = space_factors(space_mesh, l) if space is None else space
+    sample = phi_sample(space_mesh, solution)
+    return manufactured_data(
+        time_mesh, space_mesh, l, solution, space, sample, perturbation
+    )
+
+
 def level_system(time_mesh, space_mesh, l, solution, space=None, perturbation=None):
-    """build_system with the level's space_factors (unless given) and
-    space_stencils, as a solve's level passes them."""
+    """build_system with the level's space_factors (unless given),
+    space_stencils and level_data, as build_level passes them."""
     space = space_factors(space_mesh, l) if space is None else space
     stencils = space_stencils(space_mesh, space[1], space[0])
-    return build_system(
-        time_mesh, space_mesh, l, solution, space, perturbation, stencils
-    )
+    data = level_data(time_mesh, space_mesh, l, solution, space, perturbation)
+    return build_system(time_mesh, l, space, stencils, data)
 
 
 def system_data(time_mesh, space_mesh, l, solution, perturbation=None):
     """(f_load, g_load, g_sq) of build_system's data; f_load = t_c x l_test."""
-    t_c, test_load, _, g_load, g_sq = manufactured_data(
-        time_mesh, space_mesh, l, solution, space_factors(space_mesh, l), perturbation
+    t_c, test_load, _, g_load, g_sq = level_data(
+        time_mesh, space_mesh, l, solution, None, perturbation
     )
     return np.outer(t_c, test_load).ravel(), g_load, g_sq
+
+
+def level_error_terms(space_mesh, solution):
+    """error_terms as build_level makes them, for any space mesh and solution."""
+    sample = phi_sample(space_mesh, solution)
+    phi_load = assembly.space_load(space_mesh, 1, sample[1])
+    space = space_factors(space_mesh, 0)
+    return error_terms(space_mesh, space, solution, sample, phi_load)
+
+
+def level_error_report(time_mesh, space_mesh, coeffs, solution, slice_times):
+    """error_report with the level_error_terms of space_mesh and solution."""
+    terms = level_error_terms(space_mesh, solution)
+    return error_report(time_mesh, coeffs, solution, terms, slice_times)
 
 
 class BRoute:

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from backsolve.assembly import (
     _accumulate,
     _cell_rule,
+    fe_gradients_on_cells,
+    gradient_load,
     integrate_squared,
     load_vector_f,
     quad_points,
@@ -519,6 +521,24 @@ class TestLoads:
         assert F.shape == (2 * n_x,)
         assert np.allclose(F[:n_x], 0.5 * b, atol=1e-14)
         assert np.allclose(F[n_x:], b / (2.0 * np.sqrt(3.0)), atol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gradient_load_of_a_p1_gradient_is_the_stiffness_product(self, d):
+        # (grad v, grad eta_i) = (A v)_i for v in P1; the interior vertices are
+        # jittered so that a transposed Jacobian contraction would show
+        initial = unit_square_initial() if d == 2 else unit_interval_mesh(1)
+        mesh = refine_uniform(initial, 2 * d)
+        rng = np.random.default_rng(d)
+        verts = mesh.vertices.copy()
+        inner = ~mesh.boundary_vertex_flags
+        verts[inner] += rng.uniform(-0.05, 0.05, verts[inner].shape)
+        mesh = SpatialMesh(d, verts, mesh.cells)
+        v = rng.standard_normal(space_dof_map(mesh, 1).n_dofs)
+        pts, _ = _cell_rule(mesh, 1)
+        grads = fe_gradients_on_cells(mesh, v, pts[:1])[:, 0]
+        want = space_stiffness(mesh, 1) @ v
+        got = gradient_load(mesh, grads)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_integrate_squared(self):
         m = unit_interval_mesh(16)

@@ -27,6 +27,7 @@ from backsolve.assembly import (
     space_dof_map,
     space_load,
 )
+from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     TimeMesh,
     cell_volumes,
@@ -42,12 +43,23 @@ from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     _tensor_error_sq,
+    build_level,
+    build_meshes,
     error_report,
     interpolation_gap_xnorm,
-    manufactured_data,
     nodal_interpolant,
+    solve_level,
 )
-from reference import BRoute, gram_X, level_system, space_mass, space_stiffness
+from reference import (
+    BRoute,
+    gram_X,
+    level_data,
+    level_error_report,
+    level_error_terms,
+    level_system,
+    space_mass,
+    space_stiffness,
+)
 
 RTOL = 1e-12
 
@@ -268,7 +280,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
         solution = get_solution(name, d)
         space = space_factors(sm, l)
         system = level_system(tm, sm, l, solution, space, perturbation)
-        t_c, test_load, _, g_load, g_sq = manufactured_data(
+        t_c, test_load, _, g_load, g_sq = level_data(
             tm, sm, l, solution, space, perturbation
         )
         ref_data = _ref_system_data(tm, sm, l, solution, perturbation)
@@ -342,7 +354,7 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # far snaps on the graded mesh
-            rep = error_report(tm, sm, coeffs, solution, slice_times)
+            rep = level_error_report(tm, sm, coeffs, solution, slice_times)
         assert rep.l2l2 == pytest.approx(math.sqrt(ref["l2"]), rel=RTOL)
         assert rep.l2h1 == pytest.approx(math.sqrt(ref["h1"]), rel=RTOL)
         ref_slices = _ref_slice_errors(tm, sm, coeffs, solution, slice_times, q)
@@ -365,6 +377,44 @@ def test_error_modes_asked_together_match_each_alone(d):
             assert got == alone
         _, alone_slices = _tensor_error_sq(tm, sm, coeffs, solution, ("l2",))
         np.testing.assert_array_equal(slices, alone_slices)
+
+
+# a slice error far below |u(t_i)| is read to an absolute accuracy: both
+# sides subtract tau_i phi from an iterate of about its size (at the points,
+# or in coefficients as U_i - tau_i I phi), each rounding to about 1e-16
+# |u(t_i)|, so what they agree on is a few of those ulps, not a share of the
+# slice error itself
+SLICE_ATOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "d, k", [(1, k) for k in range(1, 7)] + [(2, k) for k in range(1, 5)]
+)
+@pytest.mark.parametrize("name", ["cubic", "decay"])
+def test_error_report_matches_the_tensor_quadrature(d, k, name):
+    # the report of a solved level against the same quadrature evaluated at
+    # the points, for the iterate, the nodal interpolant and random rows
+    cfg = ExperimentConfig(
+        experiment="convergence", d=d, T=1.0, k_range=[k], solution=name
+    )
+    tm, sm = build_meshes(cfg, k)
+    level = build_level(cfg, k)
+    solved, _, _ = solve_level(cfg, k, level, "plain")
+    bp = tm.breakpoints
+    # |u(t_i)| = |tau(t_i)| |phi|, and |phi|^2 = 2^-d
+    norm_u = np.abs([level.solution.tau(t) for t in bp]) * 0.5 ** (d / 2)
+    for coeffs in (solved, *_coeff_cases(tm, sm, level.solution)):
+        rep = error_report(tm, coeffs, level.solution, level.error_terms, bp)
+        (l2_sq, h1_sq), slice_sq = _tensor_error_sq(
+            tm, sm, coeffs, level.solution, ("l2", "h1")
+        )
+        assert rep.l2l2 == pytest.approx(math.sqrt(l2_sq), rel=RTOL)
+        assert rep.l2h1 == pytest.approx(math.sqrt(h1_sq), rel=RTOL)
+        want = np.sqrt(slice_sq)
+        got = np.array([rep.l2_slices[t] for t in bp])
+        np.testing.assert_array_less(
+            np.abs(got - want), np.maximum(RTOL * want, SLICE_ATOL * norm_u)
+        )
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -390,6 +440,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
     for k in (1, 4):  # 2 and 16 time elements
         tm = uniform_time_mesh(0.0, 1.0, k)
         coeffs = nodal_interpolant(tm, sm, solution)
+        terms = []
         seen = []
         for call in (
             lambda: np.outer(
@@ -398,7 +449,8 @@ def test_set_up_work_does_not_grow_with_time_elements(
             ),
             lambda: nodal_interpolant(tm, sm, counted),
             lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
-            lambda: error_report(tm, sm, coeffs, counted, [0.5]),
+            lambda: terms.append(level_error_terms(sm, counted)),
+            lambda: error_report(tm, coeffs, counted, terms[0], [0.5]),
         ):
             for recorded in calls.values():
                 recorded.clear()
@@ -406,12 +458,16 @@ def test_set_up_work_does_not_grow_with_time_elements(
             seen.append({name: len(recorded) for name, recorded in calls.items()})
         per_mesh.append(seen)
     assert per_mesh[0] == per_mesh[1]
-    # the load is one space load of phi; the error calls make none
-    assert [c["space_load"] for c in per_mesh[0]] == [1, 0, 0, 0]
+    # the load is one space load of phi; a level's error terms load phi and
+    # psi = phi - I phi, from one phi and one grad_phi sample; the report
+    # reads them and samples, loads and maps nothing
+    assert [c["space_load"] for c in per_mesh[0]] == [1, 0, 0, 2, 0]
     assert per_mesh[0][0]["phi"] == 1
-    assert all(c["phi"] >= 1 for c in per_mesh[0][1:])
-    assert all(c["grad_phi"] >= 1 for c in per_mesh[0][2:])
-    # the mesh's cell geometry is computed once, for all eight calls
+    assert all(c["phi"] >= 1 for c in per_mesh[0][1:3])
+    assert per_mesh[0][2]["grad_phi"] >= 1
+    assert per_mesh[0][3]["phi"] == per_mesh[0][3]["grad_phi"] == 1
+    assert set(per_mesh[0][4].values()) == {0}
+    # the mesh's cell geometry is computed once, for all ten calls
     assert len(geometry_computations) == 1
     assert geometry_computations[0] is sm
 

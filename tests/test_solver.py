@@ -32,13 +32,14 @@ from backsolve.precond import RieszPreconditioner, make_G_X, space_stencils
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     LeastSquaresSystem,
+    build_level,
     build_meshes,
     choose_epsilon,
-    error_report,
     interior_points,
     nodal_interpolant,
     pcg,
     solve_backward,
+    solve_level,
     trial_dofs,
 )
 from reference import (
@@ -48,6 +49,7 @@ from reference import (
     fit_rate,
     gram_X,
     gram_Y,
+    level_error_report,
     level_system,
     space_mass,
 )
@@ -375,7 +377,7 @@ class TestErrorReport:
         sm = unit_interval_mesh(8)
         sol = linear_fe_solution(sm)
         coeffs = nodal_interpolant(tm, sm, sol)
-        rep = error_report(tm, sm, coeffs, sol, [0.25, 0.5, 1.0])
+        rep = level_error_report(tm, sm, coeffs, sol, [0.25, 0.5, 1.0])
         assert rep.l2l2 <= 1e-12
         assert rep.l2h1 <= 1e-12
         assert all(v <= 1e-12 for v in rep.l2_slices.values())
@@ -386,7 +388,7 @@ class TestErrorReport:
         sm = unit_interval_mesh(16)
         sol = ManufacturedSolution("sine", 1, lambda t: 1.0, lambda t: 0.0)
         n = (tm.n_elements + 1) * int((~sm.boundary_vertex_flags).sum())
-        rep = error_report(tm, sm, np.zeros(n), sol, [0.5])
+        rep = level_error_report(tm, sm, np.zeros(n), sol, [0.5])
         assert rep.l2l2 == pytest.approx(np.sqrt(0.5), rel=1e-9)
         assert rep.l2h1 == pytest.approx(np.pi * np.sqrt(0.5), rel=1e-9)
         assert rep.l2_slices[0.5] == pytest.approx(np.sqrt(0.5), rel=1e-9)
@@ -396,7 +398,7 @@ class TestErrorReport:
         sm = unit_interval_mesh(8)
         sol = linear_fe_solution(sm)
         coeffs = nodal_interpolant(tm, sm, sol)
-        rep = error_report(tm, sm, coeffs, sol, [0.49])
+        rep = level_error_report(tm, sm, coeffs, sol, [0.49])
         assert 0.49 in rep.l2_slices  # keyed by the requested time
 
     def test_far_snap_warns(self):
@@ -405,7 +407,7 @@ class TestErrorReport:
         sol = linear_fe_solution(sm)
         coeffs = nodal_interpolant(tm, sm, sol)
         with pytest.warns(UserWarning):
-            error_report(tm, sm, coeffs, sol, [0.4])
+            level_error_report(tm, sm, coeffs, sol, [0.4])
 
 
 class TestFitRate:
@@ -602,7 +604,7 @@ class TestSolveBackward:
 
     @pytest.mark.parametrize(
         "solution, l, passes, n_loads",
-        [("cubic", 0, 1, 1), ("cubic", 1, 3, 2), ("decay", 1, 3, 2)],
+        [("cubic", 0, 1, 2), ("cubic", 1, 3, 3), ("decay", 1, 3, 3)],
         ids=["0-1", "1-3", "decay-1-3"],
     )
     def test_space_set_up_runs_once(
@@ -629,12 +631,62 @@ class TestSolveBackward:
         assert len(pairs) == len(set(pairs)) == passes
         (level_mesh,) = geometry_computations
         assert [m is level_mesh for m in facet_computations] == [True]
-        # one phi sample feeds the source, the end data and J(0); the error
-        # report maps and samples once more. l = 1 loads the source on P2
-        # too, a caloric one (its time load exactly zero) included
-        assert len(mappings) <= 2
-        assert len(phi) <= 2
+        # one mapping and one phi sample feed the source, the end data, J(0)
+        # and the error terms, which load psi = phi - I phi on P1. l = 1
+        # loads the source on P2 too, a caloric one (its time load exactly
+        # zero) included
+        assert len(mappings) == 1
+        assert len(phi) == 1
         assert len(loads) == n_loads
+
+    def test_level_samples_once_and_its_solves_sample_nothing(self, record_calls):
+        # build_level maps the load rule's points and samples phi and grad phi
+        # once; the two epsilon-strategy solves of a perturbation level then
+        # sample, map, evaluate and load nothing
+        owners = {
+            "quad_points": assembly,
+            "phi": ManufacturedSolution,
+            "grad_phi": ManufacturedSolution,
+            "fe_values_on_cells": assembly,
+            "fe_gradients_on_cells": assembly,
+            "space_load": assembly,
+        }
+        calls = {name: record_calls(owner, name) for name, owner in owners.items()}
+        cfg = ExperimentConfig(
+            experiment="perturb-random",
+            d=2,
+            T=0.125,
+            k_range=[2],
+            solution="cubic",
+            slice_times=[0.0625],
+            seed=3,
+        )
+        level = build_level(cfg, 2)
+        built = {name: len(recorded) for name, recorded in calls.items()}
+        assert built["quad_points"] == built["phi"] == built["grad_phi"] == 1
+        for strategy in ("plain", "data-aware"):
+            solve_level(cfg, 2, level, strategy)
+        assert {name: len(recorded) for name, recorded in calls.items()} == built
+
+    def test_error_terms_do_not_depend_on_epsilon(self):
+        # the two strategies solve one level at two epsilon values; each
+        # report is bitwise that of a level built for its strategy alone
+        cfg = ExperimentConfig(
+            experiment="perturb-random",
+            d=2,
+            T=0.125,
+            k_range=[3],
+            solution="cubic",
+            slice_times=[0.0625, 0.125],
+            seed=3,
+        )
+        level = build_level(cfg, 3)
+        shared = [solve_level(cfg, 3, level, s) for s in ("plain", "data-aware")]
+        assert shared[0][1].epsilon != shared[1][1].epsilon
+        for strategy, (coeffs, _, report) in zip(("plain", "data-aware"), shared):
+            fresh_coeffs, _, fresh = solve_level(cfg, 3, build_level(cfg, 3), strategy)
+            np.testing.assert_array_equal(coeffs, fresh_coeffs)
+            assert report == fresh
 
     def test_perturb_random_level_assembles_once_per_solve(self, record_calls):
         # the random field is normalized with the level's own P1 mass, so
