@@ -1,10 +1,11 @@
 """Temporal and spatial finite element assembly.
 
-Builds every 1-d matrix the space-time operators are composed of: hat mass,
-derivative and stiffness matrices in time, mixed matrices against the
-element-wise degree-1 Legendre test basis, Lagrange P1/P2 mass and stiffness
-on simplicial meshes, and load vectors. A space is named by its Lagrange
-degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
+Builds every 1-d matrix the space-time operators are composed of, with
+numpy alone: hat mass and stiffness matrices in time and mixed matrices
+against the element-wise degree-1 Legendre test basis, as element blocks
+with their products; Lagrange P1/P2 mass and stiffness on simplicial
+meshes, as summed entries; and load vectors. A space is named by its
+Lagrange degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
 eliminated, not penalized. Intervals and triangles share one reference
 simplex, in barycentric coordinates. Space loads integrate values sampled
 once at the points of the QUAD_ORDER cell rule (quad_points), not a
@@ -20,9 +21,9 @@ vertex dofs first, then retained edge (2d) or element-midpoint (1d) dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.polynomial.legendre import legvander
 
 from .mesh import SpatialMesh, TimeMesh
@@ -34,29 +35,43 @@ QUAD_ORDER = 5  # exactness degree of the data loads and the error quadrature
 # ---------------------------------------------------------------- time ----
 
 
-def _element_scatter(local: np.ndarray, row_stride: int) -> sp.csr_matrix:
-    """Sum element blocks local (elements, rows, 2) into a matrix on the hats.
-
-    Block e fills rows e*row_stride onward and the trial columns e, e+1 of
-    its two hats; with row_stride 1 neighbouring blocks overlap.
-    """
-    n, rows, _ = local.shape
-    e, i, j = np.indices(local.shape)
-    return sp.coo_matrix(
-        (local.ravel(), ((e * row_stride + i).ravel(), (e + j).ravel())),
-        shape=((n - 1) * row_stride + rows, n + 1),
-    ).tocsr()
+def to_hats(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The transpose of a mixed time matrix, by its element blocks
+    (elements, 2, 2), times a test vector t: block e's row i is test
+    function 2e + i and its column j hat e + j."""
+    loc = np.einsum("eij,ei->ej", blocks, t.reshape(-1, 2))
+    out = np.zeros(loc.shape[0] + 1)
+    out[:-1] += loc[:, 0]
+    out[1:] += loc[:, 1]
+    return out
 
 
-def time_mass_trial(mesh: TimeMesh) -> sp.csr_matrix:
-    """Mass matrix of the continuous piecewise linear hats."""
+def hat_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A hat matrix, by its element blocks (elements, 2, 2), times rows x
+    (hats, ...): the blocks are symmetric, so the matrix is tridiagonal
+    with off-diagonal blocks[:, 0, 1] and diagonal entries summed from the
+    two blocks at each hat."""
+    column = (-1,) + (1,) * (x.ndim - 1)
+    diag = np.zeros(blocks.shape[0] + 1)
+    diag[:-1] += blocks[:, 0, 0]
+    diag[1:] += blocks[:, 1, 1]
+    off = blocks[:, 0, 1].reshape(column)
+    out = diag.reshape(column) * x
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
+    return out
+
+
+def time_mass_trial(mesh: TimeMesh) -> np.ndarray:
+    """Element blocks (elements, 2, 2) of the continuous piecewise linear
+    hats' mass matrix."""
     ref = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    return _element_scatter(mesh.lengths[:, None, None] * ref, 1)
+    return mesh.lengths[:, None, None] * ref
 
 
-def time_stiffness_trial(mesh: TimeMesh) -> sp.csr_matrix:
+def time_stiffness_trial(mesh: TimeMesh) -> np.ndarray:
     ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return _element_scatter(ref / mesh.lengths[:, None, None], 1)
+    return ref / mesh.lengths[:, None, None]
 
 
 def test_basis_values(s: np.ndarray, h) -> np.ndarray:
@@ -72,23 +87,24 @@ def test_basis_values(s: np.ndarray, h) -> np.ndarray:
     return v * scale[..., None]
 
 
-def time_mass_mixed(mesh: TimeMesh) -> sp.csr_matrix:
-    """N_t[i][j] = integral of trial hat j against test function i."""
+def time_mass_mixed(mesh: TimeMesh) -> np.ndarray:
+    """Element blocks (elements, 2, 2) of N_t[i][j] = integral of trial hat
+    j against test function i."""
     sq, wq = gauss_1d_for_degree(2)
     hats = np.stack([1.0 - sq, sq])  # (2, q)
     psi = test_basis_values(sq, mesh.lengths)
-    local = mesh.lengths[:, None, None] * np.einsum("q,eiq,jq->eij", wq, psi, hats)
-    return _element_scatter(local, 2)
+    return mesh.lengths[:, None, None] * np.einsum("q,eiq,jq->eij", wq, psi, hats)
 
 
-def time_derivative_mixed(mesh: TimeMesh) -> sp.csr_matrix:
-    """D_t[i][j] = integral of (trial hat j)' against test function i."""
+def time_derivative_mixed(mesh: TimeMesh) -> np.ndarray:
+    """Element blocks (elements, 2, 2) of D_t[i][j] = integral of
+    (trial hat j)' against test function i."""
     sq, wq = gauss_1d_for_degree(1)
     h = mesh.lengths[:, None]
     # integral of each test function over its element
     ints = (h[:, :, None] * test_basis_values(sq, mesh.lengths)) @ wq
     slopes = np.stack([-1.0 / h, 1.0 / h], axis=2)  # (elements, 1, 2)
-    return _element_scatter(slopes * ints[:, :, None], 2)
+    return slopes * ints[:, :, None]
 
 
 # --------------------------------------------------------------- space ----
@@ -162,43 +178,59 @@ def quad_points_physical(mesh: SpatialMesh, pts: np.ndarray) -> np.ndarray:
     return np.einsum("qi,cid->cqd", np.asarray(pts), mesh.vertices[mesh.cells])
 
 
-def _accumulate(rows_t, cols_t, local, shape):
-    r = np.broadcast_to(rows_t[:, :, None], local.shape).ravel()
-    c = np.broadcast_to(cols_t[:, None, :], local.shape).ravel()
-    v = local.ravel()
+class SparseEntries(NamedTuple):
+    """A sparse matrix's summed entries in compressed-row layout: row i
+    holds the columns indices[indptr[i]:indptr[i + 1]], ascending, with
+    their values in data. These are the attribute names of scipy's
+    csr_matrix, so space_stencils reads either, and
+    csr_matrix((data, indices, indptr), shape) wraps them as they are."""
+
+    shape: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _sum_entries(rows_t, cols_t, locals_, shape) -> list:
+    """SparseEntries of each cell matrix in locals_, (cells, test slots,
+    trial slots), summed on the dofs rows_t x cols_t; eliminated (-1)
+    slots drop out. The matrices share one sorted table of keys r * n + c,
+    and np.bincount sums each key's entries in cell order."""
+    r = np.broadcast_to(rows_t[:, :, None], locals_[0].shape).ravel()
+    c = np.broadcast_to(cols_t[:, None, :], locals_[0].shape).ravel()
     keep = (r >= 0) & (c >= 0)
-    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+    keys, slot = np.unique(r[keep] * shape[1] + c[keep], return_inverse=True)
+    rows, cols = np.divmod(keys, shape[1])
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    sums = [np.bincount(slot, v.ravel()[keep], keys.size) for v in locals_]
+    return [SparseEntries(shape, indptr, cols, data) for data in sums]
 
 
-def space_matrices(
-    mesh: SpatialMesh, test: int, trial: int
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Mass and stiffness, shape (dim test) x (dim trial), in one pass; test
-    and trial are Lagrange degrees.
+def space_matrices(mesh: SpatialMesh, test: int, trial: int) -> list:
+    """Mass and stiffness SparseEntries, shape (dim test) x (dim trial), in
+    one pass; test and trial are Lagrange degrees.
 
-    Both share the dof maps and the cell geometry; each integrates with a
-    rule exact for its own integrand degree.
+    Both share the dof maps, the cell geometry and the entry keys; each
+    integrates with a rule exact for its own integrand degree.
     """
     dm_test = space_dof_map(mesh, test)
     dm_trial = dm_test if trial == test else space_dof_map(mesh, trial)
-    shape = (dm_test.n_dofs, dm_trial.n_dofs)
     vol, jinv = mesh.geometry
 
     pts, w = _cell_rule(mesh, test + trial)
     te_v, _ = ref_shapes(test, pts)
     tr_v, _ = ref_shapes(trial, pts)
     k_ref = np.einsum("q,qi,qj->ij", w, te_v, tr_v)
-    local = vol[:, None, None] * k_ref[None]
-    mass = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
+    mass = vol[:, None, None] * k_ref[None]
 
     pts, w = _cell_rule(mesh, max(1, test + trial - 2))
     _, te_g = ref_shapes(test, pts)
     _, tr_g = ref_shapes(trial, pts)
     gte = np.einsum("qie,ced->cqid", te_g, jinv)
     gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
-    local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
-    stiffness = _accumulate(dm_test.cell_dofs, dm_trial.cell_dofs, local, shape)
-    return mass, stiffness
+    stiffness = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
+    shape = (dm_test.n_dofs, dm_trial.n_dofs)
+    return _sum_entries(dm_test.cell_dofs, dm_trial.cell_dofs, (mass, stiffness), shape)
 
 
 def quad_points(mesh: SpatialMesh) -> np.ndarray:

@@ -113,7 +113,7 @@ class SpatialMesh:
         """Flags of the vertices on facets that belong to exactly one cell."""
         facets, _, counts = self.facets
         flags = np.zeros(self.n_vertices, dtype=bool)
-        flags[np.unique(facets[counts == 1])] = True
+        flags[facets[counts == 1]] = True
         flags.setflags(write=False)
         return flags
 

@@ -4,15 +4,17 @@ A space-time coefficient vector is the row-major flattening of a
 (time dofs) x (space dofs) array, so a tensor-product operator acts by
 multiplying a reshaped vector from both sides. space_factors assembles a
 level's space matrices once, for the solve and the inf-sup study alike.
+Only the l = 1 P2 matrices and assemble_B, which no solve runs, import
+scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import space_matrices, time_derivative_mixed, time_mass_mixed
 from .mesh import SpatialMesh, TimeMesh
+from .precond import StencilMatrix, space_stencils
 
 
 class KroneckerOperator:
@@ -48,15 +50,16 @@ class KroneckerOperator:
         return out.ravel()
 
 
-def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
+def space_factors(space_mesh: SpatialMesh, l: int) -> tuple:
     """Space matrices of the operators at test enrichment l, 0 or 1: the
     trial space is P1 and the test space P_{1+l}.
 
     Returns (M, A, M_mix, A_mix, A_test): trial mass and stiffness, mixed
-    (test x trial) mass and stiffness, and test stiffness. At l = 0 the
-    last three are M, A and A themselves, so one assembly pass serves every
-    operator. The test space contains the trial space, so it is nonempty
-    whenever the trial space is.
+    (test x trial) mass and stiffness, and test stiffness. M and A are the
+    StencilMatrix of the level's space_stencils, read from one assembly
+    pass. At l = 0 the last three are M, A and A themselves; at l = 1 they
+    are scipy CSR matrices, and only then is scipy imported. The test space
+    contains the trial space, so it is nonempty whenever the trial space is.
     """
     if l not in (0, 1):
         raise ValueError(f"test space enrichment l must be 0 or 1, got {l}")
@@ -66,24 +69,47 @@ def space_factors(space_mesh: SpatialMesh, l: int) -> tuple[sp.csr_matrix, ...]:
             f"the {space_mesh.dimension}-d mesh with {space_mesh.n_vertices} "
             "vertices has no interior vertex"
         )
+    stencils = space_stencils(space_mesh, a, m)
+    mass = StencilMatrix(stencils, stencils.mass)
+    stiffness = StencilMatrix(stencils, stencils.stiffness)
     if l == 0:
-        return m, a, m, a, a
-    m_mix, a_mix = space_matrices(space_mesh, 2, 1)
-    _, a_test = space_matrices(space_mesh, 2, 2)
-    return m, a, m_mix, a_mix, a_test
+        return mass, stiffness, mass, stiffness, stiffness
+    import scipy.sparse as sp  # only the P2 matrices of l = 1
+
+    def csr(e):
+        return sp.csr_matrix((e.data, e.indices, e.indptr), shape=e.shape)
+
+    m_mix, a_mix = map(csr, space_matrices(space_mesh, 2, 1))
+    a_test = csr(space_matrices(space_mesh, 2, 2)[1])
+    return mass, stiffness, m_mix, a_mix, a_test
+
+
+def _element_scatter(local: np.ndarray, row_stride: int):
+    """Sum element blocks local (elements, rows, 2) into a scipy CSR matrix
+    on the hats.
+
+    Block e fills rows e*row_stride onward and the trial columns e, e+1 of
+    its two hats; with row_stride 1 neighbouring blocks overlap.
+    """
+    import scipy.sparse as sp  # only assemble_B, which no solve runs
+
+    n, rows, _ = local.shape
+    e, i, j = np.indices(local.shape)
+    return sp.coo_matrix(
+        (local.ravel(), ((e * row_stride + i).ravel(), (e + j).ravel())),
+        shape=((n - 1) * row_stride + rows, n + 1),
+    ).tocsr()
 
 
 # no solve or study applies B; tests/reference.py builds its B route from it,
 # and perfbench's tracer resolves this name
-def assemble_B(
-    time_mesh: TimeMesh, m_mix: sp.csr_matrix, a_mix: sp.csr_matrix
-) -> KroneckerOperator:
+def assemble_B(time_mesh: TimeMesh, m_mix, a_mix) -> KroneckerOperator:
     """Discrete parabolic form: time derivative against mass plus stiffness.
 
     Maps trial coefficients (hats x P1) to duals of the test space
     (elementwise orthonormal Legendre x P_{1+l}); m_mix and a_mix are the
     mixed space mass and stiffness of space_factors.
     """
-    d_t = time_derivative_mixed(time_mesh)
-    n_t = time_mass_mixed(time_mesh)
+    d_t = _element_scatter(time_derivative_mixed(time_mesh), 2)
+    n_t = _element_scatter(time_mass_mixed(time_mesh), 2)
     return KroneckerOperator([(d_t, m_mix), (n_t, a_mix)])

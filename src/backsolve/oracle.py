@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng  # loaded here, not inside a study's run
 
 _EXP_LIMIT = math.log(1e300)
 
@@ -44,7 +45,8 @@ class SpectralField:
             )
         if np.any(modes < 1):
             raise ValueError("mode indices must be >= 1")
-        if len(np.unique(modes, axis=0)) != m:
+        rows = modes[np.lexsort(modes.T)]  # np.unique would load numpy.ma
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("duplicate modes break the Parseval bookkeeping")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "coeffs", coeffs)
@@ -217,8 +219,8 @@ def _sample_times_with_critical(field: SpectralField, T: float, n: int) -> np.nd
     # per-mode envelope t*lambda*exp(-lambda t) peaks
     sweep = np.geomspace(1e-8 * T, T, n)
     crit = 1.0 / field.eigenvalues
-    times = np.concatenate([sweep, crit[crit <= T]])
-    return np.unique(times)
+    times = np.sort(np.concatenate([sweep, crit[crit <= T]]))
+    return times[np.append(True, times[1:] != times[:-1])]  # np.unique's values
 
 
 def check_smoothing(field: SpectralField, T: float, n_samples: int = 400) -> SmoothingReport:
@@ -316,7 +318,7 @@ def random_spectral_fields(count: int, d: int, n_max: int, seed) -> SpectralFiel
         raise ValueError(f"count must be >= 1, got {count}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     axes = [np.arange(1, n_max + 1)] * d
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     return SpectralField(d, grid, rng.uniform(-1.0, 1.0, (count, grid.shape[0])))
@@ -347,7 +349,7 @@ def random_perturbation(mass, target_norm: float, seed) -> np.ndarray:
     n = mass.shape[0]
     if n == 0:
         raise ValueError("space has no dofs to perturb")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     coeffs = rng.uniform(-1.0, 1.0, n)
     nrm = math.sqrt(float(coeffs @ (mass @ coeffs)))
     return coeffs * (target_norm / nrm)

@@ -10,17 +10,19 @@ The test-space Gram is the identity in time times the test stiffness
 A_test, so no test-space lift is built: the right-hand side, J(0) and the
 normal operator use an A_test solve. At l = 0 A_test is the trial
 stiffness, solved by the same closed form at shift 0 (stiffness_solve);
-at l = 1 make_G_Y factors the P2 stiffness once.
+at l = 1 make_G_Y factors the P2 stiffness once, the only use of scipy
+here. The closed forms read the trial stiffness and mass as stencils
+(space_stencils), which also apply them (SpaceStencils.product,
+StencilMatrix).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import SpatialMesh, TimeMesh
 
@@ -40,9 +42,10 @@ class RieszPreconditioner:
         return self._apply(np.asarray(f, dtype=float))
 
 
-def make_G_Y(a_test: sp.csr_matrix) -> Callable:
+def make_G_Y(a_test) -> Callable:
     """Solve with a_test, the test space stiffness, factored once by SuperLU;
-    the solve takes a vector or the columns of an array.
+    the solve takes a vector or the columns of an array. a_test is a scipy
+    sparse matrix.
 
     Minimum degree on A + A^T keeps the fill of these finite element
     matrices low; scipy's default ordering and supernode sizes give nearly
@@ -57,16 +60,16 @@ def make_G_Y(a_test: sp.csr_matrix) -> Callable:
     return lu.solve
 
 
-def stiffness_solve(stencils) -> Callable:
+def stiffness_solve(stencils: SpaceStencils) -> Callable:
     """Solve with the trial stiffness A in closed form: _shifted_space_solve
-    at shift 0, for the space_stencils of A. Like make_G_Y's solve, it takes
-    a vector or the columns of an array.
+    at shift 0, for the space_stencils of A. It takes a vector or rows
+    (..., n_x) in slot order.
     """
     solve = _shifted_space_solve(stencils, np.zeros(1))
-    return lambda w: solve(np.atleast_2d(w.T)).T.reshape(w.shape)
+    return lambda w: solve(np.atleast_2d(w)).reshape(w.shape)
 
 
-def make_G_X(time_mesh: TimeMesh, stencils) -> RieszPreconditioner:
+def make_G_X(time_mesh: TimeMesh, stencils: SpaceStencils) -> RieszPreconditioner:
     """Exact trial-space Riesz lift by diagonalization in time.
 
     stencils are the space_stencils of the trial space stiffness and mass
@@ -76,12 +79,18 @@ def make_G_X(time_mesh: TimeMesh, stencils) -> RieszPreconditioner:
     (stiffness, mass) pencil, which equals Re[(A + i sqrt(theta_j) M)^-1],
     solved for every mode in closed form (_shifted_space_solve). A
     non-uniform time mesh raises UnsupportedMeshError before any other work.
+
+    The lift takes a vector or a block of them as columns (n, k); a block
+    runs one time transform and one batch of shifted solves, with the
+    columns on a leading axis.
     """
     theta, zt = _time_modes(time_mesh)
     solve = _shifted_space_solve(stencils, np.sqrt(theta))
 
     def apply(f: np.ndarray) -> np.ndarray:
-        return (zt @ solve(zt.T @ f.reshape(theta.size, -1))).ravel()
+        block = f.shape[1:]  # () for a vector, (k,) for k columns
+        modes = stencils.gather(zt.T @ f.T.reshape(*block, theta.size, -1))
+        return (zt @ stencils.scatter(solve(modes))).reshape(*block, -1).T
 
     return RieszPreconditioner(apply)
 
@@ -116,9 +125,96 @@ def _time_modes(time_mesh: TimeMesh):
     return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
 
 
-def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
-    """(N, grid dofs, centre dofs, stiffness and mass stencil constants,
-    the sine matrix _sine(N)), read once per level.
+class SpaceStencils(NamedTuple):
+    """The trial dofs of a supported mesh on their lattice, and the stencil
+    constants of the trial stiffness and mass (space_stencils).
+
+    Slot order lists the grid dofs, row-major, then in d = 2 the square
+    centres: slots[s] is the dof in slot s and rank its inverse. gather
+    takes rows (..., n_x) from dof to slot order and scatter back; parts
+    views slot-order rows as grid (..., N - 1[, N - 1]) and centre
+    (..., N, N) arrays. The constants are one per class of entries: grid
+    diagonal, centre diagonal, axis neighbours, centre-corner pairs.
+    """
+
+    n: int
+    grid: np.ndarray
+    centres: np.ndarray
+    stiffness: tuple
+    mass: tuple
+    sine: np.ndarray
+    slots: np.ndarray
+    rank: np.ndarray
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        return np.take(x, self.slots, axis=-1)  # C order, where x[..., slots] is not
+
+    def scatter(self, y: np.ndarray) -> np.ndarray:
+        return np.take(y, self.rank, axis=-1)
+
+    def parts(self, y: np.ndarray):
+        lead, split = y.shape[:-1], self.grid.size
+        return (
+            y[..., :split].reshape(*lead, *self.grid.shape),
+            y[..., split:].reshape(*lead, *self.centres.shape),
+        )
+
+    def product(self, *terms) -> np.ndarray:
+        """The sum over terms (values, y) of the trial matrix of stencil
+        constants values, A's or M's, times slot-order rows y (..., n_x):
+        per grid dof its diagonal, its axis neighbours and, in d = 2, the
+        centres of its four squares; per centre its diagonal and its
+        square's corners. Each class's weighted sum of the terms' rows is
+        formed once, then added at the class's neighbours."""
+        split = [(values, *self.parts(y)) for values, y in terms]
+
+        def weighted(cls, side, out=None):  # sum of values[cls] * part[side]
+            (values, *part), *rest = split
+            total = np.multiply(values[cls], part[side], out=out)
+            for values, *part in rest:
+                total += values[cls] * part[side]
+            return total
+
+        out = np.empty_like(terms[0][1])
+        out_g, out_c = self.parts(out)
+        weighted(0, 0, out_g)
+        axis = weighted(2, 0)
+        for i in range(1, self.grid.ndim + 1):  # each space axis, from the last
+            lo = (Ellipsis, slice(None, -1)) + (slice(None),) * (i - 1)
+            hi = (Ellipsis, slice(1, None)) + (slice(None),) * (i - 1)
+            out_g[hi] += axis[lo]
+            out_g[lo] += axis[hi]
+        if out_c.size:
+            out_g += _box(weighted(3, 1))
+            weighted(1, 1, out_c)
+            out_c += _box(_bordered(weighted(3, 0)))
+        return out
+
+
+class StencilMatrix(NamedTuple):
+    """The trial stiffness or mass, by its constants values among the
+    stencils', as a symmetric matrix on vectors and columns in dof order."""
+
+    stencils: SpaceStencils
+    values: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return (self.stencils.slots.size,) * 2
+
+    @property
+    def T(self) -> "StencilMatrix":
+        return self
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        st, rows = self.stencils, np.moveaxis(np.asarray(x, dtype=float), 0, -1)
+        out = st.scatter(st.product((self.values, st.gather(rows))))
+        return np.moveaxis(out, -1, 0)
+
+
+def space_stencils(space_mesh: SpatialMesh, a, m) -> SpaceStencils:
+    """SpaceStencils of the trial stiffness a and mass m, read once per
+    level: SparseEntries, or scipy CSR matrices with ascending columns.
 
     A dyadic uniform interval mesh has the N - 1 interior grid points as
     dofs; refine_uniform(unit_square_initial(), 2k), the criss-cross mesh
@@ -126,9 +222,10 @@ def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
     on the lattice of spacing 1/(2N) by their coordinates, as index arrays
     in grid order. Per class of entries (grid diagonal, centre diagonal,
     axis neighbours, centre-corner pairs) the constant is read at the
-    class's first entry, and a and m must equal their stencil models
-    exactly, else UnsupportedMeshError is raised. These are the only space
-    meshes the closed-form solves take; the solver builds no other.
+    class's first entry, and every entry of a and m must equal its class's
+    constant, 0 outside the classes, else UnsupportedMeshError is raised.
+    These are the only space meshes the closed-form solves take; the
+    solver builds no other.
     """
     d, n_x = space_mesh.dimension, a.shape[0]
     n = n_x + 1 if d == 1 else (1 + math.isqrt(2 * n_x - 1)) // 2
@@ -167,21 +264,40 @@ def space_stencils(space_mesh: SpatialMesh, a: sp.csr_matrix, m: sp.csr_matrix):
     ]
 
     def constants(mat):
-        values = [mat[r[0], c[0]] if r.size else 0.0 for r, c in classes]
-        model = sum(
-            sp.csr_matrix((np.full(r.size, v), (r, c)), shape=mat.shape)
-            for v, (r, c) in zip(values, classes)
-        )
-        if (mat - model).count_nonzero():
+        row = np.repeat(np.arange(n_x), np.diff(mat.indptr))
+        keys = row * n_x + mat.indices  # ascending
+        values, nonzero = [], 0
+        for r, c in classes:
+            want = r * n_x + c
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            got = np.where(keys[at] == want, mat.data[at], 0.0)
+            values.append(got[0] if got.size else 0.0)
+            nonzero += np.count_nonzero(got)
+            if np.any(got != values[-1]):
+                raise unsupported
+        if np.count_nonzero(mat.data) != nonzero:  # an entry outside the classes
             raise unsupported
-        return values
+        return tuple(values)
 
-    return n, grid, centres, constants(a), constants(m), _sine(n)
+    stiffness, mass, rank = constants(a), constants(m), np.argsort(slots)
+    return SpaceStencils(n, grid, centres, stiffness, mass, _sine(n), slots, rank)
 
 
 def _box(x: np.ndarray) -> np.ndarray:
-    """Sums over each 2 x 2 block of neighbours in the last two axes."""
-    return x[..., :-1, :-1] + x[..., :-1, 1:] + x[..., 1:, :-1] + x[..., 1:, 1:]
+    """Sums over each 2 x 2 block of neighbours in the last two axes, added
+    left to right into one array."""
+    out = x[..., :-1, :-1] + x[..., :-1, 1:]
+    out += x[..., 1:, :-1]
+    out += x[..., 1:, 1:]
+    return out
+
+
+def _bordered(x: np.ndarray) -> np.ndarray:
+    """x with a border of zeros on its last two axes; np.pad does the same
+    at about 0.1 ms of Python per call."""
+    out = np.zeros((*x.shape[:-2], x.shape[-2] + 2, x.shape[-1] + 2), x.dtype)
+    out[..., 1:-1, 1:-1] = x
+    return out
 
 
 def _sine(n: int) -> np.ndarray:
@@ -191,8 +307,10 @@ def _sine(n: int) -> np.ndarray:
     return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
 
 
-def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
-    """Solve mapping rows w_j to Re[(A + i s_j M)^-1] w_j in closed form.
+def _shifted_space_solve(stencils: SpaceStencils, shifts: np.ndarray) -> Callable:
+    """Solve mapping rows w_j to Re[(A + i s_j M)^-1] w_j in closed form;
+    the rows are in slot order, (..., shifts, n_x), and any leading axes
+    are a batch.
 
     With E = tridiag(1, 0, 1) of size N - 1 and P the centre-to-corner
     incidence, the shifted stencils give per shift K_cc = alpha I,
@@ -208,11 +326,11 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     constant terms, formed from the stencil sums, are exactly 0 for the
     stiffness at shift 0, so the smallest keep their relative accuracy.
     """
-    n, grid, centres, stiff, mass, sine = stencils
-    d = grid.ndim
+    n, d = stencils.n, stencils.grid.ndim
     scale = 1j * shifts if shifts.any() else shifts  # all shifts 0: real
     gamma0, alpha, gamma1, beta = (
-        (s + t * scale).reshape(-1, *(1,) * d) for s, t in zip(stiff, mass)
+        (s + t * scale).reshape(-1, *(1,) * d)
+        for s, t in zip(stencils.stiffness, stencils.mass)
     )
     sigma = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2  # 2 - eig(E)
     if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
@@ -227,22 +345,21 @@ def _shifted_space_solve(stencils, shifts: np.ndarray) -> Callable:
     def transform(x):  # the sine matrix on each space axis, one GEMM per axis
         rows = math.prod(x.shape[:-1])  # not -1: with N = 1 x is empty
         for _ in range(d):
-            x = (x.reshape(rows, n - 1) @ sine).reshape(x.shape)
+            x = (x.reshape(rows, n - 1) @ stencils.sine).reshape(x.shape)
             if d == 2:  # S X S = ((X S)^T S)^T, S symmetric
-                x = x.swapaxes(1, 2)
+                x = x.swapaxes(-1, -2)
         return x
 
     def solve(w: np.ndarray) -> np.ndarray:
         out = np.empty_like(w)
-        rhs = w[:, grid]
+        rhs, w_c = stencils.parts(w)
+        out_g, out_c = stencils.parts(out)
         if d == 2:
-            w_c = w[:, centres]
             rhs = rhs - ratio * _box(w_c)
         x = transform(transform(rhs) / lam)
-        out[:, grid] = x.real
+        out_g[...] = x.real
         if d == 2:
-            x_c = (w_c - beta * _box(np.pad(x, ((0, 0), (1, 1), (1, 1))))) / alpha
-            out[:, centres] = x_c.real
+            out_c[...] = ((w_c - beta * _box(_bordered(x))) / alpha).real
         return out
 
     return solve

@@ -79,6 +79,7 @@ from .assembly import (
     fe_gradients_on_cells,
     fe_values_on_cells,
     gradient_load,
+    hat_product,
     integrate_squared,
     load_vector_f,
     quad_points,
@@ -87,6 +88,7 @@ from .assembly import (
     time_mass_mixed,
     time_mass_trial,
     time_stiffness_trial,
+    to_hats,
 )
 from .mesh import (
     SpatialMesh,
@@ -105,9 +107,9 @@ from .operators import (
 from .oracle import mode_perturbation, random_perturbation
 from .precond import (
     RieszPreconditioner,
+    SpaceStencils,
     make_G_X,
     make_G_Y,
-    space_stencils,
     stiffness_solve,
 )
 from .solutions import ManufacturedSolution, get_solution
@@ -118,21 +120,22 @@ class LeastSquaresSystem:
     """SPD normal operator of the regularized least-squares functional.
 
     The end trace v(T) and the start trace v(0) of trial coefficients v are
-    the last and first rows of v.reshape(breakpoints, n_x). apply uses the
-    energy identity of the module docstring: test_solve solves with A_test,
-    time_stiffness and time_mass are the hat stiffness K_t and mass M_t, and
-    mass_mix is the mixed (test x trial) space mass. mass_x and stiffness_x
-    are the trial space mass and stiffness, rhs is h and j_zero is J(0).
-    Only the start-trace term reads reg_epsilon, so one system serves every
-    epsilon through dataclasses.replace.
+    the last and first rows of v.reshape(breakpoints, n_x). apply gathers
+    those rows once into the slot order of stencils, the level's
+    SpaceStencils, and uses the energy identity of the module docstring
+    there: the trial mass and stiffness act as stencils, time_stiffness and
+    time_mass are the element blocks of the hat stiffness K_t and mass M_t,
+    and test_part maps slot-order rows y to (u, rest) with
+    M_mix^T A_test^-1 M_mix y = M u + rest, so that the trace terms join u
+    and one stencil pass applies M and A. rhs is h and j_zero is J(0).
+    Only the start-trace term reads reg_epsilon, so one system serves
+    every epsilon through dataclasses.replace.
     """
 
-    test_solve: Callable
-    time_stiffness: object
-    time_mass: object
-    mass_mix: object
-    mass_x: object
-    stiffness_x: object
+    stencils: SpaceStencils
+    time_stiffness: np.ndarray
+    time_mass: np.ndarray
+    test_part: Callable
     reg_epsilon: float
     rhs: np.ndarray
     j_zero: float
@@ -146,13 +149,14 @@ class LeastSquaresSystem:
         return self.rhs.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        rows = np.asarray(v).reshape(-1, self.mass_x.shape[0])
-        cols = self.mass_mix @ (self.time_stiffness @ rows).T
-        out = (self.mass_mix.T @ self.test_solve(cols)).T
-        out += (self.stiffness_x @ (self.time_mass @ rows).T).T
-        out[-1] += 2.0 * (self.mass_x @ rows[-1])
-        out[0] += (self.reg_epsilon**2 - 1.0) * (self.mass_x @ rows[0])
-        return out.ravel()
+        st = self.stencils
+        rows = st.gather(np.asarray(v, dtype=float).reshape(-1, st.slots.size))
+        u, rest = self.test_part(hat_product(self.time_stiffness, rows))
+        u[-1] += 2.0 * rows[-1]
+        u[0] += (self.reg_epsilon**2 - 1.0) * rows[0]
+        m_rows = hat_product(self.time_mass, rows)
+        out = st.product((st.mass, u), (st.stiffness, m_rows)) + rest
+        return st.scatter(out).ravel()
 
 
 @dataclass
@@ -240,33 +244,43 @@ def manufactured_data(
     return t_c, test_load, phi_load, g_load, g_sq
 
 
-def build_system(
-    time_mesh: TimeMesh, l: int, space, stencils, data
-) -> LeastSquaresSystem:
+def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem:
     """Normal operator at reg_epsilon = 0, h and J(0) for data, the
     manufactured_data of a solution.
 
     space is the level's space_factors(space_mesh, l). h and J(0) come from
-    the identity of the module docstring. At l = 0 A_test is solved in
-    closed form from stencils, the level's space_stencils; make_G_Y factors
-    it at l = 1.
+    the identity of the module docstring. At l = 0 A_test = A is solved in
+    closed form in the slot order of the stencils of M and A; at l = 1
+    make_G_Y factors the P2 A_test, and the test part runs in dof order.
     """
-    mass_x, stiffness_x, m_mix, _, a_test = space
-    test_solve = make_G_Y(a_test) if l else stiffness_solve(stencils)
+    mass_x, _, m_mix, _, a_test = space
+    st = mass_x.stencils
+    if l:
+        test_solve = make_G_Y(a_test)
+
+        def test_part(y):
+            cols = m_mix @ st.scatter(y).T
+            return np.zeros_like(y), st.gather((m_mix.T @ test_solve(cols)).T)
+
+    else:
+        solve = stiffness_solve(st)
+
+        def test_solve(w):
+            return st.scatter(solve(st.gather(w)))
+
+        def test_part(y):  # M A^-1 M y: its last M joins the apply's pass
+            return solve(st.product((st.mass, y))), 0.0
+
     t_c, test_load, phi_load, g_load, g_sq = data
     solved = test_solve(test_load)
-    d_t = time_derivative_mixed(time_mesh)
-    n_t = time_mass_mixed(time_mesh)
-    rhs = np.outer(d_t.T @ t_c, m_mix.T @ solved)
-    rhs += np.outer(n_t.T @ t_c, phi_load)
+    rhs = np.outer(to_hats(time_derivative_mixed(time_mesh), t_c), m_mix.T @ solved)
+    rhs += np.outer(to_hats(time_mass_mixed(time_mesh), t_c), phi_load)
     rhs[-1] += g_load
     return LeastSquaresSystem(
-        test_solve,
+        st,
         time_stiffness_trial(time_mesh),
         time_mass_trial(time_mesh),
-        m_mix,
-        mass_x,
-        stiffness_x,
+        test_part,
         0.0,
         rhs.ravel(),
         float(t_c @ t_c) * float(test_load @ solved) + g_sq,
@@ -361,7 +375,7 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
     def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
         data = manufactured_data(time_mesh, space_mesh, l, zero, factors, sample)
-        system = build_system(time_mesh, l, factors, stencils, data)
+        system = build_system(time_mesh, l, factors, data)
 
         def matvec(v):
             out = system.apply(v)
@@ -370,11 +384,10 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
         return LinearOperator((system.n, system.n), matvec, dtype=float)
 
-    stencils = space_stencils(space_mesh, a, m)
     small, big = pencil_side(0, (m, a, m, a, a)), pencil_side(1, space)
     n = small.shape[0]
-    g_x = make_G_X(time_mesh, stencils)
-    lift = LinearOperator((n, n), g_x.apply, dtype=float)
+    g_x = make_G_X(time_mesh, m.stencils)  # lifts LOBPCG's blocks whole
+    lift = LinearOperator((n, n), matvec=g_x.apply, matmat=g_x.apply, dtype=float)
     start = np.random.default_rng(0).standard_normal((n, INFSUP_BLOCK))
     try:
         vals, vecs = lobpcg(
@@ -427,9 +440,12 @@ def nodal_interpolant(
 @dataclass
 class ErrorTerms:
     """The epsilon-independent terms of a level's error report (module
-    docstring). interp is I phi; grams maps "l2" to (M, c, q, l_phi,
-    (psi, phi), (phi, phi)) and "h1" to the same gradient terms, with A."""
+    docstring), vectors in the slot order of stencils, the level's
+    SpaceStencils. interp is I phi; grams maps "l2" to (M's stencil
+    constants, c, q, l_phi, (psi, phi), (phi, phi)) and "h1" to the same
+    gradient terms, with A's."""
 
+    stencils: SpaceStencils
     interp: np.ndarray
     grams: dict
 
@@ -442,6 +458,7 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     would lose about 6 digits to cancellation at d=2 k=5, 10 at d=1 k=8.
     """
     points, phi, interp = sample
+    st = space[0].stencils
     pts, w = _cell_rule(space_mesh, QUAD_ORDER)
     vol, _ = space_mesh.geometry
     cell_w = vol[:, None] * w
@@ -449,10 +466,10 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     psi = phi - fe_values_on_cells(space_mesh, interp, pts)
     w_psi = cell_w * psi
     l2 = (
-        space[0],
-        space_load(space_mesh, 1, psi),
+        st.mass,
+        st.gather(space_load(space_mesh, 1, psi)),
         float(np.vdot(psi, w_psi)),
-        phi_load,
+        st.gather(phi_load),
         float(np.vdot(phi, w_psi)),
         float(np.vdot(phi, cell_w * phi)),
     )
@@ -462,14 +479,14 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     psi_grad = mean - fe_gradients_on_cells(space_mesh, interp, pts[:1])[:, 0]
     v_psi = vol[:, None] * psi_grad
     h1 = (
-        space[1],
-        gradient_load(space_mesh, psi_grad),
+        st.stiffness,
+        st.gather(gradient_load(space_mesh, psi_grad)),
         float(np.vdot(psi_grad, v_psi)) + osc_sq,
-        gradient_load(space_mesh, mean),
+        st.gather(gradient_load(space_mesh, mean)),
         float(np.vdot(mean, v_psi)) + osc_sq,
         float(np.vdot(mean, vol[:, None] * mean)) + osc_sq,
     )
-    return ErrorTerms(interp, {"l2": l2, "h1": h1})
+    return ErrorTerms(st, st.gather(interp), {"l2": l2, "h1": h1})
 
 
 def _grams(rows, weight, phi):
@@ -488,16 +505,16 @@ def _grams(rows, weight, phi):
     )
 
 
-def _coefficient_grams(errs, tau, matrix, c, q, load, psi_phi, phi_sq):
-    """_grams of D_i = E_i - tau_i psi from the columns E_i of errs and one
-    mode's ErrorTerms (module docstring)."""
-    prod = matrix @ errs  # errs is C-ordered (n_x, n_t): no copy for the product
-    e_c = c @ errs
+def _coefficient_grams(stencils, errs, tau, values, c, q, load, psi_phi, phi_sq):
+    """_grams of D_i = E_i - tau_i psi from the slot-order rows E_i of errs
+    and one mode's ErrorTerms (module docstring)."""
+    prod = stencils.product((values, errs))
+    e_c = errs @ c
     return (
-        np.einsum("ji,ji->i", errs, prod) - 2.0 * tau * e_c + tau * tau * q,
-        np.einsum("ji,ji->i", errs[:, 1:], prod[:, :-1])
+        np.einsum("ij,ij->i", errs, prod) - 2.0 * tau * e_c + tau * tau * q,
+        np.einsum("ij,ij->i", errs[1:], prod[:-1])
         - tau[1:] * e_c[:-1] - tau[:-1] * e_c[1:] + tau[:-1] * tau[1:] * q,
-        load @ errs - tau * psi_phi,
+        errs @ load - tau * psi_phi,
         phi_sq,
     )
 
@@ -627,8 +644,9 @@ def error_report(
     """
     bp = time_mesh.breakpoints
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
-    errs = coeffs.reshape(bp.size, -1).T - np.outer(terms.interp, tau)
-    grams = {m: _coefficient_grams(errs, tau, *g) for m, g in terms.grams.items()}
+    st = terms.stencils  # one gather of the coefficients per report
+    errs = st.gather(coeffs.reshape(bp.size, -1)) - np.outer(tau, terms.interp)
+    grams = {m: _coefficient_grams(st, errs, tau, *g) for m, g in terms.grams.items()}
     l2_sq, h1_sq = _time_quadrature(time_mesh, solution, tau, grams)
     slice_sq = grams["l2"][0]
     slices = {}
@@ -714,15 +732,14 @@ def build_level(config, k: int) -> Level:
     time_mesh, space_mesh = build_meshes(config, k)
     solution = get_solution(config.solution, config.d)
     space = space_factors(space_mesh, config.l)
-    stencils = space_stencils(space_mesh, space[1], space[0])
     perturbation, pert_norm = _perturbation_for(config, space[0])
     sample = phi_sample(space_mesh, solution)
     data = manufactured_data(
         time_mesh, space_mesh, config.l, solution, space, sample, perturbation
     )
-    system = build_system(time_mesh, config.l, space, stencils, data)
+    system = build_system(time_mesh, config.l, space, data)
     terms = error_terms(space_mesh, space, solution, sample, data[2])
-    g_x = make_G_X(time_mesh, stencils)
+    g_x = make_G_X(time_mesh, system.stencils)
     return Level(time_mesh, solution, pert_norm, system, g_x, terms)
 
 

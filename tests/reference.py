@@ -5,8 +5,10 @@ only the tests call: the B route of the data and the functional (B applied
 to coefficients, and the test-space Riesz lift, which inverts the test Gram,
 identity in time x A_test), the dense inf-sup pencil through B and through
 the energy identity, the trial and test Grams as Kronecker operators with
-their dense forms, the conformity check of a mesh, the log-log rate fit and
-the CSV reader.
+their dense forms, scipy sparse forms of the matrices the solver applies
+without scipy (the COO sum of the space matrices, the time matrices of
+their element blocks, the stencil-applied trial matrices), the conformity
+check of a mesh, the log-log rate fit and the CSV reader.
 """
 
 import csv
@@ -16,9 +18,9 @@ import scipy.sparse as sp
 
 from backsolve import assembly
 from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
-from backsolve.operators import KroneckerOperator, assemble_B
+from backsolve.operators import KroneckerOperator, _element_scatter, assemble_B
 from backsolve.operators import space_factors
-from backsolve.precond import make_G_Y, space_stencils
+from backsolve.precond import StencilMatrix, make_G_Y
 from backsolve.solver import (
     build_system,
     error_report,
@@ -28,12 +30,56 @@ from backsolve.solver import (
 )
 
 
+def csr(entries):
+    """SparseEntries as the scipy CSR matrix of the same arrays."""
+    return sp.csr_matrix(
+        (entries.data, entries.indices, entries.indptr), shape=entries.shape
+    )
+
+
 def space_mass(mesh, p):
-    return space_matrices(mesh, p, p)[0]
+    return csr(space_matrices(mesh, p, p)[0])
 
 
 def space_stiffness(mesh, p):
-    return space_matrices(mesh, p, p)[1]
+    return csr(space_matrices(mesh, p, p)[1])
+
+
+def coo_sum(rows_t, cols_t, local, shape):
+    """The scipy route of a space matrix: cell matrices local (cells, test
+    slots, trial slots) on the dofs rows_t x cols_t, eliminated (-1) slots
+    dropped, summed by coo_matrix(...).tocsr()."""
+    r = np.broadcast_to(rows_t[:, :, None], local.shape).ravel()
+    c = np.broadcast_to(cols_t[:, None, :], local.shape).ravel()
+    v = local.ravel()
+    keep = (r >= 0) & (c >= 0)
+    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
+
+
+def as_csr(mat):
+    """A space matrix of space_factors as a scipy CSR matrix: a
+    StencilMatrix by its product with the identity, which is exact."""
+    if isinstance(mat, StencilMatrix):
+        return sp.csr_matrix(mat @ np.eye(mat.shape[1]))
+    return mat
+
+
+def dof_order(stencils, fn):
+    """fn, which maps slot-order rows of stencils (a SpaceStencils) to
+    slot-order rows, on a vector or the columns of an array in dof order."""
+    return lambda w: stencils.scatter(fn(stencils.gather(w.T))).T
+
+
+def hat_matrix(blocks):
+    """Scipy CSR matrix of a hat matrix's element blocks (time_mass_trial,
+    time_stiffness_trial)."""
+    return _element_scatter(blocks, 1)
+
+
+def mixed_matrix(blocks):
+    """Scipy CSR matrix of a mixed time matrix's element blocks
+    (time_mass_mixed, time_derivative_mixed)."""
+    return _element_scatter(blocks, 2)
 
 
 # ------------------------------------------------ Grams and dense forms ----
@@ -63,18 +109,18 @@ class MassSolveMass:
 
 def gram_Y(time_mesh, space_mesh, l):
     """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
-    a_test = space_factors(space_mesh, l)[4]
+    a_test = as_csr(space_factors(space_mesh, l)[4])
     eye_t = sp.identity(2 * time_mesh.n_elements, format="csr")
     return KroneckerOperator([(eye_t, a_test)])
 
 
 def gram_X(time_mesh, space_mesh):
     """Trial-space Gram: L2-in-time x H1_0 plus H1-in-time x dual-H1 factor."""
-    m, a = space_factors(space_mesh, 0)[:2]
+    m, a = space_mass(space_mesh, 1), space_stiffness(space_mesh, 1)
     return KroneckerOperator(
         [
-            (time_mass_trial(time_mesh), a),
-            (time_stiffness_trial(time_mesh), MassSolveMass(m, a)),
+            (hat_matrix(time_mass_trial(time_mesh)), a),
+            (hat_matrix(time_stiffness_trial(time_mesh)), MassSolveMass(m, a)),
         ]
     )
 
@@ -82,11 +128,12 @@ def gram_X(time_mesh, space_mesh):
 def dense(op):
     """Materialized matrix of a KroneckerOperator: the sum of its np.kron terms.
 
-    Time factors are sparse; a space factor is sparse or a MassSolveMass.
+    Time factors are sparse; a space factor is sparse, a StencilMatrix or a
+    MassSolveMass.
     """
     out = np.zeros(op.shape)
     for t, s in op.terms:
-        s_dense = s.to_dense() if isinstance(s, MassSolveMass) else s.toarray()
+        s_dense = s.to_dense() if isinstance(s, MassSolveMass) else as_csr(s).toarray()
         out += np.kron(t.toarray(), s_dense)
     return out
 
@@ -105,8 +152,8 @@ def normal_matrix_b_route(time_mesh, m_mix, a_mix, a_test):
     product. Space matrices as from space_factors; desk-scale meshes only.
     """
     b_op = assemble_B(time_mesh, m_mix, a_mix)
-    solve = make_G_Y(a_test)
-    space_parts = [s.toarray() for _, s in b_op.terms]
+    solve = make_G_Y(as_csr(a_test))
+    space_parts = [as_csr(s).toarray() for _, s in b_op.terms]
     solved = [solve(s) for s in space_parts]
     time_factors = [t.toarray() for t, _ in b_op.terms]
     n = b_op.shape[1]
@@ -128,9 +175,9 @@ def normal_matrices_dense(time_mesh, space):
     space_factors(space_mesh, 1), whose P1 pair serves l = 0. At most three
     dense n x n arrays are alive at once; desk-scale meshes only.
     """
-    m, a, m_mix, _, a_test = space
-    k_t = time_stiffness_trial(time_mesh).toarray()
-    shared = np.kron(time_mass_trial(time_mesh).toarray(), a.toarray())
+    m, a, m_mix, _, a_test = (as_csr(mat) for mat in space)
+    k_t = hat_matrix(time_stiffness_trial(time_mesh)).toarray()
+    shared = np.kron(hat_matrix(time_mass_trial(time_mesh)).toarray(), a.toarray())
     n_t, n_x = k_t.shape[0], m.shape[0]
     blocks = shared.reshape(n_t, n_x, n_t, n_x)  # (time, space) x (time, space)
     blocks[-1, :, -1] += m.toarray()
@@ -167,12 +214,11 @@ def level_data(time_mesh, space_mesh, l, solution, space=None, perturbation=None
 
 
 def level_system(time_mesh, space_mesh, l, solution, space=None, perturbation=None):
-    """build_system with the level's space_factors (unless given),
-    space_stencils and level_data, as build_level passes them."""
+    """build_system with the level's space_factors (unless given) and
+    level_data, as build_level passes them."""
     space = space_factors(space_mesh, l) if space is None else space
-    stencils = space_stencils(space_mesh, space[1], space[0])
     data = level_data(time_mesh, space_mesh, l, solution, space, perturbation)
-    return build_system(time_mesh, l, space, stencils, data)
+    return build_system(time_mesh, l, space, data)
 
 
 def system_data(time_mesh, space_mesh, l, solution, perturbation=None):
@@ -207,7 +253,7 @@ class BRoute:
     def __init__(self, time_mesh, space_mesh, l, reg_epsilon, f_load, g_load, g_sq):
         self.mass, _, m_mix, a_mix, a_test = space_factors(space_mesh, l)
         self.b_op = assemble_B(time_mesh, m_mix, a_mix)
-        self.lift = y_lift(a_test)
+        self.lift = y_lift(as_csr(a_test))
         self.reg_epsilon = reg_epsilon
         self.f_load, self.g_load, self.g_sq = f_load, g_load, g_sq
         lifted = self.lift(f_load)

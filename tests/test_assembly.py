@@ -5,10 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from backsolve.assembly import (
-    _accumulate,
     _cell_rule,
     fe_gradients_on_cells,
     gradient_load,
+    hat_product,
     integrate_squared,
     load_vector_f,
     quad_points,
@@ -21,6 +21,7 @@ from backsolve.assembly import (
     time_mass_mixed,
     time_mass_trial,
     time_stiffness_trial,
+    to_hats,
 )
 from backsolve.mesh import (
     SpatialMesh,
@@ -36,19 +37,25 @@ from backsolve.mesh import (
 from backsolve.assembly import test_basis_values as legendre_values
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import get_solution
-from reference import space_mass, space_stiffness
+from reference import (
+    coo_sum,
+    hat_matrix,
+    mixed_matrix,
+    space_mass,
+    space_stiffness,
+)
 
 
 class TestTimeTrialMatrices:
     def test_mass_single_element(self):
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        M = time_mass_trial(tm).toarray()
+        M = hat_matrix(time_mass_trial(tm)).toarray()
         assert np.allclose(M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
     def test_mass_row_sums_are_hat_integrals(self):
         # row sum of the mass matrix integrates the hat against 1
         tm = uniform_time_mesh(0.0, 2.0, 2)
-        M = time_mass_trial(tm).toarray()
+        M = hat_matrix(time_mass_trial(tm)).toarray()
         h = tm.lengths
         expected = np.zeros(tm.n_elements + 1)
         expected[:-1] += h / 2
@@ -58,18 +65,18 @@ class TestTimeTrialMatrices:
 
     def test_stiffness_single_element(self):
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        T = time_stiffness_trial(tm).toarray()
+        T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert np.allclose(T, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_stiffness_row_sums_vanish(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
-        T = time_stiffness_trial(tm).toarray()
+        T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert np.allclose(T.sum(axis=1), 0.0, atol=1e-13)
 
     def test_stiffness_interior_diagonal(self):
         # two elements of length 1/2 meet at the middle node: 2 + 2
         tm = uniform_time_mesh(0.0, 1.0, 1)
-        T = time_stiffness_trial(tm).toarray()
+        T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert T[1, 1] == pytest.approx(4.0, abs=1e-14)
 
 
@@ -93,7 +100,7 @@ class TestTimeTestBasis:
 
     def test_mixed_mass_single_element(self):
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        Mx = time_mass_mixed(tm).toarray()
+        Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         expected = np.array(
             [[0.5, 0.5], [-1.0 / (2.0 * np.sqrt(3.0)), 1.0 / (2.0 * np.sqrt(3.0))]]
         )
@@ -102,14 +109,14 @@ class TestTimeTestBasis:
 
     def test_mixed_mass_shape(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
-        Mx = time_mass_mixed(tm).toarray()
+        Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         assert Mx.shape == (8 * 2, 8 + 1)
 
     def test_mixed_mass_partition_of_unity(self):
         # hats sum to one, so each row integrates one test function:
         # the constant mode gives sqrt(h), the linear mode zero
         tm = uniform_time_mesh(0.0, 1.0, 2)
-        Mx = time_mass_mixed(tm).toarray()
+        Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         sums = Mx @ np.ones(tm.n_elements + 1)
         h = tm.lengths
         expected = np.zeros(2 * tm.n_elements)
@@ -119,18 +126,18 @@ class TestTimeTestBasis:
     def test_mixed_derivative_single_element(self):
         # the hats' slopes are -1 and 1; only the constant mode has a mean
         tm = uniform_time_mesh(0.0, 1.0, 0)
-        D = time_derivative_mixed(tm).toarray()
+        D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         assert np.allclose(D, [[-1.0, 1.0], [0.0, 0.0]], atol=1e-14)
 
     def test_mixed_derivative_kills_constants(self):
         tm = uniform_time_mesh(0.0, 1.0, 3)
-        D = time_derivative_mixed(tm).toarray()
+        D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         assert np.allclose(D @ np.ones(tm.n_elements + 1), 0.0, atol=1e-14)
 
     def test_mixed_derivative_locality(self):
         # hat j only overlaps test functions on elements j-1 and j
         tm = uniform_time_mesh(0.0, 1.0, 2)
-        D = time_derivative_mixed(tm).toarray()
+        D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         for j in range(5):
             rows = np.nonzero(np.abs(D[:, j]) > 1e-14)[0]
             elements = set(rows // 2)
@@ -149,13 +156,13 @@ class TestTimeTestBasis:
     def test_contains_the_hats_and_their_derivatives(self, tm):
         # the degree-1 test space holds the hats and their derivatives, and
         # the energy identity of the normal operator rests on that
-        D = time_derivative_mixed(tm).toarray()
-        N = time_mass_mixed(tm).toarray()
+        D = mixed_matrix(time_derivative_mixed(tm)).toarray()
+        N = mixed_matrix(time_mass_mixed(tm)).toarray()
         trace = np.zeros((tm.n_elements + 1,) * 2)
         trace[-1, -1], trace[0, 0] = 1.0, -1.0
         for got, want in [
-            (D.T @ D, time_stiffness_trial(tm).toarray()),
-            (N.T @ N, time_mass_trial(tm).toarray()),
+            (D.T @ D, hat_matrix(time_stiffness_trial(tm)).toarray()),
+            (N.T @ N, hat_matrix(time_mass_trial(tm)).toarray()),
             (D.T @ N + N.T @ D, trace),
         ]:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -215,7 +222,7 @@ def _time_mesh(kind, k):
 )
 def test_mixed_time_matrices_are_bitwise_the_element_loop(k, kind, build, ref):
     tm = _time_mesh(kind, k)
-    got, want = build(tm), ref(tm)
+    got, want = mixed_matrix(build(tm)), ref(tm)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(want, attr))
     assert got.shape == want.shape
@@ -257,10 +264,32 @@ def _ref_time_stiffness_trial(mesh):
 )
 def test_hat_matrices_are_bitwise_the_coo_assembly(k, build, ref):
     for tm in (_time_mesh("uniform", k), _time_mesh("random-steps", k)):
-        got, want = build(tm), ref(tm)
+        got, want = hat_matrix(build(tm)), ref(tm)
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert got.shape == want.shape
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+@pytest.mark.parametrize("kind", ["uniform", "random-steps"])
+def test_time_applies_match_the_dense_products(k, kind):
+    # the hat matrices on a vector and on rows, and the transposed mixed
+    # matrices on a test vector, from their element blocks
+    tm = _time_mesh(kind, k)
+    rng = np.random.default_rng(k)
+    x = rng.standard_normal(tm.n_elements + 1)
+    rows = rng.standard_normal((tm.n_elements + 1, 4))
+    t = rng.standard_normal(2 * tm.n_elements)
+    cases = []
+    for build in (time_mass_trial, time_stiffness_trial):
+        dense = hat_matrix(build(tm)).toarray()
+        cases += [(hat_product(build(tm), x), dense @ x)]
+        cases += [(hat_product(build(tm), rows), dense @ rows)]
+    for build in (time_mass_mixed, time_derivative_mixed):
+        cases += [(to_hats(build(tm), t), mixed_matrix(build(tm)).toarray().T @ t)]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestSpaceMatrices:
@@ -401,7 +430,7 @@ def _ref_assemble_pair(mesh, test, trial, kind):
         gte = np.einsum("qie,ced->cqid", te_g, jinv)
         gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
         local = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
-    return _accumulate(
+    return coo_sum(
         dm_test.cell_dofs, dm_trial.cell_dofs, local, (dm_test.n_dofs, dm_trial.n_dofs)
     )
 
@@ -429,15 +458,24 @@ SPACE_PAIRS = {"P1-P1": (1, 1), "P2-P1": (2, 1), "P2-P2": (2, 2)}
 
 @pytest.mark.parametrize("pair", SPACE_PAIRS)
 @pytest.mark.parametrize("mesh", REFERENCE_MESHES)
-def test_space_matrices_are_bitwise_the_per_pair_assembly(mesh, pair):
+def test_space_matrices_are_the_per_pair_coo_assembly(mesh, pair):
+    # the same entries as scipy's coo_matrix(...).tocsr(), bitwise on the
+    # uniform meshes; on the jittered one a key's cell entries differ, and
+    # np.bincount sums them in cell order where scipy sums them in the order
+    # its index sort leaves, so the values agree to rounding
     m = REFERENCE_MESHES[mesh]()
     test, trial = SPACE_PAIRS[pair]
     got = space_matrices(m, test, trial)
     for kind, mat in zip(("mass", "stiffness"), got):
         want = _ref_assemble_pair(m, test, trial, kind)
         assert mat.shape == want.shape
-        for name in ("data", "indices", "indptr"):
+        for name in ("indices", "indptr"):
             assert np.array_equal(getattr(mat, name), getattr(want, name))
+        if mesh == "square-jittered":
+            gap = np.max(np.abs(mat.data - want.data))
+            assert gap <= 1e-15 * np.max(np.abs(want.data))
+        else:
+            assert np.array_equal(mat.data, want.data)
 
 
 @pytest.mark.parametrize("mesh", REFERENCE_MESHES)

@@ -246,8 +246,10 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, 1, g, q)
     g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
     if isinstance(perturbation, np.ndarray):
+        # loaded through the level's stencil mass, as build_level loads it;
+        # test_precond checks the stencil products against the CSR ones
         c = perturbation
-        mass_x = space_mass(sm, 1)
+        mass_x = space_factors(sm, 1)[0]
         g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
         g_load = g_load + mass_x @ c
     elif perturbation is not None:

@@ -19,6 +19,7 @@ from backsolve.operators import (
     space_factors,
 )
 from backsolve import solver
+from backsolve.precond import RieszPreconditioner
 from backsolve.solver import build_meshes, infsup_constant
 from reference import (
     MassSolveMass,
@@ -26,6 +27,7 @@ from reference import (
     dense_from_apply,
     gram_X,
     gram_Y,
+    hat_matrix,
     normal_matrices_dense,
     normal_matrix_b_route,
     space_mass,
@@ -275,8 +277,8 @@ class TestGramX:
         M = space_mass(sm, 1).toarray()
         mus, vecs = scipy.linalg.eigh(A, M)
         G = gram_X(tm, sm)
-        Mt = time_mass_trial(tm).toarray()
-        Tt = time_stiffness_trial(tm).toarray()
+        Mt = hat_matrix(time_mass_trial(tm)).toarray()
+        Tt = hat_matrix(time_stiffness_trial(tm)).toarray()
         rng = np.random.default_rng(5)
         tau = rng.standard_normal(tm.n_elements + 1)
         for idx in range(len(mus)):
@@ -307,6 +309,33 @@ class TestInfSup:
         infsup_constant(tm, sm)
         pairs = [(test, trial) for _, test, trial in calls]
         assert len(pairs) == len(set(pairs)) == 3
+
+    def test_lift_takes_lobpcg_blocks_whole(self, monkeypatch):
+        # the G_X lift's matmat lifts a block of LOBPCG residuals in one
+        # apply: at d=1 k=5 the applies number at most the iterations plus
+        # two, where a matvec alone would lift 101 single columns
+        import scipy.sparse.linalg
+
+        lifts, iterations = [], []
+        real_apply, real_lobpcg = RieszPreconditioner.apply, scipy.sparse.linalg.lobpcg
+
+        def apply(self, f):
+            lifts.append(np.shape(f))
+            return real_apply(self, f)
+
+        def lobpcg(*args, **kwargs):
+            vals, vecs, history = real_lobpcg(
+                *args, retResidualNormsHistory=True, **kwargs
+            )
+            iterations.append(len(history) - 1)  # a row per pass, one for the result
+            return vals, vecs
+
+        monkeypatch.setattr(RieszPreconditioner, "apply", apply)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
+        sm = refine_uniform(unit_interval_mesh(1), 5)
+        infsup_constant(uniform_time_mesh(0.0, 1.0, 5), sm)
+        assert len(lifts) <= iterations[0] + 2
+        assert all(len(shape) == 2 for shape in lifts)
 
     @pytest.mark.parametrize(
         "d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3)]

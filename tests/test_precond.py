@@ -35,8 +35,10 @@ from backsolve.solutions import get_solution
 from backsolve.solver import solve_backward
 from reference import (
     dense,
+    dof_order,
     gram_X,
     gram_Y,
+    hat_matrix,
     level_system,
     space_mass,
     space_stiffness,
@@ -63,8 +65,8 @@ def reference_G_X(time_mesh, space_mesh):
         space_mass(space_mesh, 1).toarray(),
     )
     theta, zt = eigh(
-        time_stiffness_trial(time_mesh).toarray(),
-        time_mass_trial(time_mesh).toarray(),
+        hat_matrix(time_stiffness_trial(time_mesh)).toarray(),
+        hat_matrix(time_mass_trial(time_mesh)).toarray(),
     )
     theta = np.maximum(theta, 0.0)
     denom = mu[None, :] + theta[:, None] / mu[None, :]
@@ -168,7 +170,8 @@ class TestGXForms:
 
 
 def _time_pencil(tm):
-    return time_stiffness_trial(tm).toarray(), time_mass_trial(tm).toarray()
+    pencil = (time_stiffness_trial(tm), time_mass_trial(tm))
+    return tuple(hat_matrix(blocks).toarray() for blocks in pencil)
 
 
 class TestTimeModes:
@@ -299,7 +302,8 @@ class TestGYLift:
     def test_space_solve_inverts_test_stiffness(self, l):
         _, sm = mesh_pair_2d()
         a_test = space_factors(sm, l)[4]
-        solve = make_G_Y(a_test) if l else stiffness_solve(_stencils(sm))
+        st = _stencils(sm)
+        solve = make_G_Y(a_test) if l else dof_order(st, stiffness_solve(st))
         cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
         got = a_test @ solve(cols)
         assert np.max(np.abs(got - cols)) <= 1e-12 * np.max(np.abs(cols))
@@ -309,7 +313,8 @@ class TestGYLift:
         # the l = 0 A_test solve, on a vector and on the columns of an array
         sm = _space_mesh(d, bisections)
         a = space_stiffness(sm, 1)
-        solve, factored = stiffness_solve(_stencils(sm)), make_G_Y(a)
+        st = _stencils(sm)
+        solve, factored = dof_order(st, stiffness_solve(st)), make_G_Y(a)
         rng = np.random.default_rng(10)
         for shape in (a.shape[0], (a.shape[0], 5)):
             w = rng.standard_normal(shape)
@@ -356,3 +361,53 @@ class TestGXLift:
             v = rng.standard_normal(G.shape[1])
             ratio = v @ G.apply(lift.apply(G.apply(v))) / (v @ G.apply(v))
             assert ratio == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("case", ["d2-k2", "d1-k5", "d2-k0"])
+    def test_block_is_bitwise_its_columns(self, case):
+        # a block of columns takes one time transform and one batch of
+        # shifted solves, with the columns on a leading axis
+        tm, sm = LIFT_CASES[case]
+        lift = _lift(tm, sm)
+        block = np.random.default_rng(7).standard_normal((np.prod(_dims(tm, sm)), 4))
+        columns = np.stack([lift.apply(col) for col in block.T], axis=1)
+        assert np.array_equal(lift.apply(block), columns)
+
+
+# the levels whose trial mass and stiffness the stencils apply: d = 1 k <= 6
+# and d = 2 k <= 4, N = 2^k squares per axis
+STENCIL_LEVELS = [(1, k) for k in range(1, 7)] + [(2, k) for k in range(5)]
+
+
+@pytest.mark.parametrize("d, k", STENCIL_LEVELS)
+def test_stencil_products_match_the_csr_products(d, k):
+    # the level's stencil-applied M and A against scipy CSR matrices of the
+    # same entries, on a vector and on a row block: in dof order through
+    # space_factors' StencilMatrix and in slot order through the stencils,
+    # alone and summed; the level reads the same constants from its
+    # SparseEntries as from CSR
+    sm = _space_mesh(d, d * k)
+    level_mass, level_stiffness = space_factors(sm, 0)[:2]
+    stencils = _stencils(sm)
+    rng = np.random.default_rng(10 * d + k)
+    for level, values, csr in [
+        (level_mass, stencils.mass, space_mass(sm, 1)),
+        (level_stiffness, stencils.stiffness, space_stiffness(sm, 1)),
+    ]:
+        assert level.values == values
+        v = rng.standard_normal(csr.shape[0])
+        rows = rng.standard_normal((5, csr.shape[0]))
+        slot_rows = stencils.scatter(stencils.product((values, stencils.gather(rows))))
+        for got, want in [
+            (level @ v, csr @ v),
+            (level @ rows.T, csr @ rows.T),
+            (slot_rows, (csr @ rows.T).T),
+        ]:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # a sum of products in one pass, as the normal operator applies M and A
+    u, w = rng.standard_normal((2, 5, stencils.slots.size))
+    pair = stencils.product((stencils.mass, u), (stencils.stiffness, w))
+    got = stencils.scatter(pair)
+    want = (space_mass(sm, 1) @ stencils.scatter(u).T).T
+    want += (space_stiffness(sm, 1) @ stencils.scatter(w).T).T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

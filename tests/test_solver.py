@@ -97,7 +97,7 @@ class TestBuildSystem:
         assert np.array_equal(system.rhs, np.zeros(system.n))
         assert b_route(tm, sm, 0, 0.5, zero).functional(np.zeros(system.n)) == 0.0
         assert system.j_zero == 0.0
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         # the functional rule needs no zero-data case: J = 0 and r = 0
         for threshold in (1e-30, None):
             x, rep = pcg(system, g_x, threshold=threshold, max_iter=50)
@@ -132,7 +132,7 @@ class TestBuildSystem:
     def test_functional_minimized_at_solve(self):
         # the Krylov solution beats nearby vectors in the functional
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         x, _ = pcg(system, g_x, threshold=1e-24, max_iter=200)
         functional = b_route(tm, sm, 0, 0.1, get_solution("cubic", 1)).functional
         base = functional(x)
@@ -250,7 +250,7 @@ class TestDenseReference:
 class TestPCG:
     def test_matches_dense_solve(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         x, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         S = dense_from_apply(system.apply, system.n)
         x_ref = np.linalg.solve(S, system.rhs)
@@ -263,14 +263,14 @@ class TestPCG:
         # the conjugate residual variant minimizes the monitored quantity,
         # so its history never increases
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         _, rep = pcg(system, g_x, threshold=1e-26, max_iter=500)
         hist = rep.residual_history
         assert np.all(np.diff(hist) <= 1e-14 * hist[0])
 
     def test_max_iter_exhaustion_flagged(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         _, rep = pcg(system, g_x, threshold=1e-40, max_iter=1)
         assert rep.iterations == 1
         assert not rep.converged
@@ -278,7 +278,7 @@ class TestPCG:
 
     def test_invalid_arguments(self):
         tm, sm, system = small_system()
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         with pytest.raises(ValueError):
             pcg(system, g_x, threshold=0.0, max_iter=10)
 
@@ -301,7 +301,7 @@ class TestPCG:
         assert system.j_zero == pytest.approx(
             functional(np.zeros(system.n)), rel=1e-12
         )
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         x, rep = pcg(system, g_x, threshold=None, max_iter=100)
         assert rep.converged and rep.iterations >= 1
         assert rep.stopping_value <= rep.threshold
@@ -313,7 +313,7 @@ class TestPCG:
 
     def test_report_fields(self):
         tm, sm, system = small_system(reg_epsilon=0.25)
-        g_x = make_G_X(tm, space_stencils(sm, system.stiffness_x, system.mass_x))
+        g_x = make_G_X(tm, system.stencils)
         _, rep = pcg(system, g_x, threshold=1e-20, max_iter=300)
         assert rep.epsilon == 0.25
         assert rep.threshold == 1e-20
@@ -515,23 +515,35 @@ class TestSolveBackward:
         scipy.linalg.eigh(np.eye(2))  # the recording sees a call
         assert dense == ["eigh"]
 
-    def test_l0_solve_loads_no_scipy_solver_module(self):
-        # in a fresh interpreter: an l = 0 build and solve loads neither
-        # scipy.sparse.linalg nor scipy.linalg; an l = 1 build factors its
-        # A_test with SuperLU and so loads scipy.sparse.linalg
+    def test_import_l0_solves_and_oracle_load_no_scipy_module(self):
+        # in a fresh interpreter: no scipy module is loaded by import
+        # backsolve, by l = 0 builds and solves at d = 1 and d = 2, or by a
+        # stability-oracle run; an l = 1 build factors its A_test with
+        # SuperLU and so loads scipy.sparse.linalg
         script = textwrap.dedent(
             """
             import json, sys
             from dataclasses import replace
+
+            def scipy_modules():
+                return [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+
             import backsolve
             from backsolve.solver import build_level, solve_level
-            cfg = backsolve.ExperimentConfig(
-                experiment="convergence", d=2, T=1.0, k_range=[3], solution="cubic"
-            )
-            _, rep, _ = solve_level(cfg, 3, build_level(cfg, 3), "plain")
-            l0 = [m for m in ("scipy.sparse.linalg", "scipy.linalg") if m in sys.modules]
+            loaded, converged = [scipy_modules()], []
+            for d in (1, 2):
+                cfg = backsolve.ExperimentConfig(
+                    experiment="convergence", d=d, T=1.0, k_range=[3], solution="cubic"
+                )
+                _, rep, _ = solve_level(cfg, 3, build_level(cfg, 3), "plain")
+                converged.append(rep.converged)
+            loaded.append(scipy_modules())
+            oracle = dict(experiment="stability-oracle", d=2, T=1.0, k_range=[1])
+            backsolve.run(backsolve.ExperimentConfig(**oracle))
+            loaded.append(scipy_modules())
             build_level(replace(cfg, l=1), 3)
-            print(json.dumps([rep.converged, l0, "scipy.sparse.linalg" in sys.modules]))
+            l1 = "scipy.sparse.linalg" in sys.modules
+            print(json.dumps([converged, loaded, l1]))
             """
         )
         src = str(Path(assembly.__file__).resolve().parents[1])
@@ -542,7 +554,7 @@ class TestSolveBackward:
             env=env, capture_output=True, text=True, check=False,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [True, [], True]
+        assert json.loads(done.stdout) == [[True, True], [[], [], []], True]
 
     def test_explicit_epsilon_outside_k_range(self):
         cfg = ExperimentConfig(
