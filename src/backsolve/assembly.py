@@ -1,10 +1,11 @@
 """Temporal and spatial finite element assembly.
 
-Builds every 1-d matrix the space-time operators are composed of, with
-numpy alone: hat mass and stiffness matrices in time and mixed matrices
-against the element-wise degree-1 Legendre test basis, as element blocks
-with their products; Lagrange P1/P2 mass and stiffness on simplicial
-meshes, as summed entries; and load vectors. A space is named by its
+Builds the matrices the space-time operators are composed of, with numpy
+alone: mixed time matrices of the hats against the element-wise degree-1
+Legendre test basis, as element blocks with their transposed product (the
+hats' own mass and stiffness are the uniform step's, in backsolve.solver);
+Lagrange P1/P2 mass and stiffness on simplicial meshes, as summed entries;
+and load vectors. A space is named by its
 Lagrange degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
 eliminated, not penalized. Intervals and triangles share one reference
 simplex, in barycentric coordinates. Space loads integrate values sampled
@@ -44,34 +45,6 @@ def to_hats(blocks: np.ndarray, t: np.ndarray) -> np.ndarray:
     out[:-1] += loc[:, 0]
     out[1:] += loc[:, 1]
     return out
-
-
-def hat_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A hat matrix, by its element blocks (elements, 2, 2), times rows x
-    (hats, ...): the blocks are symmetric, so the matrix is tridiagonal
-    with off-diagonal blocks[:, 0, 1] and diagonal entries summed from the
-    two blocks at each hat."""
-    column = (-1,) + (1,) * (x.ndim - 1)
-    diag = np.zeros(blocks.shape[0] + 1)
-    diag[:-1] += blocks[:, 0, 0]
-    diag[1:] += blocks[:, 1, 1]
-    off = blocks[:, 0, 1].reshape(column)
-    out = diag.reshape(column) * x
-    out[:-1] += off * x[1:]
-    out[1:] += off * x[:-1]
-    return out
-
-
-def time_mass_trial(mesh: TimeMesh) -> np.ndarray:
-    """Element blocks (elements, 2, 2) of the continuous piecewise linear
-    hats' mass matrix."""
-    ref = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    return mesh.lengths[:, None, None] * ref
-
-
-def time_stiffness_trial(mesh: TimeMesh) -> np.ndarray:
-    ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return ref / mesh.lengths[:, None, None]
 
 
 def test_basis_values(s: np.ndarray, h) -> np.ndarray:

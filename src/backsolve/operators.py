@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembly import space_matrices, time_derivative_mixed, time_mass_mixed
 from .mesh import SpatialMesh, TimeMesh
-from .precond import StencilMatrix, space_stencils
+from .precond import space_stencils
 
 
 class KroneckerOperator:
@@ -51,15 +51,15 @@ class KroneckerOperator:
 
 
 def space_factors(space_mesh: SpatialMesh, l: int) -> tuple:
-    """Space matrices of the operators at test enrichment l, 0 or 1: the
+    """Space factors of the operators at test enrichment l, 0 or 1: the
     trial space is P1 and the test space P_{1+l}.
 
-    Returns (M, A, M_mix, A_mix, A_test): trial mass and stiffness, mixed
-    (test x trial) mass and stiffness, and test stiffness. M and A are the
-    StencilMatrix of the level's space_stencils, read from one assembly
-    pass. At l = 0 the last three are M, A and A themselves; at l = 1 they
-    are scipy CSR matrices, and only then is scipy imported. The test space
-    contains the trial space, so it is nonempty whenever the trial space is.
+    Returns (stencils, M_mix, A_test): the space_stencils of the trial mass
+    and stiffness, read from one assembly pass, then the mixed (test x
+    trial) mass with its P1 columns in slot order and the test stiffness,
+    scipy CSR matrices that import scipy, at l = 1; at l = 0, where they
+    are M and A, None. The test space contains the trial space, so it is
+    nonempty whenever the trial space is.
     """
     if l not in (0, 1):
         raise ValueError(f"test space enrichment l must be 0 or 1, got {l}")
@@ -70,18 +70,15 @@ def space_factors(space_mesh: SpatialMesh, l: int) -> tuple:
             "vertices has no interior vertex"
         )
     stencils = space_stencils(space_mesh, a, m)
-    mass = StencilMatrix(stencils, stencils.mass)
-    stiffness = StencilMatrix(stencils, stencils.stiffness)
     if l == 0:
-        return mass, stiffness, mass, stiffness, stiffness
+        return stencils, None, None
     import scipy.sparse as sp  # only the P2 matrices of l = 1
 
     def csr(e):
         return sp.csr_matrix((e.data, e.indices, e.indptr), shape=e.shape)
 
-    m_mix, a_mix = map(csr, space_matrices(space_mesh, 2, 1))
-    a_test = csr(space_matrices(space_mesh, 2, 2)[1])
-    return mass, stiffness, m_mix, a_mix, a_test
+    m_mix = csr(space_matrices(space_mesh, 2, 1)[0])[:, stencils.slots]
+    return stencils, m_mix, csr(space_matrices(space_mesh, 2, 2)[1])
 
 
 def _element_scatter(local: np.ndarray, row_stride: int):
@@ -108,7 +105,7 @@ def assemble_B(time_mesh: TimeMesh, m_mix, a_mix) -> KroneckerOperator:
 
     Maps trial coefficients (hats x P1) to duals of the test space
     (elementwise orthonormal Legendre x P_{1+l}); m_mix and a_mix are the
-    mixed space mass and stiffness of space_factors.
+    mixed space mass and stiffness, in any one order of the P1 dofs.
     """
     d_t = _element_scatter(time_derivative_mixed(time_mesh), 2)
     n_t = _element_scatter(time_mass_mixed(time_mesh), 2)

@@ -341,15 +341,13 @@ def mode_perturbation(n: int, T: float, amplitude: float, d: int) -> SpectralFie
     return SpectralField(d, np.array([[n] * d]), np.array([coeff]))
 
 
-def random_perturbation(mass, target_norm: float, seed) -> np.ndarray:
+def random_perturbation(stencils, target_norm: float, seed) -> np.ndarray:
     """Nodal coefficients of a random field rescaled to an exact L2(Omega)
-    norm; mass is the space's mass matrix, whose order is the number of dofs."""
+    norm, in the slot order of stencils, the space's SpaceStencils: drawn
+    in dof order, gathered, and normalized through the mass stencils."""
     if target_norm <= 0.0:
         raise ValueError("target_norm must be positive")
-    n = mass.shape[0]
-    if n == 0:
-        raise ValueError("space has no dofs to perturb")
     rng = default_rng(seed)
-    coeffs = rng.uniform(-1.0, 1.0, n)
-    nrm = math.sqrt(float(coeffs @ (mass @ coeffs)))
+    coeffs = stencils.gather(rng.uniform(-1.0, 1.0, stencils.slots.size))
+    nrm = math.sqrt(float(coeffs @ stencils.product((stencils.mass, coeffs))))
     return coeffs * (target_norm / nrm)

@@ -12,8 +12,8 @@ normal operator use an A_test solve. At l = 0 A_test is the trial
 stiffness, solved by the same closed form at shift 0 (stiffness_solve);
 at l = 1 make_G_Y factors the P2 stiffness once, the only use of scipy
 here. The closed forms read the trial stiffness and mass as stencils
-(space_stencils), which also apply them (SpaceStencils.product,
-StencilMatrix).
+(space_stencils), which also apply them (SpaceStencils.product), in the
+stencils' slot order, the order of every vector of the solve.
 """
 
 from __future__ import annotations
@@ -80,17 +80,17 @@ def make_G_X(time_mesh: TimeMesh, stencils: SpaceStencils) -> RieszPreconditione
     solved for every mode in closed form (_shifted_space_solve). A
     non-uniform time mesh raises UnsupportedMeshError before any other work.
 
-    The lift takes a vector or a block of them as columns (n, k); a block
-    runs one time transform and one batch of shifted solves, with the
-    columns on a leading axis.
+    The lift takes a slot-order vector or a block of them as columns (n, k);
+    a block runs one time transform and one batch of shifted solves, with
+    the columns on a leading axis.
     """
     theta, zt = _time_modes(time_mesh)
     solve = _shifted_space_solve(stencils, np.sqrt(theta))
 
     def apply(f: np.ndarray) -> np.ndarray:
         block = f.shape[1:]  # () for a vector, (k,) for k columns
-        modes = stencils.gather(zt.T @ f.T.reshape(*block, theta.size, -1))
-        return (zt @ stencils.scatter(solve(modes))).reshape(*block, -1).T
+        modes = zt.T @ f.T.reshape(*block, theta.size, -1)
+        return (zt @ solve(modes)).reshape(*block, -1).T
 
     return RieszPreconditioner(apply)
 
@@ -107,22 +107,31 @@ def _time_modes(time_mesh: TimeMesh):
     W the cosines are orthogonal with squared norms n / 2, doubled at j = 0
     and j = n (the DCT-I). 1 - c_j is taken as 2 sin^2(j pi / 2n), so the
     small theta_j keep their relative accuracy, and i j is reduced mod 2n
-    before it is scaled by pi / n. A breakpoint more than 4 ulps off the
-    uniform grid raises UnsupportedMeshError.
+    before it is scaled by pi / n. A non-uniform mesh raises
+    UnsupportedMeshError (uniform_step).
     """
+    uniform_step(time_mesh)
     bp = time_mesh.breakpoints
     n, span = bp.size - 1, bp[-1] - bp[0]
     j = np.arange(n + 1)
-    uniform = bp[0] + span * (j / n)
-    if np.abs(bp - uniform).max() > 4 * np.spacing(np.abs(bp).max()):
-        raise UnsupportedMeshError(
-            f"the time mesh with {n} elements is not uniform; the closed-form "
-            "time modes need equal elements"
-        )
     c = np.cos(np.pi * j / n)
     theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
     sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
     return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
+
+
+def uniform_step(time_mesh: TimeMesh) -> float:
+    """The step span / n of a uniform time mesh of n elements; a breakpoint
+    more than 4 ulps off the uniform grid raises UnsupportedMeshError."""
+    bp = time_mesh.breakpoints
+    n, span = bp.size - 1, bp[-1] - bp[0]
+    uniform = bp[0] + span * (np.arange(n + 1) / n)
+    if np.abs(bp - uniform).max() > 4 * np.spacing(np.abs(bp).max()):
+        raise UnsupportedMeshError(
+            f"the time mesh with {n} elements is not uniform; the closed-form "
+            "time modes and products need equal elements"
+        )
+    return span / n
 
 
 class SpaceStencils(NamedTuple):
@@ -189,27 +198,6 @@ class SpaceStencils(NamedTuple):
             weighted(1, 1, out_c)
             out_c += _box(_bordered(weighted(3, 0)))
         return out
-
-
-class StencilMatrix(NamedTuple):
-    """The trial stiffness or mass, by its constants values among the
-    stencils', as a symmetric matrix on vectors and columns in dof order."""
-
-    stencils: SpaceStencils
-    values: tuple
-
-    @property
-    def shape(self) -> tuple:
-        return (self.stencils.slots.size,) * 2
-
-    @property
-    def T(self) -> "StencilMatrix":
-        return self
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        st, rows = self.stencils, np.moveaxis(np.asarray(x, dtype=float), 0, -1)
-        out = st.scatter(st.product((self.values, st.gather(rows))))
-        return np.moveaxis(out, -1, 0)
 
 
 def space_stencils(space_mesh: SpatialMesh, a, m) -> SpaceStencils:

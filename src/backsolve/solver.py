@@ -4,9 +4,11 @@ Builds the SPD normal operator
 
     S v = Bt G_Y B v + M v(T) + reg_epsilon^2 M v(0)
 
-on trial coefficients v, viewed as a (breakpoints x space dofs) array. The
-breakpoints include both ends of the time interval, so v(0) and v(T) are
-its first and last rows and the trace terms act on those rows alone.
+on trial coefficients v, viewed as a (breakpoints x space dofs) array; the
+solve keeps the space dofs in the slot order of the level's SpaceStencils,
+and solve_level returns dof order. The breakpoints include both ends of the
+time interval, so v(0) and v(T) are its first and last rows and the trace
+terms act on those rows alone.
 S is applied through the space-time energy identity
 
     Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
@@ -14,11 +16,11 @@ S is applied through the space-time energy identity
 
 so S v = K_t x (M_mix^T A_test^-1 M_mix) v + M_t x A v + 2 M v(T)
 + (reg_epsilon^2 - 1) M v(0), with one A_test solve per breakpoint. K_t and
-M_t are the hat stiffness and mass. The identity is exact because of two
-containments. In time, the elementwise Legendre test space contains the
-hats and their derivatives, so B's time factors D (derivative) and N
-(mass) give DtD = K_t, NtN = M_t and DtN + NtD = e_T e_T^T - e_0 e_0^T
-(the integral of (phi_i phi_j)'). In space, P1 lies in P_{1+l} with the
+M_t are the hat stiffness and mass of the uniform time step. The identity
+is exact because of two containments. In time, the elementwise Legendre
+test space contains the hats and their derivatives, so B's time factors D
+(derivative) and N (mass) give DtD = K_t, NtN = M_t and DtN + NtD =
+e_T e_T^T - e_0 e_0^T (the integral of (phi_i phi_j)'). In space, P1 lies in P_{1+l} with the
 same Dirichlet boundary, so the mixed matrices are M_test P and A_test P,
 which gives A_mix^T A_test^-1 A_mix = A and M_mix^T A_test^-1 A_mix = M.
 The same containments give the data without B. The source separates,
@@ -79,15 +81,12 @@ from .assembly import (
     fe_gradients_on_cells,
     fe_values_on_cells,
     gradient_load,
-    hat_product,
     integrate_squared,
     load_vector_f,
     quad_points,
     space_load,
     time_derivative_mixed,
     time_mass_mixed,
-    time_mass_trial,
-    time_stiffness_trial,
     to_hats,
 )
 from .mesh import (
@@ -111,6 +110,7 @@ from .precond import (
     make_G_X,
     make_G_Y,
     stiffness_solve,
+    uniform_step,
 )
 from .solutions import ManufacturedSolution, get_solution
 
@@ -119,13 +119,12 @@ from .solutions import ManufacturedSolution, get_solution
 class LeastSquaresSystem:
     """SPD normal operator of the regularized least-squares functional.
 
-    The end trace v(T) and the start trace v(0) of trial coefficients v are
-    the last and first rows of v.reshape(breakpoints, n_x). apply gathers
-    those rows once into the slot order of stencils, the level's
-    SpaceStencils, and uses the energy identity of the module docstring
-    there: the trial mass and stiffness act as stencils, time_stiffness and
-    time_mass are the element blocks of the hat stiffness K_t and mass M_t,
-    and test_part maps slot-order rows y to (u, rest) with
+    Trial coefficients v, rhs and apply's result are in the slot order of
+    stencils, the level's SpaceStencils: v.reshape(breakpoints, n_x) has a
+    row of slots per breakpoint, v(0) first and v(T) last. apply uses the
+    energy identity of the module docstring: the trial mass and stiffness
+    act as stencils, K_t and M_t are the tridiagonal hat matrices of the
+    uniform time step, and test_part maps rows y to (u, rest) with
     M_mix^T A_test^-1 M_mix y = M u + rest, so that the trace terms join u
     and one stencil pass applies M and A. rhs is h and j_zero is J(0).
     Only the start-trace term reads reg_epsilon, so one system serves
@@ -133,8 +132,7 @@ class LeastSquaresSystem:
     """
 
     stencils: SpaceStencils
-    time_stiffness: np.ndarray
-    time_mass: np.ndarray
+    step: float
     test_part: Callable
     reg_epsilon: float
     rhs: np.ndarray
@@ -150,13 +148,29 @@ class LeastSquaresSystem:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         st = self.stencils
-        rows = st.gather(np.asarray(v, dtype=float).reshape(-1, st.slots.size))
-        u, rest = self.test_part(hat_product(self.time_stiffness, rows))
+        rows = np.asarray(v, dtype=float).reshape(-1, st.slots.size)
+        k_rows, m_rows = _hat_products(self.step, rows)
+        u, rest = self.test_part(k_rows)
         u[-1] += 2.0 * rows[-1]
         u[0] += (self.reg_epsilon**2 - 1.0) * rows[0]
-        m_rows = hat_product(self.time_mass, rows)
         out = st.product((st.mass, u), (st.stiffness, m_rows)) + rest
-        return st.scatter(out).ravel()
+        return out.ravel()
+
+
+def _hat_products(h: float, rows: np.ndarray) -> tuple:
+    """(K_t rows, M_t rows): the hat stiffness and mass of the uniform time
+    step h, with (1, -1) / h and h (1/3, 1/6) per element, times rows
+    (hats, n_x). Each entry takes the flops of summing two element blocks."""
+
+    def tridiagonal(corner, off):  # diagonal 2 corner, corner at both ends
+        out = (2.0 * corner) * rows
+        out[0] *= 0.5
+        out[-1] *= 0.5
+        out[:-1] += off * rows[1:]
+        out[1:] += off * rows[:-1]
+        return out
+
+    return tridiagonal(1.0 / h, -1.0 / h), tridiagonal(h * (1 / 3), h * (1 / 6))
 
 
 @dataclass
@@ -217,12 +231,13 @@ def manufactured_data(
     rounds to 0); l_P1 is the P1 load of phi. The end-time
     observation g = tau(T) phi, T the last breakpoint, plus perturbation,
     has P1 load g_load and squared L2 norm g_sq. perturbation is an array
-    of nodal trial coefficients (loaded through the mass matrix, exactly)
+    of nodal trial coefficients (loaded through the mass stencils, exactly)
     or any object with evaluate(points), evaluated at the sample's points.
+    P1 loads and coefficients are in the slot order of the level's stencils.
     """
-    mass_x = space[0]
+    st = space[0]
     points, phi, _ = sample
-    phi_load = space_load(space_mesh, 1, phi)
+    phi_load = st.gather(space_load(space_mesh, 1, phi))
     t_c = load_vector_f(time_mesh, solution.source)
     test_load = space_load(space_mesh, 2, phi) if l else phi_load  # P1 at l = 0
 
@@ -231,15 +246,15 @@ def manufactured_data(
     g_load = tau_end * phi_load
     noise_sq = 0.0  # a nodal field's |c|^2 + 2 (g, c), exact through the mass
     if isinstance(perturbation, np.ndarray):
-        if perturbation.size != mass_x.shape[0]:
+        if perturbation.size != st.slots.size:
             raise ValueError("perturbation field lives on a different space")
-        c = perturbation
-        noise_sq = float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
-        g_load = g_load + mass_x @ c
+        mass_c = st.product((st.mass, perturbation))
+        noise_sq = float(perturbation @ mass_c) + 2.0 * float(perturbation @ g_load)
+        g_load = g_load + mass_c
     elif perturbation is not None:
         noise = perturbation.evaluate(points)
         g_values = g_values + noise
-        g_load = g_load + space_load(space_mesh, 1, noise)
+        g_load = g_load + st.gather(space_load(space_mesh, 1, noise))
     g_sq = integrate_squared(space_mesh, g_values) + noise_sq
     return t_c, test_load, phi_load, g_load, g_sq
 
@@ -248,43 +263,36 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
     """Normal operator at reg_epsilon = 0, h and J(0) for data, the
     manufactured_data of a solution.
 
-    space is the level's space_factors(space_mesh, l). h and J(0) come from
-    the identity of the module docstring. At l = 0 A_test = A is solved in
-    closed form in the slot order of the stencils of M and A; at l = 1
-    make_G_Y factors the P2 A_test, and the test part runs in dof order.
+    space is the level's space_factors(space_mesh, l), and h is in its
+    stencils' slot order. h and J(0) come from the identity of the module
+    docstring. At l = 0 A_test = A is solved in closed form; at l = 1
+    make_G_Y factors the P2 A_test, and M_mix maps slot order to P2 dofs.
+    A non-uniform time mesh raises UnsupportedMeshError before any work.
     """
-    mass_x, _, m_mix, _, a_test = space
-    st = mass_x.stencils
+    step = uniform_step(time_mesh)
+    st, m_mix, a_test = space
+    t_c, test_load, phi_load, g_load, g_sq = data
     if l:
         test_solve = make_G_Y(a_test)
 
         def test_part(y):
-            cols = m_mix @ st.scatter(y).T
-            return np.zeros_like(y), st.gather((m_mix.T @ test_solve(cols)).T)
+            return np.zeros_like(y), (m_mix.T @ test_solve(m_mix @ y.T)).T
 
+        solved = test_solve(test_load)
+        mixed = m_mix.T @ solved
     else:
         solve = stiffness_solve(st)
-
-        def test_solve(w):
-            return st.scatter(solve(st.gather(w)))
 
         def test_part(y):  # M A^-1 M y: its last M joins the apply's pass
             return solve(st.product((st.mass, y))), 0.0
 
-    t_c, test_load, phi_load, g_load, g_sq = data
-    solved = test_solve(test_load)
-    rhs = np.outer(to_hats(time_derivative_mixed(time_mesh), t_c), m_mix.T @ solved)
+        solved = solve(test_load)
+        mixed = st.product((st.mass, solved))
+    rhs = np.outer(to_hats(time_derivative_mixed(time_mesh), t_c), mixed)
     rhs += np.outer(to_hats(time_mass_mixed(time_mesh), t_c), phi_load)
     rhs[-1] += g_load
-    return LeastSquaresSystem(
-        st,
-        time_stiffness_trial(time_mesh),
-        time_mass_trial(time_mesh),
-        test_part,
-        0.0,
-        rhs.ravel(),
-        float(t_c @ t_c) * float(test_load @ solved) + g_sq,
-    )
+    j_zero = float(t_c @ t_c) * float(test_load @ solved) + g_sq
+    return LeastSquaresSystem(st, step, test_part, 0.0, rhs.ravel(), j_zero)
 
 
 def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int):
@@ -365,11 +373,13 @@ INFSUP_BLOCK = 4
 
 def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
     """Square root of the smallest eigenvalue of the inf-sup pencil (module
-    docstring) by LOBPCG from a seeded start block; below 5 block sizes scipy
-    solves densely instead. A residual above INFSUP_TOL raises RuntimeError."""
+    docstring) by LOBPCG in slot order from a seeded start block, drawn in
+    dof order; below 5 block sizes scipy solves densely instead. A residual
+    above INFSUP_TOL raises RuntimeError."""
     from scipy.sparse.linalg import LinearOperator, lobpcg  # only this study
 
-    m, a, *_ = space = space_factors(space_mesh, 1)
+    st, *_ = space = space_factors(space_mesh, 1)
+    n_x = st.slots.size
     zero = get_solution("zero", space_mesh.dimension)
     sample = phi_sample(space_mesh, zero)
 
@@ -377,18 +387,20 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
         data = manufactured_data(time_mesh, space_mesh, l, zero, factors, sample)
         system = build_system(time_mesh, l, factors, data)
 
-        def matvec(v):
+        def matvec(v):  # lobpcg's dense path passes an integer identity
+            v = np.ravel(np.asarray(v, dtype=float))
             out = system.apply(v)
-            out[-m.shape[0]:] -= m @ np.ravel(v)[-m.shape[0]:]
+            out[-n_x:] -= st.product((st.mass, v[-n_x:]))
             return out
 
         return LinearOperator((system.n, system.n), matvec, dtype=float)
 
-    small, big = pencil_side(0, (m, a, m, a, a)), pencil_side(1, space)
+    small, big = pencil_side(0, (st, None, None)), pencil_side(1, space)
     n = small.shape[0]
-    g_x = make_G_X(time_mesh, m.stencils)  # lifts LOBPCG's blocks whole
+    g_x = make_G_X(time_mesh, st)  # lifts LOBPCG's blocks whole
     lift = LinearOperator((n, n), matvec=g_x.apply, matmat=g_x.apply, dtype=float)
-    start = np.random.default_rng(0).standard_normal((n, INFSUP_BLOCK))
+    start = np.random.default_rng(0).standard_normal((n // n_x, n_x, INFSUP_BLOCK))
+    start = start[:, st.slots].reshape(n, INFSUP_BLOCK)
     try:
         vals, vecs = lobpcg(
             small, start, B=big, M=lift, tol=INFSUP_TOL,
@@ -452,13 +464,14 @@ class ErrorTerms:
 
 def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     """ErrorTerms of a level: space is its space_factors, sample its
-    phi_sample and phi_load manufactured_data's P1 load of phi.
+    phi_sample and phi_load manufactured_data's P1 load of phi, in slot
+    order. The other loads and I phi are gathered into slot order here.
 
     psi is formed at the points: expanding |psi|^2 through phi and I phi
     would lose about 6 digits to cancellation at d=2 k=5, 10 at d=1 k=8.
     """
     points, phi, interp = sample
-    st = space[0].stencils
+    st = space[0]
     pts, w = _cell_rule(space_mesh, QUAD_ORDER)
     vol, _ = space_mesh.geometry
     cell_w = vol[:, None] * w
@@ -469,7 +482,7 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
         st.mass,
         st.gather(space_load(space_mesh, 1, psi)),
         float(np.vdot(psi, w_psi)),
-        st.gather(phi_load),
+        phi_load,
         float(np.vdot(phi, w_psi)),
         float(np.vdot(phi, cell_w * phi)),
     )
@@ -637,15 +650,15 @@ def error_report(
 ) -> ErrorReport:
     """Errors against the exact solution: time slices and space-time norms.
 
-    terms is the level's error_terms, so a report forms only E, M E, A E
-    and dot products (module docstring); it samples no function and maps no
-    point. A slice error is read at the breakpoint nearest the requested
-    time.
+    coeffs are in the slot order of terms, the level's error_terms, so a
+    report forms only E, M E, A E and dot products (module docstring); it
+    samples no function and maps no point. A slice error is read at the
+    breakpoint nearest the requested time.
     """
     bp = time_mesh.breakpoints
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
-    st = terms.stencils  # one gather of the coefficients per report
-    errs = st.gather(coeffs.reshape(bp.size, -1)) - np.outer(tau, terms.interp)
+    st = terms.stencils
+    errs = coeffs.reshape(bp.size, -1) - np.outer(tau, terms.interp)
     grams = {m: _coefficient_grams(st, errs, tau, *g) for m, g in terms.grams.items()}
     l2_sq, h1_sq = _time_quadrature(time_mesh, solution, tau, grams)
     slice_sq = grams["l2"][0]
@@ -698,9 +711,9 @@ def trial_dofs(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> int:
     )
 
 
-def _perturbation_for(config, mass):
+def _perturbation_for(config, stencils):
     if config.experiment == "perturb-random":
-        pert = random_perturbation(mass, config.target_norm, config.seed)
+        pert = random_perturbation(stencils, config.target_norm, config.seed)
         return pert, config.target_norm
     if config.experiment == "perturb-mode":
         pert = mode_perturbation(config.mode_n, config.T, config.amplitude, config.d)
@@ -746,8 +759,10 @@ def build_level(config, k: int) -> Level:
 def solve_level(config, k: int, level: Level, strategy: str):
     """Solve a built level k at the epsilon of strategy.
 
-    Returns (coefficients, SolveReport, ErrorReport). An explicit epsilon is
-    the entry of config.epsilon_values at k's place in config.k_range.
+    Returns (coefficients, SolveReport, ErrorReport), the coefficients
+    scattered once from the solve's slot order to dof order. An explicit
+    epsilon is the entry of config.epsilon_values at k's place in
+    config.k_range.
     """
     explicit = None
     if strategy == "explicit":
@@ -764,7 +779,8 @@ def solve_level(config, k: int, level: Level, strategy: str):
     err_rep = error_report(
         level.time_mesh, coeffs, level.solution, level.error_terms, config.slice_times
     )
-    return coeffs, solve_rep, err_rep
+    rows = coeffs.reshape(-1, system.stencils.slots.size)
+    return system.stencils.scatter(rows).ravel(), solve_rep, err_rep
 
 
 def solve_backward(config, k: int):

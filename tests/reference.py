@@ -6,9 +6,10 @@ to coefficients, and the test-space Riesz lift, which inverts the test Gram,
 identity in time x A_test), the dense inf-sup pencil through B and through
 the energy identity, the trial and test Grams as Kronecker operators with
 their dense forms, scipy sparse forms of the matrices the solver applies
-without scipy (the COO sum of the space matrices, the time matrices of
-their element blocks, the stencil-applied trial matrices), the conformity
-check of a mesh, the log-log rate fit and the CSV reader.
+without scipy (the COO sum of the space matrices, the hat mass and
+stiffness by element blocks, the space matrices in dof order), the maps
+between dof order and the solve's slot order, the conformity check of a
+mesh, the log-log rate fit and the CSV reader.
 """
 
 import csv
@@ -17,10 +18,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from backsolve import assembly
-from backsolve.assembly import space_matrices, time_mass_trial, time_stiffness_trial
+from backsolve.assembly import space_matrices
 from backsolve.operators import KroneckerOperator, _element_scatter, assemble_B
 from backsolve.operators import space_factors
-from backsolve.precond import StencilMatrix, make_G_Y
+from backsolve.precond import make_G_Y
 from backsolve.solver import (
     build_system,
     error_report,
@@ -56,18 +57,51 @@ def coo_sum(rows_t, cols_t, local, shape):
     return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
-def as_csr(mat):
-    """A space matrix of space_factors as a scipy CSR matrix: a
-    StencilMatrix by its product with the identity, which is exact."""
-    if isinstance(mat, StencilMatrix):
-        return sp.csr_matrix(mat @ np.eye(mat.shape[1]))
-    return mat
+def space_csr(mesh, l):
+    """(M, A, M_mix, A_mix, A_test) at test enrichment l as scipy CSR
+    matrices in dof order: trial mass and stiffness, mixed (P_{1+l} x P1)
+    mass and stiffness, test stiffness; at l = 0 the last three are M, A, A."""
+    m, a = map(csr, space_matrices(mesh, 1, 1))
+    if l == 0:
+        return m, a, m, a, a
+    m_mix, a_mix = map(csr, space_matrices(mesh, 2, 1))
+    return m, a, m_mix, a_mix, space_stiffness(mesh, 2)
 
 
 def dof_order(stencils, fn):
     """fn, which maps slot-order rows of stencils (a SpaceStencils) to
     slot-order rows, on a vector or the columns of an array in dof order."""
     return lambda w: stencils.scatter(fn(stencils.gather(w.T))).T
+
+
+def to_slots(stencils, v):
+    """Space-time coefficients v, a row of dofs per breakpoint, in the
+    solve's slot order of stencils."""
+    return stencils.gather(np.reshape(v, (-1, stencils.slots.size))).ravel()
+
+
+def to_dofs(stencils, v):
+    """Space-time coefficients v in slot order back in dof order."""
+    return stencils.scatter(np.reshape(v, (-1, stencils.slots.size))).ravel()
+
+
+def dof_apply(system):
+    """system.apply, a LeastSquaresSystem's, on coefficients in dof order."""
+    st = system.stencils
+    return lambda v: to_dofs(st, system.apply(to_slots(st, v)))
+
+
+def time_mass_trial(mesh):
+    """Element blocks (elements, 2, 2) of the continuous piecewise linear
+    hats' mass matrix on any time mesh."""
+    ref = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
+    return mesh.lengths[:, None, None] * ref
+
+
+def time_stiffness_trial(mesh):
+    """Element blocks (elements, 2, 2) of the hats' stiffness matrix."""
+    ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return ref / mesh.lengths[:, None, None]
 
 
 def hat_matrix(blocks):
@@ -109,7 +143,7 @@ class MassSolveMass:
 
 def gram_Y(time_mesh, space_mesh, l):
     """Test-space Gram: identity in time (orthonormal basis) x stiffness."""
-    a_test = as_csr(space_factors(space_mesh, l)[4])
+    a_test = space_csr(space_mesh, l)[4]
     eye_t = sp.identity(2 * time_mesh.n_elements, format="csr")
     return KroneckerOperator([(eye_t, a_test)])
 
@@ -128,12 +162,11 @@ def gram_X(time_mesh, space_mesh):
 def dense(op):
     """Materialized matrix of a KroneckerOperator: the sum of its np.kron terms.
 
-    Time factors are sparse; a space factor is sparse, a StencilMatrix or a
-    MassSolveMass.
+    Time factors are sparse; a space factor is sparse or a MassSolveMass.
     """
     out = np.zeros(op.shape)
     for t, s in op.terms:
-        s_dense = s.to_dense() if isinstance(s, MassSolveMass) else as_csr(s).toarray()
+        s_dense = s.to_dense() if isinstance(s, MassSolveMass) else s.toarray()
         out += np.kron(t.toarray(), s_dense)
     return out
 
@@ -149,11 +182,11 @@ def normal_matrix_b_route(time_mesh, m_mix, a_mix, a_test):
         sum_{a,b} (T_a^T T_b) kron (S_a^T A_test^{-1} S_b),
 
     which never forms the (much larger) test-space matrices as a Kronecker
-    product. Space matrices as from space_factors; desk-scale meshes only.
+    product. Space matrices as from space_csr; desk-scale meshes only.
     """
     b_op = assemble_B(time_mesh, m_mix, a_mix)
-    solve = make_G_Y(as_csr(a_test))
-    space_parts = [as_csr(s).toarray() for _, s in b_op.terms]
+    solve = make_G_Y(a_test)
+    space_parts = [s.toarray() for _, s in b_op.terms]
     solved = [solve(s) for s in space_parts]
     time_factors = [t.toarray() for t, _ in b_op.terms]
     n = b_op.shape[1]
@@ -170,12 +203,12 @@ def normal_matrices_dense(time_mesh, space):
         Bt G_Y B = K_t x M_mix^T A_test^-1 M_mix + M_t x A
                    + (e_T e_T^T - e_0 e_0^T) x M
 
-    of backsolve.solver. Only the first term depends on l; at l = 0 the
-    test space is P1, so M_mix = M and A_test = A. space is
-    space_factors(space_mesh, 1), whose P1 pair serves l = 0. At most three
+    of backsolve.solver, in dof order. Only the first term depends on l; at
+    l = 0 the test space is P1, so M_mix = M and A_test = A. space is
+    space_csr(space_mesh, 1), whose P1 pair serves l = 0. At most three
     dense n x n arrays are alive at once; desk-scale meshes only.
     """
-    m, a, m_mix, _, a_test = (as_csr(mat) for mat in space)
+    m, a, m_mix, _, a_test = space
     k_t = hat_matrix(time_stiffness_trial(time_mesh)).toarray()
     shared = np.kron(hat_matrix(time_mass_trial(time_mesh)).toarray(), a.toarray())
     n_t, n_x = k_t.shape[0], m.shape[0]
@@ -222,24 +255,32 @@ def level_system(time_mesh, space_mesh, l, solution, space=None, perturbation=No
 
 
 def system_data(time_mesh, space_mesh, l, solution, perturbation=None):
-    """(f_load, g_load, g_sq) of build_system's data; f_load = t_c x l_test."""
+    """(f_load, g_load, g_sq) of build_system's data in dof order; f_load =
+    t_c x l_test. A nodal perturbation is in slot order, as build_level
+    passes it."""
+    space = space_factors(space_mesh, l)
     t_c, test_load, _, g_load, g_sq = level_data(
-        time_mesh, space_mesh, l, solution, None, perturbation
+        time_mesh, space_mesh, l, solution, space, perturbation
     )
-    return np.outer(t_c, test_load).ravel(), g_load, g_sq
+    st = space[0]
+    if l == 0:
+        test_load = st.scatter(test_load)
+    return np.outer(t_c, test_load).ravel(), st.scatter(g_load), g_sq
 
 
 def level_error_terms(space_mesh, solution):
     """error_terms as build_level makes them, for any space mesh and solution."""
     sample = phi_sample(space_mesh, solution)
-    phi_load = assembly.space_load(space_mesh, 1, sample[1])
     space = space_factors(space_mesh, 0)
+    phi_load = space[0].gather(assembly.space_load(space_mesh, 1, sample[1]))
     return error_terms(space_mesh, space, solution, sample, phi_load)
 
 
 def level_error_report(time_mesh, space_mesh, coeffs, solution, slice_times):
-    """error_report with the level_error_terms of space_mesh and solution."""
+    """error_report with the level_error_terms of space_mesh and solution,
+    of coefficients in dof order."""
     terms = level_error_terms(space_mesh, solution)
+    coeffs = to_slots(terms.stencils, coeffs)
     return error_report(time_mesh, coeffs, solution, terms, slice_times)
 
 
@@ -251,9 +292,9 @@ class BRoute:
     """
 
     def __init__(self, time_mesh, space_mesh, l, reg_epsilon, f_load, g_load, g_sq):
-        self.mass, _, m_mix, a_mix, a_test = space_factors(space_mesh, l)
+        self.mass, _, m_mix, a_mix, a_test = space_csr(space_mesh, l)
         self.b_op = assemble_B(time_mesh, m_mix, a_mix)
-        self.lift = y_lift(as_csr(a_test))
+        self.lift = y_lift(a_test)
         self.reg_epsilon = reg_epsilon
         self.f_load, self.g_load, self.g_sq = f_load, g_load, g_sq
         lifted = self.lift(f_load)

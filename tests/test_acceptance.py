@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from backsolve.config import ExperimentConfig
-from backsolve.operators import assemble_B, space_factors
+from backsolve.operators import assemble_B
 from backsolve.oracle import (
     SpectralField,
     check_log_convexity,
@@ -34,6 +34,7 @@ from reference import (
     gram_X,
     gram_Y,
     level_system,
+    space_csr,
 )
 
 
@@ -180,7 +181,7 @@ def test_criterion_3_infsup_stability():
 def test_criterion_4_matrix_free_matches_dense(k1_system):
     tm, sm, system = k1_system
     ops = {
-        "B": assemble_B(tm, *space_factors(sm, 0)[2:4]),
+        "B": assemble_B(tm, *space_csr(sm, 0)[2:4]),
         "Gram_X": gram_X(tm, sm),
         "Gram_Y": gram_Y(tm, sm, 0),
     }

@@ -8,7 +8,6 @@ from backsolve.assembly import (
     _cell_rule,
     fe_gradients_on_cells,
     gradient_load,
-    hat_product,
     integrate_squared,
     load_vector_f,
     quad_points,
@@ -19,8 +18,6 @@ from backsolve.assembly import (
     space_matrices,
     time_derivative_mixed,
     time_mass_mixed,
-    time_mass_trial,
-    time_stiffness_trial,
     to_hats,
 )
 from backsolve.mesh import (
@@ -35,14 +32,18 @@ from backsolve.mesh import (
 
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
+from backsolve.precond import uniform_step
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import get_solution
+from backsolve.solver import _hat_products
 from reference import (
     coo_sum,
     hat_matrix,
     mixed_matrix,
     space_mass,
     space_stiffness,
+    time_mass_trial,
+    time_stiffness_trial,
 )
 
 
@@ -270,25 +271,55 @@ def test_hat_matrices_are_bitwise_the_coo_assembly(k, build, ref):
         assert got.shape == want.shape
 
 
+# windows of the uniform time meshes the solver builds; every element length
+# is span / n on the first four, not on "offset" at k >= 1
+TIME_WINDOWS = {
+    "uniform": (0.0, 1.0),
+    "eighth": (0.0, 0.125),
+    "seven-eighths": (0.0, 0.875),
+    "upper-half": (0.5, 1.0),
+    "offset": (0.1, 0.7),
+}
+
+
 @pytest.mark.parametrize("k", [0, 3, 6])
-@pytest.mark.parametrize("kind", ["uniform", "random-steps"])
+@pytest.mark.parametrize("kind", TIME_WINDOWS)
 def test_time_applies_match_the_dense_products(k, kind):
-    # the hat matrices on a vector and on rows, and the transposed mixed
-    # matrices on a test vector, from their element blocks
-    tm = _time_mesh(kind, k)
+    # the uniform-step hat products on rows against the dense K_t and M_t
+    # of the element blocks: bitwise, entry by entry, where every element
+    # has the step's length; and the transposed mixed matrices on a test
+    # vector
+    tm = uniform_time_mesh(*TIME_WINDOWS[kind], k)
+    h = uniform_step(tm)
+    exact = bool(np.all(tm.lengths == h))
+    assert exact or (kind == "offset" and k > 0)
     rng = np.random.default_rng(k)
-    x = rng.standard_normal(tm.n_elements + 1)
     rows = rng.standard_normal((tm.n_elements + 1, 4))
     t = rng.standard_normal(2 * tm.n_elements)
+    products = zip(_hat_products(h, rows), (time_stiffness_trial, time_mass_trial))
     cases = []
-    for build in (time_mass_trial, time_stiffness_trial):
+    for got, build in products:
         dense = hat_matrix(build(tm)).toarray()
-        cases += [(hat_product(build(tm), x), dense @ x)]
-        cases += [(hat_product(build(tm), rows), dense @ rows)]
+        cases += [(got, dense @ rows)]
+        if exact:  # the diagonal, then each off-diagonal, as the blocks sum
+            want = np.diag(dense)[:, None] * rows
+            want[:-1] += np.diag(dense, 1)[:, None] * rows[1:]
+            want[1:] += np.diag(dense, -1)[:, None] * rows[:-1]
+            np.testing.assert_array_equal(got, want)
     for build in (time_mass_mixed, time_derivative_mixed):
         cases += [(to_hats(build(tm), t), mixed_matrix(build(tm)).toarray().T @ t)]
     for got, want in cases:
         assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_to_hats_on_random_steps(k):
+    # the transposed mixed matrices need no uniform step
+    tm = _time_mesh("random-steps", k)
+    t = np.random.default_rng(k).standard_normal(2 * tm.n_elements)
+    for build in (time_mass_mixed, time_derivative_mixed):
+        got, want = to_hats(build(tm), t), mixed_matrix(build(tm)).toarray().T @ t
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 

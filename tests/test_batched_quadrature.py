@@ -53,12 +53,14 @@ from backsolve.solver import (
 from reference import (
     BRoute,
     gram_X,
-    level_data,
     level_error_report,
     level_error_terms,
     level_system,
     space_mass,
     space_stiffness,
+    system_data,
+    to_dofs,
+    to_slots,
 )
 
 RTOL = 1e-12
@@ -246,12 +248,13 @@ def _ref_system_data(tm, sm, l, solution, perturbation):
     g_load = np.zeros(n_x) if g is None else _ref_space_load(sm, 1, g, q)
     g_sq = 0.0 if g is None else _ref_integrate_squared(sm, g, q)
     if isinstance(perturbation, np.ndarray):
-        # loaded through the level's stencil mass, as build_level loads it;
-        # test_precond checks the stencil products against the CSR ones
-        c = perturbation
-        mass_x = space_factors(sm, 1)[0]
-        g_sq += float(c @ (mass_x @ c)) + 2.0 * float(c @ g_load)
-        g_load = g_load + mass_x @ c
+        # slot-order coefficients loaded through the level's mass stencils,
+        # as build_level loads them; test_precond checks the stencil
+        # products against the CSR ones
+        c, st = perturbation, space_factors(sm, 1)[0]
+        mass_c = st.product((st.mass, c))
+        g_sq += float(c @ mass_c) + 2.0 * float(c @ st.gather(g_load))
+        g_load = g_load + st.scatter(mass_c)
     elif perturbation is not None:
         pert_eval = perturbation.evaluate
         g_load = g_load + _ref_space_load(sm, 1, pert_eval, q)
@@ -272,21 +275,17 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     # from loading tau(T) phi
     tm = uniform_time_mesh(0.0, T, 2)
     sm = _space_mesh(d, 2)
-    mass = space_mass(sm, 1)
     perturbation = {
         None: None,
-        "nodal": random_perturbation(mass, 0.01, 3),
+        "nodal": random_perturbation(space_factors(sm, 1)[0], 0.01, 3),
         "spectral": mode_perturbation(1, T, 0.05, d),
     }[noise]
     for name in ("cubic", "decay", "zero"):
         solution = get_solution(name, d)
         space = space_factors(sm, l)
         system = level_system(tm, sm, l, solution, space, perturbation)
-        t_c, test_load, _, g_load, g_sq = level_data(
-            tm, sm, l, solution, space, perturbation
-        )
         ref_data = _ref_system_data(tm, sm, l, solution, perturbation)
-        data = (np.outer(t_c, test_load).ravel(), g_load, g_sq)
+        data = system_data(tm, sm, l, solution, perturbation)
         for key, got, want in zip(("f_load", "g_load", "g_sq"), data, ref_data):
             if T == 1.0:
                 np.testing.assert_array_equal(got, want, err_msg=f"{name} {key}")
@@ -295,8 +294,8 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
                 assert gap <= 1e-13 * np.max(np.abs(want), initial=0.0), (name, key)
         # h and J(0) come from one A_test solve, not from B and the Y lift
         ref = BRoute(tm, sm, l, 0.3, *ref_data)
-        for key in ("rhs", "j_zero"):
-            got, want = getattr(system, key), getattr(ref, key)
+        rhs, j_zero = to_dofs(system.stencils, system.rhs), system.j_zero
+        for key, got, want in (("rhs", rhs, ref.rhs), ("j_zero", j_zero, ref.j_zero)):
             gap = np.linalg.norm(np.subtract(got, want))
             assert gap <= 1e-12 * np.linalg.norm(want), (name, key)
 
@@ -406,7 +405,8 @@ def test_error_report_matches_the_tensor_quadrature(d, k, name):
     # |u(t_i)| = |tau(t_i)| |phi|, and |phi|^2 = 2^-d
     norm_u = np.abs([level.solution.tau(t) for t in bp]) * 0.5 ** (d / 2)
     for coeffs in (solved, *_coeff_cases(tm, sm, level.solution)):
-        rep = error_report(tm, coeffs, level.solution, level.error_terms, bp)
+        slots = to_slots(level.system.stencils, coeffs)
+        rep = error_report(tm, slots, level.solution, level.error_terms, bp)
         (l2_sq, h1_sq), slice_sq = _tensor_error_sq(
             tm, sm, coeffs, level.solution, ("l2", "h1")
         )
@@ -452,7 +452,9 @@ def test_set_up_work_does_not_grow_with_time_elements(
             lambda: nodal_interpolant(tm, sm, counted),
             lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
             lambda: terms.append(level_error_terms(sm, counted)),
-            lambda: error_report(tm, coeffs, counted, terms[0], [0.5]),
+            lambda: error_report(
+                tm, to_slots(terms[0].stencils, coeffs), counted, terms[0], [0.5]
+            ),
         ):
             for recorded in calls.values():
                 recorded.clear()
@@ -506,7 +508,8 @@ class TestDenseSizeGuard:
         n_x = a.shape[0]
         G = gram_X(tm, sm)
         v = np.random.default_rng(9).standard_normal(G.shape[1])
-        f = G.apply(v)
+        st = space_stencils(sm, a, m)  # the lift's slot order, outside the trace
+        f = to_slots(st, G.apply(v))
         tracemalloc.start()
         try:
             got = make_G_X(tm, space_stencils(sm, a, m)).apply(f)
@@ -514,4 +517,5 @@ class TestDenseSizeGuard:
         finally:
             tracemalloc.stop()
         assert peak < n_x * n_x * 8
+        got = to_dofs(st, got)
         assert np.max(np.abs(got - v)) <= 1e-8 * max(1.0, np.max(np.abs(v)))

@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg
 
 from backsolve import assembly
-from backsolve.assembly import time_mass_trial, time_stiffness_trial
 from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     refine_uniform,
@@ -19,7 +18,8 @@ from backsolve.operators import (
     space_factors,
 )
 from backsolve import solver
-from backsolve.precond import RieszPreconditioner
+from backsolve.precond import RieszPreconditioner, make_G_X
+from backsolve.solutions import get_solution
 from backsolve.solver import build_meshes, infsup_constant
 from reference import (
     MassSolveMass,
@@ -28,10 +28,14 @@ from reference import (
     gram_X,
     gram_Y,
     hat_matrix,
+    level_system,
     normal_matrices_dense,
     normal_matrix_b_route,
+    space_csr,
     space_mass,
     space_stiffness,
+    time_mass_trial,
+    time_stiffness_trial,
 )
 
 
@@ -121,11 +125,14 @@ def quadrature_B_1d(tm, sm):
 
 class TestFactors:
     def test_enriched_space_spec(self):
-        # l = 0 tests with P1 itself, l = 1 with P2; no other l is accepted
+        # l = 0 tests with P1 itself, l = 1 with P2, whose mixed mass takes
+        # P1 columns in slot order; no other l is accepted
         sm = unit_interval_mesh(4)
-        _, a, _, _, a_test = space_factors(sm, 0)
-        assert a_test is a
-        assert space_factors(sm, 1)[4].shape == (7, 7)  # 3 vertices, 4 midpoints
+        assert space_factors(sm, 0)[1:] == (None, None)
+        st, m_mix, a_test = space_factors(sm, 1)
+        assert a_test.shape == (7, 7)  # 3 vertices, 4 midpoints
+        want = space_csr(sm, 1)[2].toarray()[:, st.slots]
+        assert np.array_equal(m_mix.toarray(), want)
         for l in (2, -1):
             with pytest.raises(ValueError, match="must be 0 or 1, got"):
                 space_factors(sm, l)
@@ -156,7 +163,7 @@ class TestParabolicOperator:
         # dense Kronecker assembly against the raw quadrature route
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = dense(assemble_B(tm, *space_factors(sm, 0)[2:4]))
+        B = dense(assemble_B(tm, *space_csr(sm, 0)[2:4]))
         ref = quadrature_B_1d(tm, sm)
         assert B.shape == ref.shape
         assert np.max(np.abs(B - ref)) <= 1e-13
@@ -165,9 +172,9 @@ class TestParabolicOperator:
         tm = uniform_time_mesh(0.0, 1.0, 0)
         sm = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~sm.boundary_vertex_flags).sum())
-        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
+        B = assemble_B(tm, *space_csr(sm, 0)[2:4])
         assert B.shape == (2 * n_trial, 2 * n_trial)
-        B1 = assemble_B(tm, *space_factors(sm, 1)[2:4])
+        B1 = assemble_B(tm, *space_csr(sm, 1)[2:4])
         assert B1.shape[1] == 2 * n_trial
         assert B1.shape[0] > B.shape[0]
 
@@ -179,7 +186,7 @@ class TestParabolicOperator:
         n_x = int((~sm.boundary_vertex_flags).sum())
         z_x = rng.standard_normal(n_x)
         z = np.tile(z_x, tm.n_elements + 1)
-        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
+        B = assemble_B(tm, *space_csr(sm, 0)[2:4])
         out = B.apply(z).reshape(tm.n_elements, 2, n_x)
         A = space_stiffness(sm, 1)
         h = tm.lengths
@@ -193,7 +200,7 @@ class TestParabolicOperator:
     def test_adjoint_identity(self):
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
-        B = assemble_B(tm, *space_factors(sm, 0)[2:4])
+        B = assemble_B(tm, *space_csr(sm, 0)[2:4])
         rng = np.random.default_rng(2)
         z = rng.standard_normal(B.shape[1])
         w = rng.standard_normal(B.shape[0])
@@ -203,7 +210,7 @@ class TestParabolicOperator:
         # (Bz)' G_Y^{-1} (Bz) > 0 for z != 0: no kernel in the trial space
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
-        B = dense(assemble_B(tm, *space_factors(sm, 0)[2:4]))
+        B = dense(assemble_B(tm, *space_csr(sm, 0)[2:4]))
         Y = dense(gram_Y(tm, sm, 0))
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -224,8 +231,8 @@ class TestParabolicOperator:
     def test_matrix_free_matches_dense(self, pair):
         tm, sm = pair
         for op in (
-            assemble_B(tm, *space_factors(sm, 0)[2:4]),
-            assemble_B(tm, *space_factors(sm, 1)[2:4]),
+            assemble_B(tm, *space_csr(sm, 0)[2:4]),
+            assemble_B(tm, *space_csr(sm, 1)[2:4]),
             gram_X(tm, sm),
             gram_Y(tm, sm, 0),
         ):
@@ -337,6 +344,37 @@ class TestInfSup:
         assert len(lifts) <= iterations[0] + 2
         assert all(len(shape) == 2 for shape in lifts)
 
+    @pytest.mark.parametrize("d, k", [(1, 2), (2, 1)])
+    def test_operators_take_integer_arrays(self, d, k, monkeypatch):
+        # lobpcg's dense path below 5 block sizes passes an integer identity:
+        # the normal apply, the G_X lift and both pencil sides give bitwise
+        # what they give on the float copy; LOBPCG starts from the dof-order
+        # draw, gathered per time row
+        import scipy.sparse.linalg
+
+        seen, real_lobpcg = {}, scipy.sparse.linalg.lobpcg
+
+        def lobpcg(small, start, B, M, **kwargs):
+            seen.update(start=start, small=small, big=B, lift=M)
+            return real_lobpcg(small, start, B=B, M=M, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
+        cfg = ExperimentConfig(experiment="infsup", d=d, T=1.0, k_range=[k])
+        tm, sm = build_meshes(cfg, k)
+        infsup_constant(tm, sm)
+        system = level_system(tm, sm, 0, get_solution("cubic", d))
+        st, n = system.stencils, system.n
+        g_x = make_G_X(tm, st)
+        ints = np.random.default_rng(1).integers(-3, 4, (n, 3))
+        small, big = seen["small"], seen["big"]
+        for apply in (system.apply, g_x.apply, small.matvec, big.matvec):
+            np.testing.assert_array_equal(apply(ints[:, 0]), apply(ints[:, 0] * 1.0))
+        for apply in (g_x.apply, small.matmat, big.matmat):
+            np.testing.assert_array_equal(apply(ints), apply(ints * 1.0))
+        draw = np.random.default_rng(0).standard_normal((n, 4))
+        start = seen["start"].reshape(-1, st.slots.size, 4)[:, st.rank]
+        np.testing.assert_array_equal(start.reshape(n, 4), draw)
+
     @pytest.mark.parametrize(
         "d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3)]
     )
@@ -345,7 +383,7 @@ class TestInfSup:
         # normal matrices; and the matrix-free gamma against the dense one
         cfg = ExperimentConfig(experiment="infsup", d=d, T=1.0, k_range=[k])
         tm, sm = build_meshes(cfg, k)
-        space = space_factors(sm, 1)
+        space = space_csr(sm, 1)
         m, a, m_mix, a_mix, a_test = space
         want = (
             normal_matrix_b_route(tm, m, a, a),

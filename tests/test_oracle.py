@@ -286,38 +286,38 @@ class TestPerturbations:
 
     def test_random_perturbation_exact_norm(self):
         sm = unit_interval_mesh(16)
+        st = space_factors(sm, 0)[0]
+        f = st.scatter(random_perturbation(st, 0.01, seed=42))
         mass = space_mass(sm, 1)
-        f = random_perturbation(mass, 0.01, seed=42)
         l2_norm = np.sqrt(f @ (mass @ f))
         assert l2_norm == pytest.approx(0.01, rel=1e-12)
 
     def test_random_perturbation_takes_the_level_mass(self):
-        # the solver hands over the P1 mass of its level's space_factors;
-        # the coefficients are bitwise those normalized by space_mass
+        # the solver hands over the stencils of its level's space_factors;
+        # in dof order the field is the dof-order draw normalized by the
+        # CSR mass, up to the rounding of the norm
         sm = refine_uniform(unit_square_initial(), 4)
-        level_mass = space_factors(sm, 1)[0]
-        got = random_perturbation(level_mass, 0.01, 3)
+        st = space_factors(sm, 1)[0]
+        got = st.scatter(random_perturbation(st, 0.01, 3))
         mass = space_mass(sm, 1)
-        want = random_perturbation(mass, 0.01, 3)
-        assert np.array_equal(got, want)
+        draw = np.random.default_rng(3).uniform(-1.0, 1.0, mass.shape[0])
+        want = draw * (0.01 / math.sqrt(float(draw @ (mass @ draw))))
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_random_perturbation_deterministic(self):
-        sm = unit_interval_mesh(8)
-        mass = space_mass(sm, 1)
-        a = random_perturbation(mass, 0.5, seed=7)
-        b = random_perturbation(mass, 0.5, seed=7)
-        c = random_perturbation(mass, 0.5, seed=8)
+        st = space_factors(unit_interval_mesh(8), 0)[0]
+        a = random_perturbation(st, 0.5, seed=7)
+        b = random_perturbation(st, 0.5, seed=7)
+        c = random_perturbation(st, 0.5, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_random_perturbation_guards(self):
-        sm = unit_interval_mesh(8)
+        st = space_factors(unit_interval_mesh(8), 0)[0]
         with pytest.raises(ValueError):
-            random_perturbation(space_mass(sm, 1), 0.0, 0)
-        empty = unit_interval_mesh(1)
-        mass = space_mass(empty, 1)
-        with pytest.raises(ValueError):
-            random_perturbation(mass, 0.1, seed=0)
+            random_perturbation(st, 0.0, 0)
+        with pytest.raises(ValueError):  # no dofs: no stencils to perturb
+            random_perturbation(space_factors(unit_interval_mesh(1), 0)[0], 0.1, 0)
 
     def test_suite_guards(self):
         with pytest.raises(ValueError, match="count must be >= 1, got 0"):

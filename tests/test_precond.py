@@ -8,12 +8,7 @@ import scipy.sparse.linalg
 from scipy.linalg import eigh
 
 from backsolve import precond
-from backsolve.assembly import (
-    quad_points,
-    space_load,
-    time_mass_trial,
-    time_stiffness_trial,
-)
+from backsolve.assembly import quad_points, space_load
 from backsolve.mesh import (
     SpatialMesh,
     TimeMesh,
@@ -25,6 +20,7 @@ from backsolve.mesh import (
 from backsolve.config import ExperimentConfig
 from backsolve.operators import space_factors
 from backsolve.precond import (
+    RieszPreconditioner,
     UnsupportedMeshError,
     make_G_X,
     make_G_Y,
@@ -40,9 +36,12 @@ from reference import (
     gram_Y,
     hat_matrix,
     level_system,
+    space_csr,
     space_mass,
     space_stiffness,
     system_data,
+    time_mass_trial,
+    time_stiffness_trial,
 )
 
 
@@ -91,7 +90,16 @@ def _stencils(sm):
 
 
 def _lift(tm, sm):
-    return make_G_X(tm, _stencils(sm))
+    """make_G_X's lift of the level on a vector or columns in dof order."""
+    st = _stencils(sm)
+    lift = make_G_X(tm, st)
+
+    def apply(f):  # a row of space dofs per breakpoint, per column
+        rows = f.reshape(-1, st.slots.size, *f.shape[1:])
+        out = lift.apply(rows[:, st.slots].reshape(f.shape))
+        return out.reshape(rows.shape)[:, st.rank].reshape(f.shape)
+
+    return RieszPreconditioner(apply)
 
 
 # (time mesh, space mesh): meshes the solver builds, with more and with
@@ -291,7 +299,7 @@ class TestGYLift:
         # and A_mix^T A_test^-1 l_test = P^T l_test, the P1 load of the same
         # sample of phi: the identity that puts l_P1 into the right-hand side
         sm = _space_mesh(d, 6)
-        _, _, _, a_mix, a_test = space_factors(sm, 1)
+        _, _, _, a_mix, a_test = space_csr(sm, 1)
         phi = get_solution("cubic", d).phi(quad_points(sm))
         test_load = space_load(sm, 2, phi)
         p1_load = space_load(sm, 1, phi)
@@ -301,7 +309,7 @@ class TestGYLift:
     @pytest.mark.parametrize("l", [0, 1])
     def test_space_solve_inverts_test_stiffness(self, l):
         _, sm = mesh_pair_2d()
-        a_test = space_factors(sm, l)[4]
+        a_test = space_csr(sm, l)[4]
         st = _stencils(sm)
         solve = make_G_Y(a_test) if l else dof_order(st, stiffness_solve(st))
         cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
@@ -367,7 +375,7 @@ class TestGXLift:
         # a block of columns takes one time transform and one batch of
         # shifted solves, with the columns on a leading axis
         tm, sm = LIFT_CASES[case]
-        lift = _lift(tm, sm)
+        lift = make_G_X(tm, _stencils(sm))
         block = np.random.default_rng(7).standard_normal((np.prod(_dims(tm, sm)), 4))
         columns = np.stack([lift.apply(col) for col in block.T], axis=1)
         assert np.array_equal(lift.apply(block), columns)
@@ -381,27 +389,25 @@ STENCIL_LEVELS = [(1, k) for k in range(1, 7)] + [(2, k) for k in range(5)]
 @pytest.mark.parametrize("d, k", STENCIL_LEVELS)
 def test_stencil_products_match_the_csr_products(d, k):
     # the level's stencil-applied M and A against scipy CSR matrices of the
-    # same entries, on a vector and on a row block: in dof order through
-    # space_factors' StencilMatrix and in slot order through the stencils,
-    # alone and summed; the level reads the same constants from its
-    # SparseEntries as from CSR
+    # same entries, on a vector and on a row block in slot order, alone and
+    # summed; the level reads the same constants from its SparseEntries as
+    # from CSR
     sm = _space_mesh(d, d * k)
-    level_mass, level_stiffness = space_factors(sm, 0)[:2]
+    level = space_factors(sm, 0)[0]
     stencils = _stencils(sm)
+    assert (level.mass, level.stiffness) == (stencils.mass, stencils.stiffness)
     rng = np.random.default_rng(10 * d + k)
-    for level, values, csr in [
-        (level_mass, stencils.mass, space_mass(sm, 1)),
-        (level_stiffness, stencils.stiffness, space_stiffness(sm, 1)),
+    for values, csr in [
+        (stencils.mass, space_mass(sm, 1)),
+        (stencils.stiffness, space_stiffness(sm, 1)),
     ]:
-        assert level.values == values
         v = rng.standard_normal(csr.shape[0])
         rows = rng.standard_normal((5, csr.shape[0]))
-        slot_rows = stencils.scatter(stencils.product((values, stencils.gather(rows))))
-        for got, want in [
-            (level @ v, csr @ v),
-            (level @ rows.T, csr @ rows.T),
-            (slot_rows, (csr @ rows.T).T),
-        ]:
+
+        def product(x):  # of rows in dof order, through the slots
+            return stencils.scatter(stencils.product((values, stencils.gather(x))))
+
+        for got, want in [(product(v), csr @ v), (product(rows), (csr @ rows.T).T)]:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a sum of products in one pass, as the normal operator applies M and A

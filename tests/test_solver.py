@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from backsolve import assembly
+from backsolve import assembly, precond
 from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     TimeMesh,
@@ -23,17 +23,19 @@ from backsolve.mesh import (
     unit_interval_mesh,
     unit_square_initial,
 )
-from backsolve.operators import (
-    KroneckerOperator,
-    assemble_B,
-    space_factors,
+from backsolve.operators import KroneckerOperator, assemble_B, space_factors
+from backsolve.precond import (
+    RieszPreconditioner,
+    SpaceStencils,
+    UnsupportedMeshError,
+    make_G_X,
 )
-from backsolve.precond import RieszPreconditioner, make_G_X, space_stencils
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
     LeastSquaresSystem,
     build_level,
     build_meshes,
+    build_system,
     choose_epsilon,
     interior_points,
     nodal_interpolant,
@@ -46,12 +48,16 @@ from reference import (
     b_route,
     dense,
     dense_from_apply,
+    dof_apply,
     fit_rate,
     gram_X,
     gram_Y,
+    level_data,
     level_error_report,
     level_system,
+    space_csr,
     space_mass,
+    to_dofs,
 )
 
 
@@ -119,9 +125,22 @@ class TestBuildSystem:
         start_term = np.kron(first.T @ first, space_mass(sm, 1).toarray())
         rng = np.random.default_rng(0)
         v = rng.standard_normal(with_eps.n)
-        assert np.allclose(
-            with_eps.apply(v) - without.apply(v), 0.3**2 * start_term @ v, atol=1e-13
-        )
+        gap = dof_apply(with_eps)(v) - dof_apply(without)(v)
+        assert np.allclose(gap, 0.3**2 * start_term @ v, atol=1e-13)
+
+    def test_nonuniform_time_mesh_raises_before_any_work(self, record_calls):
+        # the uniform-step time products and the closed-form time modes
+        # share one check; build_system runs it before any solve or load
+        steps = np.random.default_rng(4).uniform(0.2, 1.0, 8)
+        tm = TimeMesh(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+        sm = unit_interval_mesh(8)
+        space = space_factors(sm, 0)
+        data = level_data(tm, sm, 0, get_solution("cubic", 1), space)
+        work = [record_calls(precond, "stiffness_solve")]
+        work += [record_calls(assembly, f) for f in ("to_hats", "time_mass_mixed")]
+        with pytest.raises(UnsupportedMeshError, match="not uniform"):
+            build_system(tm, 0, space, data)
+        assert work == [[], [], []]
 
     def test_negative_epsilon_rejected(self):
         # the guard runs in __post_init__, so dataclasses.replace runs it too
@@ -134,6 +153,7 @@ class TestBuildSystem:
         tm, sm, system = small_system()
         g_x = make_G_X(tm, system.stencils)
         x, _ = pcg(system, g_x, threshold=1e-24, max_iter=200)
+        x = to_dofs(system.stencils, x)
         functional = b_route(tm, sm, 0, 0.1, get_solution("cubic", 1)).functional
         base = functional(x)
         rng = np.random.default_rng(1)
@@ -148,7 +168,7 @@ def dense_reference(tm, sm, l, reg_epsilon, f_load, g_load, g_sq):
 
         S = B' Y^-1 B + kron(e_T e_T', M) + eps^2 kron(e_0 e_0', M).
     """
-    B = dense(assemble_B(tm, *space_factors(sm, l)[2:4]))
+    B = dense(assemble_B(tm, *space_csr(sm, l)[2:4]))
     Y = dense(gram_Y(tm, sm, l))
     M = space_mass(sm, 1).toarray()
     eye_t = np.eye(tm.breakpoints.size)
@@ -199,11 +219,11 @@ class TestDenseReference:
         S, rhs, functional = dense_reference(
             tm, sm, 0, reg_epsilon, route.f_load, route.g_load, route.g_sq
         )
-        assert _rel(system.rhs, rhs) <= 1e-12
+        assert _rel(to_dofs(system.stencils, system.rhs), rhs) <= 1e-12
         rng = np.random.default_rng(10 + d)
         for _ in range(5):
             v = rng.standard_normal(system.n)
-            assert _rel(system.apply(v), S @ v) <= 1e-12
+            assert _rel(dof_apply(system)(v), S @ v) <= 1e-12
             assert _rel(route.functional(v), functional(v)) <= 1e-12
         # the minimizer of the functional, where its terms nearly cancel
         x = np.linalg.solve(S, rhs)
@@ -217,18 +237,18 @@ class TestDenseReference:
         S, rhs, _ = dense_reference(
             tm, sm, 1, 0.3, route.f_load, route.g_load, route.g_sq
         )
-        assert _rel(system.rhs, rhs) <= 1e-12
+        assert _rel(to_dofs(system.stencils, system.rhs), rhs) <= 1e-12
         rng = np.random.default_rng(20 + d)
         for _ in range(5):
             v = rng.standard_normal(system.n)
-            assert _rel(system.apply(v), S @ v) <= 1e-12
+            assert _rel(dof_apply(system)(v), S @ v) <= 1e-12
 
     @pytest.mark.parametrize("reg_epsilon", [0.0, 0.3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_energy_identity_against_gram_X(self, d, reg_epsilon):
         # at l = 0, S = Gram_X + (2 e_T e_T' + (eps^2 - 1) e_0 e_0') x M
         tm, sm, system = reference_case(d, 0, reg_epsilon)
-        S = dense_from_apply(system.apply, system.n)
+        S = dense_from_apply(dof_apply(system), system.n)
         eye_t = np.eye(tm.breakpoints.size)
         traces = 2.0 * np.outer(eye_t[-1], eye_t[-1]) + (
             reg_epsilon**2 - 1.0
@@ -255,7 +275,8 @@ class TestPCG:
         S = dense_from_apply(system.apply, system.n)
         x_ref = np.linalg.solve(S, system.rhs)
         G = gram_X(tm, sm)
-        gap = x - x_ref
+        st = system.stencils
+        gap, x_ref = to_dofs(st, x - x_ref), to_dofs(st, x_ref)
         rel = np.sqrt(gap @ G.apply(gap) / (x_ref @ G.apply(x_ref)))
         assert rel <= 1e-8
 
@@ -306,7 +327,7 @@ class TestPCG:
         assert rep.converged and rep.iterations >= 1
         assert rep.stopping_value <= rep.threshold
         assert rep.threshold == pytest.approx(
-            min(1.0, eps) ** 2 * functional(x), rel=1e-6
+            min(1.0, eps) ** 2 * functional(to_dofs(system.stencils, x)), rel=1e-6
         )
         _, early = pcg(system, g_x, threshold=None, max_iter=rep.iterations - 1)
         assert not early.converged
@@ -608,7 +629,7 @@ class TestSolveBackward:
             experiment="convergence", d=2, T=1.0, k_range=[2], solution="cubic", l=l
         )
         solve_backward(cfg, 2)
-        n_test = space_factors(build_meshes(cfg, 2)[1], l)[4].shape[0]
+        n_test = space_csr(build_meshes(cfg, 2)[1], l)[4].shape[0]
         assert factored == ([((n_test, n_test), False)] if l else [])
         assert ("normal", None, False) in calls
         lifts = {call for call in calls if call[0] != "normal"}
@@ -716,6 +737,31 @@ class TestSolveBackward:
         for strategy in ("plain", "data-aware"):
             solve_backward(replace(cfg, epsilon_strategy=strategy), 2)
         assert len(matrices) == 2
+
+    @pytest.mark.parametrize("d, k", [(1, 5), (2, 3)])
+    def test_solve_runs_in_slot_order(self, d, k, record_calls):
+        # the data enter the level's slot order once, at build_level; a
+        # solve gathers nothing and scatters its iterate once, however many
+        # PCR iterations it runs: at the functional rule and at a threshold
+        # that takes more of them
+        gathers = record_calls(SpaceStencils, "gather")
+        scatters = record_calls(SpaceStencils, "scatter")
+        cfg = ExperimentConfig(
+            experiment="convergence", d=d, T=1.0, k_range=[k], solution="cubic"
+        )
+        iterations = []
+        for threshold in (None, "tight"):
+            if threshold:
+                cfg = replace(cfg, threshold=1e-3 * rep.stopping_value)
+            level = build_level(cfg, k)
+            built = len(gathers)
+            assert built > 0 and scatters == []
+            _, rep, _ = solve_level(cfg, k, level, "plain")
+            assert (len(gathers), len(scatters)) == (built, 1)
+            iterations.append(rep.iterations)
+            gathers.clear()
+            scatters.clear()
+        assert iterations[1] > iterations[0] >= 1
 
     def test_zero_solution_is_exact(self):
         cfg = ExperimentConfig(
