@@ -1,12 +1,14 @@
 """Temporal and spatial finite element assembly.
 
-Builds the matrices the space-time operators are composed of, with numpy
-alone: mixed time matrices of the hats against the element-wise degree-1
-Legendre test basis, as element blocks with their transposed product (the
-hats' own mass and stiffness are the uniform step's, in backsolve.solver);
-Lagrange P1/P2 mass and stiffness on simplicial meshes, as summed entries;
-and load vectors. A space is named by its
-Lagrange degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
+Builds the matrices the space-time operators are composed of: mixed time
+matrices of the hats against the element-wise degree-1 Legendre test
+basis, as element blocks with their transposed product (the hats' own mass
+and stiffness are the uniform step's, in backsolve.solver); Lagrange P1/P2
+mass and stiffness on simplicial meshes, as scipy CSR matrices; and load
+vectors. Only the l = 1 solve and the tests assemble space matrices, the
+one use of scipy here: the solve takes the P1 pair as closed-form stencils
+(backsolve.precond.space_stencils). A space is named by its Lagrange
+degree p, 1 or 2, and always lies in H_0^1: its boundary dofs are
 eliminated, not penalized. Intervals and triangles share one reference
 simplex, in barycentric coordinates. Space loads integrate values sampled
 once at the points of the QUAD_ORDER cell rule (quad_points), not a
@@ -22,7 +24,6 @@ vertex dofs first, then retained edge (2d) or element-midpoint (1d) dofs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
@@ -151,41 +152,17 @@ def quad_points_physical(mesh: SpatialMesh, pts: np.ndarray) -> np.ndarray:
     return np.einsum("qi,cid->cqd", np.asarray(pts), mesh.vertices[mesh.cells])
 
 
-class SparseEntries(NamedTuple):
-    """A sparse matrix's summed entries in compressed-row layout: row i
-    holds the columns indices[indptr[i]:indptr[i + 1]], ascending, with
-    their values in data. These are the attribute names of scipy's
-    csr_matrix, so space_stencils reads either, and
-    csr_matrix((data, indices, indptr), shape) wraps them as they are."""
-
-    shape: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-
-def _sum_entries(rows_t, cols_t, locals_, shape) -> list:
-    """SparseEntries of each cell matrix in locals_, (cells, test slots,
-    trial slots), summed on the dofs rows_t x cols_t; eliminated (-1)
-    slots drop out. The matrices share one sorted table of keys r * n + c,
-    and np.bincount sums each key's entries in cell order."""
-    r = np.broadcast_to(rows_t[:, :, None], locals_[0].shape).ravel()
-    c = np.broadcast_to(cols_t[:, None, :], locals_[0].shape).ravel()
-    keep = (r >= 0) & (c >= 0)
-    keys, slot = np.unique(r[keep] * shape[1] + c[keep], return_inverse=True)
-    rows, cols = np.divmod(keys, shape[1])
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-    sums = [np.bincount(slot, v.ravel()[keep], keys.size) for v in locals_]
-    return [SparseEntries(shape, indptr, cols, data) for data in sums]
-
-
 def space_matrices(mesh: SpatialMesh, test: int, trial: int) -> list:
-    """Mass and stiffness SparseEntries, shape (dim test) x (dim trial), in
-    one pass; test and trial are Lagrange degrees.
+    """Mass and stiffness as scipy CSR matrices, shape (dim test) x (dim
+    trial), in one pass; test and trial are Lagrange degrees.
 
-    Both share the dof maps, the cell geometry and the entry keys; each
-    integrates with a rule exact for its own integrand degree.
+    Both share the dof maps, the cell geometry and one sorted table of
+    entry keys r * n + c; each integrates with a rule exact for its own
+    integrand degree, and np.bincount sums each key's cell entries in cell
+    order. Eliminated (-1) slots drop out.
     """
+    import scipy.sparse as sp  # only the l = 1 solve and the tests assemble
+
     dm_test = space_dof_map(mesh, test)
     dm_trial = dm_test if trial == test else space_dof_map(mesh, trial)
     vol, jinv = mesh.geometry
@@ -202,8 +179,20 @@ def space_matrices(mesh: SpatialMesh, test: int, trial: int) -> list:
     gte = np.einsum("qie,ced->cqid", te_g, jinv)
     gtr = np.einsum("qje,ced->cqjd", tr_g, jinv)
     stiffness = vol[:, None, None] * np.einsum("q,cqid,cqjd->cij", w, gte, gtr)
+
     shape = (dm_test.n_dofs, dm_trial.n_dofs)
-    return _sum_entries(dm_test.cell_dofs, dm_trial.cell_dofs, (mass, stiffness), shape)
+    r = np.broadcast_to(dm_test.cell_dofs[:, :, None], mass.shape).ravel()
+    c = np.broadcast_to(dm_trial.cell_dofs[:, None, :], mass.shape).ravel()
+    keep = (r >= 0) & (c >= 0)
+    keys, slot = np.unique(r[keep] * shape[1] + c[keep], return_inverse=True)
+    rows, cols = np.divmod(keys, shape[1])
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return [
+        sp.csr_matrix(
+            (np.bincount(slot, v.ravel()[keep], keys.size), cols, indptr), shape
+        )
+        for v in (mass, stiffness)
+    ]
 
 
 def quad_points(mesh: SpatialMesh) -> np.ndarray:

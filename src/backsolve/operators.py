@@ -2,10 +2,11 @@
 
 A space-time coefficient vector is the row-major flattening of a
 (time dofs) x (space dofs) array, so a tensor-product operator acts by
-multiplying a reshaped vector from both sides. space_factors assembles a
-level's space matrices once, for the solve and the inf-sup study alike.
-Only the l = 1 P2 matrices and assemble_B, which no solve runs, import
-scipy.
+multiplying a reshaped vector from both sides. space_factors gives a
+level's space factors once, for the solve and the inf-sup study alike: the
+trial mass and stiffness as closed-form stencils, and at l = 1 the P2
+matrices, assembled. Only those and assemble_B, which no solve runs,
+import scipy.
 """
 
 from __future__ import annotations
@@ -55,30 +56,24 @@ def space_factors(space_mesh: SpatialMesh, l: int) -> tuple:
     trial space is P1 and the test space P_{1+l}.
 
     Returns (stencils, M_mix, A_test): the space_stencils of the trial mass
-    and stiffness, read from one assembly pass, then the mixed (test x
-    trial) mass with its P1 columns in slot order and the test stiffness,
-    scipy CSR matrices that import scipy, at l = 1; at l = 0, where they
-    are M and A, None. The test space contains the trial space, so it is
-    nonempty whenever the trial space is.
+    and stiffness, in closed form, then the mixed (test x trial) mass with
+    its P1 columns in slot order and the test stiffness, scipy CSR matrices
+    from one assembly pass each, at l = 1; at l = 0, where they are M and
+    A, None. The test space contains the trial space, so it is nonempty
+    whenever the trial space is.
     """
     if l not in (0, 1):
         raise ValueError(f"test space enrichment l must be 0 or 1, got {l}")
-    m, a = space_matrices(space_mesh, 1, 1)
-    if a.shape[0] == 0:
+    if space_mesh.boundary_vertex_flags.all():
         raise ValueError(
             f"the {space_mesh.dimension}-d mesh with {space_mesh.n_vertices} "
             "vertices has no interior vertex"
         )
-    stencils = space_stencils(space_mesh, a, m)
+    stencils = space_stencils(space_mesh)
     if l == 0:
         return stencils, None, None
-    import scipy.sparse as sp  # only the P2 matrices of l = 1
-
-    def csr(e):
-        return sp.csr_matrix((e.data, e.indices, e.indptr), shape=e.shape)
-
-    m_mix = csr(space_matrices(space_mesh, 2, 1)[0])[:, stencils.slots]
-    return stencils, m_mix, csr(space_matrices(space_mesh, 2, 2)[1])
+    m_mix = space_matrices(space_mesh, 2, 1)[0][:, stencils.slots]
+    return stencils, m_mix, space_matrices(space_mesh, 2, 2)[1]
 
 
 def _element_scatter(local: np.ndarray, row_stride: int):

@@ -11,9 +11,11 @@ A_test, so no test-space lift is built: the right-hand side, J(0) and the
 normal operator use an A_test solve. At l = 0 A_test is the trial
 stiffness, solved by the same closed form at shift 0 (stiffness_solve);
 at l = 1 make_G_Y factors the P2 stiffness once, the only use of scipy
-here. The closed forms read the trial stiffness and mass as stencils
-(space_stencils), which also apply them (SpaceStencils.product), in the
-stencils' slot order, the order of every vector of the solve.
+here. The solves take the trial stiffness and mass as stencils, four
+constants each, known in closed form on the only meshes the solver builds
+(space_stencils, which checks the mesh and assembles nothing); the
+stencils also apply them (SpaceStencils.product), in the stencils' slot
+order, the order of every vector of the solve.
 """
 
 from __future__ import annotations
@@ -200,74 +202,66 @@ class SpaceStencils(NamedTuple):
         return out
 
 
-def space_stencils(space_mesh: SpatialMesh, a, m) -> SpaceStencils:
-    """SpaceStencils of the trial stiffness a and mass m, read once per
-    level: SparseEntries, or scipy CSR matrices with ascending columns.
+def space_stencils(space_mesh: SpatialMesh) -> SpaceStencils:
+    """SpaceStencils of the trial stiffness and mass of space_mesh, in
+    closed form: with h = 1/N, A = (2/h, 0, -1/h, 0) and
+    M = (2h/3, 0, h/6, 0) on a dyadic uniform interval mesh of N cells, and
+    A = (4, 4, 0, -1) and M = (h^2/3, h^2/6, h^2/24, h^2/24) on
+    refine_uniform(unit_square_initial(), 2k), the criss-cross mesh of
+    N x N squares. The solver builds no other space mesh.
 
-    A dyadic uniform interval mesh has the N - 1 interior grid points as
-    dofs; refine_uniform(unit_square_initial(), 2k), the criss-cross mesh
-    of N x N squares, also has the N^2 square centres. The dofs are placed
-    on the lattice of spacing 1/(2N) by their coordinates, as index arrays
-    in grid order. Per class of entries (grid diagonal, centre diagonal,
-    axis neighbours, centre-corner pairs) the constant is read at the
-    class's first entry, and every entry of a and m must equal its class's
-    constant, 0 outside the classes, else UnsupportedMeshError is raised.
-    These are the only space meshes the closed-form solves take; the
-    solver builds no other.
+    The guard checks the mesh, and any other mesh raises
+    UnsupportedMeshError: N, from the cell count, is a power of two, every
+    vertex lies on the lattice of spacing 1/(2N), and the cells are the N
+    intervals of one grid step or the 4N^2 distinct triangles of a square's
+    centre and two corners that share a side. A cell's vertex sum is d + 1
+    times its centroid, which lies inside it, so distinct cells of these
+    shapes have distinct sums. The dofs, the interior vertices, are placed
+    on the lattice as index arrays in grid order: the N - 1 interior grid
+    points per axis and, in d = 2, the N^2 square centres.
     """
-    d, n_x = space_mesh.dimension, a.shape[0]
-    n = n_x + 1 if d == 1 else (1 + math.isqrt(2 * n_x - 1)) // 2
+    d, n_cells = space_mesh.dimension, space_mesh.n_cells
+    interior = ~space_mesh.boundary_vertex_flags
+    n_x = int(interior.sum())
     unsupported = UnsupportedMeshError(
         f"the trial matrices of this {d}-d mesh with {n_x} dofs are not the "
         "stencils of a dyadic uniform interval mesh or of "
         "refine_uniform(unit_square_initial(), 2k)"
     )
-    points = space_mesh.vertices[~space_mesh.boundary_vertex_flags]
-    where = np.rint(points * 2 * n).astype(np.int64)  # grid even, centres odd
-    if points.shape[0] != n_x or where.min() < 0 or where.max() > 2 * n:
+    n = n_cells if d == 1 else math.isqrt(n_cells) // 2
+    if n < 1 or n & (n - 1) or n_cells != (n if d == 1 else 4 * n * n):
         raise unsupported
+    scaled = space_mesh.vertices * (2 * n)  # exact: 2N is a power of two
+    where = np.rint(scaled).astype(np.int64)  # grid even, centres odd
+    if np.any(where != scaled) or where.min() < 0 or where.max() > 2 * n:
+        raise unsupported
+    # per cell (last axis) its lattice points (d, d + 1, cells), its sorted
+    # squared sides in lattice units, its number of odd (centre) points and
+    # its vertex sum; cells last keeps the small axes' reductions contiguous
+    v = where.T[:, space_mesh.cells.T]
+    sides = np.sort(((v - np.roll(v, 1, axis=1)) ** 2).sum(axis=0), axis=0)
+    odd = (v % 2).all(axis=0).sum(axis=0)
+    sums = np.sort(np.ravel_multi_index(v.sum(axis=1), (6 * n + 1,) * d))
+    want_sides, want_odd = ([4, 4], 0) if d == 1 else ([2, 2, 4], 1)
+    shaped = np.all(sides == np.array(want_sides)[:, None], axis=0) & (odd == want_odd)
+    # sorted, not np.unique, which imports numpy.ma on a first plain call
+    if not shaped.all() or np.any(sums[1:] == sums[:-1]):
+        raise unsupported
+
     lattice = np.full((2 * n + 1,) * d, -1)
-    lattice[tuple(where.T)] = np.arange(n_x)
+    lattice[tuple(where[interior].T)] = np.arange(n_x)
     grid = lattice[(slice(2, -1, 2),) * d]
     centres = lattice[1::2, 1::2] if d == 2 else lattice[:0]
     slots = np.append(grid, centres)  # each dof must fill one of n_x slots
-    if slots.size != n_x or slots.min() < 0:
+    if slots.size != n_x or np.any(slots < 0):
         raise unsupported
-
-    axes = [np.moveaxis(grid, i, 0) for i in range(d)]
-    lo = np.concatenate([x[:-1].ravel() for x in axes])
-    hi = np.concatenate([x[1:].ravel() for x in axes])
-    corners = lattice[:0]
-    if d == 2:  # of each centre's square; boundary corners read -1
-        corners = np.stack(
-            [lattice[i::2, j::2][:n, :n] for i in (0, 2) for j in (0, 2)]
-        )
-    inner = corners >= 0
-    centre, corner = np.broadcast_to(centres, corners.shape)[inner], corners[inner]
-    classes = [
-        (grid.ravel(), grid.ravel()),
-        (centres.ravel(), centres.ravel()),
-        (np.append(lo, hi), np.append(hi, lo)),
-        (np.append(centre, corner), np.append(corner, centre)),
-    ]
-
-    def constants(mat):
-        row = np.repeat(np.arange(n_x), np.diff(mat.indptr))
-        keys = row * n_x + mat.indices  # ascending
-        values, nonzero = [], 0
-        for r, c in classes:
-            want = r * n_x + c
-            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            got = np.where(keys[at] == want, mat.data[at], 0.0)
-            values.append(got[0] if got.size else 0.0)
-            nonzero += np.count_nonzero(got)
-            if np.any(got != values[-1]):
-                raise unsupported
-        if np.count_nonzero(mat.data) != nonzero:  # an entry outside the classes
-            raise unsupported
-        return tuple(values)
-
-    stiffness, mass, rank = constants(a), constants(m), np.argsort(slots)
+    h = 1.0 / n  # exact, as are 2/h, -1/h and h^2
+    if d == 1:
+        stiffness, mass = (2 / h, 0.0, -1 / h, 0.0), (2 * h / 3, 0.0, h / 6, 0.0)
+    else:
+        stiffness = (4.0, 4.0, 0.0, -1.0)
+        mass = (h * h / 3, h * h / 6, h * h / 24, h * h / 24)
+    rank = np.argsort(slots)
     return SpaceStencils(n, grid, centres, stiffness, mass, _sine(n), slots, rank)
 
 

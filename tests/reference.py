@@ -7,9 +7,11 @@ identity in time x A_test), the dense inf-sup pencil through B and through
 the energy identity, the trial and test Grams as Kronecker operators with
 their dense forms, scipy sparse forms of the matrices the solver applies
 without scipy (the COO sum of the space matrices, the hat mass and
-stiffness by element blocks, the space matrices in dof order), the maps
-between dof order and the solve's slot order, the conformity check of a
-mesh, the log-log rate fit and the CSV reader.
+stiffness by element blocks, the assembled space matrices in dof order,
+and the entries of each stencil class of the P1 pair, which the solver
+takes in closed form), the maps between dof order and the solve's slot
+order, the conformity check of a mesh, the log-log rate fit and the CSV
+reader.
 """
 
 import csv
@@ -31,19 +33,37 @@ from backsolve.solver import (
 )
 
 
-def csr(entries):
-    """SparseEntries as the scipy CSR matrix of the same arrays."""
-    return sp.csr_matrix(
-        (entries.data, entries.indices, entries.indptr), shape=entries.shape
-    )
-
-
 def space_mass(mesh, p):
-    return csr(space_matrices(mesh, p, p)[0])
+    return space_matrices(mesh, p, p)[0]
 
 
 def space_stiffness(mesh, p):
-    return csr(space_matrices(mesh, p, p)[1])
+    return space_matrices(mesh, p, p)[1]
+
+
+def stencil_classes(stencils):
+    """(rows, cols), in dof order, of each class of entries of the trial
+    mass and stiffness on the mesh of stencils (a SpaceStencils), in the
+    order of its constants: grid diagonal, centre diagonal, axis
+    neighbours, centre-corner pairs."""
+    grid, centres, n = stencils.grid, stencils.centres, stencils.n
+    axes = [np.moveaxis(grid, i, 0) for i in range(grid.ndim)]
+    lo = np.concatenate([x[:-1].ravel() for x in axes])
+    hi = np.concatenate([x[1:].ravel() for x in axes])
+    corners = centres  # d = 1: none
+    if centres.size:  # of each centre's square; boundary corners read -1
+        framed = np.pad(grid, 1, constant_values=-1)
+        corners = np.stack(
+            [framed[i : i + n, j : j + n] for i in (0, 1) for j in (0, 1)]
+        )
+    inner = corners >= 0
+    centre, corner = np.broadcast_to(centres, corners.shape)[inner], corners[inner]
+    return [
+        (grid.ravel(), grid.ravel()),
+        (centres.ravel(), centres.ravel()),
+        (np.append(lo, hi), np.append(hi, lo)),
+        (np.append(centre, corner), np.append(corner, centre)),
+    ]
 
 
 def coo_sum(rows_t, cols_t, local, shape):
@@ -61,10 +81,10 @@ def space_csr(mesh, l):
     """(M, A, M_mix, A_mix, A_test) at test enrichment l as scipy CSR
     matrices in dof order: trial mass and stiffness, mixed (P_{1+l} x P1)
     mass and stiffness, test stiffness; at l = 0 the last three are M, A, A."""
-    m, a = map(csr, space_matrices(mesh, 1, 1))
+    m, a = space_matrices(mesh, 1, 1)
     if l == 0:
         return m, a, m, a, a
-    m_mix, a_mix = map(csr, space_matrices(mesh, 2, 1))
+    m_mix, a_mix = space_matrices(mesh, 2, 1)
     return m, a, m_mix, a_mix, space_stiffness(mesh, 2)
 
 

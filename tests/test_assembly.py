@@ -482,6 +482,7 @@ REFERENCE_MESHES = {
     "interval-refined": lambda: refine_uniform(unit_interval_mesh(1), 4),
     "square-0": unit_square_initial,
     "square-3": lambda: refine_uniform(unit_square_initial(), 3),
+    "square-6": lambda: refine_uniform(unit_square_initial(), 6),
     "square-jittered": lambda: _jittered_square(4, 3),
 }
 SPACE_PAIRS = {"P1-P1": (1, 1), "P2-P1": (2, 1), "P2-P2": (2, 2)}
@@ -490,10 +491,12 @@ SPACE_PAIRS = {"P1-P1": (1, 1), "P2-P1": (2, 1), "P2-P2": (2, 2)}
 @pytest.mark.parametrize("pair", SPACE_PAIRS)
 @pytest.mark.parametrize("mesh", REFERENCE_MESHES)
 def test_space_matrices_are_the_per_pair_coo_assembly(mesh, pair):
-    # the same entries as scipy's coo_matrix(...).tocsr(), bitwise on the
-    # uniform meshes; on the jittered one a key's cell entries differ, and
-    # np.bincount sums them in cell order where scipy sums them in the order
-    # its index sort leaves, so the values agree to rounding
+    # the same entries as scipy's coo_matrix(...).tocsr(). np.bincount sums
+    # a key's cell entries in cell order, scipy in the order its index sort
+    # leaves, so where those entries differ the sums agree only to rounding:
+    # on the jittered mesh, and in the P2 x P2 mass of the criss-cross mesh
+    # of 6 sweeps (4 entries, 1 ulp), a mesh the solver builds. Everything
+    # else is bitwise
     m = REFERENCE_MESHES[mesh]()
     test, trial = SPACE_PAIRS[pair]
     got = space_matrices(m, test, trial)
@@ -502,7 +505,8 @@ def test_space_matrices_are_the_per_pair_coo_assembly(mesh, pair):
         assert mat.shape == want.shape
         for name in ("indices", "indptr"):
             assert np.array_equal(getattr(mat, name), getattr(want, name))
-        if mesh == "square-jittered":
+        summed_apart = mesh == "square-6" and pair == "P2-P2" and kind == "mass"
+        if mesh == "square-jittered" or summed_apart:
             gap = np.max(np.abs(mat.data - want.data))
             assert gap <= 1e-15 * np.max(np.abs(want.data))
         else:

@@ -56,8 +56,6 @@ from reference import (
     level_error_report,
     level_error_terms,
     level_system,
-    space_mass,
-    space_stiffness,
     system_data,
     to_dofs,
     to_slots,
@@ -504,15 +502,14 @@ class TestDenseSizeGuard:
         # and one apply together peak below one such float64 array
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 4)
-        a, m = space_stiffness(sm, 1), space_mass(sm, 1)
-        n_x = a.shape[0]
+        st = space_stencils(sm)  # the lift's slot order, outside the trace
+        n_x = st.slots.size
         G = gram_X(tm, sm)
         v = np.random.default_rng(9).standard_normal(G.shape[1])
-        st = space_stencils(sm, a, m)  # the lift's slot order, outside the trace
         f = to_slots(st, G.apply(v))
         tracemalloc.start()
         try:
-            got = make_G_X(tm, space_stencils(sm, a, m)).apply(f)
+            got = make_G_X(tm, space_stencils(sm)).apply(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -308,14 +308,13 @@ class TestGramX:
 
 class TestInfSup:
     def test_one_assembly_pass_per_distinct_pair(self, record_calls):
-        # (P1, P1), (P2, P1) and (P2, P2): the l = 0 pencil side reuses the
-        # P1 pair of the l = 1 factors
+        # (P2, P1) and (P2, P2), once each: the P1 pair is the closed-form
+        # stencils, which the l = 0 pencil side shares with the l = 1 factors
         calls = record_calls(assembly, "space_matrices")
         tm = uniform_time_mesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
         infsup_constant(tm, sm)
-        pairs = [(test, trial) for _, test, trial in calls]
-        assert len(pairs) == len(set(pairs)) == 3
+        assert [(test, trial) for _, test, trial in calls] == [(2, 1), (2, 2)]
 
     def test_lift_takes_lobpcg_blocks_whole(self, monkeypatch):
         # the G_X lift's matmat lifts a block of LOBPCG residuals in one

@@ -39,6 +39,7 @@ from reference import (
     space_csr,
     space_mass,
     space_stiffness,
+    stencil_classes,
     system_data,
     time_mass_trial,
     time_stiffness_trial,
@@ -83,15 +84,9 @@ def _space_mesh(d, bisections):
     return refine_uniform(initial, bisections)
 
 
-def _stencils(sm):
-    return space_stencils(
-        sm, space_stiffness(sm, 1), space_mass(sm, 1)
-    )
-
-
 def _lift(tm, sm):
     """make_G_X's lift of the level on a vector or columns in dof order."""
-    st = _stencils(sm)
+    st = space_stencils(sm)
     lift = make_G_X(tm, st)
 
     def apply(f):  # a row of space dofs per breakpoint, per column
@@ -171,7 +166,7 @@ class TestGXForms:
         # the levels of build_meshes, where d=1 has fewer space than time
         # dofs: the time modes are in closed form too
         tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(d, d * k)
-        stencils = _stencils(sm)
+        stencils = space_stencils(sm)
         sizes = _recording_eigh(monkeypatch)
         make_G_X(tm, stencils)
         assert sizes == []
@@ -222,6 +217,23 @@ def _jittered(mesh, seed):
     return SpatialMesh(mesh.dimension, vertices, mesh.cells)
 
 
+def _retriangulated(mesh, old, new):
+    """mesh less its cells on the vertex triples old, plus cells on the
+    triples new, each a tuple of vertex coordinates."""
+    at = {tuple(p): i for i, p in enumerate(mesh.vertices.tolist())}
+    drop = [{at[p] for p in triple} for triple in old]
+    cells = [c for c in mesh.cells.tolist() if set(c) not in drop]
+    cells += [[at[p] for p in triple] for triple in new]
+    return SpatialMesh(mesh.dimension, mesh.vertices, np.array(cells))
+
+
+# on the criss-cross mesh of 4 x 4 squares: the square [0, 1/4]^2 with
+# centre C1 and corners O and A; the side A B it shares with the square of
+# centre C2
+O, A, B = (0.0, 0.0), (0.25, 0.0), (0.25, 0.25)
+C1, C2 = (0.125, 0.125), (0.375, 0.125)
+
+
 class TestGXClosedForm:
     """The closed forms solve the uniform meshes the solver builds and refuse
     any other mesh before any work: space_stencils a space mesh and
@@ -234,14 +246,39 @@ class TestGXClosedForm:
             _jittered(_space_mesh(2, 4), 1),
             _jittered(_space_mesh(1, 4), 2),
             unit_interval_mesh(5),
+            _retriangulated(_space_mesh(2, 4), [(O, A, C1)], [(A, B, C1)]),
+            _retriangulated(_space_mesh(2, 4), [(O, A, C1)], [(O, (0.5, 0.0), C1)]),
+            _retriangulated(
+                _space_mesh(2, 4), [(A, B, C1), (B, A, C2)], [(C1, A, C2), (C2, B, C1)]
+            ),
+            SpatialMesh(
+                1,
+                unit_interval_mesh(8).vertices,
+                np.array([[0, 2], *([i, i + 1] for i in range(1, 8))]),
+            ),
         ],
-        ids=["d2-three-sweeps", "d2-jittered", "d1-jittered", "d1-non-dyadic"],
+        ids=[
+            "d2-three-sweeps",
+            "d2-jittered",
+            "d1-jittered",
+            "d1-non-dyadic",
+            "d2-cell-copied",
+            "d2-corner-off-its-square",
+            "d2-side-flipped",
+            "d1-cell-of-two-steps",
+        ],
     )
     def test_other_meshes_raise(self, sm):
-        # the stencils are read, and refused, before the time mesh is seen
-        a, m = space_stiffness(sm, 1), space_mass(sm, 1)
+        # the mesh is checked, and refused, before the time mesh is seen.
+        # The last four meshes have their vertices on the lattice and a
+        # power-of-two N, and the cell check refuses them first: a cell
+        # copied over another; a cell with a corner off its own square; the
+        # side A B swapped for the diagonal C1 C2; and an interval mesh whose
+        # first cell spans two of its 8 steps. The swap leaves a conforming
+        # mesh with the criss-cross mesh's boundary and dofs, so no other
+        # part of the guard sees it
         with pytest.raises(UnsupportedMeshError, match="not the stencils"):
-            space_stencils(sm, a, m)
+            space_stencils(sm)
         assert isinstance(UnsupportedMeshError(), ValueError)
 
     @pytest.mark.parametrize(
@@ -254,7 +291,7 @@ class TestGXClosedForm:
         ids=["nonuniform", "one-breakpoint-moved"],
     )
     def test_nonuniform_time_meshes_raise(self, tm, record_calls):
-        stencils = _stencils(_space_mesh(2, 4))
+        stencils = space_stencils(_space_mesh(2, 4))
         solves = record_calls(precond, "_shifted_space_solve")
         with pytest.raises(UnsupportedMeshError, match="not uniform"):
             make_G_X(tm, stencils)
@@ -310,7 +347,7 @@ class TestGYLift:
     def test_space_solve_inverts_test_stiffness(self, l):
         _, sm = mesh_pair_2d()
         a_test = space_csr(sm, l)[4]
-        st = _stencils(sm)
+        st = space_stencils(sm)
         solve = make_G_Y(a_test) if l else dof_order(st, stiffness_solve(st))
         cols = np.random.default_rng(4).standard_normal((a_test.shape[0], 3))
         got = a_test @ solve(cols)
@@ -321,7 +358,7 @@ class TestGYLift:
         # the l = 0 A_test solve, on a vector and on the columns of an array
         sm = _space_mesh(d, bisections)
         a = space_stiffness(sm, 1)
-        st = _stencils(sm)
+        st = space_stencils(sm)
         solve, factored = dof_order(st, stiffness_solve(st)), make_G_Y(a)
         rng = np.random.default_rng(10)
         for shape in (a.shape[0], (a.shape[0], 5)):
@@ -375,7 +412,7 @@ class TestGXLift:
         # a block of columns takes one time transform and one batch of
         # shifted solves, with the columns on a leading axis
         tm, sm = LIFT_CASES[case]
-        lift = make_G_X(tm, _stencils(sm))
+        lift = make_G_X(tm, space_stencils(sm))
         block = np.random.default_rng(7).standard_normal((np.prod(_dims(tm, sm)), 4))
         columns = np.stack([lift.apply(col) for col in block.T], axis=1)
         assert np.array_equal(lift.apply(block), columns)
@@ -388,14 +425,10 @@ STENCIL_LEVELS = [(1, k) for k in range(1, 7)] + [(2, k) for k in range(5)]
 
 @pytest.mark.parametrize("d, k", STENCIL_LEVELS)
 def test_stencil_products_match_the_csr_products(d, k):
-    # the level's stencil-applied M and A against scipy CSR matrices of the
-    # same entries, on a vector and on a row block in slot order, alone and
-    # summed; the level reads the same constants from its SparseEntries as
-    # from CSR
+    # the level's stencil-applied M and A against the assembled scipy CSR
+    # matrices, on a vector and on a row block in slot order, alone and summed
     sm = _space_mesh(d, d * k)
-    level = space_factors(sm, 0)[0]
-    stencils = _stencils(sm)
-    assert (level.mass, level.stiffness) == (stencils.mass, stencils.stiffness)
+    stencils = space_factors(sm, 0)[0]
     rng = np.random.default_rng(10 * d + k)
     for values, csr in [
         (stencils.mass, space_mass(sm, 1)),
@@ -417,3 +450,30 @@ def test_stencil_products_match_the_csr_products(d, k):
     want = (space_mass(sm, 1) @ stencils.scatter(u).T).T
     want += (space_stiffness(sm, 1) @ stencils.scatter(w).T).T
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# the levels whose assembled trial matrices are checked entry by entry:
+# d = 1 k <= 10 and d = 2 k <= 5
+ENTRY_LEVELS = [(1, k) for k in range(1, 11)] + [(2, k) for k in range(6)]
+
+
+@pytest.mark.parametrize("d, k", ENTRY_LEVELS)
+def test_assembled_entries_are_the_closed_form_constants(d, k):
+    # every entry of the assembled P1 stiffness in a stencil class equals
+    # the class's closed-form constant bitwise, and of the mass within 2
+    # ulps: the constants are rounded once, the assembled sums of cell
+    # entries more often. Every entry outside the classes is 0
+    sm = _space_mesh(d, d * k)
+    st = space_stencils(sm)
+    for values, mat, ulps in [
+        (st.stiffness, space_stiffness(sm, 1), 0),
+        (st.mass, space_mass(sm, 1), 2),
+    ]:
+        inside = 0
+        for value, (rows, cols) in zip(values, stencil_classes(st)):
+            if rows.size == 0:  # an empty class: scipy reads no entries
+                continue
+            got = np.asarray(mat[rows, cols]).ravel()
+            assert np.all(np.abs(got - value) <= ulps * np.spacing(abs(value)))
+            inside += np.count_nonzero(got)
+        assert np.count_nonzero(mat.data) == inside

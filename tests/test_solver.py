@@ -289,6 +289,24 @@ class TestPCG:
         hist = rep.residual_history
         assert np.all(np.diff(hist) <= 1e-14 * hist[0])
 
+    @pytest.mark.parametrize(
+        "d, k", [(1, k) for k in range(1, 9)] + [(2, k) for k in range(5)]
+    )
+    def test_accepted_iterate_meets_the_rule_on_its_true_residual(self, d, k):
+        # PCR carries r and z = G_X r by recurrences; r = h - S x recomputed
+        # from the accepted iterate must meet the stopping rule too:
+        # r (G_X r) <= the report's threshold, at d = 1 k <= 8, d = 2 k <= 4
+        cfg = ExperimentConfig(
+            experiment="convergence", d=d, T=1.0, k_range=[k], solution="cubic"
+        )
+        level = build_level(cfg, k)
+        eps = choose_epsilon(cfg.epsilon_strategy, level.system.n, d)
+        system = replace(level.system, reg_epsilon=eps)
+        x, rep = pcg(system, level.g_x, cfg.threshold, cfg.max_iter)
+        r = system.rhs - system.apply(x)
+        assert rep.converged
+        assert float(r @ level.g_x.apply(r)) <= rep.threshold
+
     def test_max_iter_exhaustion_flagged(self):
         tm, sm, system = small_system()
         g_x = make_G_X(tm, system.stencils)
@@ -637,8 +655,8 @@ class TestSolveBackward:
 
     @pytest.mark.parametrize(
         "solution, l, passes, n_loads",
-        [("cubic", 0, 1, 2), ("cubic", 1, 3, 3), ("decay", 1, 3, 3)],
-        ids=["0-1", "1-3", "decay-1-3"],
+        [("cubic", 0, 0, 2), ("cubic", 1, 2, 3), ("decay", 1, 2, 3)],
+        ids=["0-0", "1-2", "decay-1-2"],
     )
     def test_space_set_up_runs_once(
         self,
@@ -650,8 +668,10 @@ class TestSolveBackward:
         geometry_computations,
         facet_computations,
     ):
-        # one space assembly pass per distinct (test, trial) pair; one
-        # geometry and one facet table, both for the level's mesh
+        # one space assembly pass per distinct (test, trial) pair, none at
+        # l = 0, where the P1 pair is the closed-form stencils, and (P2, P1)
+        # and (P2, P2) at l = 1; one geometry and one facet table, both for
+        # the level's mesh
         matrices = record_calls(assembly, "space_matrices")
         mappings = record_calls(assembly, "quad_points_physical")
         phi = record_calls(ManufacturedSolution, "phi")
@@ -721,9 +741,13 @@ class TestSolveBackward:
             np.testing.assert_array_equal(coeffs, fresh_coeffs)
             assert report == fresh
 
-    def test_perturb_random_level_assembles_once_per_solve(self, record_calls):
-        # the random field is normalized with the level's own P1 mass, so
-        # each epsilon-strategy solve of a level makes one assembly pass
+    def test_perturb_random_level_reads_its_stencils_once_per_solve(
+        self, record_calls
+    ):
+        # the random field is normalized with the level's own P1 mass
+        # stencils, so each epsilon-strategy solve of a level reads the
+        # stencils once and assembles nothing
+        stencils = record_calls(precond, "space_stencils")
         matrices = record_calls(assembly, "space_matrices")
         cfg = ExperimentConfig(
             experiment="perturb-random",
@@ -736,7 +760,7 @@ class TestSolveBackward:
         )
         for strategy in ("plain", "data-aware"):
             solve_backward(replace(cfg, epsilon_strategy=strategy), 2)
-        assert len(matrices) == 2
+        assert (len(stencils), len(matrices)) == (2, 0)
 
     @pytest.mark.parametrize("d, k", [(1, 5), (2, 3)])
     def test_solve_runs_in_slot_order(self, d, k, record_calls):
