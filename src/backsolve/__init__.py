@@ -5,7 +5,6 @@ from .mesh import (
     SpatialMesh,
     TimeMesh,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "refine_uniform",
     "run",
     "solve_backward",
-    "uniform_time_mesh",
     "unit_interval_mesh",
     "unit_square_initial",
     "write_csv",

@@ -1,4 +1,7 @@
-"""Temporal grids and simplicial spatial meshes.
+"""Uniform time meshes and simplicial spatial meshes.
+
+A time mesh is 2**k equal elements by type: the time products and the
+closed-form time modes read its step and check nothing.
 
 Spatial meshes are conforming simplicial partitions of (0,1)^d, d in {1,2}.
 Refinement is uniform bisection: every cell is bisected once per sweep. In 2d
@@ -18,22 +21,36 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Partition of a time interval into ordered elements."""
+    """(t_start, t_end) split into 2**k equal elements of length step."""
 
-    breakpoints: np.ndarray
+    t_start: float
+    t_end: float
+    k: int
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(bp) > 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        bp.setflags(write=False)
-        object.__setattr__(self, "breakpoints", bp)
+        if not self.t_end > self.t_start:
+            raise ValueError(
+                f"degenerate interval: t_end={self.t_end} <= t_start={self.t_start}"
+            )
+        if self.k < 0:
+            raise ValueError("k must be nonnegative")
 
     @property
     def n_elements(self) -> int:
-        return self.breakpoints.size - 1
+        return 2**self.k
+
+    @property
+    def step(self) -> float:
+        return (self.t_end - self.t_start) / self.n_elements
+
+    @functools.cached_property
+    def breakpoints(self) -> np.ndarray:
+        # i/n is exact for n a power of two, so dyadic endpoints give exact grids
+        frac = np.arange(self.n_elements + 1) / self.n_elements
+        bp = self.t_start + (self.t_end - self.t_start) * frac
+        bp[0], bp[-1] = self.t_start, self.t_end
+        bp.setflags(write=False)
+        return bp
 
     @property
     def lengths(self) -> np.ndarray:
@@ -116,20 +133,6 @@ class SpatialMesh:
         flags[facets[counts == 1]] = True
         flags.setflags(write=False)
         return flags
-
-
-def uniform_time_mesh(t_start: float, t_end: float, k: int) -> TimeMesh:
-    """Split (t_start, t_end) into 2**k equal elements."""
-    if not t_end > t_start:
-        raise ValueError(f"degenerate interval: t_end={t_end} <= t_start={t_start}")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = 2**k
-    # i/n is exact for n a power of two, so dyadic endpoints give exact grids
-    frac = np.arange(n + 1) / n
-    bp = t_start + (t_end - t_start) * frac
-    bp[0], bp[-1] = t_start, t_end
-    return TimeMesh(bp)
 
 
 def cell_volumes(mesh: SpatialMesh) -> np.ndarray:

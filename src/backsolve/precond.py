@@ -1,10 +1,10 @@
 """Riesz-map preconditioner and the test stiffness solve.
 
 The trial-space lift inverts the full anisotropic Gram by diagonalization
-in time: the time pencil's modes are known cosines on the uniform time
-mesh, and per time mode a shifted space solve is done in closed form. It
-solves only the uniform meshes the solver builds. The lift is exact, so
-the norm-equivalence constants are 1.
+in time: the time pencil's modes are known cosines on the time mesh,
+uniform by type (backsolve.mesh), and per time mode a shifted space solve
+is done in closed form. It solves only the uniform space meshes the solver
+builds. The lift is exact, so the norm-equivalence constants are 1.
 
 The test-space Gram is the identity in time times the test stiffness
 A_test, so no test-space lift is built: the right-hand side, J(0) and the
@@ -79,8 +79,7 @@ def make_G_X(time_mesh: TimeMesh, stencils: SpaceStencils) -> RieszPreconditione
     eigenvalues theta_j, in closed form (_time_modes). On mode j the space
     part of the inverse is V diag(mu / (mu^2 + theta_j)) V^T over the
     (stiffness, mass) pencil, which equals Re[(A + i sqrt(theta_j) M)^-1],
-    solved for every mode in closed form (_shifted_space_solve). A
-    non-uniform time mesh raises UnsupportedMeshError before any other work.
+    solved for every mode in closed form (_shifted_space_solve).
 
     The lift takes a slot-order vector or a block of them as columns (n, k);
     a block runs one time transform and one batch of shifted solves, with
@@ -99,7 +98,7 @@ def make_G_X(time_mesh: TimeMesh, stencils: SpaceStencils) -> RieszPreconditione
 
 def _time_modes(time_mesh: TimeMesh):
     """(theta, Z): the time pencil's eigenvalues, ascending, and its modes
-    as columns, Z^T M_t Z = I, in closed form on a uniform time mesh.
+    as columns, Z^T M_t Z = I, in closed form on the uniform time mesh.
 
     With n elements of length h, K_t = tridiag(-1, 2, -1) / h and
     M_t = h tridiag(1, 4, 1) / 6, each halved in its two corners. With
@@ -109,10 +108,8 @@ def _time_modes(time_mesh: TimeMesh):
     W the cosines are orthogonal with squared norms n / 2, doubled at j = 0
     and j = n (the DCT-I). 1 - c_j is taken as 2 sin^2(j pi / 2n), so the
     small theta_j keep their relative accuracy, and i j is reduced mod 2n
-    before it is scaled by pi / n. A non-uniform mesh raises
-    UnsupportedMeshError (uniform_step).
+    before it is scaled by pi / n.
     """
-    uniform_step(time_mesh)
     bp = time_mesh.breakpoints
     n, span = bp.size - 1, bp[-1] - bp[0]
     j = np.arange(n + 1)
@@ -120,20 +117,6 @@ def _time_modes(time_mesh: TimeMesh):
     theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
     sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
     return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
-
-
-def uniform_step(time_mesh: TimeMesh) -> float:
-    """The step span / n of a uniform time mesh of n elements; a breakpoint
-    more than 4 ulps off the uniform grid raises UnsupportedMeshError."""
-    bp = time_mesh.breakpoints
-    n, span = bp.size - 1, bp[-1] - bp[0]
-    uniform = bp[0] + span * (np.arange(n + 1) / n)
-    if np.abs(bp - uniform).max() > 4 * np.spacing(np.abs(bp).max()):
-        raise UnsupportedMeshError(
-            f"the time mesh with {n} elements is not uniform; the closed-form "
-            "time modes and products need equal elements"
-        )
-    return span / n
 
 
 class SpaceStencils(NamedTuple):

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 import time as _time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -93,7 +92,6 @@ from .mesh import (
     SpatialMesh,
     TimeMesh,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
@@ -110,7 +108,6 @@ from .precond import (
     make_G_X,
     make_G_Y,
     stiffness_solve,
-    uniform_step,
 )
 from .solutions import ManufacturedSolution, get_solution
 
@@ -267,9 +264,7 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
     stencils' slot order. h and J(0) come from the identity of the module
     docstring. At l = 0 A_test = A is solved in closed form; at l = 1
     make_G_Y factors the P2 A_test, and M_mix maps slot order to P2 dofs.
-    A non-uniform time mesh raises UnsupportedMeshError before any work.
     """
-    step = uniform_step(time_mesh)
     st, m_mix, a_test = space
     t_c, test_load, phi_load, g_load, g_sq = data
     if l:
@@ -292,7 +287,7 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
     rhs += np.outer(to_hats(time_mass_mixed(time_mesh), t_c), phi_load)
     rhs[-1] += g_load
     j_zero = float(t_c @ t_c) * float(test_load @ solved) + g_sq
-    return LeastSquaresSystem(st, step, test_part, 0.0, rhs.ravel(), j_zero)
+    return LeastSquaresSystem(st, time_mesh.step, test_part, 0.0, rhs.ravel(), j_zero)
 
 
 def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int):
@@ -653,7 +648,8 @@ def error_report(
     coeffs are in the slot order of terms, the level's error_terms, so a
     report forms only E, M E, A E and dot products (module docstring); it
     samples no function and maps no point. A slice error is read at the
-    breakpoint nearest the requested time.
+    breakpoint nearest the requested time, at most half a step away for a
+    time in the mesh's interval.
     """
     bp = time_mesh.breakpoints
     tau = np.array([solution.tau(t) for t in bp], dtype=float)
@@ -665,13 +661,6 @@ def error_report(
     slices = {}
     for t_req in slice_times:
         idx = int(np.argmin(np.abs(bp - t_req)))
-        snap = abs(bp[idx] - t_req)
-        h_loc = time_mesh.lengths[min(max(idx - 1, 0), time_mesh.n_elements - 1)]
-        if snap > 0.5 * h_loc:
-            warnings.warn(
-                f"slice time {t_req} snapped to breakpoint {bp[idx]} "
-                f"(distance {snap:.3g} exceeds half an element)"
-            )
         # the expanded Gram can round an exact zero a hair below 0
         slices[float(t_req)] = math.sqrt(max(slice_sq[idx], 0.0))
     return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq))
@@ -685,7 +674,7 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
     L/T is again uniform. Space: d*k bisection sweeps of the initial mesh,
     the uniform meshes on which make_G_X solves its lift in closed form.
     """
-    t_start = config.T - config.L
+    doublings = k
     if config.experiment == "interval-length":
         log_ratio = math.log2(config.L / config.T)
         if abs(log_ratio % 1.0) > 1e-12:
@@ -696,12 +685,9 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
                 f"interval-length study at k = {k} with L/T = 2^{round(log_ratio)} "
                 f"needs k + 3 + log2(L/T) >= 0 time doublings, got {doublings}"
             )
-        time_mesh = uniform_time_mesh(t_start, config.T, doublings)
-    else:
-        time_mesh = uniform_time_mesh(t_start, config.T, k)
     initial = unit_square_initial() if config.d == 2 else unit_interval_mesh(1)
     space_mesh = refine_uniform(initial, config.d * k)
-    return time_mesh, space_mesh
+    return TimeMesh(config.T - config.L, config.T, doublings), space_mesh
 
 
 def trial_dofs(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> int:

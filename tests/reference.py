@@ -10,11 +10,12 @@ without scipy (the COO sum of the space matrices, the hat mass and
 stiffness by element blocks, the assembled space matrices in dof order,
 and the entries of each stencil class of the P1 pair, which the solver
 takes in closed form), the maps between dof order and the solve's slot
-order, the conformity check of a mesh, the log-log rate fit and the CSV
-reader.
+order, a graded time mesh, the conformity check of a mesh, the log-log
+rate fit and the CSV reader.
 """
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -345,6 +346,14 @@ def b_route(time_mesh, space_mesh, l, reg_epsilon, solution, perturbation=None):
 
 
 # ------------------------------------------------ meshes, rates, results ----
+
+
+def graded_time_mesh(breakpoints):
+    """A time mesh of any increasing breakpoints, for the code that reads
+    each element's length (the mixed time matrices, to_hats, the time loads
+    and the error quadrature); a backsolve TimeMesh is uniform."""
+    bp = np.asarray(breakpoints, dtype=float)
+    return SimpleNamespace(breakpoints=bp, lengths=np.diff(bp), n_elements=bp.size - 1)
 
 
 def check_conforming(mesh):

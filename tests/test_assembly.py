@@ -25,19 +25,18 @@ from backsolve.mesh import (
     TimeMesh,
     cell_volumes,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
 
 # aliased so pytest does not collect the source helper as a test
 from backsolve.assembly import test_basis_values as legendre_values
-from backsolve.precond import uniform_step
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import get_solution
 from backsolve.solver import _hat_products
 from reference import (
     coo_sum,
+    graded_time_mesh,
     hat_matrix,
     mixed_matrix,
     space_mass,
@@ -49,13 +48,13 @@ from reference import (
 
 class TestTimeTrialMatrices:
     def test_mass_single_element(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         M = hat_matrix(time_mass_trial(tm)).toarray()
         assert np.allclose(M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
     def test_mass_row_sums_are_hat_integrals(self):
         # row sum of the mass matrix integrates the hat against 1
-        tm = uniform_time_mesh(0.0, 2.0, 2)
+        tm = TimeMesh(0.0, 2.0, 2)
         M = hat_matrix(time_mass_trial(tm)).toarray()
         h = tm.lengths
         expected = np.zeros(tm.n_elements + 1)
@@ -65,18 +64,18 @@ class TestTimeTrialMatrices:
         assert M.sum() == pytest.approx(2.0, abs=1e-14)
 
     def test_stiffness_single_element(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert np.allclose(T, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15)
 
     def test_stiffness_row_sums_vanish(self):
-        tm = uniform_time_mesh(0.0, 1.0, 3)
+        tm = TimeMesh(0.0, 1.0, 3)
         T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert np.allclose(T.sum(axis=1), 0.0, atol=1e-13)
 
     def test_stiffness_interior_diagonal(self):
         # two elements of length 1/2 meet at the middle node: 2 + 2
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         T = hat_matrix(time_stiffness_trial(tm)).toarray()
         assert T[1, 1] == pytest.approx(4.0, abs=1e-14)
 
@@ -85,7 +84,7 @@ def _jittered_time_mesh(n):
     """n elements on (0, 1), each inner breakpoint moved by up to 0.3 / n."""
     bp = np.linspace(0.0, 1.0, n + 1)
     bp[1:-1] += np.random.default_rng(n).uniform(-0.3, 0.3, n - 1) / n
-    return TimeMesh(bp)
+    return graded_time_mesh(bp)
 
 
 class TestTimeTestBasis:
@@ -100,7 +99,7 @@ class TestTimeTestBasis:
         assert np.allclose(gram, np.eye(2), atol=1e-14)
 
     def test_mixed_mass_single_element(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         expected = np.array(
             [[0.5, 0.5], [-1.0 / (2.0 * np.sqrt(3.0)), 1.0 / (2.0 * np.sqrt(3.0))]]
@@ -109,14 +108,14 @@ class TestTimeTestBasis:
         assert np.allclose(Mx, expected, atol=1e-14)
 
     def test_mixed_mass_shape(self):
-        tm = uniform_time_mesh(0.0, 1.0, 3)
+        tm = TimeMesh(0.0, 1.0, 3)
         Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         assert Mx.shape == (8 * 2, 8 + 1)
 
     def test_mixed_mass_partition_of_unity(self):
         # hats sum to one, so each row integrates one test function:
         # the constant mode gives sqrt(h), the linear mode zero
-        tm = uniform_time_mesh(0.0, 1.0, 2)
+        tm = TimeMesh(0.0, 1.0, 2)
         Mx = mixed_matrix(time_mass_mixed(tm)).toarray()
         sums = Mx @ np.ones(tm.n_elements + 1)
         h = tm.lengths
@@ -126,18 +125,18 @@ class TestTimeTestBasis:
 
     def test_mixed_derivative_single_element(self):
         # the hats' slopes are -1 and 1; only the constant mode has a mean
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         assert np.allclose(D, [[-1.0, 1.0], [0.0, 0.0]], atol=1e-14)
 
     def test_mixed_derivative_kills_constants(self):
-        tm = uniform_time_mesh(0.0, 1.0, 3)
+        tm = TimeMesh(0.0, 1.0, 3)
         D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         assert np.allclose(D @ np.ones(tm.n_elements + 1), 0.0, atol=1e-14)
 
     def test_mixed_derivative_locality(self):
         # hat j only overlaps test functions on elements j-1 and j
-        tm = uniform_time_mesh(0.0, 1.0, 2)
+        tm = TimeMesh(0.0, 1.0, 2)
         D = mixed_matrix(time_derivative_mixed(tm)).toarray()
         for j in range(5):
             rows = np.nonzero(np.abs(D[:, j]) > 1e-14)[0]
@@ -147,9 +146,9 @@ class TestTimeTestBasis:
     @pytest.mark.parametrize(
         "tm",
         [
-            uniform_time_mesh(0.0, 1.0, 0),
-            uniform_time_mesh(0.25, 2.25, 3),
-            uniform_time_mesh(0.0, 1.0, 6),
+            TimeMesh(0.0, 1.0, 0),
+            TimeMesh(0.25, 2.25, 3),
+            TimeMesh(0.0, 1.0, 6),
             _jittered_time_mesh(31),
         ],
         ids=["one-element", "shifted-k3", "k6", "jittered-31"],
@@ -207,9 +206,9 @@ def _ref_time_derivative_mixed(mesh):
 
 def _time_mesh(kind, k):
     if kind == "uniform":
-        return uniform_time_mesh(0.0, 1.0, k)
+        return TimeMesh(0.0, 1.0, k)
     steps = np.random.default_rng(k).uniform(0.2, 1.0, 2**k)
-    return TimeMesh(np.cumsum(np.r_[0.25, steps]))
+    return graded_time_mesh(np.cumsum(np.r_[0.25, steps]))
 
 
 @pytest.mark.parametrize("k", [0, 3, 6, 8])
@@ -289,8 +288,8 @@ def test_time_applies_match_the_dense_products(k, kind):
     # of the element blocks: bitwise, entry by entry, where every element
     # has the step's length; and the transposed mixed matrices on a test
     # vector
-    tm = uniform_time_mesh(*TIME_WINDOWS[kind], k)
-    h = uniform_step(tm)
+    tm = TimeMesh(*TIME_WINDOWS[kind], k)
+    h = tm.step
     exact = bool(np.all(tm.lengths == h))
     assert exact or (kind == "offset" and k > 0)
     rng = np.random.default_rng(k)
@@ -557,9 +556,9 @@ class TestLoads:
         # solution, so its data need no source-free branch
         steps = np.random.default_rng(d).uniform(0.2, 1.0, 5)
         meshes = [
-            uniform_time_mesh(0.0, 1.0, 0),
-            uniform_time_mesh(0.25, 2.25, 3),
-            TimeMesh(np.concatenate([[0.0], np.cumsum(steps)])),
+            TimeMesh(0.0, 1.0, 0),
+            TimeMesh(0.25, 2.25, 3),
+            graded_time_mesh(np.concatenate([[0.0], np.cumsum(steps)])),
         ]
         for name in ("decay", "zero"):
             source = get_solution(name, d).source
@@ -577,7 +576,7 @@ class TestLoads:
 
     def test_load_vector_f_zero(self):
         # a time load: one entry per element and Legendre function
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         t_c = load_vector_f(tm, lambda t: 0.0)
         assert t_c.shape == (4,)
         assert np.allclose(t_c, 0.0, atol=1e-15)
@@ -585,7 +584,7 @@ class TestLoads:
     def test_load_vector_f_separable(self):
         # f(t,x) = t * 1 factors: time moments against the Legendre pair
         # times the space load of the constant
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         m = unit_interval_mesh(4)
         b = space_load(m, 1, np.ones(len(quad_points(m))))
         F = np.outer(load_vector_f(tm, lambda t: t), b).ravel()

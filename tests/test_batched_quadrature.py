@@ -8,7 +8,6 @@ the system data loaded from callables, each evaluated on its own points.
 
 import math
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +31,6 @@ from backsolve.mesh import (
     TimeMesh,
     cell_volumes,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
@@ -52,6 +50,7 @@ from backsolve.solver import (
 )
 from reference import (
     BRoute,
+    graded_time_mesh,
     gram_X,
     level_error_report,
     level_error_terms,
@@ -205,7 +204,7 @@ def test_load_vector_f_matches_per_time_point_loop(d, degree):
     sol = get_solution("cubic", d)
     f = lambda t, x: sol.source(t) * sol.phi(x)  # noqa: E731
     phi_load = space_load(sm, degree, sol.phi(quad_points(sm)))
-    for tm in (uniform_time_mesh(0.25, 1.0, 2), _time_meshes(2)[1]):
+    for tm in (TimeMesh(0.25, 1.0, 2), _time_meshes(2)[1]):
         got = np.outer(load_vector_f(tm, sol.source), phi_load).ravel()
         ref = _ref_load_vector_f(tm, sm, degree, f, QUAD_ORDER)
         assert got.shape == ref.shape
@@ -271,7 +270,7 @@ def test_system_data_match_the_callable_route(d, l, T, noise):
     # at T = 1 the cubic tau(T) = 2 scales exactly, so the data agree
     # bitwise; at T = 1/8 scaling the phi load by tau(T) rounds differently
     # from loading tau(T) phi
-    tm = uniform_time_mesh(0.0, T, 2)
+    tm = TimeMesh(0.0, T, 2)
     sm = _space_mesh(d, 2)
     perturbation = {
         None: None,
@@ -324,8 +323,8 @@ def _ref_slice_errors(time_mesh, space_mesh, coeffs, solution, slice_times, quad
 def _time_meshes(k):
     # uniform, and one with random element lengths
     steps = np.random.default_rng(k).uniform(0.2, 1.0, 2**k)
-    graded = TimeMesh(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
-    return uniform_time_mesh(0.0, 1.0, k), graded
+    graded = graded_time_mesh(np.concatenate([[0.0], np.cumsum(steps) / steps.sum()]))
+    return TimeMesh(0.0, 1.0, k), graded
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -351,9 +350,7 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
         assert gap == pytest.approx(
             math.sqrt(ref["h1"] + ref["dt"] / lam1), rel=RTOL
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # far snaps on the graded mesh
-            rep = level_error_report(tm, sm, coeffs, solution, slice_times)
+        rep = level_error_report(tm, sm, coeffs, solution, slice_times)
         assert rep.l2l2 == pytest.approx(math.sqrt(ref["l2"]), rel=RTOL)
         assert rep.l2h1 == pytest.approx(math.sqrt(ref["h1"]), rel=RTOL)
         ref_slices = _ref_slice_errors(tm, sm, coeffs, solution, slice_times, q)
@@ -366,7 +363,7 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
 def test_error_modes_asked_together_match_each_alone(d):
     # "l2" and "dt" read the same errors D_i, formed once in place in the FE
     # values; asked together, each mode gives what it gives alone
-    tm, sm = uniform_time_mesh(0.0, 1.0, 3), _space_mesh(d, 3)
+    tm, sm = TimeMesh(0.0, 1.0, 3), _space_mesh(d, 3)
     solution = get_solution("cubic", d)
     for coeffs in _coeff_cases(tm, sm, solution):
         modes = ("l2", "dt", "h1")
@@ -438,7 +435,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
         calls[name] = record_calls(counted, name)
     per_mesh = []
     for k in (1, 4):  # 2 and 16 time elements
-        tm = uniform_time_mesh(0.0, 1.0, k)
+        tm = TimeMesh(0.0, 1.0, k)
         coeffs = nodal_interpolant(tm, sm, solution)
         terms = []
         seen = []
@@ -483,7 +480,7 @@ def test_sin_products_are_bytewise_the_earlier_ones(d):
     np.testing.assert_array_equal(phi(x), _ref_sin_product(x))
     # each factored solution against its earlier closures, at the breakpoints
     # (0 and 1 among them) and at time Gauss points formed as the solver does
-    bp = uniform_time_mesh(0.0, 1.0, 3).breakpoints
+    bp = TimeMesh(0.0, 1.0, 3).breakpoints
     sq, _ = gauss_1d_for_degree(QUAD_ORDER)
     gauss = [bp[e] + (bp[e + 1] - bp[e]) * s for e in range(bp.size - 1) for s in sq]
     for name, ref in _REF_SOLUTIONS.items():
@@ -500,7 +497,7 @@ class TestDenseSizeGuard:
     def test_lift_builds_when_dense_would_not_fit(self):
         # the trial-space lift allocates nothing n_x x n_x in d=2: its set-up
         # and one apply together peak below one such float64 array
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = _space_mesh(2, 4)
         st = space_stencils(sm)  # the lift's slot order, outside the trace
         n_x = st.slots.size

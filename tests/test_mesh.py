@@ -6,46 +6,41 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
     SpatialMesh,
     TimeMesh,
     cell_volumes,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
+from backsolve.solver import build_meshes
 from reference import check_conforming
 
 
 class TestTimeMesh:
     def test_single_element(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         assert np.array_equal(tm.breakpoints, [0.0, 1.0])
         assert tm.n_elements == 1
 
     def test_four_elements(self):
-        tm = uniform_time_mesh(0.0, 1.0, 2)
+        tm = TimeMesh(0.0, 1.0, 2)
         assert np.array_equal(tm.breakpoints, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_short_end_interval(self):
-        tm = uniform_time_mesh(7.0 / 8.0, 1.0, 0)
+        tm = TimeMesh(7.0 / 8.0, 1.0, 0)
         assert np.array_equal(tm.breakpoints, [0.875, 1.0])
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(ValueError):
-            uniform_time_mesh(1.0, 1.0, 1)
+            TimeMesh(1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            uniform_time_mesh(1.0, 0.5, 1)
-
-    def test_unsorted_breakpoints_rejected(self):
-        with pytest.raises(ValueError):
-            TimeMesh(np.array([0.0, 0.5, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            TimeMesh(np.array([1.0]))
+            TimeMesh(1.0, 0.5, 1)
 
     def test_endpoints_and_lengths(self):
-        tm = uniform_time_mesh(0.25, 2.25, 3)
+        tm = TimeMesh(0.25, 2.25, 3)
         assert tm.breakpoints[0] == 0.25
         assert tm.breakpoints[-1] == 2.25
         assert np.all(tm.lengths > 0.0)
@@ -58,11 +53,38 @@ class TestTimeMesh:
     )
     def test_uniform_lengths_exact(self, k, t0, dt):
         # dyadic splitting keeps every element exactly T * 2^-k long
-        tm = uniform_time_mesh(t0, t0 + dt, k)
+        tm = TimeMesh(t0, t0 + dt, k)
         assert tm.n_elements == 2**k
         assert np.max(tm.lengths) == pytest.approx(dt * 2.0**-k, rel=1e-12)
         assert tm.breakpoints[0] == t0
         assert tm.breakpoints[-1] == t0 + dt
+
+    @pytest.mark.parametrize(
+        "window",
+        [(0.0, 1.0, k) for k in range(11)]
+        + [(0.25, 2.25, 3), (0.75, 1.0, 2), (0.0, 0.3, 3), (0.0, 0.3, 5)]
+        + [("interval-length", L, k) for L in (0.5, 0.25) for k in range(7)],
+        ids=lambda window: "-".join(map(str, window)),
+    )
+    def test_breakpoints_and_step_are_the_breakpoint_array_formulas(self, window):
+        # the formulas of a mesh built from a breakpoint array, written out:
+        # i / n scaled onto the window with its endpoints set exactly, and
+        # the step as the span of those breakpoints over n. An
+        # interval-length window is the one build_meshes makes at T = 1
+        if window[0] == "interval-length":
+            _, L, k = window
+            config = ExperimentConfig("interval-length", 1, 1.0, [k], L=L)
+            tm = build_meshes(config, k)[0]
+        else:
+            tm = TimeMesh(*window)
+        t0, t1, n = tm.t_start, tm.t_end, 2**tm.k
+        want = t0 + (t1 - t0) * (np.arange(n + 1) / n)
+        want[0], want[-1] = t0, t1
+        assert tm.breakpoints.tobytes() == want.tobytes()
+        assert tm.step.hex() == float((want[-1] - want[0]) / n).hex()
+        assert tm.n_elements == n
+        with pytest.raises(ValueError, match="read-only"):
+            tm.breakpoints[1] = 0.5
 
 
 class TestUnitSquare:

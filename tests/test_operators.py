@@ -7,8 +7,8 @@ import scipy.linalg
 from backsolve import assembly
 from backsolve.config import ExperimentConfig
 from backsolve.mesh import (
+    TimeMesh,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
@@ -161,7 +161,7 @@ class TestFactors:
 class TestParabolicOperator:
     def test_quadrature_oracle_1d(self):
         # dense Kronecker assembly against the raw quadrature route
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
         B = dense(assemble_B(tm, *space_csr(sm, 0)[2:4]))
         ref = quadrature_B_1d(tm, sm)
@@ -169,7 +169,7 @@ class TestParabolicOperator:
         assert np.max(np.abs(B - ref)) <= 1e-13
 
     def test_shape_2d(self):
-        tm = uniform_time_mesh(0.0, 1.0, 0)
+        tm = TimeMesh(0.0, 1.0, 0)
         sm = refine_uniform(unit_square_initial(), 1)
         n_trial = int((~sm.boundary_vertex_flags).sum())
         B = assemble_B(tm, *space_csr(sm, 0)[2:4])
@@ -180,7 +180,7 @@ class TestParabolicOperator:
 
     def test_constant_in_time_drops_derivative(self):
         # u constant in time: B u reduces to the stiffness term alone
-        tm = uniform_time_mesh(0.0, 1.0, 2)
+        tm = TimeMesh(0.0, 1.0, 2)
         sm = unit_interval_mesh(4)
         rng = np.random.default_rng(1)
         n_x = int((~sm.boundary_vertex_flags).sum())
@@ -198,7 +198,7 @@ class TestParabolicOperator:
             assert np.allclose(out[e, 1], 0.0, atol=1e-13)
 
     def test_adjoint_identity(self):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
         B = assemble_B(tm, *space_csr(sm, 0)[2:4])
         rng = np.random.default_rng(2)
@@ -208,7 +208,7 @@ class TestParabolicOperator:
 
     def test_discrete_injectivity(self):
         # (Bz)' G_Y^{-1} (Bz) > 0 for z != 0: no kernel in the trial space
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
         B = dense(assemble_B(tm, *space_csr(sm, 0)[2:4]))
         Y = dense(gram_Y(tm, sm, 0))
@@ -221,9 +221,9 @@ class TestParabolicOperator:
     @pytest.mark.parametrize(
         "pair",
         [
-            (uniform_time_mesh(0.0, 1.0, 0), unit_interval_mesh(2)),
+            (TimeMesh(0.0, 1.0, 0), unit_interval_mesh(2)),
             (
-                uniform_time_mesh(0.0, 1.0, 1),
+                TimeMesh(0.0, 1.0, 1),
                 refine_uniform(unit_square_initial(), 1),
             ),
         ],
@@ -250,7 +250,7 @@ class TestParabolicOperator:
 class TestGramY:
     def test_quadrature_oracle_1d(self):
         # identity in time x stiffness in space, re-derived by quadrature
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = unit_interval_mesh(4)
         G = dense(gram_Y(tm, sm, 0))
 
@@ -267,7 +267,7 @@ class TestGramY:
         assert np.max(np.abs(G - ref)) <= 1e-12
 
     def test_symmetric_positive(self):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
         G = dense(gram_Y(tm, sm, 1))
         assert np.max(np.abs(G - G.T)) <= 1e-13
@@ -278,7 +278,7 @@ class TestGramX:
     def test_single_eigenfunction_closed_form(self):
         # for a generalized stiffness eigenvector the squared norm is
         # mu * int tau^2 + (1/mu) * int (tau')^2
-        tm = uniform_time_mesh(0.0, 1.0, 2)
+        tm = TimeMesh(0.0, 1.0, 2)
         sm = unit_interval_mesh(8)
         A = space_stiffness(sm, 1).toarray()
         M = space_mass(sm, 1).toarray()
@@ -295,7 +295,7 @@ class TestGramX:
             assert u @ G.apply(u) == pytest.approx(expected, rel=1e-10)
 
     def test_spd(self):
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 1)
         G = gram_X(tm, sm)
         rng = np.random.default_rng(6)
@@ -311,7 +311,7 @@ class TestInfSup:
         # (P2, P1) and (P2, P2), once each: the P1 pair is the closed-form
         # stencils, which the l = 0 pencil side shares with the l = 1 factors
         calls = record_calls(assembly, "space_matrices")
-        tm = uniform_time_mesh(0.0, 1.0, 1)
+        tm = TimeMesh(0.0, 1.0, 1)
         sm = refine_uniform(unit_square_initial(), 2)
         infsup_constant(tm, sm)
         assert [(test, trial) for _, test, trial in calls] == [(2, 1), (2, 2)]
@@ -339,7 +339,7 @@ class TestInfSup:
         monkeypatch.setattr(RieszPreconditioner, "apply", apply)
         monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
         sm = refine_uniform(unit_interval_mesh(1), 5)
-        infsup_constant(uniform_time_mesh(0.0, 1.0, 5), sm)
+        infsup_constant(TimeMesh(0.0, 1.0, 5), sm)
         assert len(lifts) <= iterations[0] + 2
         assert all(len(shape) == 2 for shape in lifts)
 
@@ -396,7 +396,7 @@ class TestInfSup:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_nested_bounded_by_one(self, k):
-        tm = uniform_time_mesh(0.0, 1.0, k)
+        tm = TimeMesh(0.0, 1.0, k)
         sm = refine_uniform(unit_square_initial(), 2 * k)
         gamma = infsup_constant(tm, sm)
         assert gamma <= 1.0 + 1e-10
@@ -405,7 +405,7 @@ class TestInfSup:
     def test_unconverged_eigenpair_raises(self, monkeypatch):
         # d=2 k=3 needs far more than one LOBPCG iteration
         monkeypatch.setattr(solver, "INFSUP_MAX_ITER", 1)
-        tm = uniform_time_mesh(0.0, 1.0, 3)
+        tm = TimeMesh(0.0, 1.0, 3)
         sm = refine_uniform(unit_square_initial(), 6)
         with pytest.raises(RuntimeError, match=r"n = 1017 .* in 1 iterations"):
             infsup_constant(tm, sm)

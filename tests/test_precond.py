@@ -13,7 +13,6 @@ from backsolve.mesh import (
     SpatialMesh,
     TimeMesh,
     refine_uniform,
-    uniform_time_mesh,
     unit_interval_mesh,
     unit_square_initial,
 )
@@ -47,12 +46,12 @@ from reference import (
 
 
 def mesh_pair_1d():
-    return uniform_time_mesh(0.0, 1.0, 1), unit_interval_mesh(4)
+    return TimeMesh(0.0, 1.0, 1), unit_interval_mesh(4)
 
 
 def mesh_pair_2d():
     return (
-        uniform_time_mesh(0.0, 1.0, 1),
+        TimeMesh(0.0, 1.0, 1),
         refine_uniform(unit_square_initial(), 2),
     )
 
@@ -100,20 +99,20 @@ def _lift(tm, sm):
 # (time mesh, space mesh): meshes the solver builds, with more and with
 # fewer space dofs than time dofs, all solved by the one closed form
 LIFT_CASES = {
-    "d2-k1-long-time": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 2)),
-    "d2-k2": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(2, 4)),
-    "d1-k3-long-time": (uniform_time_mesh(0.0, 1.0, 4), _space_mesh(1, 3)),
-    "d1-k5": (uniform_time_mesh(0.0, 1.0, 2), _space_mesh(1, 5)),
+    "d2-k1-long-time": (TimeMesh(0.0, 1.0, 4), _space_mesh(2, 2)),
+    "d2-k2": (TimeMesh(0.0, 1.0, 2), _space_mesh(2, 4)),
+    "d1-k3-long-time": (TimeMesh(0.0, 1.0, 4), _space_mesh(1, 3)),
+    "d1-k5": (TimeMesh(0.0, 1.0, 2), _space_mesh(1, 5)),
     # the restricted window of the interval-length study
-    "d2-k2-window": (uniform_time_mesh(0.75, 1.0, 2), _space_mesh(2, 4)),
+    "d2-k2-window": (TimeMesh(0.75, 1.0, 2), _space_mesh(2, 4)),
     # N = 2: one grid dof, with no axis neighbour, and four centres
-    "d2-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(2, 2)),
+    "d2-k1": (TimeMesh(0.0, 1.0, 1), _space_mesh(2, 2)),
     # N = 1: one centre and no grid dof
-    "d2-k0": (uniform_time_mesh(0.0, 1.0, 0), _space_mesh(2, 0)),
+    "d2-k0": (TimeMesh(0.0, 1.0, 0), _space_mesh(2, 0)),
     # N = 2: one grid dof, with no neighbour
-    "d1-k1": (uniform_time_mesh(0.0, 1.0, 1), _space_mesh(1, 1)),
+    "d1-k1": (TimeMesh(0.0, 1.0, 1), _space_mesh(1, 1)),
     # a level of the d=1 convergence benchmark
-    "d1-k6": (uniform_time_mesh(0.0, 1.0, 6), _space_mesh(1, 6)),
+    "d1-k6": (TimeMesh(0.0, 1.0, 6), _space_mesh(1, 6)),
 }
 
 
@@ -165,7 +164,7 @@ class TestGXForms:
     def test_makes_no_eigendecomposition(self, d, k, monkeypatch):
         # the levels of build_meshes, where d=1 has fewer space than time
         # dofs: the time modes are in closed form too
-        tm, sm = uniform_time_mesh(0.0, 1.0, k), _space_mesh(d, d * k)
+        tm, sm = TimeMesh(0.0, 1.0, k), _space_mesh(d, d * k)
         stencils = space_stencils(sm)
         sizes = _recording_eigh(monkeypatch)
         make_G_X(tm, stencils)
@@ -182,7 +181,7 @@ class TestTimeModes:
 
     @pytest.mark.parametrize("k", range(11))
     def test_match_eigh(self, k):
-        tm = uniform_time_mesh(0.0, 1.0, k)
+        tm = TimeMesh(0.0, 1.0, k)
         theta, z = precond._time_modes(tm)
         want, want_z = eigh(*_time_pencil(tm))
         # relative to the largest: eigh's small eigenvalues carry an absolute
@@ -197,7 +196,7 @@ class TestTimeModes:
         # i j and p i reduced mod 2N before the scaling by pi / N; unreduced,
         # the sine table is off by 20 eps at N = 64 and 180 eps at N = 1024
         eps = np.finfo(float).eps
-        tm = uniform_time_mesh(0.0, 1.0, k)
+        tm = TimeMesh(0.0, 1.0, k)
         _, z = precond._time_modes(tm)
         _, t_mass = _time_pencil(tm)
         assert np.max(np.abs(z.T @ t_mass @ z - np.eye(z.shape[0]))) <= 8 * eps
@@ -281,24 +280,8 @@ class TestGXClosedForm:
             space_stencils(sm)
         assert isinstance(UnsupportedMeshError(), ValueError)
 
-    @pytest.mark.parametrize(
-        "tm",
-        [
-            TimeMesh(np.array([0.0, 0.05, 0.3, 0.35, 0.8, 1.0])),
-            # breakpoint 5 of 8 equal elements moved by 1e-9 of an element
-            TimeMesh(np.arange(9) / 8 + 1e-9 / 8 * (np.arange(9) == 5)),
-        ],
-        ids=["nonuniform", "one-breakpoint-moved"],
-    )
-    def test_nonuniform_time_meshes_raise(self, tm, record_calls):
-        stencils = space_stencils(_space_mesh(2, 4))
-        solves = record_calls(precond, "_shifted_space_solve")
-        with pytest.raises(UnsupportedMeshError, match="not uniform"):
-            make_G_X(tm, stencils)
-        assert solves == []  # before any other work
-
     def test_makes_no_sparse_factorization(self, record_calls):
-        tm, sm = uniform_time_mesh(0.0, 1.0, 4), _space_mesh(2, 8)
+        tm, sm = TimeMesh(0.0, 1.0, 4), _space_mesh(2, 8)
         factored = record_calls(scipy.sparse.linalg, "splu")
         _lift(tm, sm)
         assert factored == []
@@ -453,8 +436,9 @@ def test_stencil_products_match_the_csr_products(d, k):
 
 
 # the levels whose assembled trial matrices are checked entry by entry:
-# d = 1 k <= 10 and d = 2 k <= 5
+# d = 1 k <= 10 and d = 2 k <= 5, and d = 2 k = 6 under the deep marker
 ENTRY_LEVELS = [(1, k) for k in range(1, 11)] + [(2, k) for k in range(6)]
+ENTRY_LEVELS += [pytest.param(2, 6, marks=pytest.mark.deep)]
 
 
 @pytest.mark.parametrize("d, k", ENTRY_LEVELS)
