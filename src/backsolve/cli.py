@@ -12,7 +12,6 @@ digits so files are byte-reproducible and round-trip exactly.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import sys
@@ -197,6 +196,8 @@ def write_csv(path: str, header: list, rows: list) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse  # the command line only: not loaded by `import backsolve`
+
     parser = argparse.ArgumentParser(
         prog="backsolve",
         description="Space-time least-squares solver for backward heat problems",

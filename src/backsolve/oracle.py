@@ -76,48 +76,41 @@ def _per_series(field: SpectralField, values):
     return float(values[0]) if np.ndim(values) == 1 else values[0]
 
 
-def _evolve_coeffs(field: SpectralField, times):
-    """Coefficients of heat_evolve(field, t) for every t.
+def _decay_table(field: SpectralField, times) -> np.ndarray:
+    """(times, modes) table exp(-2 lambda t) of squared decay factors, every
+    entry in [0, 1] for t >= 0; built once per check for the whole stack."""
+    return np.exp(np.multiply.outer(times, -2.0 * field.eigenvalues))
 
-    Yields one (times, modes) array per series, one series at a time, so a
-    stack never holds more than one series' table; the lambda x t table is
-    built once for the whole stack.
+
+def _evolved_norms(field: SpectralField, table, weights=None) -> np.ndarray:
+    """(series, times) norms sqrt(sum_k w_k c_k^2 exp(-2 lambda_k t) / 2^d).
+
+    einsum's own loop, not BLAS: an entry's summation order does not depend
+    on the stack's size, so a stack's norms are its series' norms bit for
+    bit, at any BLAS thread count.
     """
-    times = np.asarray(times, dtype=float)
-    lam_t = np.multiply.outer(times, field.eigenvalues)
-    moved = times != 0.0
-    for coeffs in np.atleast_2d(field.coeffs):
-        # work in log magnitude: exp(-lam*dt) alone may overflow even when
-        # the scaled coefficient is representable; a zero coefficient has
-        # log magnitude -inf and stays exactly zero
-        with np.errstate(divide="ignore"):
-            rows = np.log(np.abs(coeffs)) - lam_t
-        if np.any((rows > _EXP_LIMIT)[moved]):
-            raise OverflowError("backward evolution blew a coefficient past 1e300")
-        np.exp(rows, out=rows)
-        rows *= np.sign(coeffs)
-        # exp(log|c|) does not round-trip, so t = 0 keeps the coefficients exactly
-        rows[~moved] = coeffs
-        yield rows
-
-
-def _evolved_norms(field: SpectralField, times, weights=None) -> np.ndarray:
-    """(series, times) norms sqrt(sum_k w_k c_k(t)^2 / 2^d), reduced one
-    series at a time."""
-    norms = np.empty((len(np.atleast_2d(field.coeffs)), np.size(times)))
-    for out, rows in zip(norms, _evolve_coeffs(field, times)):
-        rows *= rows
-        if weights is not None:
-            rows *= weights
-        np.sum(rows, axis=1, out=out)
+    sq = np.atleast_2d(field.coeffs) ** 2
+    if weights is not None:
+        sq *= weights
+    norms = np.einsum("sm,tm->st", sq, table)
     norms /= 2**field.dimension
     return np.sqrt(norms, out=norms)
 
 
 def heat_evolve(field: SpectralField, dt: float) -> SpectralField:
     """Semigroup action: forward for dt >= 0, backward (amplifying) for dt < 0."""
-    coeffs = np.array([rows[0] for rows in _evolve_coeffs(field, [dt])])
-    return SpectralField(field.dimension, field.modes, _per_series(field, coeffs))
+    coeffs = field.coeffs.copy()
+    # exp(log|c|) does not round-trip, so dt = 0 keeps the coefficients exactly
+    if dt != 0.0:
+        # work in log magnitude: exp(-lam*dt) alone may overflow even when
+        # the scaled coefficient is representable; a zero coefficient has
+        # log magnitude -inf and stays exactly zero
+        with np.errstate(divide="ignore"):
+            log_mag = np.log(np.abs(coeffs)) - field.eigenvalues * dt
+        if np.any(log_mag > _EXP_LIMIT):
+            raise OverflowError("backward evolution blew a coefficient past 1e300")
+        coeffs = np.exp(log_mag) * np.sign(coeffs)
+    return SpectralField(field.dimension, field.modes, coeffs)
 
 
 def time_derivative(field: SpectralField) -> SpectralField:
@@ -152,23 +145,32 @@ class StabilityCheckResult:
     constant_m: float
 
 
-def _start_norms(field: SpectralField) -> np.ndarray:
-    """(series, 1) column of ||u(0)||; an all-zero series has no bound to
-    check, and one whose norm underflows to 0 would divide by it."""
+def _check_horizon(T: float) -> None:
+    """The checks sample (0, T] forward in time; T <= 0 would evolve
+    backward or divide by zero."""
+    if not T > 0.0:
+        raise ValueError(f"T must be positive, got T = {T:g}")
+
+
+def _start_norms(field: SpectralField, norms=None) -> np.ndarray:
+    """(series, 1) column of ||u(0)||, l2_norm's unless norms are given; an
+    all-zero series has no bound to check, and one whose norm underflows
+    to 0 would divide by it."""
     zero = ~np.any(np.atleast_2d(field.coeffs) != 0.0, axis=1)
     if np.any(zero):
         where = f" (series {int(np.argmax(zero))})" if field.coeffs.ndim > 1 else ""
         raise ValueError(f"field is identically zero{where}")
-    norms = np.atleast_1d(field.l2_norm())
+    norms = np.atleast_1d(field.l2_norm() if norms is None else norms)
     if np.any(norms == 0.0):
         raise ValueError("||u(0)|| underflows to 0; scale the coefficients up")
     return norms[:, None]
 
 
-def _end_norms(field: SpectralField, T: float) -> np.ndarray:
-    """(series, 1) column of ||u(T)||; one that underflows to 0 would turn
-    the bounds into false violations or NaN ratios, so it raises."""
-    norms = np.atleast_1d(heat_evolve(field, T).l2_norm())
+def _end_norms(field: SpectralField, T: float, norms=None) -> np.ndarray:
+    """(series, 1) column of ||u(T)||, heat_evolve's unless norms are given;
+    one that underflows to 0 would turn the bounds into false violations or
+    NaN ratios, so it raises."""
+    norms = np.atleast_1d(heat_evolve(field, T).l2_norm() if norms is None else norms)
     if np.any(norms == 0.0):
         raise ValueError(f"||u(T)|| underflows to 0 at T = {T:g}; take a shorter T")
     return norms[:, None]
@@ -195,13 +197,18 @@ def check_log_convexity(
 
     Verifies ||u(t)|| <= ||u(0)||^(1-t/T) ||u(T)||^(t/T) at sampled times;
     a single mode saturates it, multi-mode fields satisfy it strictly.
+    ||u(0)|| and ||u(T)|| are the first and last sampled norms, so the bound
+    holds with equality, bit for bit, at both ends.
     """
-    norm0 = _start_norms(field)
+    _check_horizon(T)
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     times = np.linspace(0.0, T, n_samples)
-    norm_t = _end_norms(field, T)
+    actuals = _evolved_norms(field, _decay_table(field, times))
+    norm0 = _start_norms(field, actuals[:, 0])
+    norm_t = _end_norms(field, T, actuals[:, -1])
     omega = times / T
     bounds = norm0 ** (1.0 - omega) * norm_t**omega
-    actuals = _evolved_norms(field, times)
     m_const = np.maximum(norm0, norm_t + 1.0)
     return _stability_result(field, times, omega, bounds, actuals, 2.0, 0.0, m_const)
 
@@ -229,9 +236,11 @@ def check_smoothing(field: SpectralField, T: float, n_samples: int = 400) -> Smo
     Per mode the envelope t*lambda*exp(-lambda*t) peaks at exactly 1/e, so
     the measured constant is 1/e for a single mode and never exceeds 1/e.
     """
+    _check_horizon(T)
     norm0 = _start_norms(field)
     times = _sample_times_with_critical(field, T, n_samples)
-    values = times * _evolved_norms(time_derivative(field), times) / norm0
+    table = _decay_table(field, times)
+    values = times * _evolved_norms(time_derivative(field), table) / norm0
     best = int(np.argmax(values))
     return SmoothingReport(
         float(values.flat[best]),
@@ -253,6 +262,7 @@ def check_hbeta_stability(
     with ||u(0)|| >= ||u(T)|| + 1 (so that M = ||u(0)||) that supremum
     equals exp(-beta/2) in closed form, attained at t = 1/lambda.
     """
+    _check_horizon(T)
     if beta < 0.0 or beta >= 2.0:
         raise ValueError("beta must lie in [0, 2)")
     norm0 = _start_norms(field)
@@ -266,7 +276,7 @@ def check_hbeta_stability(
         * m_const
         * (norm_t / m_const) ** ((1.0 - beta / gain) * omega)
     )
-    actuals = _evolved_norms(field, times, field.eigenvalues**beta)
+    actuals = _evolved_norms(field, _decay_table(field, times), field.eigenvalues**beta)
     return _stability_result(field, times, omega, bounds, actuals, gain, beta, m_const)
 
 

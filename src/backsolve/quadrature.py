@@ -8,16 +8,26 @@ higher degree is refused.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 
+@functools.cache
 def gauss_1d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on (0,1); exact through degree 2n-1."""
+    """n-point Gauss-Legendre rule on (0,1); exact through degree 2n-1.
+
+    leggauss is an eigen-solve, so each rule is computed once and shared:
+    the points and weights are read-only.
+    """
     if n < 1:
         raise ValueError("need at least one point")
     x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def gauss_1d_for_degree(degree: int) -> tuple[np.ndarray, np.ndarray]:

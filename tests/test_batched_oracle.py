@@ -2,9 +2,12 @@
 
 The reference helpers below are the earlier implementations, kept as the
 definition of the quantities: one `heat_evolve` (a fresh SpectralField) per
-sample time, reduced by `l2_norm` or `hbeta_norm`. The batched checks must
-reproduce them bit for bit, and a check of a stacked field must reproduce
-the checks of its series one by one.
+sample time, reduced by `l2_norm` or `hbeta_norm`. `heat_evolve` must
+reproduce the reference evolution bit for bit. The checks square a decay
+table exp(-2 lambda t) where the reference squares exp(log|c| - lambda t),
+so they agree with the reference to within ULPS units in the last place,
+entry by entry (at most 31 over the suites below). A check of a stacked
+field must reproduce the checks of its series one by one, bit for bit.
 """
 
 import math
@@ -95,38 +98,48 @@ def _series(stack):
 
 SUITES = [(d, n_max) for d in (1, 2) for n_max in (3, 8, 20)]
 
+ULPS = 64
+
+
+def _assert_ulps(got, want):
+    """Entry by entry, got is within ULPS units in the last place of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    err = np.abs(got - want)
+    assert np.all(err <= ULPS * np.finfo(float).eps * np.abs(want)), np.max(err)
+
+
+def _assert_result(res, bounds, actuals, m_const):
+    """A StabilityCheckResult against the reference's arrays, its maxima
+    against its own arrays."""
+    _assert_ulps(res.bound_values, bounds)
+    _assert_ulps(res.actual_values, actuals)
+    _assert_ulps(res.constant_m, m_const)
+    assert res.max_violation == float(np.max(res.actual_values - res.bound_values))
+    assert res.max_ratio == float(np.max(res.actual_values / res.bound_values))
+
 
 @pytest.mark.parametrize("d,n_max", SUITES)
 @pytest.mark.parametrize("T", [0.1, 1.0, 2.0])
-class TestChecksBitwise:
+class TestChecksAgainstReference:
     def test_log_convexity(self, d, n_max, T):
         for f in _series(_suite(d, n_max)):
-            bounds, actuals, m_const = _ref_log_convexity(f, T)
             res = check_log_convexity(f, T)
-            assert np.array_equal(res.bound_values, bounds)
-            assert np.array_equal(res.actual_values, actuals)
-            assert res.max_violation == float(np.max(actuals - bounds))
-            assert res.max_ratio == float(np.max(actuals / bounds))
-            assert res.constant_m == m_const
+            _assert_result(res, *_ref_log_convexity(f, T))
 
     def test_smoothing(self, d, n_max, T):
         for f in _series(_suite(d, n_max)):
             constant, t_at_max, values = _ref_smoothing(f, T)
             rep = check_smoothing(f, T)
-            assert np.array_equal(rep.values, values)
-            assert rep.constant == constant
+            _assert_ulps(rep.values, values)
+            _assert_ulps(rep.constant, constant)
             assert rep.t_at_max == t_at_max
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.5])
     def test_hbeta(self, d, n_max, T, beta):
         for f in _series(_suite(d, n_max)):
-            bounds, actuals, m_const = _ref_hbeta(f, T, beta)
             res = check_hbeta_stability(f, T, beta)
-            assert np.array_equal(res.bound_values, bounds)
-            assert np.array_equal(res.actual_values, actuals)
-            assert res.max_violation == float(np.max(actuals - bounds))
-            assert res.max_ratio == float(np.max(actuals / bounds))
-            assert res.constant_m == m_const
+            _assert_result(res, *_ref_hbeta(f, T, beta))
 
 
 @pytest.mark.parametrize("d,n_max", SUITES)
@@ -138,14 +151,15 @@ def test_heat_evolve_bitwise(d, n_max, dt):
 
 
 def test_batched_rows_are_single_evolutions():
-    f = _series(_suite(2, 5))[-1]
-    times = np.array([0.0, -1e-3, 0.02, 0.0, 1.0])
-    (rows,) = oracle._evolve_coeffs(f, times)
-    assert rows.shape == (times.size, f.coeffs.size)
-    for t, row in zip(times, rows):
-        assert np.array_equal(row, _ref_heat_evolve(f, t).coeffs)
-    assert np.array_equal(rows[0], f.coeffs) and np.array_equal(rows[3], f.coeffs)
-    assert np.all(rows[:, f.coeffs == 0.0] == 0.0)
+    stack = _suite(2, 5)
+    zero = stack.coeffs == 0.0
+    for t in (0.0, -1e-3, 0.02, 1.0):
+        rows = heat_evolve(stack, t).coeffs
+        assert rows.shape == stack.coeffs.shape
+        for row, f in zip(rows, _series(stack)):
+            assert np.array_equal(row, _ref_heat_evolve(f, t).coeffs)
+        assert np.all(rows[zero] == 0.0)
+    assert np.array_equal(heat_evolve(stack, 0.0).coeffs, stack.coeffs)
 
 
 def test_end_norm_underflow_names_T():
@@ -157,17 +171,43 @@ def test_end_norm_underflow_names_T():
             check_log_convexity(one_mode, 30.0)
         with pytest.raises(ValueError, match=r"underflows to 0 at T = 30"):
             check_hbeta_stability(one_mode, 30.0, 0.5)
-    # at T = 1 nothing underflows and both checks are the reference's bits
-    bounds, actuals, m_const = _ref_log_convexity(one_mode, 1.0)
+    # at T = 1 nothing underflows and both checks agree with the reference
     res = check_log_convexity(one_mode, 1.0)
-    assert np.array_equal(res.bound_values, bounds)
-    assert np.array_equal(res.actual_values, actuals)
-    assert res.constant_m == m_const
-    bounds, actuals, m_const = _ref_hbeta(one_mode, 1.0, 0.5)
+    _assert_result(res, *_ref_log_convexity(one_mode, 1.0))
     res = check_hbeta_stability(one_mode, 1.0, 0.5)
-    assert np.array_equal(res.bound_values, bounds)
-    assert np.array_equal(res.actual_values, actuals)
-    assert res.max_ratio == float(np.max(actuals / bounds))
+    _assert_result(res, *_ref_hbeta(one_mode, 1.0, 0.5))
+
+
+@pytest.mark.parametrize("T", [0.0, -0.5])
+@pytest.mark.parametrize(
+    "check",
+    [check_log_convexity, check_smoothing, lambda f, T: check_hbeta_stability(f, T, 0.5)],
+    ids=["log_convexity", "smoothing", "hbeta"],
+)
+def test_nonpositive_T_raises(check, T):
+    # T = 0 divided by zero and T < 0 evolved backward, reporting a pass
+    field = _suite(2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"T must be positive, got T = {T:g}$"):
+            check(field, T)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+def test_log_convexity_bound_is_exact_at_both_ends(T):
+    # ||u(0)|| and ||u(T)|| are read from the sampled norms themselves, so
+    # a strictly convex suite's largest violation is exactly 0
+    stack = random_spectral_fields(100, d=2, n_max=8, seed=7)
+    res = check_log_convexity(stack, T)
+    ends = [0, -1]
+    assert np.array_equal(res.bound_values[:, ends], res.actual_values[:, ends])
+    assert res.max_violation == 0.0
+
+
+def test_log_convexity_needs_both_ends():
+    # ||u(0)|| and ||u(T)|| are the first and last samples
+    with pytest.raises(ValueError, match="n_samples must be >= 2, got 1"):
+        check_log_convexity(_suite(1, 3), 1.0, n_samples=1)
 
 
 @pytest.mark.parametrize(
@@ -183,9 +223,13 @@ def test_start_norm_underflow_raises(check):
 
 
 def test_batched_overflow_names_the_limit():
-    f = SpectralField(1, np.array([[10]]), np.array([1.0]))
+    # lambda = 100 pi^2: at dt = -0.7 the unit series passes 1e300 and the
+    # tiny one stays finite, so the stack raises for the one series
+    stack = SpectralField(1, np.array([[10]]), np.array([[1.0], [1e-300]]))
+    tiny = _series(stack)[1]
+    assert np.isfinite(heat_evolve(tiny, -0.7).coeffs[0])
     with pytest.raises(OverflowError, match="past 1e300"):
-        list(oracle._evolve_coeffs(f, [0.0, 0.5, -10.0]))
+        heat_evolve(stack, -0.7)
     # the guard looks at evolved rows only: t = 0 returns the field as is
     huge = SpectralField(1, np.array([[1]]), np.array([1e305]))
     assert math.log(1e305) > oracle._EXP_LIMIT
@@ -206,29 +250,34 @@ CHECKS = pytest.mark.parametrize(
 
 
 class TestEvolutionCallCount:
-    """Each check evolves its field a fixed number of times, whatever
-    n_samples, and does its mode-only work once per stack, whatever its
-    size, holding one series' times-by-modes table at a time."""
+    """Each check builds one times-by-modes decay table and evolves its
+    field at most once, whatever n_samples and whatever the stack's size,
+    and does its mode-only work once per stack."""
 
     @CHECKS
     def test_independent_of_samples(self, record_calls, check):
         field = random_spectral_fields(1, d=2, n_max=4, seed=1)
-        evolved = record_calls(oracle, "_evolve_coeffs")
+        tables = record_calls(oracle, "_decay_table")
+        evolved = record_calls(oracle, "heat_evolve")
         counts = []
         for n in (10, 1000):
+            tables.clear()
             evolved.clear()
             check(field, n)
-            counts.append(len(evolved))
-        assert counts[0] == counts[1] <= 2
+            counts.append((len(tables), len(evolved)))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == 1 and counts[0][1] <= 1
 
     @CHECKS
     @pytest.mark.parametrize("count", [1, 100])
     def test_mode_only_work_runs_once_per_stack(self, record_calls, check, count):
         sampled = record_calls(oracle, "_sample_times_with_critical")
-        evolved = record_calls(oracle, "_evolve_coeffs")
+        tables = record_calls(oracle, "_decay_table")
+        evolved = record_calls(oracle, "heat_evolve")
         check(random_spectral_fields(count, d=2, n_max=8, seed=0), 400)
         assert len(sampled) <= 1
-        assert len(evolved) <= 2
+        assert len(tables) == 1
+        assert len(evolved) <= 1
 
     @CHECKS
     def test_no_evolved_array_exceeds_times_by_modes(self, monkeypatch, check):
@@ -237,22 +286,22 @@ class TestEvolutionCallCount:
         n_modes = stack.modes.shape[0]
         n_times = _sample_times_with_critical(stack, 1.0, 400).size
         tables = []
-        evolve = oracle._evolve_coeffs
+        decay_table = oracle._decay_table
 
         def sized(field, times):
-            for rows in evolve(field, times):
-                tables.append(rows.size)
-                yield rows
+            table = decay_table(field, times)
+            tables.append(table.size)
+            return table
 
-        monkeypatch.setattr(oracle, "_evolve_coeffs", sized)
+        monkeypatch.setattr(oracle, "_decay_table", sized)
         tracemalloc.start()
         try:
             check(stack, 400)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(tables) >= count
-        assert max(tables) <= n_times * n_modes
+        assert len(tables) == 1
+        assert tables[0] <= n_times * n_modes
         # a few times-by-modes tables and a few (count, times) norm arrays;
         # one (count, times, modes) array alone would be count tables
         assert peak <= 8 * 10 * (n_times * n_modes + count * n_times)

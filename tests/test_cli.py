@@ -405,3 +405,25 @@ class TestMain:
             assert done.returncode == 0, done.stderr
             written.append(out_path.read_bytes())
         assert written[0] == written[1]
+
+
+def test_oracle_csv_independent_of_blas_threads(tmp_path):
+    # the oracle's norms run einsum's own loop, no BLAS call, so a fresh
+    # interpreter writes the same bytes at one and at two BLAS threads
+    cfg_path = write_config(
+        tmp_path, "experiment = stability-oracle\nd = 2\nT = 1.0\nk_range = 1\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out_path = tmp_path / f"oracle_{threads}.csv"
+        done = subprocess.run(
+            [sys.executable, "-m", "backsolve", "run", "--config", cfg_path,
+             "--output", str(out_path)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        written.append(out_path.read_bytes())
+    assert written[0] == written[1]

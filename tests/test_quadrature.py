@@ -1,11 +1,13 @@
-"""Triangle rules: exactness of each tabulated rule, refusal above the table."""
+"""Triangle rules: exactness of each tabulated rule, refusal above the table;
+the Gauss-Legendre rules: computed once per point count."""
 
 from math import factorial
 
 import numpy as np
 import pytest
 
-from backsolve.quadrature import triangle_rule
+from backsolve import quadrature
+from backsolve.quadrature import gauss_1d, triangle_rule
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
@@ -25,3 +27,20 @@ def test_degree_above_table_refused():
     # no assembly or quadrature asks for degree 6 or more
     with pytest.raises(ValueError, match="degree 6; the highest tabulated degree is 5"):
         triangle_rule(6)
+
+
+def test_gauss_rule_computed_once_and_read_only(record_calls):
+    gauss_1d.cache_clear()
+    solved = record_calls(quadrature, "leggauss")
+    first = gauss_1d(4)
+    second = gauss_1d(4)
+    assert len(solved) == 1
+    assert all(a is b for a, b in zip(first, second))
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(first[0], 0.5 * (x + 1.0))
+    assert np.array_equal(first[1], 0.5 * w)
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    gauss_1d(5)
+    assert len(solved) == 2

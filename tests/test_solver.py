@@ -539,8 +539,9 @@ class TestSolveBackward:
     def test_import_l0_solves_and_oracle_load_no_scipy_module(self):
         # in a fresh interpreter: no scipy module is loaded by import
         # backsolve, by l = 0 builds and solves at d = 1 and d = 2, or by a
-        # stability-oracle run; an l = 1 build factors its A_test with
-        # SuperLU and so loads scipy.sparse.linalg
+        # stability-oracle run, and no argparse either (only the command
+        # line uses it); an l = 1 build factors its A_test with SuperLU and
+        # so loads scipy.sparse.linalg
         script = textwrap.dedent(
             """
             import json, sys
@@ -562,9 +563,10 @@ class TestSolveBackward:
             oracle = dict(experiment="stability-oracle", d=2, T=1.0, k_range=[1])
             backsolve.run(backsolve.ExperimentConfig(**oracle))
             loaded.append(scipy_modules())
+            cli = "argparse" in sys.modules
             build_level(replace(cfg, l=1), 3)
             l1 = "scipy.sparse.linalg" in sys.modules
-            print(json.dumps([converged, loaded, l1]))
+            print(json.dumps([converged, loaded, cli, l1]))
             """
         )
         src = str(Path(assembly.__file__).resolve().parents[1])
@@ -575,7 +577,7 @@ class TestSolveBackward:
             env=env, capture_output=True, text=True, check=False,
         )
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [[True, True], [[], [], []], True]
+        assert json.loads(done.stdout) == [[True, True], [[], [], []], False, True]
 
     def test_explicit_epsilon_outside_k_range(self):
         cfg = ExperimentConfig(
