@@ -4,7 +4,9 @@ The trial-space lift inverts the full anisotropic Gram by diagonalization
 in time: the time pencil's modes are known cosines on the time mesh,
 uniform by type (backsolve.mesh), and per time mode a shifted space solve
 is done in closed form. It solves only the uniform space meshes the solver
-builds. The lift is exact, so the norm-equivalence constants are 1.
+builds. The lift is exact, so the norm-equivalence constants are 1. At
+d = 1 the space pencil's eigenvalues are in closed form too (space_modes),
+and the l = 0 solve runs in the tensor eigenbasis (backsolve.solver).
 
 The test-space Gram is the identity in time times the test stiffness
 A_test, so no test-space lift is built: the right-hand side, J(0) and the
@@ -117,6 +119,20 @@ def _time_modes(time_mesh: TimeMesh):
     theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
     sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
     return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
+
+
+def space_modes(stencils: SpaceStencils):
+    """(a, m): at d = 1, the eigenvalues of the trial stiffness and mass on
+    the columns of stencils.sine, in _shifted_space_solve's sigma form
+    (c0 + 2 c1) - c1 sigma_p for A, M = c0 I + c1 E. The stiffness's constant
+    term is exactly 0, so its smallest eigenvalues keep their relative
+    accuracy, which c0 + c1 2 cos(p pi / N) loses to cancellation.
+    """
+    sigma = _sigma(stencils.n)
+    return tuple(
+        (c0 + 2.0 * c1) - c1 * sigma
+        for c0, _, c1, _ in (stencils.stiffness, stencils.mass)
+    )
 
 
 class SpaceStencils(NamedTuple):
@@ -272,6 +288,12 @@ def _sine(n: int) -> np.ndarray:
     return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
 
 
+def _sigma(n: int) -> np.ndarray:
+    """2 - eig(E), E = tridiag(1, 0, 1) of size N - 1, on the columns of
+    _sine(N): sigma_p = 4 sin^2(p pi / 2N), p = 1..N-1."""
+    return 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+
+
 def _shifted_space_solve(stencils: SpaceStencils, shifts: np.ndarray) -> Callable:
     """Solve mapping rows w_j to Re[(A + i s_j M)^-1] w_j in closed form;
     the rows are in slot order, (..., shifts, n_x), and any leading axes
@@ -297,7 +319,7 @@ def _shifted_space_solve(stencils: SpaceStencils, shifts: np.ndarray) -> Callabl
         (s + t * scale).reshape(-1, *(1,) * d)
         for s, t in zip(stencils.stiffness, stencils.mass)
     )
-    sigma = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2  # 2 - eig(E)
+    sigma = _sigma(n)
     if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
         lam = (gamma0 + 2.0 * gamma1) - gamma1 * sigma
         lam = lam.real + lam.imag**2 / lam.real

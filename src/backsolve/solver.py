@@ -38,6 +38,18 @@ from one A_test solve and one sample of phi. The minimizer is found by
 preconditioned conjugate residuals stopped once the lifted residual
 r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares functional.
 
+At d = 1 and l = 0 a level is solved in the tensor eigenbasis of Lynch,
+Rice and Thomas (1964): iterates x = (Z x S) x~ and residuals
+r~ = (Z^T x S) r, with Z the time modes (Z^T M_t Z = I, Z^T K_t Z = theta)
+and S the sine matrix, which takes A and M to their eigenvalues a and m.
+There the G_X lift is r~ / lam, lam_jp = a_p + theta_j m_p^2 / a_p, and
+the normal operator takes x~ to lam x~ + 2 z_T x m (z_T^T x~)
++ (reg_epsilon^2 - 1) z_0 x m (z_0^T x~), z_0 and z_T the first and last
+rows of Z, products taken entrywise: PCR runs no transform. h~ is
+formed once per level and the iterate mapped back once per solve. The
+change of basis keeps every inner product PCR reads (r.z, x.h, x.r), so
+the iteration and its stopping rule are the slot-order ones.
+
 Error reporting compares against manufactured solutions, from the
 iterate's coefficients alone. With I phi the nodal P1 interpolant of phi
 and psi = phi - I phi at the load rule's points, the breakpoint error
@@ -105,8 +117,10 @@ from .oracle import mode_perturbation, random_perturbation
 from .precond import (
     RieszPreconditioner,
     SpaceStencils,
+    _time_modes,
     make_G_X,
     make_G_Y,
+    space_modes,
     stiffness_solve,
 )
 from .solutions import ManufacturedSolution, get_solution
@@ -125,7 +139,9 @@ class LeastSquaresSystem:
     M_mix^T A_test^-1 M_mix y = M u + rest, so that the trace terms join u
     and one stencil pass applies M and A. rhs is h and j_zero is J(0).
     Only the start-trace term reads reg_epsilon, so one system serves
-    every epsilon through dataclasses.replace.
+    every epsilon through dataclasses.replace. With modes = (Z, lam, m)
+    (in_modes) v, rhs and apply's result are in the tensor eigenbasis of
+    the module docstring instead, and in_slots maps v back.
     """
 
     stencils: SpaceStencils
@@ -134,6 +150,7 @@ class LeastSquaresSystem:
     reg_epsilon: float
     rhs: np.ndarray
     j_zero: float
+    modes: tuple | None = None
 
     def __post_init__(self):
         if self.reg_epsilon < 0.0:
@@ -143,7 +160,20 @@ class LeastSquaresSystem:
     def n(self) -> int:
         return self.rhs.size
 
+    def in_slots(self, v: np.ndarray) -> np.ndarray:
+        if self.modes is None:
+            return v
+        z = self.modes[0]
+        return (z @ v.reshape(z.shape[0], -1) @ self.stencils.sine).ravel()
+
     def apply(self, v: np.ndarray) -> np.ndarray:
+        if self.modes is not None:  # lam x + the trace terms, rank 2 in time
+            z, lam, m = self.modes
+            x = np.asarray(v, dtype=float).reshape(lam.shape)
+            out = lam * x
+            out += np.outer(z[-1], 2.0 * m * (z[-1] @ x))
+            out += np.outer(z[0], (self.reg_epsilon**2 - 1.0) * m * (z[0] @ x))
+            return out.ravel()
         st = self.stencils
         rows = np.asarray(v, dtype=float).reshape(-1, st.slots.size)
         k_rows, m_rows = _hat_products(self.step, rows)
@@ -288,6 +318,18 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
     rhs[-1] += g_load
     j_zero = float(t_c @ t_c) * float(test_load @ solved) + g_sq
     return LeastSquaresSystem(st, time_mesh.step, test_part, 0.0, rhs.ravel(), j_zero)
+
+
+def in_modes(time_mesh: TimeMesh, system: LeastSquaresSystem) -> tuple:
+    """(system in its tensor eigenbasis, the diagonal G_X lift there) of a
+    d = 1, l = 0 build_system (module docstring)."""
+    theta, z = _time_modes(time_mesh)
+    a, m = space_modes(system.stencils)
+    lam = a + np.outer(theta, m * m / a)
+    rhs = z.T @ system.rhs.reshape(z.shape[0], -1) @ system.stencils.sine
+    flat = lam.ravel()
+    lift = RieszPreconditioner(lambda r: r / flat)
+    return replace(system, rhs=rhs.ravel(), modes=(z, lam, m)), lift
 
 
 def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int):
@@ -711,8 +753,8 @@ def _perturbation_for(config, stencils):
 class Level:
     """The epsilon-independent part of one refinement level: its time mesh,
     the manufactured solution, the perturbation's L2 norm, build_system's
-    normal operator at reg_epsilon = 0, the G_X lift and the error_terms of
-    its error reports."""
+    normal operator at reg_epsilon = 0 (in the tensor eigenbasis at d = 1,
+    l = 0), the G_X lift and the error_terms of its error reports."""
 
     time_mesh: TimeMesh
     solution: ManufacturedSolution
@@ -738,7 +780,10 @@ def build_level(config, k: int) -> Level:
     )
     system = build_system(time_mesh, config.l, space, data)
     terms = error_terms(space_mesh, space, solution, sample, data[2])
-    g_x = make_G_X(time_mesh, system.stencils)
+    if config.d == 1 and config.l == 0:
+        system, g_x = in_modes(time_mesh, system)
+    else:
+        g_x = make_G_X(time_mesh, system.stencils)
     return Level(time_mesh, solution, pert_norm, system, g_x, terms)
 
 
@@ -746,7 +791,8 @@ def solve_level(config, k: int, level: Level, strategy: str):
     """Solve a built level k at the epsilon of strategy.
 
     Returns (coefficients, SolveReport, ErrorReport), the coefficients
-    scattered once from the solve's slot order to dof order. An explicit
+    mapped back once from the tensor eigenbasis at d = 1, l = 0 (in_slots)
+    and scattered once from the solve's slot order to dof order. An explicit
     epsilon is the entry of config.epsilon_values at k's place in
     config.k_range.
     """
@@ -762,6 +808,7 @@ def solve_level(config, k: int, level: Level, strategy: str):
     eps = choose_epsilon(strategy, dofs, config.d, level.pert_norm, explicit)
     system = replace(level.system, reg_epsilon=eps)
     coeffs, solve_rep = pcg(system, level.g_x, config.threshold, config.max_iter)
+    coeffs = system.in_slots(coeffs)
     err_rep = error_report(
         level.time_mesh, coeffs, level.solution, level.error_terms, config.slice_times
     )

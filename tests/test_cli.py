@@ -308,9 +308,11 @@ class TestSolvingStudies:
         self, record_calls, experiment, d, k_range, extra, levels, solves, l
     ):
         # one level per k and window, solved at every epsilon strategy: one
-        # mesh pair, space assembly, stencil read and G_X lift per level, and
-        # an A_test factor only at l = 1 (at l = 0 A_test is solved in
-        # closed form from the stencils)
+        # mesh pair, space assembly and stencil read per level, a make_G_X
+        # lift per level but at d = 1, l = 0 (whose diagonal lift in the
+        # tensor eigenbasis is built by in_modes), and an A_test factor only
+        # at l = 1 (at l = 0 A_test is solved in closed form from the
+        # stencils)
         calls = {
             name: record_calls(owner, name)
             for owner, name in [
@@ -319,6 +321,7 @@ class TestSolvingStudies:
                 (precond, "space_stencils"),
                 (precond, "make_G_Y"),
                 (precond, "make_G_X"),
+                (solver, "in_modes"),
                 (solver, "pcg"),
             ]
         }
@@ -336,7 +339,8 @@ class TestSolvingStudies:
             "space_factors": levels,
             "space_stencils": levels,
             "make_G_Y": levels if l else 0,
-            "make_G_X": levels,
+            "make_G_X": 0 if d == 1 and l == 0 else levels,
+            "in_modes": levels if d == 1 and l == 0 else 0,
             "pcg": solves,
         }
 

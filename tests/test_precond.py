@@ -205,6 +205,32 @@ class TestTimeModes:
         assert np.max(residual, initial=0.0) <= 8 * eps  # N = 1: empty
 
 
+class TestSpaceModes:
+    """space_modes: the d=1 trial stiffness and mass eigenvalues on the sine
+    matrix's columns, in closed form."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_diagonalize_the_assembled_matrices(self, k):
+        sm = _space_mesh(1, k)
+        st = space_stencils(sm)
+        for values, csr in zip(
+            precond.space_modes(st), (space_stiffness(sm, 1), space_mass(sm, 1))
+        ):
+            want = csr.toarray()[np.ix_(st.slots, st.slots)]
+            got = st.sine @ np.diag(values) @ st.sine
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_smallest_stiffness_eigenvalue_keeps_its_digits(self):
+        # (4/h) sin^2(pi / 2N) at N = 1024, against a long double reference;
+        # a0 + a1 2 cos(pi / N) would cancel about five digits of it
+        n = 1024
+        a, _ = precond.space_modes(space_stencils(_space_mesh(1, 10)))
+        pi = 4 * np.arctan(np.longdouble(1))
+        want = 4 * n * np.sin(pi / (2 * n)) ** 2
+        assert a.min() == a[0]
+        assert abs(a[0] - want) <= 1e-15 * want
+
+
 def _jittered(mesh, seed):
     """mesh with its interior vertices moved at random by well under a
     thousandth of an edge: the same cells, no longer uniform."""

@@ -34,6 +34,7 @@ from backsolve.solver import (
     build_level,
     build_meshes,
     choose_epsilon,
+    in_modes,
     interior_points,
     nodal_interpolant,
     pcg,
@@ -49,10 +50,12 @@ from reference import (
     fit_rate,
     gram_X,
     gram_Y,
+    hat_matrix,
     level_error_report,
     level_system,
     space_csr,
     space_mass,
+    time_mass_trial,
     to_dofs,
 )
 
@@ -284,17 +287,25 @@ class TestPCG:
         # PCR carries r and z = G_X r by recurrences; r = h - S x recomputed
         # from the accepted iterate must meet the stopping rule too:
         # r (G_X r) <= the report's threshold, at d = 1 k <= 8, d = 2 k <= 4,
-        # and under the deep marker at d = 1 k = 9, 10 and d = 2 k = 5, 6
+        # and under the deep marker at d = 1 k = 9, 10 and d = 2 k = 5, 6.
+        # At d = 1 the level solves in the tensor eigenbasis; the iterate is
+        # mapped back, and r and G_X r are build_system's slot-order operator
+        # and make_G_X's lift, not the eigenbasis system's
         cfg = ExperimentConfig(
             experiment="convergence", d=d, T=1.0, k_range=[k], solution="cubic"
         )
         level = build_level(cfg, k)
+        assert (level.system.modes is not None) == (d == 1)
         eps = choose_epsilon(cfg.epsilon_strategy, level.system.n, d)
-        system = replace(level.system, reg_epsilon=eps)
-        x, rep = pcg(system, level.g_x, cfg.threshold, cfg.max_iter)
-        r = system.rhs - system.apply(x)
+        x, rep = pcg(
+            replace(level.system, reg_epsilon=eps), level.g_x,
+            cfg.threshold, cfg.max_iter,
+        )
+        tm, sm = build_meshes(cfg, k)
+        system = replace(level_system(tm, sm, 0, level.solution), reg_epsilon=eps)
+        r = system.rhs - system.apply(level.system.in_slots(x))
         assert rep.converged
-        assert float(r @ level.g_x.apply(r)) <= rep.threshold
+        assert float(r @ make_G_X(tm, system.stencils).apply(r)) <= rep.threshold
 
     def test_max_iter_exhaustion_flagged(self):
         tm, sm, system = small_system()
@@ -370,6 +381,85 @@ class TestPCG:
             assert rep.converged and rep.iterations == 2
             assert rep.stopping_value >= 0.0
             assert np.all(rep.residual_history >= 0.0)
+
+
+def eigenbasis_pair(k, reg_epsilon):
+    """(time mesh, slot-order system, eigenbasis system, its lift, Z, M_t)
+    of a d=1, l = 0 convergence level k: build_system's slot-order system
+    and in_modes of it."""
+    tm = TimeMesh(0.0, 1.0, k)
+    sm = refine_uniform(unit_interval_mesh(1), k)
+    slot = replace(
+        level_system(tm, sm, 0, get_solution("cubic", 1)), reg_epsilon=reg_epsilon
+    )
+    modal, lift = in_modes(tm, slot)
+    m_t = hat_matrix(time_mass_trial(tm)).toarray()
+    return tm, slot, modal, lift, modal.modes[0], m_t
+
+
+class TestEigenbasis:
+    """The d=1, l = 0 solve in the tensor eigenbasis x = (Z x S) x~: the
+    eigenbasis operators mapped back to slot order are the slot-order ones."""
+
+    @staticmethod
+    def near(got, want, rel=1e-12):
+        return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_operators_are_the_slot_order_operators(self, k):
+        tm, slot, modal, lift, z, m_t = eigenbasis_pair(k, 0.3)
+        sine = slot.stencils.sine
+        shape = modal.modes[1].shape
+        g_x = make_G_X(tm, slot.stencils)
+        rng = np.random.default_rng(k)
+        for _ in range(3):
+            x, f = rng.standard_normal((2, *shape))
+            # iterates map back by Z x~ S and residuals forward by Z^T r S,
+            # so a residual-space vector maps back by M_t Z y~ S
+            back = (m_t @ z @ modal.apply(x).reshape(shape) @ sine).ravel()
+            assert self.near(back, slot.apply(modal.in_slots(x)))
+            lifted = modal.in_slots(lift.apply((z.T @ f @ sine).ravel()))
+            assert self.near(lifted, g_x.apply(f.ravel()))
+            # the forward map of an iterate, Z^T M_t x S, then the back map
+            forward = (z.T @ m_t @ f @ sine).ravel()
+            assert self.near(modal.in_slots(forward), f.ravel())
+        assert self.near(modal.rhs, (z.T @ slot.rhs.reshape(shape) @ sine).ravel())
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_pcg_takes_the_slot_order_iterations(self, k):
+        # at a fixed threshold, well above either form's round-off floor
+        # (about 1e-24 here), both run the same PCR iterations to iterates
+        # within 1e-9
+        tm, slot, modal, lift, _, _ = eigenbasis_pair(k, 2.0**-k)
+        g_x = make_G_X(tm, slot.stencils)
+        x, rep = pcg(slot, g_x, 1e-16, 100)
+        x_modal, rep_modal = pcg(modal, lift, 1e-16, 100)
+        assert rep.converged and rep_modal.converged
+        assert rep_modal.iterations == rep.iterations >= 1
+        gap = np.linalg.norm(modal.in_slots(x_modal) - x)
+        assert gap <= 1e-9 * np.linalg.norm(x)
+
+    def test_pcg_runs_no_space_solve_or_stencil_product(self, record_calls):
+        # inside pcg a d=1, l = 0 solve applies diagonals and the rank-2 time
+        # trace term only. The level builds one closed-form space solve, the
+        # A solve (shift 0) of the slot-order test_part, which the
+        # eigenbasis system never calls, and no make_G_X; pcg runs no
+        # stencil product; solve_level maps back and scatters once
+        cfg = ExperimentConfig(
+            experiment="convergence", d=1, T=1.0, k_range=[5], solution="cubic"
+        )
+        solves = record_calls(precond, "_shifted_space_solve")
+        level = build_level(cfg, 5)
+        assert len(solves) == 1 and not solves[0][1].any()
+        level.system = replace(level.system, test_part=None)
+        products = record_calls(SpaceStencils, "product")
+        back = record_calls(LeastSquaresSystem, "in_slots")
+        scatters = record_calls(SpaceStencils, "scatter")
+        system = replace(level.system, reg_epsilon=2.0**-5)
+        _, rep = pcg(system, level.g_x, cfg.threshold, cfg.max_iter)
+        assert rep.converged and rep.iterations >= 1 and products == []
+        solve_level(cfg, 5, level, "plain")
+        assert (len(back), len(scatters)) == (1, 1)
 
 
 def linear_fe_solution(sm):
