@@ -68,13 +68,16 @@ means and an oscillation orthogonal to every cellwise constant: psi' =
 of the means take the places of psi and l_phi, and the oscillation's
 squared norm adds to q, (psi, phi) and (phi, phi). error_terms computes
 every term but E once per level; a report forms E, one column E_i per
-breakpoint, M E, A E and dot products.
+breakpoint, M E, A E and dot products. interpolation_gap_xnorm reads the
+same terms, and D_{i+1} - D_i = (E_{i+1} - E_i) - (tau_{i+1} - tau_i) psi
+gives its time-derivative Grams from the differenced rows of E.
 
 The inf-sup constant of the P1 test space against the P2 one comes from
 the same operator: at reg_epsilon = 0, S - e_T e_T^T x M is Bt G_Y B, so
 each side of the pencil (Bt G_Y,0 B, Bt G_Y,1 B) is a normal operator of
-build_system with its end trace taken back off, and LOBPCG, preconditioned
-by the G_X lift, finds the pencil's smallest eigenvalue matrix-free.
+build_system, built from zero data, with its end trace taken back off,
+and LOBPCG, preconditioned by the G_X lift, finds the pencil's smallest
+eigenvalue matrix-free.
 """
 
 from __future__ import annotations
@@ -417,11 +420,11 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
 
     st, *_ = space = space_factors(space_mesh, 1)
     n_x = st.slots.size
-    zero = get_solution("zero", space_mesh.dimension)
-    sample = phi_sample(space_mesh, zero)
+    t_c, x_load = np.zeros(2 * time_mesh.n_elements), np.zeros(n_x)
 
     def pencil_side(l, factors):  # Bt G_Y B: apply less its end trace M v(T)
-        data = manufactured_data(time_mesh, space_mesh, l, zero, factors, sample)
+        test_load = np.zeros(factors[1].shape[0]) if l else x_load
+        data = t_c, test_load, x_load, x_load, 0.0  # zero data: no rhs, J(0) = 0
         system = build_system(time_mesh, l, factors, data)
 
         def matvec(v):  # lobpcg's dense path passes an integer identity
@@ -539,25 +542,9 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     return ErrorTerms(st, st.gather(interp), {"l2": l2, "h1": h1})
 
 
-def _grams(rows, weight, phi):
-    """(R_i, R_i), (R_i, R_{i+1}), (R_i, phi), (phi, phi) for the rows R_i of
-    a 3-d array.
-
-    (a, b) sums weight * a * b over the last two axes; each Gram is one
-    einsum, with no temporary of the size of rows.
-    """
-    wphi = weight * phi
-    return (
-        np.einsum("ijk,jk,ijk->i", rows, weight, rows),
-        np.einsum("ijk,jk,ijk->i", rows[1:], weight, rows[:-1]),
-        np.einsum("ijk,jk->i", rows, wphi),
-        float(np.vdot(phi, wphi)),
-    )
-
-
 def _coefficient_grams(stencils, errs, tau, values, c, q, load, psi_phi, phi_sq):
-    """_grams of D_i = E_i - tau_i psi from the slot-order rows E_i of errs
-    and one mode's ErrorTerms (module docstring)."""
+    """(D_i, D_i), (D_i, D_{i+1}), (D_i, phi), (phi, phi) of D_i = E_i -
+    tau_i psi, E_i the rows of errs, from one mode's ErrorTerms."""
     prod = stencils.product((values, errs))
     e_c = errs @ c
     return (
@@ -569,61 +556,17 @@ def _coefficient_grams(stencils, errs, tau, values, c, q, load, psi_phi, phi_sq)
     )
 
 
-# not on the solve path: error_report reads its Grams from ErrorTerms. It
-# stays as the engine of interpolation_gap_xnorm, which perfbench's tracer
-# resolves, and the tests take it as error_report's reference.
-def _tensor_error_sq(time_mesh, space_mesh, coeffs, solution, modes):
-    """Squared space-time errors by tensor quadrature, one per entry of modes.
-
-    mode "l2": values; "h1": gradients; "dt": time derivatives. Also returns
-    the squared L2(Omega) error at each breakpoint (None without "l2").
-
-    With D_i = U_i - tau(t_i) phi (FE values against phi, or P1 gradients
-    against grad phi), the spatial products of D_i, of D_{e+1} - D_e (formed
-    before the product) and of phi are taken once per breakpoint, and
-    _time_quadrature combines them. P1 gradients are cellwise constant, so
-    grad phi is split into cell means and an oscillation of zero weighted
-    mean per cell (the weights sum to 1), orthogonal to cellwise constants:
-    gradient rows run over cells, and the oscillation adds its squared norm.
-    """
-    bp = time_mesh.breakpoints
-    mat = coeffs.reshape(bp.size, -1)
-    pts, w = _cell_rule(space_mesh, QUAD_ORDER)
-    vol, _ = space_mesh.geometry
-    cell_w = vol[:, None] * w
-    flat = quad_points(space_mesh)
-    tau = np.array([solution.tau(t) for t in bp], dtype=float)
-
-    def errors(rows, target):  # D_i, formed in place in the rows
-        for row, t in zip(rows, tau):
-            row -= t * target
-        return rows
-
-    grams = {}
-    if "l2" in modes or "dt" in modes:
-        vals = fe_values_on_cells(space_mesh, mat, pts)
-        phi = solution.phi(flat).reshape(cell_w.shape)
-        errs = errors(vals, phi)
-        if "l2" in modes:
-            grams["l2"] = _grams(errs, cell_w, phi)
-        if "dt" in modes:  # a new array: errs stays D_i
-            grams["dt"] = _grams(np.diff(errs, axis=0), cell_w, phi)
-    if "h1" in modes:
-        grads = fe_gradients_on_cells(space_mesh, mat, pts[:1])
-        grad_phi = solution.grad_phi(flat).reshape(*cell_w.shape, -1)
-        mean = np.tensordot(w, grad_phi, axes=(0, 1))  # (cells, d)
-        osc_sq = float(np.vdot(cell_w, np.sum((grad_phi - mean[:, None]) ** 2, 2)))
-        g = _grams(errors(grads[:, :, 0], mean), vol[:, None], mean)
-        taus = (tau**2, tau[:-1] * tau[1:], -tau, 1.0)
-        grams["h1"] = tuple(x + t * osc_sq for x, t in zip(g, taus))
-
-    totals = _time_quadrature(time_mesh, solution, tau, {m: grams[m] for m in modes})
-    return totals, grams["l2"][0] if "l2" in modes else None
+def _error_rows(time_mesh, coeffs, solution, terms):
+    """(tau at the breakpoints, the rows E_i = U_i - tau_i I phi) of
+    slot-order coeffs and the level's ErrorTerms."""
+    tau = np.array([solution.tau(t) for t in time_mesh.breakpoints], dtype=float)
+    return tau, coeffs.reshape(tau.size, -1) - np.outer(tau, terms.interp)
 
 
 def _time_quadrature(time_mesh, solution, tau, grams):
     """Squared space-time errors, one per entry of grams (mode -> the four
-    breakpoint Grams of _grams), tau the time factor at the breakpoints.
+    _coefficient_grams, of D_{e+1} - D_e for "dt" and of D_i otherwise),
+    tau the time factor at the breakpoints.
 
     The time Gauss point loop, rearranged exactly: the iterate is linear in
     time, so at local time s of element e
@@ -638,6 +581,9 @@ def _time_quadrature(time_mesh, solution, tau, grams):
     sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = np.diff(bp)[:, None]
     times = (bp[:-1, None] + h * sq).ravel()
+    a, b = 1.0 - sq, sq
+    tau_t = np.reshape([solution.tau(t) for t in times], (h.size, sq.size))
+    rho = tau_t - (a * tau[:-1, None] + b * tau[1:, None])
     totals = []
     for mode, gram in grams.items():
         diag, nxt, cross, phi_sq = (np.asarray(x)[..., None] for x in gram)
@@ -646,9 +592,6 @@ def _time_quadrature(time_mesh, solution, tau, grams):
             sigma = np.diff(tau)[:, None] / h - dtau
             err_sq = (diag / h + 2.0 * sigma * cross) / h + sigma**2 * phi_sq
         else:
-            a, b = 1.0 - sq, sq
-            tau_t = np.reshape([solution.tau(t) for t in times], (h.size, sq.size))
-            rho = tau_t - (a * tau[:-1, None] + b * tau[1:, None])
             err_sq = (
                 a * a * diag[:-1] + 2.0 * a * b * nxt + b * b * diag[1:]
                 - 2.0 * rho * (a * cross[:-1] + b * cross[1:]) + rho**2 * phi_sq
@@ -661,21 +604,26 @@ def _time_quadrature(time_mesh, solution, tau, grams):
 # not on the solve path; perfbench's tracer resolves this name
 def interpolation_gap_xnorm(
     time_mesh: TimeMesh,
-    space_mesh: SpatialMesh,
     coeffs: np.ndarray,
     solution: ManufacturedSolution,
+    terms: ErrorTerms,
 ) -> float:
     """Surrogate for the trial-norm distance between coeffs and the solution.
 
-    The dual-norm part of the time-derivative term is bounded through the
-    smallest Dirichlet eigenvalue of the Laplacian on the unit box, which
-    keeps the estimate computable without another global solve.
+    coeffs and terms are as in error_report; the time derivative reads the
+    Grams of the rows of E differenced (module docstring). Its dual-norm part
+    is bounded through the smallest Dirichlet eigenvalue of the Laplacian on
+    the unit box, which keeps the estimate computable without another
+    global solve.
     """
-    lam1 = space_mesh.dimension * math.pi**2
-    (grad_sq, dt_sq), _ = _tensor_error_sq(
-        time_mesh, space_mesh, coeffs, solution, ("h1", "dt")
-    )
-    return math.sqrt(grad_sq + dt_sq / lam1)
+    tau, errs = _error_rows(time_mesh, coeffs, solution, terms)
+    st, diffs = terms.stencils, np.diff(errs, axis=0)
+    grams = {
+        "h1": _coefficient_grams(st, errs, tau, *terms.grams["h1"]),
+        "dt": _coefficient_grams(st, diffs, np.diff(tau), *terms.grams["l2"]),
+    }
+    grad_sq, dt_sq = _time_quadrature(time_mesh, solution, tau, grams)
+    return math.sqrt(grad_sq + dt_sq / (solution.dimension * math.pi**2))
 
 
 def error_report(
@@ -693,16 +641,14 @@ def error_report(
     breakpoint nearest the requested time, at most half a step away for a
     time in the mesh's interval.
     """
-    bp = time_mesh.breakpoints
-    tau = np.array([solution.tau(t) for t in bp], dtype=float)
+    tau, errs = _error_rows(time_mesh, coeffs, solution, terms)
     st = terms.stencils
-    errs = coeffs.reshape(bp.size, -1) - np.outer(tau, terms.interp)
     grams = {m: _coefficient_grams(st, errs, tau, *g) for m, g in terms.grams.items()}
     l2_sq, h1_sq = _time_quadrature(time_mesh, solution, tau, grams)
     slice_sq = grams["l2"][0]
     slices = {}
     for t_req in slice_times:
-        idx = int(np.argmin(np.abs(bp - t_req)))
+        idx = int(np.argmin(np.abs(time_mesh.breakpoints - t_req)))
         # the expanded Gram can round an exact zero a hair below 0
         slices[float(t_req)] = math.sqrt(max(slice_sq[idx], 0.0))
     return ErrorReport(slices, math.sqrt(l2_sq), math.sqrt(h1_sq))

@@ -40,7 +40,6 @@ from backsolve.precond import make_G_X, space_stencils
 from backsolve.quadrature import gauss_1d_for_degree
 from backsolve.solutions import ManufacturedSolution, get_solution
 from backsolve.solver import (
-    _tensor_error_sq,
     build_level,
     build_meshes,
     error_report,
@@ -341,12 +340,14 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
         for tm in _time_meshes(k)
         for coeffs in _coeff_cases(tm, sm, solution)
     ]
+    terms = level_error_terms(sm, solution)
     for tm, coeffs in cases:
         ref = {
             mode: _ref_tensor_error_sq(tm, sm, coeffs, solution, q, mode)
             for mode in ("l2", "h1", "dt")
         }
-        gap = interpolation_gap_xnorm(tm, sm, coeffs, solution)
+        slots = to_slots(terms.stencils, coeffs)
+        gap = interpolation_gap_xnorm(tm, slots, solution, terms)
         assert gap == pytest.approx(
             math.sqrt(ref["h1"] + ref["dt"] / lam1), rel=RTOL
         )
@@ -360,19 +361,19 @@ def test_error_quadrature_matches_per_gauss_point_loop(d, k, name):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_error_modes_asked_together_match_each_alone(d):
-    # "l2" and "dt" read the same errors D_i, formed once in place in the FE
-    # values; asked together, each mode gives what it gives alone
+def test_gap_of_a_constant_iterate_is_its_h1_error_bitwise(d):
+    # for the zero solution and rows constant in time the differenced rows
+    # are exact zeros, so the gap's time-derivative term is exactly 0 and
+    # its H1 part is the report's, from the same Grams
     tm, sm = TimeMesh(0.0, 1.0, 3), _space_mesh(d, 3)
-    solution = get_solution("cubic", d)
-    for coeffs in _coeff_cases(tm, sm, solution):
-        modes = ("l2", "dt", "h1")
-        together, slices = _tensor_error_sq(tm, sm, coeffs, solution, modes)
-        for mode, got in zip(modes, together):
-            (alone,), _ = _tensor_error_sq(tm, sm, coeffs, solution, (mode,))
-            assert got == alone
-        _, alone_slices = _tensor_error_sq(tm, sm, coeffs, solution, ("l2",))
-        np.testing.assert_array_equal(slices, alone_slices)
+    solution = get_solution("zero", d)
+    terms = level_error_terms(sm, solution)
+    row = np.random.default_rng(7).standard_normal(terms.interp.size)
+    coeffs = np.tile(row, tm.breakpoints.size)
+    gap = interpolation_gap_xnorm(tm, coeffs, solution, terms)
+    rep = error_report(tm, coeffs, solution, terms, [0.5])
+    assert gap > 0.0
+    assert gap == rep.l2h1
 
 
 # a slice error far below |u(t_i)| is read to an absolute accuracy: both
@@ -389,7 +390,7 @@ SLICE_ATOL = 1e-14
 @pytest.mark.parametrize("name", ["cubic", "decay"])
 def test_error_report_matches_the_tensor_quadrature(d, k, name):
     # the report of a solved level against the same quadrature evaluated at
-    # the points, for the iterate, the nodal interpolant and random rows
+    # every Gauss point, for the iterate, the nodal interpolant and random rows
     cfg = ExperimentConfig(
         experiment="convergence", d=d, T=1.0, k_range=[k], solution=name
     )
@@ -402,12 +403,14 @@ def test_error_report_matches_the_tensor_quadrature(d, k, name):
     for coeffs in (solved, *_coeff_cases(tm, sm, level.solution)):
         slots = to_slots(level.system.stencils, coeffs)
         rep = error_report(tm, slots, level.solution, level.error_terms, bp)
-        (l2_sq, h1_sq), slice_sq = _tensor_error_sq(
-            tm, sm, coeffs, level.solution, ("l2", "h1")
+        l2_sq, h1_sq = (
+            _ref_tensor_error_sq(tm, sm, coeffs, level.solution, QUAD_ORDER, mode)
+            for mode in ("l2", "h1")
         )
         assert rep.l2l2 == pytest.approx(math.sqrt(l2_sq), rel=RTOL)
         assert rep.l2h1 == pytest.approx(math.sqrt(h1_sq), rel=RTOL)
-        want = np.sqrt(slice_sq)
+        ref = _ref_slice_errors(tm, sm, coeffs, level.solution, bp, QUAD_ORDER)
+        want = np.array(list(ref.values()))
         got = np.array([rep.l2_slices[t] for t in bp])
         np.testing.assert_array_less(
             np.abs(got - want), np.maximum(RTOL * want, SLICE_ATOL * norm_u)
@@ -428,7 +431,7 @@ def test_set_up_work_does_not_grow_with_time_elements(
     counted = SimpleNamespace(
         **{
             key: getattr(solution, key)
-            for key in ("tau", "dtau", "source", "phi", "grad_phi")
+            for key in ("dimension", "tau", "dtau", "source", "phi", "grad_phi")
         }
     )
     for name in ("phi", "grad_phi"):
@@ -445,8 +448,10 @@ def test_set_up_work_does_not_grow_with_time_elements(
                 assembly.space_load(sm, 2, counted.phi(quad_points(sm))),
             ),
             lambda: nodal_interpolant(tm, sm, counted),
-            lambda: interpolation_gap_xnorm(tm, sm, coeffs, counted),
             lambda: terms.append(level_error_terms(sm, counted)),
+            lambda: interpolation_gap_xnorm(
+                tm, to_slots(terms[0].stencils, coeffs), counted, terms[0]
+            ),
             lambda: error_report(
                 tm, to_slots(terms[0].stencils, coeffs), counted, terms[0], [0.5]
             ),
@@ -458,17 +463,39 @@ def test_set_up_work_does_not_grow_with_time_elements(
         per_mesh.append(seen)
     assert per_mesh[0] == per_mesh[1]
     # the load is one space load of phi; a level's error terms load phi and
-    # psi = phi - I phi, from one phi and one grad_phi sample; the report
-    # reads them and samples, loads and maps nothing
-    assert [c["space_load"] for c in per_mesh[0]] == [1, 0, 0, 2, 0]
+    # psi = phi - I phi, from one phi and one grad_phi sample; the gap and
+    # the report read them and sample, load and map nothing
+    assert [c["space_load"] for c in per_mesh[0]] == [1, 0, 2, 0, 0]
     assert per_mesh[0][0]["phi"] == 1
-    assert all(c["phi"] >= 1 for c in per_mesh[0][1:3])
-    assert per_mesh[0][2]["grad_phi"] >= 1
-    assert per_mesh[0][3]["phi"] == per_mesh[0][3]["grad_phi"] == 1
+    assert per_mesh[0][1]["phi"] >= 1
+    assert per_mesh[0][2]["phi"] == per_mesh[0][2]["grad_phi"] == 1
+    assert set(per_mesh[0][3].values()) == {0}
     assert set(per_mesh[0][4].values()) == {0}
     # the mesh's cell geometry is computed once, for all ten calls
     assert len(geometry_computations) == 1
     assert geometry_computations[0] is sm
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_factors_are_evaluated_once_per_time_point(record_calls, d):
+    # 8 time elements, 3 Gauss points each: tau once at the 9 breakpoints
+    # and once at the 24 Gauss points, whatever the modes; dtau once at the
+    # Gauss points, for the gap's time derivative only
+    tm, sm = TimeMesh(0.0, 1.0, 3), _space_mesh(d, 2)
+    assert gauss_1d_for_degree(QUAD_ORDER)[0].size == 3
+    solution = get_solution("cubic", d)
+    counted = SimpleNamespace(dimension=d, tau=solution.tau, dtau=solution.dtau)
+    calls = [record_calls(counted, name) for name in ("tau", "dtau")]
+    terms = level_error_terms(sm, solution)
+    coeffs = to_slots(terms.stencils, nodal_interpolant(tm, sm, solution))
+    for call, want in (
+        (lambda: error_report(tm, coeffs, counted, terms, [0.5]), [33, 0]),
+        (lambda: interpolation_gap_xnorm(tm, coeffs, counted, terms), [33, 24]),
+    ):
+        for recorded in calls:
+            recorded.clear()
+        call()
+        assert [len(recorded) for recorded in calls] == want
 
 
 @pytest.mark.parametrize("d", [1, 2])
