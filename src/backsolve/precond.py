@@ -1,23 +1,15 @@
 """Riesz-map preconditioner and the test stiffness solve.
 
-The trial-space lift inverts the full anisotropic Gram by diagonalization
-in time: the time pencil's modes are known cosines on the time mesh,
-uniform by type (backsolve.mesh), and per time mode a shifted space solve
-is done in closed form. It solves only the uniform space meshes the solver
-builds. The lift is exact, so the norm-equivalence constants are 1. At
-d = 1 the space pencil's eigenvalues are in closed form too (space_modes),
-and the l = 0 solve runs in the tensor eigenbasis (backsolve.solver).
-
-The test-space Gram is the identity in time times the test stiffness
-A_test, so no test-space lift is built: the right-hand side, J(0) and the
-normal operator use an A_test solve. At l = 0 A_test is the trial
-stiffness, solved by the same closed form at shift 0 (stiffness_solve);
-at l = 1 make_G_Y factors the P2 stiffness once, the only use of scipy
-here. The solves take the trial stiffness and mass as stencils, four
-constants each, known in closed form on the only meshes the solver builds
-(space_stencils, which checks the mesh and assembles nothing); the
-stencils also apply them (SpaceStencils.product), in the stencils' slot
-order, the order of every vector of the solve.
+The trial stiffness and mass are stencils, four constants each, known in
+closed form on the only meshes the solver builds (space_stencils, which
+checks the mesh and assembles nothing). The stencils apply them in slot
+order, the order of every vector of the solve (SpaceStencils.product),
+and carry their common eigenbasis, also in closed form (space_modes). So
+the exact trial-space lift (make_G_X) and the l = 0 A_test solve
+(stiffness_solve) are transforms, a divide and the transforms back, and
+the l = 0 solve runs in these modes (backsolve.solver). The test-space
+Gram is the identity in time times A_test, so no test-space lift is built;
+at l = 1 make_G_Y factors the P2 A_test once, the only use of scipy here.
 """
 
 from __future__ import annotations
@@ -65,35 +57,28 @@ def make_G_Y(a_test) -> Callable:
 
 
 def stiffness_solve(stencils: SpaceStencils) -> Callable:
-    """Solve with the trial stiffness A in closed form: _shifted_space_solve
-    at shift 0, for the space_stencils of A. It takes a vector or rows
-    (..., n_x) in slot order.
-    """
-    solve = _shifted_space_solve(stencils, np.zeros(1))
-    return lambda w: solve(np.atleast_2d(w)).reshape(w.shape)
+    """Solve with the trial stiffness A, back(forward(w) / a) in the space
+    modes of stencils, on a vector or rows (..., n_x) in slot order."""
+    a, _, forward, back = stencils.modes
+    return lambda w: back(forward(w) / a)
 
 
 def make_G_X(time_mesh: TimeMesh, stencils: SpaceStencils) -> RieszPreconditioner:
-    """Exact trial-space Riesz lift by diagonalization in time.
-
-    stencils are the space_stencils of the trial space stiffness and mass
-    (A, M). The time pencil (time stiffness, time mass) has modes z_j with
-    eigenvalues theta_j, in closed form (_time_modes). On mode j the space
-    part of the inverse is V diag(mu / (mu^2 + theta_j)) V^T over the
-    (stiffness, mass) pencil, which equals Re[(A + i sqrt(theta_j) M)^-1],
-    solved for every mode in closed form (_shifted_space_solve).
-
-    The lift takes a slot-order vector or a block of them as columns (n, k);
-    a block runs one time transform and one batch of shifted solves, with
-    the columns on a leading axis.
+    """Exact trial-space Riesz lift in the tensor modes Z x V, Z the time
+    modes (_time_modes) and V the space modes of stencils (space_modes):
+    there the Gram M_t x A + K_t x M A^-1 M is lam = a + theta x m^2 / a,
+    so the lift transforms, divides by lam and transforms back. It takes a
+    slot-order vector or a block of them as columns (n, k); a block runs
+    one batch of transforms, with the columns on a leading axis.
     """
     theta, zt = _time_modes(time_mesh)
-    solve = _shifted_space_solve(stencils, np.sqrt(theta))
+    a, m, forward, back = stencils.modes
+    lam = a + np.outer(theta, m * m / a)
 
     def apply(f: np.ndarray) -> np.ndarray:
         block = f.shape[1:]  # () for a vector, (k,) for k columns
         modes = zt.T @ f.T.reshape(*block, theta.size, -1)
-        return (zt @ solve(modes)).reshape(*block, -1).T
+        return (zt @ back(forward(modes) / lam)).reshape(*block, -1).T
 
     return RieszPreconditioner(apply)
 
@@ -122,17 +107,78 @@ def _time_modes(time_mesh: TimeMesh):
 
 
 def space_modes(stencils: SpaceStencils):
-    """(a, m): at d = 1, the eigenvalues of the trial stiffness and mass on
-    the columns of stencils.sine, in _shifted_space_solve's sigma form
-    (c0 + 2 c1) - c1 sigma_p for A, M = c0 I + c1 E. The stiffness's constant
-    term is exactly 0, so its smallest eigenvalues keep their relative
-    accuracy, which c0 + c1 2 cos(p pi / N) loses to cancellation.
+    """(a, m, forward, back): the trial A and M in one eigenbasis V, in
+    closed form: V^T A V = diag(a), V^T M V = diag(m); forward maps
+    slot-order rows y (..., n_x) to V^T y, back maps mode rows x to V x.
+
+    The sine matrix S (_sine) takes E = tridiag(1, 0, 1) of size N - 1 to
+    2 - sigma_p, sigma_p = 4 sin^2(p pi / 2N): at d = 1 V = S, and A or M,
+    c0 I + c1 E, has the eigenvalues (c0 + 2 c1) - c1 sigma_p. At d = 2 A or
+    M is gamma0 I + gamma1 (E x I + I x E) on the grid, alpha I on the
+    centres and beta P between, P the centre-to-corner incidence. S on each
+    grid axis and the DST-II C (_dst2) on each centre axis leave one 2 x 2
+    block [[g, b], [b, alpha]] per mode (p, q), p, q < N, with g = gamma0 +
+    gamma1 (4 - sigma_p - sigma_q) and b = 4 beta cos(p pi / 2N)
+    cos(q pi / 2N), and a 1 x 1 block alpha per centre mode with p or q = N
+    (Lynch, Rice and Thomas, 1964). The 2 x 2 determinant, (gamma0 alpha +
+    4 gamma1 alpha - 16 beta^2) - (gamma1 alpha - 4 beta^2)(sigma_p +
+    sigma_q) - beta^2 sigma_p sigma_q, has a constant term exactly 0 for A.
+    Of each pencil the larger eigenvalue is the quadratic formula's and the
+    smaller det_A / (det_M larger), so the small ones keep their relative
+    accuracy. The vectors, read off a row of A - lam M, are normalized in M
+    (m = 1); mode (p, q)'s smaller eigenvalue takes its grid slot, the
+    larger its centre slot.
     """
-    sigma = _sigma(stencils.n)
-    return tuple(
-        (c0 + 2.0 * c1) - c1 * sigma
-        for c0, _, c1, _ in (stencils.stiffness, stencils.mass)
-    )
+    n, sine = stencils.n, _sine(stencils.n)
+    sigma = 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+    if stencils.grid.ndim == 1:
+        def transform(y):  # S is symmetric: forward and back, one GEMM
+            rows = math.prod(y.shape[:-1])  # not -1: with N = 1 y is empty
+            return (y.reshape(rows, n - 1) @ sine).reshape(y.shape)
+
+        pair = (stencils.stiffness, stencils.mass)
+        a, m = ((c0 + 2.0 * c1) - c1 * sigma for c0, _, c1, _ in pair)
+        return a, m, transform, transform
+
+    s_sum, s_prod = np.add.outer(sigma, sigma), np.outer(sigma, sigma)
+    cos = np.cos(np.pi * np.arange(1, n) / (2 * n))
+
+    def block(g0, alpha, g1, beta):  # (g, b, alpha, det) of A's or M's blocks
+        const = g0 * alpha + 4.0 * g1 * alpha - 16.0 * beta**2
+        det = const - (g1 * alpha - 4.0 * beta**2) * s_sum - beta**2 * s_prod
+        return (g0 + 4.0 * g1) - g1 * s_sum, 4.0 * beta * np.outer(cos, cos), alpha, det
+
+    g_a, b_a, al_a, det_a = block(*stencils.stiffness)
+    g_m, b_m, al_m, det_m = block(*stencils.mass)
+    trace = g_a * al_m + g_m * al_a - 2.0 * b_a * b_m
+    big = (trace + np.sqrt(trace * trace - 4.0 * det_m * det_a)) / (2.0 * det_m)
+    small = det_a / (det_m * big)
+    # grid parts u and centre parts v of the vectors (smaller, larger),
+    # normal to the second row of A - small M and the first of A - big M
+    u = np.array([al_a - small * al_m, big * b_m - b_a])
+    v = np.array([small * b_m - b_a, g_a - big * g_m])
+    norm = np.sqrt(g_m * u * u + 2.0 * b_m * u * v + al_m * v * v)
+    # C scaled by alpha_M^(-1/4) on each axis gives the centre modes unit M
+    # norm, so the 1 x 1 blocks need no scaling and v is taken in them
+    (lo_g, hi_g), (lo_c, hi_c) = u / norm, v * (math.sqrt(al_m) / norm)
+    dst2 = _dst2(n) * al_m**-0.25
+    a = np.append(small, np.pad(big, (0, 1), constant_values=al_a / al_m))
+
+    def forward(y):  # the transforms, then each block's V^T
+        grid, centres = stencils.parts(y)
+        grid, centres = sine @ grid @ sine, dst2 @ centres @ dst2.T
+        pair = centres[..., :-1, :-1].copy()
+        centres[..., :-1, :-1] = hi_g * grid + hi_c * pair
+        return _joined(lo_g * grid + lo_c * pair, centres)
+
+    def back(x):  # each block's V, then the transforms back
+        x_g, x_c = stencils.parts(x)
+        pair, centres = x_c[..., :-1, :-1], x_c.copy()
+        centres[..., :-1, :-1] = lo_c * x_g + hi_c * pair
+        grid = lo_g * x_g + hi_g * pair
+        return _joined(sine @ grid @ sine, dst2.T @ centres @ dst2)
+
+    return a, np.ones_like(a), forward, back
 
 
 class SpaceStencils(NamedTuple):
@@ -144,7 +190,8 @@ class SpaceStencils(NamedTuple):
     takes rows (..., n_x) from dof to slot order and scatter back; parts
     views slot-order rows as grid (..., N - 1[, N - 1]) and centre
     (..., N, N) arrays. The constants are one per class of entries: grid
-    diagonal, centre diagonal, axis neighbours, centre-corner pairs.
+    diagonal, centre diagonal, axis neighbours, centre-corner pairs; modes
+    is their space_modes, built once per stencils.
     """
 
     n: int
@@ -152,7 +199,7 @@ class SpaceStencils(NamedTuple):
     centres: np.ndarray
     stiffness: tuple
     mass: tuple
-    sine: np.ndarray
+    modes: tuple
     slots: np.ndarray
     rank: np.ndarray
 
@@ -261,7 +308,8 @@ def space_stencils(space_mesh: SpatialMesh) -> SpaceStencils:
         stiffness = (4.0, 4.0, 0.0, -1.0)
         mass = (h * h / 3, h * h / 6, h * h / 24, h * h / 24)
     rank = np.argsort(slots)
-    return SpaceStencils(n, grid, centres, stiffness, mass, _sine(n), slots, rank)
+    stencils = SpaceStencils(n, grid, centres, stiffness, mass, (), slots, rank)
+    return stencils._replace(modes=space_modes(stencils))
 
 
 def _box(x: np.ndarray) -> np.ndarray:
@@ -288,65 +336,17 @@ def _sine(n: int) -> np.ndarray:
     return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
 
 
-def _sigma(n: int) -> np.ndarray:
-    """2 - eig(E), E = tridiag(1, 0, 1) of size N - 1, on the columns of
-    _sine(N): sigma_p = 4 sin^2(p pi / 2N), p = 1..N-1."""
-    return 4.0 * np.sin(np.pi * np.arange(1, n) / (2 * n)) ** 2
+def _dst2(n: int) -> np.ndarray:
+    """The orthonormal DST-II matrix sqrt(2/N) sin(p (2c + 1) pi / 2N),
+    p = 1..N, c = 0..N-1, its row N scaled by 1/sqrt(2), with p (2c + 1)
+    reduced mod 4N before it is scaled by pi / 2N."""
+    odd = np.outer(np.arange(1, n + 1), 2 * np.arange(n) + 1) % (4 * n)
+    table = math.sqrt(2.0 / n) * np.sin(np.pi * odd / (2 * n))
+    table[-1] *= math.sqrt(0.5)
+    return table
 
 
-def _shifted_space_solve(stencils: SpaceStencils, shifts: np.ndarray) -> Callable:
-    """Solve mapping rows w_j to Re[(A + i s_j M)^-1] w_j in closed form;
-    the rows are in slot order, (..., shifts, n_x), and any leading axes
-    are a batch.
-
-    With E = tridiag(1, 0, 1) of size N - 1 and P the centre-to-corner
-    incidence, the shifted stencils give per shift K_cc = alpha I,
-    K_cg = beta P and K_gg = gamma0 I + gamma1 (E x I + I x E) (in d = 1,
-    gamma0 I + gamma1 E and no centres, so only Re(1 / lam) of each
-    eigenvalue lam reaches the output and the solve is real). Since
-    P^T P = (E + 2I) x (E + 2I), condensing the centres leaves the grid
-    Schur complement K_gg - (beta^2 / alpha) (E + 2I) x (E + 2I), which the
-    orthonormal sine matrix S_pi = sqrt(2/N) sin(p i pi / N) diagonalizes on
-    each axis, E's eigenvalues being 2 - sigma_p, sigma_p = 4 sin^2(p pi / 2N):
-    the tensor-product direct method of Lynch, Rice and Thomas (1964),
-    batched over the shifts. The eigenvalues are polynomials in sigma whose
-    constant terms, formed from the stencil sums, are exactly 0 for the
-    stiffness at shift 0, so the smallest keep their relative accuracy.
-    """
-    n, d = stencils.n, stencils.grid.ndim
-    scale = 1j * shifts if shifts.any() else shifts  # all shifts 0: real
-    gamma0, alpha, gamma1, beta = (
-        (s + t * scale).reshape(-1, *(1,) * d)
-        for s, t in zip(stencils.stiffness, stencils.mass)
-    )
-    sigma = _sigma(n)
-    if d == 1:  # 1 / (Re lam + Im lam^2 / Re lam) = Re(1 / lam)
-        lam = (gamma0 + 2.0 * gamma1) - gamma1 * sigma
-        lam = lam.real + lam.imag**2 / lam.real
-    else:
-        ratio = beta / alpha
-        b_r = beta * ratio
-        lam = gamma0 + 4.0 * gamma1 - 16.0 * b_r - b_r * np.outer(sigma, sigma)
-        lam -= (gamma1 - 4.0 * b_r) * np.add.outer(sigma, sigma)
-
-    def transform(x):  # the sine matrix on each space axis, one GEMM per axis
-        rows = math.prod(x.shape[:-1])  # not -1: with N = 1 x is empty
-        for _ in range(d):
-            x = (x.reshape(rows, n - 1) @ stencils.sine).reshape(x.shape)
-            if d == 2:  # S X S = ((X S)^T S)^T, S symmetric
-                x = x.swapaxes(-1, -2)
-        return x
-
-    def solve(w: np.ndarray) -> np.ndarray:
-        out = np.empty_like(w)
-        rhs, w_c = stencils.parts(w)
-        out_g, out_c = stencils.parts(out)
-        if d == 2:
-            rhs = rhs - ratio * _box(w_c)
-        x = transform(transform(rhs) / lam)
-        out_g[...] = x.real
-        if d == 2:
-            out_c[...] = ((w_c - beta * _box(_bordered(x))) / alpha).real
-        return out
-
-    return solve
+def _joined(grid: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """Slot-order rows of their grid and centre parts (SpaceStencils.parts)."""
+    lead = centres.shape[:-2]
+    return np.concatenate([grid.reshape(*lead, -1), centres.reshape(*lead, -1)], -1)

@@ -20,16 +20,16 @@ M_t are the hat stiffness and mass of the uniform time step. The identity
 is exact because of two containments. In time, the elementwise Legendre
 test space contains the hats and their derivatives, so B's time factors D
 (derivative) and N (mass) give DtD = K_t, NtN = M_t and DtN + NtD =
-e_T e_T^T - e_0 e_0^T (the integral of (phi_i phi_j)'). In space, P1 lies in P_{1+l} with the
-same Dirichlet boundary, so the mixed matrices are M_test P and A_test P,
-which gives A_mix^T A_test^-1 A_mix = A and M_mix^T A_test^-1 A_mix = M.
-The same containments give the data without B. The source separates,
-f = source(t) phi, so it loads on the test space as t_c x l_test: t_c the
-Legendre time load of source, l_test the test-space load of phi. The time
-Gram of the test space is the identity, and A_mix^T A_test^-1 l_test is
-l_P1, the P1 load of phi. So with g_load the P1 load of the end data g =
-tau(T) phi (plus any perturbation), h = Bt G_Y (t_c x l_test) + e_T x g_load
-and J(0) are
+e_T e_T^T - e_0 e_0^T (the integral of (phi_i phi_j)'). In space, P1 lies
+in P_{1+l} with the same Dirichlet boundary, so the mixed matrices are
+M_test P and A_test P, which gives A_mix^T A_test^-1 A_mix = A and
+M_mix^T A_test^-1 A_mix = M. The same containments give the data without
+B. The source separates, f = source(t) phi, so it loads on the test space
+as t_c x l_test: t_c the Legendre time load of source, l_test the
+test-space load of phi. The time Gram of the test space is the identity,
+and A_mix^T A_test^-1 l_test is l_P1, the P1 load of phi. So with g_load
+the P1 load of the end data g = tau(T) phi (plus any perturbation),
+h = Bt G_Y (t_c x l_test) + e_T x g_load and J(0) are
 
     h = (Dt t_c) x (M_mix^T A_test^-1 l_test) + (Nt t_c) x l_P1 + e_T x g_load,
     J(0) = |t_c|^2 l_test^T A_test^-1 l_test + |g|^2,
@@ -38,17 +38,16 @@ from one A_test solve and one sample of phi. The minimizer is found by
 preconditioned conjugate residuals stopped once the lifted residual
 r(G_X r) is at most min(1, eps)^2 J(x), J the least-squares functional.
 
-At d = 1 and l = 0 a level is solved in the tensor eigenbasis of Lynch,
-Rice and Thomas (1964): iterates x = (Z x S) x~ and residuals
-r~ = (Z^T x S) r, with Z the time modes (Z^T M_t Z = I, Z^T K_t Z = theta)
-and S the sine matrix, which takes A and M to their eigenvalues a and m.
-There the G_X lift is r~ / lam, lam_jp = a_p + theta_j m_p^2 / a_p, and
-the normal operator takes x~ to lam x~ + 2 z_T x m (z_T^T x~)
-+ (reg_epsilon^2 - 1) z_0 x m (z_0^T x~), z_0 and z_T the first and last
-rows of Z, products taken entrywise: PCR runs no transform. h~ is
-formed once per level and the iterate mapped back once per solve. The
-change of basis keeps every inner product PCR reads (r.z, x.h, x.r), so
-the iteration and its stopping rule are the slot-order ones.
+At l = 0 a level is solved in the tensor eigenbasis Z x V of Lynch, Rice
+and Thomas (1964), Z the time modes (Z^T M_t Z = I, Z^T K_t Z = theta) and
+V the space modes (V^T A V = a, V^T M V = m; backsolve.precond): iterates
+x = (Z x V) x~ and residuals r~ = (Z x V)^T r. There the G_X lift is
+r~ / lam, lam = a + theta x m^2 / a, and S takes x~ to
+lam x~ + 2 z_T x m (z_T^T x~) + (reg_epsilon^2 - 1) z_0 x m (z_0^T x~),
+z_0 and z_T the first and last rows of Z, products entrywise: PCR runs no
+transform. h~ is formed once per level and the iterate mapped back once
+per solve; the change of basis keeps every inner product PCR reads (r.z,
+x.h, x.r), so the iteration and its stopping rule are the slot-order ones.
 
 Error reporting compares against manufactured solutions, from the
 iterate's coefficients alone. With I phi the nodal P1 interpolant of phi
@@ -123,7 +122,6 @@ from .precond import (
     _time_modes,
     make_G_X,
     make_G_Y,
-    space_modes,
     stiffness_solve,
 )
 from .solutions import ManufacturedSolution, get_solution
@@ -166,8 +164,8 @@ class LeastSquaresSystem:
     def in_slots(self, v: np.ndarray) -> np.ndarray:
         if self.modes is None:
             return v
-        z = self.modes[0]
-        return (z @ v.reshape(z.shape[0], -1) @ self.stencils.sine).ravel()
+        z, back = self.modes[0], self.stencils.modes[3]
+        return back(z @ v.reshape(z.shape[0], -1)).ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if self.modes is not None:  # lam x + the trace terms, rank 2 in time
@@ -324,12 +322,12 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
 
 
 def in_modes(time_mesh: TimeMesh, system: LeastSquaresSystem) -> tuple:
-    """(system in its tensor eigenbasis, the diagonal G_X lift there) of a
-    d = 1, l = 0 build_system (module docstring)."""
+    """(system in its tensor eigenbasis, the diagonal G_X lift there) of an
+    l = 0 build_system (module docstring)."""
     theta, z = _time_modes(time_mesh)
-    a, m = space_modes(system.stencils)
+    a, m, forward, _ = system.stencils.modes
     lam = a + np.outer(theta, m * m / a)
-    rhs = z.T @ system.rhs.reshape(z.shape[0], -1) @ system.stencils.sine
+    rhs = forward(z.T @ system.rhs.reshape(z.shape[0], -1))
     flat = lam.ravel()
     lift = RieszPreconditioner(lambda r: r / flat)
     return replace(system, rhs=rhs.ravel(), modes=(z, lam, m)), lift
@@ -660,7 +658,8 @@ def build_meshes(config, k: int) -> tuple[TimeMesh, SpatialMesh]:
     Time: 2^k elements on (T-L, T); the interval-length study instead uses
     the restriction of a 2^(k+3)-element mesh of (0, T), which for dyadic
     L/T is again uniform. Space: d*k bisection sweeps of the initial mesh,
-    the uniform meshes on which make_G_X solves its lift in closed form.
+    the uniform meshes whose space modes are in closed form (space_modes),
+    so every lift and A solve is a divide in them.
     """
     doublings = k
     if config.experiment == "interval-length":
@@ -699,8 +698,8 @@ def _perturbation_for(config, stencils):
 class Level:
     """The epsilon-independent part of one refinement level: its time mesh,
     the manufactured solution, the perturbation's L2 norm, build_system's
-    normal operator at reg_epsilon = 0 (in the tensor eigenbasis at d = 1,
-    l = 0), the G_X lift and the error_terms of its error reports."""
+    normal operator at reg_epsilon = 0 (in the tensor eigenbasis at l = 0),
+    the G_X lift and the error_terms of its error reports."""
 
     time_mesh: TimeMesh
     solution: ManufacturedSolution
@@ -726,7 +725,7 @@ def build_level(config, k: int) -> Level:
     )
     system = build_system(time_mesh, config.l, space, data)
     terms = error_terms(space_mesh, space, solution, sample, data[2])
-    if config.d == 1 and config.l == 0:
+    if config.l == 0:
         system, g_x = in_modes(time_mesh, system)
     else:
         g_x = make_G_X(time_mesh, system.stencils)
@@ -737,8 +736,8 @@ def solve_level(config, k: int, level: Level, strategy: str):
     """Solve a built level k at the epsilon of strategy.
 
     Returns (coefficients, SolveReport, ErrorReport), the coefficients
-    mapped back once from the tensor eigenbasis at d = 1, l = 0 (in_slots)
-    and scattered once from the solve's slot order to dof order. An explicit
+    mapped back once from the tensor eigenbasis at l = 0 (in_slots) and
+    scattered once from the solve's slot order to dof order. An explicit
     epsilon is the entry of config.epsilon_values at k's place in
     config.k_range.
     """

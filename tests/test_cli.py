@@ -309,9 +309,9 @@ class TestSolvingStudies:
     ):
         # one level per k and window, solved at every epsilon strategy: one
         # mesh pair, space assembly and stencil read per level, a make_G_X
-        # lift per level but at d = 1, l = 0 (whose diagonal lift in the
-        # tensor eigenbasis is built by in_modes), and an A_test factor only
-        # at l = 1 (at l = 0 A_test is solved in closed form from the
+        # lift per level at l = 1 only (every l = 0 level's diagonal lift in
+        # the tensor eigenbasis is built by in_modes), and an A_test factor
+        # only at l = 1 (at l = 0 A_test is solved in closed form from the
         # stencils)
         calls = {
             name: record_calls(owner, name)
@@ -339,8 +339,8 @@ class TestSolvingStudies:
             "space_factors": levels,
             "space_stencils": levels,
             "make_G_Y": levels if l else 0,
-            "make_G_X": 0 if d == 1 and l == 0 else levels,
-            "in_modes": levels if d == 1 and l == 0 else 0,
+            "make_G_X": levels if l else 0,
+            "in_modes": 0 if l else levels,
             "pcg": solves,
         }
 

@@ -27,7 +27,7 @@ from backsolve.precond import (
     stiffness_solve,
 )
 from backsolve.solutions import get_solution
-from backsolve.solver import solve_backward
+from backsolve.solver import build_level, solve_backward
 from reference import (
     dense,
     dof_order,
@@ -170,6 +170,14 @@ class TestGXForms:
         make_G_X(tm, stencils)
         assert sizes == []
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_l0_level_makes_no_eigendecomposition(self, d, monkeypatch):
+        # an l = 0 level, its space modes included, is built in closed form
+        cfg = ExperimentConfig(experiment="convergence", d=d, T=1.0, k_range=[3])
+        sizes = _recording_eigh(monkeypatch)
+        build_level(cfg, 3)
+        assert sizes == []
+
 
 def _time_pencil(tm):
     pencil = (time_stiffness_trial(tm), time_mass_trial(tm))
@@ -203,30 +211,76 @@ class TestTimeModes:
         sine = precond._sine(2**k)
         residual = np.abs(sine @ sine - np.eye(sine.shape[0]))
         assert np.max(residual, initial=0.0) <= 8 * eps  # N = 1: empty
+        dst2 = precond._dst2(2**k)  # orthogonal, not symmetric
+        assert np.max(np.abs(dst2 @ dst2.T - np.eye(2**k))) <= 8 * eps
 
 
 class TestSpaceModes:
-    """space_modes: the d=1 trial stiffness and mass eigenvalues on the sine
-    matrix's columns, in closed form."""
+    """space_modes: the trial stiffness and mass in their common eigenbasis,
+    in closed form at both d: V^T A V = diag(a), V^T M V = diag(m)."""
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_diagonalize_the_assembled_matrices(self, k):
-        sm = _space_mesh(1, k)
+    @pytest.mark.parametrize(
+        "d, k",
+        [pytest.param(1, k, id=str(k)) for k in range(1, 7)]
+        + [pytest.param(2, k, id=f"d2-{k}") for k in range(5)],
+    )
+    def test_diagonalize_the_assembled_matrices(self, d, k):
+        sm = _space_mesh(d, d * k)
         st = space_stencils(sm)
-        for values, csr in zip(
-            precond.space_modes(st), (space_stiffness(sm, 1), space_mass(sm, 1))
-        ):
+        v = st.modes[3](np.eye(st.slots.size)).T  # back maps the rows of I to V^T
+        for values, csr in zip(st.modes, (space_stiffness(sm, 1), space_mass(sm, 1))):
             want = csr.toarray()[np.ix_(st.slots, st.slots)]
-            got = st.sine @ np.diag(values) @ st.sine
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            got = v.T @ want @ v
+            scale = np.max(np.abs(values))
+            assert np.max(np.abs(got - np.diag(values))) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("d, k", [(1, 6), (2, 0), (2, 1), (2, 4)])
+    def test_forward_and_back_are_transposes(self, d, k):
+        # x . forward(y) = back(x) . y on random rows, batched on a leading axis
+        st = space_stencils(_space_mesh(d, d * k))
+        _, _, forward, back = st.modes
+        x, y = np.random.default_rng(k).standard_normal((2, 3, st.slots.size))
+        got = np.einsum("ij,ij->i", x, forward(y))
+        want = np.einsum("ij,ij->i", back(x), y)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_one_square_builds_and_solves(self):
+        # N = 1: one centre, no grid dof, one 1 x 1 block of A = 4, M = 1/6
+        st = space_stencils(_space_mesh(2, 0))
+        a, m, _, _ = st.modes
+        assert (a.shape, m.shape) == ((1,), (1,))
+        assert a[0] == pytest.approx(24.0, rel=1e-15) and m[0] == 1.0
+        assert stiffness_solve(st)(np.array([4.0])) == pytest.approx([1.0], rel=1e-15)
 
     def test_smallest_stiffness_eigenvalue_keeps_its_digits(self):
         # (4/h) sin^2(pi / 2N) at N = 1024, against a long double reference;
         # a0 + a1 2 cos(pi / N) would cancel about five digits of it
         n = 1024
-        a, _ = precond.space_modes(space_stencils(_space_mesh(1, 10)))
+        a, *_ = space_stencils(_space_mesh(1, 10)).modes
         pi = 4 * np.arctan(np.longdouble(1))
         want = 4 * n * np.sin(pi / (2 * n)) ** 2
+        assert a.min() == a[0]
+        assert abs(a[0] - want) <= 1e-15 * want
+
+    def test_smallest_d2_stiffness_eigenvalue_keeps_its_digits(self):
+        # the smaller root of mode (1, 1)'s 2 x 2 pencil at N = 64, against
+        # the same closed form in long double. Batched np.linalg.eigh on
+        # the Cholesky-reduced blocks reads it 6.1e-15, 7.1e-14 and 2.4e-13
+        # off at N = 16, 32 and 64
+        n = 64
+        st = space_stencils(_space_mesh(2, 12))
+        ld = np.longdouble
+        pi = 4 * np.arctan(ld(1))
+        sigma, cos_sq = 4 * np.sin(pi / (2 * n)) ** 2, np.cos(pi / (2 * n)) ** 2
+        h_sq = ld(1) / (n * n)
+        g_a, b_a, al_a = ld(4), -4 * cos_sq, ld(4)  # the stiffness's block
+        g_m = h_sq / 2 - h_sq * sigma / 12  # the mass's, (1/24)-stencils
+        b_m, al_m = h_sq * cos_sq / 6, h_sq / 6
+        det_a, det_m = 8 * sigma - sigma * sigma, g_m * al_m - b_m * b_m
+        trace = g_a * al_m + g_m * al_a - 2 * b_a * b_m
+        big = (trace + np.sqrt(trace * trace - 4 * det_m * det_a)) / (2 * det_m)
+        want = det_a / (det_m * big)
+        a = st.modes[0]
         assert a.min() == a[0]
         assert abs(a[0] - want) <= 1e-15 * want
 
@@ -314,11 +368,13 @@ class TestGXClosedForm:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_sine_table_built_once_per_level(self, d, record_calls):
-        # the l = 0 A_test solve and the G_X lift read the stencils' table
-        tables = record_calls(precond, "_sine")
+        # the l = 0 A_test solve, the eigenbasis and the map back read the
+        # stencils' one set of modes, and its tables
+        names = ("_sine", "_dst2", "space_modes")
+        calls = [record_calls(precond, name) for name in names]
         cfg = ExperimentConfig(experiment="convergence", d=d, T=1.0, k_range=[3], l=0)
         solve_backward(cfg, 3)
-        assert len(tables) == 1
+        assert [len(c) for c in calls] == [1, d - 1, 1]
 
 
 class TestGYLift:

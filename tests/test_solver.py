@@ -288,14 +288,14 @@ class TestPCG:
         # from the accepted iterate must meet the stopping rule too:
         # r (G_X r) <= the report's threshold, at d = 1 k <= 8, d = 2 k <= 4,
         # and under the deep marker at d = 1 k = 9, 10 and d = 2 k = 5, 6.
-        # At d = 1 the level solves in the tensor eigenbasis; the iterate is
+        # Every l = 0 level solves in the tensor eigenbasis; the iterate is
         # mapped back, and r and G_X r are build_system's slot-order operator
         # and make_G_X's lift, not the eigenbasis system's
         cfg = ExperimentConfig(
             experiment="convergence", d=d, T=1.0, k_range=[k], solution="cubic"
         )
         level = build_level(cfg, k)
-        assert (level.system.modes is not None) == (d == 1)
+        assert level.system.modes is not None
         eps = choose_epsilon(cfg.epsilon_strategy, level.system.n, d)
         x, rep = pcg(
             replace(level.system, reg_epsilon=eps), level.g_x,
@@ -383,54 +383,62 @@ class TestPCG:
             assert np.all(rep.residual_history >= 0.0)
 
 
-def eigenbasis_pair(k, reg_epsilon):
+def eigenbasis_pair(d, k, reg_epsilon):
     """(time mesh, slot-order system, eigenbasis system, its lift, Z, M_t)
-    of a d=1, l = 0 convergence level k: build_system's slot-order system
-    and in_modes of it."""
+    of an l = 0 convergence level k: build_system's slot-order system and
+    in_modes of it."""
     tm = TimeMesh(0.0, 1.0, k)
-    sm = refine_uniform(unit_interval_mesh(1), k)
+    initial = unit_square_initial() if d == 2 else unit_interval_mesh(1)
+    sm = refine_uniform(initial, d * k)
     slot = replace(
-        level_system(tm, sm, 0, get_solution("cubic", 1)), reg_epsilon=reg_epsilon
+        level_system(tm, sm, 0, get_solution("cubic", d)), reg_epsilon=reg_epsilon
     )
     modal, lift = in_modes(tm, slot)
     m_t = hat_matrix(time_mass_trial(tm)).toarray()
     return tm, slot, modal, lift, modal.modes[0], m_t
 
 
+# d = 1 k <= 6, with the ids they had as d = 1 levels alone, and d = 2 k <= 3
+EIGENBASIS_LEVELS = [pytest.param(1, k, id=str(k)) for k in range(1, 7)]
+EIGENBASIS_LEVELS += [pytest.param(2, k, id=f"d2-{k}") for k in range(1, 4)]
+
+
 class TestEigenbasis:
-    """The d=1, l = 0 solve in the tensor eigenbasis x = (Z x S) x~: the
-    eigenbasis operators mapped back to slot order are the slot-order ones."""
+    """The l = 0 solve in the tensor eigenbasis x = (Z x V) x~, V the space
+    modes: the eigenbasis operators are the slot-order ones in that basis."""
 
     @staticmethod
     def near(got, want, rel=1e-12):
         return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_operators_are_the_slot_order_operators(self, k):
-        tm, slot, modal, lift, z, m_t = eigenbasis_pair(k, 0.3)
-        sine = slot.stencils.sine
+    @pytest.mark.parametrize("d, k", EIGENBASIS_LEVELS)
+    def test_operators_are_the_slot_order_operators(self, d, k):
+        tm, slot, modal, lift, z, m_t = eigenbasis_pair(d, k, 0.3)
+        st = slot.stencils
+        _, m, forward, _ = st.modes
         shape = modal.modes[1].shape
-        g_x = make_G_X(tm, slot.stencils)
+        g_x = make_G_X(tm, st)
         rng = np.random.default_rng(k)
         for _ in range(3):
             x, f = rng.standard_normal((2, *shape))
-            # iterates map back by Z x~ S and residuals forward by Z^T r S,
-            # so a residual-space vector maps back by M_t Z y~ S
-            back = (m_t @ z @ modal.apply(x).reshape(shape) @ sine).ravel()
-            assert self.near(back, slot.apply(modal.in_slots(x)))
-            lifted = modal.in_slots(lift.apply((z.T @ f @ sine).ravel()))
+            # iterates map back by (Z x V) x~ and residuals forward by
+            # (Z x V)^T r: the eigenbasis operator is (Z x V)^T S (Z x V)
+            slot_s = slot.apply(modal.in_slots(x)).reshape(shape)
+            assert self.near(modal.apply(x), forward(z.T @ slot_s).ravel())
+            lifted = modal.in_slots(lift.apply(forward(z.T @ f).ravel()))
             assert self.near(lifted, g_x.apply(f.ravel()))
-            # the forward map of an iterate, Z^T M_t x S, then the back map
-            forward = (z.T @ m_t @ f @ sine).ravel()
-            assert self.near(modal.in_slots(forward), f.ravel())
-        assert self.near(modal.rhs, (z.T @ slot.rhs.reshape(shape) @ sine).ravel())
+            # the forward map of an iterate, Z^T M_t x diag(1 / m) V^T M,
+            # then the back map
+            ahead = forward(st.product((st.mass, z.T @ m_t @ f))) / m
+            assert self.near(modal.in_slots(ahead), f.ravel())
+        assert self.near(modal.rhs, forward(z.T @ slot.rhs.reshape(shape)).ravel())
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_pcg_takes_the_slot_order_iterations(self, k):
+    @pytest.mark.parametrize("d, k", EIGENBASIS_LEVELS)
+    def test_pcg_takes_the_slot_order_iterations(self, d, k):
         # at a fixed threshold, well above either form's round-off floor
         # (about 1e-24 here), both run the same PCR iterations to iterates
         # within 1e-9
-        tm, slot, modal, lift, _, _ = eigenbasis_pair(k, 2.0**-k)
+        tm, slot, modal, lift, _, _ = eigenbasis_pair(d, k, 2.0**-k)
         g_x = make_G_X(tm, slot.stencils)
         x, rep = pcg(slot, g_x, 1e-16, 100)
         x_modal, rep_modal = pcg(modal, lift, 1e-16, 100)
@@ -439,27 +447,41 @@ class TestEigenbasis:
         gap = np.linalg.norm(modal.in_slots(x_modal) - x)
         assert gap <= 1e-9 * np.linalg.norm(x)
 
-    def test_pcg_runs_no_space_solve_or_stencil_product(self, record_calls):
-        # inside pcg a d=1, l = 0 solve applies diagonals and the rank-2 time
-        # trace term only. The level builds one closed-form space solve, the
-        # A solve (shift 0) of the slot-order test_part, which the
-        # eigenbasis system never calls, and no make_G_X; pcg runs no
-        # stencil product; solve_level maps back and scatters once
+    @pytest.mark.parametrize("d, k", [(1, 5), (2, 3)])
+    def test_pcg_runs_no_space_solve_or_stencil_product(self, d, k, record_calls):
+        # inside pcg an l = 0 solve applies diagonals and the rank-2 time
+        # trace term only. The level builds one set of space modes, which
+        # the A solve of the slot-order build_system (its test_part the
+        # eigenbasis system never calls) and in_modes share, and no
+        # make_G_X; pcg runs no space transform and no stencil product;
+        # solve_level maps back and scatters once
         cfg = ExperimentConfig(
-            experiment="convergence", d=1, T=1.0, k_range=[5], solution="cubic"
+            experiment="convergence", d=d, T=1.0, k_range=[k], solution="cubic"
         )
-        solves = record_calls(precond, "_shifted_space_solve")
-        level = build_level(cfg, 5)
-        assert len(solves) == 1 and not solves[0][1].any()
-        level.system = replace(level.system, test_part=None)
+        modes = record_calls(precond, "space_modes")
+        lifts = record_calls(precond, "make_G_X")
+        level = build_level(cfg, k)
+        assert (len(modes), len(lifts)) == (1, 0)
+        st = level.system.stencils
+        a, m, forward, back = st.modes
+        maps = []  # the space transforms called, forward or back
+
+        def spy(name, fn):
+            return lambda y: maps.append(name) or fn(y)
+
+        modes = (a, m, spy("forward", forward), spy("back", back))
+        level.system = replace(
+            level.system, test_part=None, stencils=st._replace(modes=modes)
+        )
         products = record_calls(SpaceStencils, "product")
-        back = record_calls(LeastSquaresSystem, "in_slots")
+        in_slots = record_calls(LeastSquaresSystem, "in_slots")
         scatters = record_calls(SpaceStencils, "scatter")
-        system = replace(level.system, reg_epsilon=2.0**-5)
+        system = replace(level.system, reg_epsilon=2.0**-k)
         _, rep = pcg(system, level.g_x, cfg.threshold, cfg.max_iter)
-        assert rep.converged and rep.iterations >= 1 and products == []
-        solve_level(cfg, 5, level, "plain")
-        assert (len(back), len(scatters)) == (1, 1)
+        assert rep.converged and rep.iterations >= 1
+        assert products == [] and maps == []
+        solve_level(cfg, k, level, "plain")
+        assert (len(in_slots), len(scatters), maps) == (1, 1, ["back"])
 
 
 def linear_fe_solution(sm):
