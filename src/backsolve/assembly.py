@@ -148,8 +148,13 @@ def _cell_rule(mesh: SpatialMesh, degree: int):
 
 
 def quad_points_physical(mesh: SpatialMesh, pts: np.ndarray) -> np.ndarray:
-    """Map barycentric rule points to all cells: (nc, q, d)."""
-    return np.einsum("qi,cid->cqd", np.asarray(pts), mesh.vertices[mesh.cells])
+    """Map barycentric rule points to all cells: (nc, q, d), summed over
+    the vertices in order, with the cells on the fastest axis."""
+    pts, v = np.asarray(pts), mesh.vertices.T[:, mesh.cells.T]  # (d, d + 1, nc)
+    out = pts[:, 0, None, None] * v[:, 0]  # (q, d, nc)
+    for i in range(1, pts.shape[1]):
+        out += pts[:, i, None, None] * v[:, i]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def space_matrices(mesh: SpatialMesh, test: int, trial: int) -> list:
@@ -209,21 +214,25 @@ def space_load(mesh: SpatialMesh, p: int, values) -> np.ndarray:
     pts, w = _cell_rule(mesh, QUAD_ORDER)
     vol, _ = mesh.geometry
     vals, _ = ref_shapes(p, pts)
-    fq = np.reshape(values, (vol.size, w.size))
-    cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
-    return _scatter_load(dm, cell_load)
+    # summed over the points in order, with the cells on the fastest axis
+    wf = np.multiply(np.reshape(values, (vol.size, w.size)).T, w[:, None], order="C")
+    cell_load = vals[0, :, None] * wf[0]  # (local slots, cells)
+    for q in range(1, w.size):
+        cell_load += vals[q, :, None] * wf[q]
+    cell_load *= vol
+    return _scatter_load(dm, cell_load.T)
 
 
 def gradient_load(mesh: SpatialMesh, field) -> np.ndarray:
     """Vector of integrals field . grad(eta_i) over the P1 space, field
     constant per cell: (cells, d)."""
-    dm = space_dof_map(mesh, 1)
-    vol, jinv = mesh.geometry
-    _, grads = ref_shapes(1, np.eye(mesh.dimension + 1)[:1])  # constant: any point
-    # physical gradients contract jinv on its first index, as in
-    # fe_gradients_on_cells: (cells, local slots, d)
-    phys = np.einsum("ie,ced->cid", grads[0], jinv)
-    return _scatter_load(dm, vol[:, None] * np.einsum("cid,cd->ci", phys, field))
+    vol, _ = mesh.geometry
+    grads = mesh.bary_gradients
+    cell_load = grads[..., 0] * field[:, :1]  # summed over the d components in order
+    for e in range(1, mesh.dimension):
+        cell_load += grads[..., e] * field[:, e, None]
+    cell_load *= vol[:, None]
+    return _scatter_load(space_dof_map(mesh, 1), cell_load)
 
 
 def _scatter_load(dm: DofMap, cell_load: np.ndarray) -> np.ndarray:
@@ -283,14 +292,14 @@ def fe_gradients_on_cells(
 ) -> np.ndarray:
     """P1 gradients at rule points of every cell: (..., nc, q, d).
 
-    coeffs is (..., n_dofs), batched as in fe_values_on_cells.
+    coeffs is (..., n_dofs), batched as in fe_values_on_cells. A P1
+    gradient is constant per cell: the local coefficients times the
+    barycentric gradients, summed over the local slots in order, at each
+    of the len(pts) points.
     """
-    dm = space_dof_map(mesh, 1)
-    _, grads = ref_shapes(1, pts)
-    _, jinv = mesh.geometry
-    # (nc, q, d, nloc): physical gradients of the local shape functions
-    phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)
-    lead = coeffs.shape[:-1]
-    rows = coeffs.reshape(int(np.prod(lead)), -1).T  # (n_dofs, batch)
-    out = phys.reshape(phys.shape[0], -1, phys.shape[3]) @ _slot_coeffs(dm, rows, 0)
-    return np.moveaxis(out, -1, 0).reshape(*lead, *phys.shape[:3])
+    c = _slot_coeffs(space_dof_map(mesh, 1), coeffs, -1)[..., None]
+    grads = mesh.bary_gradients
+    out = c[..., 0, :] * grads[:, 0]
+    for i in range(1, grads.shape[1]):
+        out += c[..., i, :] * grads[:, i]
+    return np.repeat(out[..., None, :], len(pts), axis=-2)

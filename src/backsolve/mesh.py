@@ -60,7 +60,8 @@ class TimeMesh:
 @dataclass(frozen=True)
 class SpatialMesh:
     """Conforming simplicial mesh; facets and boundary flags follow from the
-    cells and are derived on first use, like the geometry."""
+    cells and are derived on first use, like the geometry and the
+    barycentric gradients."""
 
     dimension: int
     vertices: np.ndarray
@@ -94,14 +95,28 @@ class SpatialMesh:
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell |volume| and inverse Jacobians (reference -> physical);
         a Jacobian's columns are the edge vectors v_i - v_0."""
-        vol = cell_volumes(self)
+        edges = _edge_vectors(self)  # one gather for the volumes and Jacobians
+        vol = cell_volumes(self, edges)
         if np.any(vol <= 0.0):
             raise ValueError("cell with nonpositive volume")
-        v = self.vertices[self.cells]
-        jinv = np.linalg.inv(np.swapaxes(v[:, 1:] - v[:, :1], 1, 2))
+        jinv = np.linalg.inv(np.swapaxes(edges, 1, 2))
         for arr in (vol, jinv):
             arr.setflags(write=False)
         return vol, jinv
+
+    @functools.cached_property
+    def bary_gradients(self) -> np.ndarray:
+        """Per-cell gradients of the barycentric coordinates, (cells, d + 1,
+        d): the reference gradients (-1, ..., -1), e_1, ..., e_d contracted
+        with the inverse Jacobians' rows, summed in order from zero."""
+        _, jinv = self.geometry
+        d = self.dimension
+        ref = np.vstack([-np.ones(d), np.eye(d)])
+        out = np.zeros((self.n_cells, d + 1, d))
+        for e in range(d):
+            out += ref[:, e, None] * jinv[:, None, e]
+        out.setflags(write=False)
+        return out
 
     @functools.cached_property
     def facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,13 +150,20 @@ class SpatialMesh:
         return flags
 
 
-def cell_volumes(mesh: SpatialMesh) -> np.ndarray:
-    """Signed volumes under the stored vertex order (positive when valid)."""
+def _edge_vectors(mesh: SpatialMesh) -> np.ndarray:
+    """Each cell's edge vectors v_i - v_0, i = 1..d, as rows: (cells, d, d)."""
     v = mesh.vertices[mesh.cells]
+    return v[:, 1:] - v[:, :1]
+
+
+def cell_volumes(mesh: SpatialMesh, edges: np.ndarray | None = None) -> np.ndarray:
+    """Signed volumes under the stored vertex order (positive when valid),
+    from the mesh's _edge_vectors unless they are given."""
+    if edges is None:
+        edges = _edge_vectors(mesh)
     if mesh.dimension == 1:
-        return v[:, 1, 0] - v[:, 0, 0]
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
+        return edges[:, 0, 0]
+    e1, e2 = edges[:, 0], edges[:, 1]
     return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
 
 

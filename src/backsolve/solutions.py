@@ -38,8 +38,9 @@ class ManufacturedSolution:
         px = np.pi * x
         out = np.pi * np.cos(px)
         if x.shape[1] == 2:
-            # multiply in the other factor instead of dividing (sin can vanish)
-            out *= np.sin(px[:, ::-1])
+            # multiply in the other factor instead of dividing (sin can
+            # vanish); sin runs on contiguous px, then the columns swap
+            out *= np.sin(px)[:, ::-1]
         return out
 
     def source(self, t):

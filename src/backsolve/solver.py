@@ -340,7 +340,9 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     Krylov space, so the monitored stopping quantity is monotone. x is
     accepted once r(G_X r) <= min(1, eps)^2 J(x), J(x) = J(0) - x.h - x.r
     (h the right-hand side, r = h - S x), or <= a given positive threshold;
-    the report's threshold is that bound at the final iterate.
+    the report's threshold is that bound at the final iterate. Each step
+    updates its vectors in place, so g_x.apply and system.apply must return
+    new arrays.
     """
     if threshold is not None and threshold <= 0.0:
         raise ValueError("threshold must be positive")
@@ -364,19 +366,19 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     converged = rz <= accept
 
     if not converged:
-        s_z = apply_s(z)
-        z_s_z = float(z @ s_z)
+        s_p = apply_s(z)  # s_z until the first update
+        z_s_z = float(z @ s_p)
         p = z.copy()
-        s_p = s_z.copy()
         for iterations in range(1, max_iter + 1):
             g_s_p = apply_g(s_p)
             denom = float(s_p @ g_s_p)
             if denom <= 0.0 or z_s_z <= 0.0:
                 break  # roundoff exhausted; residual no longer decreases
             alpha = z_s_z / denom
-            x += alpha * p
-            r -= alpha * s_p
-            z -= alpha * g_s_p
+            # each alpha step in place, in g_s_p, dead once z is updated
+            z -= np.multiply(g_s_p, alpha, out=g_s_p)
+            x += np.multiply(p, alpha, out=g_s_p)
+            r -= np.multiply(s_p, alpha, out=g_s_p)
             rz = float(r @ z)
             history.append(max(rz, 0.0))
             accept = bound(x, r)
@@ -387,8 +389,10 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
             z_s_z_next = float(z @ s_z)
             beta = z_s_z_next / z_s_z
             z_s_z = z_s_z_next
-            p = z + beta * p
-            s_p = s_z + beta * s_p
+            p *= beta
+            p += z
+            s_p *= beta
+            s_p += s_z
 
     report = SolveReport(
         iterations=iterations,
@@ -526,7 +530,11 @@ def error_terms(space_mesh: SpatialMesh, space, solution, sample, phi_load):
     )
     grad_phi = solution.grad_phi(points).reshape(*cell_w.shape, -1)
     mean = np.tensordot(w, grad_phi, axes=(0, 1))  # (cells, d)
-    osc_sq = float(np.vdot(cell_w, np.sum((grad_phi - mean[:, None]) ** 2, 2)))
+    osc_sq = np.zeros(cell_w.shape)  # squares summed over the d components in order
+    for e in range(grad_phi.shape[2]):
+        osc = grad_phi[..., e] - mean[:, e, None]
+        osc_sq += osc * osc
+    osc_sq = float(np.vdot(cell_w, osc_sq))
     psi_grad = mean - fe_gradients_on_cells(space_mesh, interp, pts[:1])[:, 0]
     v_psi = vol[:, None] * psi_grad
     h1 = (

@@ -35,6 +35,13 @@ def geometry_computations(monkeypatch):
 
 
 @pytest.fixture
+def bary_gradient_computations(monkeypatch):
+    """List that receives the mesh of every barycentric-gradient table
+    computation."""
+    return _computations(monkeypatch, "bary_gradients")
+
+
+@pytest.fixture
 def facet_computations(monkeypatch):
     """List that receives the mesh of every facet table computation."""
     return _computations(monkeypatch, "facets")

@@ -11,7 +11,10 @@ stiffness by element blocks, the assembled space matrices in dof order,
 and the entries of each stencil class of the P1 pair, which the solver
 takes in closed form), the maps between dof order and the solve's slot
 order, a graded time mesh, the conformity check of a mesh, the log-log
-rate fit and the CSV reader.
+rate fit and the CSV reader; and the earlier forms of the level build's
+kernels (the einsum quad-point map and loads, the matmul route of P1
+gradients, the PCR loop that allocates a vector per update), which the
+ordered kernels must equal bitwise.
 """
 
 import csv
@@ -21,7 +24,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from backsolve import assembly
-from backsolve.assembly import space_matrices
+from backsolve.assembly import (
+    QUAD_ORDER,
+    _cell_rule,
+    _scatter_load,
+    _slot_coeffs,
+    ref_shapes,
+    space_dof_map,
+    space_matrices,
+)
 from backsolve.operators import KroneckerOperator, _element_scatter, assemble_B
 from backsolve.operators import space_factors
 from backsolve.precond import make_G_Y
@@ -393,3 +404,87 @@ def read_results(path):
         header = next(reader)
         rows = [dict(zip(header, map(_parse_cell, line))) for line in reader]
     return header, rows
+
+
+# ------------------------------------- earlier forms of the level build ----
+
+
+def quad_points_einsum(mesh, pts):
+    """assembly.quad_points_physical as the einsum over the vertices."""
+    return np.einsum("qi,cid->cqd", np.asarray(pts), mesh.vertices[mesh.cells])
+
+
+def space_load_einsum(mesh, p, values):
+    """assembly.space_load with the three-operand einsum over the points."""
+    pts, w = _cell_rule(mesh, QUAD_ORDER)
+    vol, _ = mesh.geometry
+    vals, _ = ref_shapes(p, pts)
+    fq = np.reshape(values, (vol.size, w.size))
+    cell_load = vol[:, None] * np.einsum("q,cq,qi->ci", w, fq, vals)
+    return _scatter_load(space_dof_map(mesh, p), cell_load)
+
+
+def gradient_load_einsum(mesh, field):
+    """assembly.gradient_load with the physical gradients rebuilt from the
+    inverse Jacobians and contracted with field, two einsums."""
+    vol, jinv = mesh.geometry
+    _, grads = ref_shapes(1, np.eye(mesh.dimension + 1)[:1])
+    phys = np.einsum("ie,ced->cid", grads[0], jinv)
+    cell_load = vol[:, None] * np.einsum("cid,cd->ci", phys, field)
+    return _scatter_load(space_dof_map(mesh, 1), cell_load)
+
+
+def fe_gradients_matmul(mesh, coeffs, pts):
+    """assembly.fe_gradients_on_cells by matmul: the inverse Jacobians
+    times the reference gradients at each point, times the local
+    coefficients."""
+    _, grads = ref_shapes(1, pts)
+    _, jinv = mesh.geometry
+    phys = jinv.transpose(0, 2, 1)[:, None] @ grads.transpose(0, 2, 1)
+    lead = coeffs.shape[:-1]
+    rows = coeffs.reshape(int(np.prod(lead)), -1).T  # (n_dofs, batch)
+    local = _slot_coeffs(space_dof_map(mesh, 1), rows, 0)
+    out = phys.reshape(phys.shape[0], -1, phys.shape[3]) @ local
+    return np.moveaxis(out, -1, 0).reshape(*lead, *phys.shape[:3])
+
+
+def pcg_allocating(system, g_x, threshold, max_iter):
+    """solver.pcg's iteration with a new vector per update: (x, the
+    residual history, converged)."""
+    h = system.rhs
+    x = np.zeros_like(h)
+    weight = min(1.0, system.reg_epsilon) ** 2
+
+    def bound(x, r):
+        return threshold or weight * (system.j_zero - float(x @ h) - float(x @ r))
+
+    r = h.copy()
+    z = g_x.apply(r)
+    rz = float(r @ z)
+    history = [max(rz, 0.0)]
+    converged = rz <= bound(x, r)
+    if not converged:
+        s_z = system.apply(z)
+        z_s_z = float(z @ s_z)
+        p, s_p = z.copy(), s_z.copy()
+        for _ in range(max_iter):
+            g_s_p = g_x.apply(s_p)
+            denom = float(s_p @ g_s_p)
+            if denom <= 0.0 or z_s_z <= 0.0:
+                break
+            alpha = z_s_z / denom
+            x += alpha * p
+            r -= alpha * s_p
+            z -= alpha * g_s_p
+            rz = float(r @ z)
+            history.append(max(rz, 0.0))
+            if rz <= bound(x, r):
+                converged = True
+                break
+            s_z = system.apply(z)
+            z_s_z_next = float(z @ s_z)
+            beta = z_s_z_next / z_s_z
+            z_s_z = z_s_z_next
+            p = z + beta * p
+            s_p = s_z + beta * s_p
+    return x, np.asarray(history), converged
