@@ -260,8 +260,9 @@ def load_vector_f(time_mesh: TimeMesh, source) -> np.ndarray:
     sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = time_mesh.lengths
     t = time_mesh.breakpoints[:-1, None] + h[:, None] * sq
-    # source at scalar t: numpy's array t**3 can differ from the scalar by an ulp
-    ct = np.array([source(ti) for ti in t.ravel()]).reshape(t.shape)
+    # source at scalar t, a Python float: numpy's array t**3 can differ from
+    # the scalar by an ulp, and a numpy scalar's arithmetic is slower
+    ct = np.array([source(ti) for ti in t.ravel().tolist()]).reshape(t.shape)
     psi = test_basis_values(sq, h)  # (elements, 2, q)
     return (h[:, None] * (psi @ (wq * ct)[:, :, None])[..., 0]).ravel()
 

@@ -29,13 +29,30 @@ class UnsupportedMeshError(ValueError):
 
 @dataclass(frozen=True)
 class RieszPreconditioner:
-    """SPD trial-space lift from functionals to coefficient space."""
+    """SPD trial-space lift from functionals to coefficient space: _apply,
+    or, for a lift that is diagonal in the solve's basis, a divide by
+    diagonal."""
 
     norm = "X"  # not a field; perfbench's tracer names apply spans by it
-    _apply: Callable = field(repr=False)
+    _apply: Callable | None = field(default=None, repr=False)
+    diagonal: np.ndarray | None = field(default=None, repr=False)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._apply(np.asarray(f, dtype=float))
+    def apply(self, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The lift of f, a new array, or written into out and returned: a
+        diagonal lift divides into out, any other fills out from its
+        result. out must not share memory with f."""
+        f = np.asarray(f, dtype=float)
+        if self.diagonal is not None:
+            return np.divide(f, self.diagonal, out=out)
+        return filled(out, self._apply(f))
+
+
+def filled(out: np.ndarray | None, result: np.ndarray) -> np.ndarray:
+    """result, or out with result's values when out is given."""
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def make_G_Y(a_test) -> Callable:
@@ -95,15 +112,19 @@ def _time_modes(time_mesh: TimeMesh):
     W the cosines are orthogonal with squared norms n / 2, doubled at j = 0
     and j = n (the DCT-I). 1 - c_j is taken as 2 sin^2(j pi / 2n), so the
     small theta_j keep their relative accuracy, and i j is reduced mod 2n
-    before it is scaled by pi / n.
+    before it is scaled by pi / n: Z gathers from the cosines of the 2n
+    reduced angles (_gathered).
     """
     bp = time_mesh.breakpoints
     n, span = bp.size - 1, bp[-1] - bp[0]
     j = np.arange(n + 1)
-    c = np.cos(np.pi * j / n)
+    cos = np.cos(np.pi * np.arange(2 * n) / n)
+    c = cos[: n + 1]
     theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
     sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
-    return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
+    z = _gathered(cos, j, j)
+    z /= np.sqrt(sq_norms)
+    return theta, z
 
 
 def space_modes(stencils: SpaceStencils):
@@ -329,19 +350,30 @@ def _bordered(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gathered(row: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The table row[(i x j) mod row.size]: the index product is reduced in
+    place, then gathered, so each trig table evaluates one row of angles."""
+    index = np.multiply.outer(i, j)
+    index %= row.size
+    return np.take(row, index)
+
+
 def _sine(n: int) -> np.ndarray:
     """The orthonormal sine matrix sqrt(2/N) sin(p i pi / N), p, i = 1..N-1,
     with p i reduced mod 2N before it is scaled by pi / N."""
     p = np.arange(1, n)
-    return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
+    table = _gathered(np.sin(np.pi * np.arange(2 * n) / n), p, p)
+    table *= math.sqrt(2.0 / n)
+    return table
 
 
 def _dst2(n: int) -> np.ndarray:
     """The orthonormal DST-II matrix sqrt(2/N) sin(p (2c + 1) pi / 2N),
     p = 1..N, c = 0..N-1, its row N scaled by 1/sqrt(2), with p (2c + 1)
     reduced mod 4N before it is scaled by pi / 2N."""
-    odd = np.outer(np.arange(1, n + 1), 2 * np.arange(n) + 1) % (4 * n)
-    table = math.sqrt(2.0 / n) * np.sin(np.pi * odd / (2 * n))
+    row = np.sin(np.pi * np.arange(4 * n) / (2 * n))
+    table = _gathered(row, np.arange(1, n + 1), 2 * np.arange(n) + 1)
+    table *= math.sqrt(2.0 / n)
     table[-1] *= math.sqrt(0.5)
     return table
 

@@ -120,6 +120,7 @@ from .precond import (
     RieszPreconditioner,
     SpaceStencils,
     _time_modes,
+    filled,
     make_G_X,
     make_G_Y,
     stiffness_solve,
@@ -143,6 +144,14 @@ class LeastSquaresSystem:
     every epsilon through dataclasses.replace. With modes = (Z, lam, m)
     (in_modes) v, rhs and apply's result are in the tensor eigenbasis of
     the module docstring instead, and in_slots maps v back.
+
+    apply(v) returns a new array; apply(v, out, scratch) writes S v into
+    out and returns it. In the eigenbasis lam x is written into out and the
+    two rank-one time terms are formed in scratch, a full-length array
+    whose contents are lost (one is allocated when it is not given); the
+    slot-order form fills out from its own result, and also takes a stack
+    of vectors (..., n), each on its own. out and scratch must not share
+    memory with v or with each other.
     """
 
     stencils: SpaceStencils
@@ -167,35 +176,39 @@ class LeastSquaresSystem:
         z, back = self.modes[0], self.stencils.modes[3]
         return back(z @ v.reshape(z.shape[0], -1)).ravel()
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v, out=None, scratch=None) -> np.ndarray:
         if self.modes is not None:  # lam x + the trace terms, rank 2 in time
             z, lam, m = self.modes
             x = np.asarray(v, dtype=float).reshape(lam.shape)
-            out = lam * x
-            out += np.outer(z[-1], 2.0 * m * (z[-1] @ x))
-            out += np.outer(z[0], (self.reg_epsilon**2 - 1.0) * m * (z[0] @ x))
-            return out.ravel()
-        st = self.stencils
-        rows = np.asarray(v, dtype=float).reshape(-1, st.slots.size)
+            out = np.empty(lam.size) if out is None else out
+            term = np.empty(lam.shape) if scratch is None else scratch.reshape(lam.shape)
+            s_x = np.multiply(lam, x, out=out.reshape(lam.shape))
+            s_x += np.multiply.outer(z[-1], 2.0 * m * (z[-1] @ x), out=term)
+            start = (self.reg_epsilon**2 - 1.0) * m * (z[0] @ x)
+            s_x += np.multiply.outer(z[0], start, out=term)
+            return out
+        st, v = self.stencils, np.asarray(v, dtype=float)
+        rows = v.reshape(*v.shape[:-1], -1, st.slots.size)
         k_rows, m_rows = _hat_products(self.step, rows)
         u, rest = self.test_part(k_rows)
-        u[-1] += 2.0 * rows[-1]
-        u[0] += (self.reg_epsilon**2 - 1.0) * rows[0]
-        out = st.product((st.mass, u), (st.stiffness, m_rows)) + rest
-        return out.ravel()
+        u[..., -1, :] += 2.0 * rows[..., -1, :]
+        u[..., 0, :] += (self.reg_epsilon**2 - 1.0) * rows[..., 0, :]
+        s_v = st.product((st.mass, u), (st.stiffness, m_rows)) + rest
+        return filled(out, s_v.reshape(v.shape))
 
 
 def _hat_products(h: float, rows: np.ndarray) -> tuple:
     """(K_t rows, M_t rows): the hat stiffness and mass of the uniform time
     step h, with (1, -1) / h and h (1/3, 1/6) per element, times rows
-    (hats, n_x). Each entry takes the flops of summing two element blocks."""
+    (..., hats, n_x). Each entry takes the flops of summing two element
+    blocks."""
 
     def tridiagonal(corner, off):  # diagonal 2 corner, corner at both ends
         out = (2.0 * corner) * rows
-        out[0] *= 0.5
-        out[-1] *= 0.5
-        out[:-1] += off * rows[1:]
-        out[1:] += off * rows[:-1]
+        out[..., 0, :] *= 0.5
+        out[..., -1, :] *= 0.5
+        out[..., :-1, :] += off * rows[..., 1:, :]
+        out[..., 1:, :] += off * rows[..., :-1, :]
         return out
 
     return tridiagonal(1.0 / h, -1.0 / h), tridiagonal(h * (1 / 3), h * (1 / 6))
@@ -301,8 +314,10 @@ def build_system(time_mesh: TimeMesh, l: int, space, data) -> LeastSquaresSystem
     if l:
         test_solve = make_G_Y(a_test)
 
-        def test_part(y):
-            return np.zeros_like(y), (m_mix.T @ test_solve(m_mix @ y.T)).T
+        def test_part(y):  # every row of every block is one right-hand side
+            flat = y.reshape(-1, y.shape[-1])
+            rest = (m_mix.T @ test_solve(m_mix @ flat.T)).T
+            return np.zeros_like(y), rest.reshape(y.shape)
 
         solved = test_solve(test_load)
         mixed = m_mix.T @ solved
@@ -326,10 +341,10 @@ def in_modes(time_mesh: TimeMesh, system: LeastSquaresSystem) -> tuple:
     l = 0 build_system (module docstring)."""
     theta, z = _time_modes(time_mesh)
     a, m, forward, _ = system.stencils.modes
-    lam = a + np.outer(theta, m * m / a)
+    lam = np.multiply.outer(theta, m * m / a)  # a + theta x m^2 / a, in place
+    lam += a
     rhs = forward(z.T @ system.rhs.reshape(z.shape[0], -1))
-    flat = lam.ravel()
-    lift = RieszPreconditioner(lambda r: r / flat)
+    lift = RieszPreconditioner(diagonal=lam.ravel())
     return replace(system, rhs=rhs.ravel(), modes=(z, lam, m)), lift
 
 
@@ -340,15 +355,20 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     Krylov space, so the monitored stopping quantity is monotone. x is
     accepted once r(G_X r) <= min(1, eps)^2 J(x), J(x) = J(0) - x.h - x.r
     (h the right-hand side, r = h - S x), or <= a given positive threshold;
-    the report's threshold is that bound at the final iterate. Each step
-    updates its vectors in place, so g_x.apply and system.apply must return
-    new arrays.
+    the report's threshold is that bound at the final iterate. A solve
+    allocates one workspace, x, r, z, p, S p, S z and a scratch vector, and
+    nothing full-length in its loop: g_x.apply(f, out) and
+    system.apply(v, out, scratch) write into it (their out contracts), and
+    each step updates in place. The scratch holds G_X S p until z is
+    updated, then each alpha step and S z's rank-one terms.
     """
     if threshold is not None and threshold <= 0.0:
         raise ValueError("threshold must be positive")
     t0 = _time.perf_counter()
     h = system.rhs
     x = np.zeros_like(h)
+    r = h.copy()
+    z, p, s_p, s_z, work = (np.empty_like(h) for _ in range(5))
     apply_s = system.apply
     apply_g = g_x.apply
     weight = min(1.0, system.reg_epsilon) ** 2
@@ -356,8 +376,7 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     def bound(x, r):  # zero data: J = 0 and r = 0, so x = 0 is accepted
         return threshold or weight * (system.j_zero - float(x @ h) - float(x @ r))
 
-    r = h.copy()
-    z = apply_g(r)
+    apply_g(r, z)
     rz = float(r @ z)
     # rounding can take an exact zero a hair below 0; the accept test reads rz
     history = [max(rz, 0.0)]
@@ -366,11 +385,11 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
     converged = rz <= accept
 
     if not converged:
-        s_p = apply_s(z)  # s_z until the first update
+        apply_s(z, s_p, work)  # S z until the first update
         z_s_z = float(z @ s_p)
-        p = z.copy()
+        p[...] = z
         for iterations in range(1, max_iter + 1):
-            g_s_p = apply_g(s_p)
+            g_s_p = apply_g(s_p, work)
             denom = float(s_p @ g_s_p)
             if denom <= 0.0 or z_s_z <= 0.0:
                 break  # roundoff exhausted; residual no longer decreases
@@ -385,7 +404,7 @@ def pcg(system, g_x: RieszPreconditioner, threshold: float | None, max_iter: int
             if rz <= accept:
                 converged = True
                 break
-            s_z = apply_s(z)
+            apply_s(z, s_z, work)
             z_s_z_next = float(z @ s_z)
             beta = z_s_z_next / z_s_z
             z_s_z = z_s_z_next
@@ -429,13 +448,17 @@ def infsup_constant(time_mesh: TimeMesh, space_mesh: SpatialMesh) -> float:
         data = t_c, test_load, x_load, x_load, 0.0  # zero data: no rhs, J(0) = 0
         system = build_system(time_mesh, l, factors, data)
 
-        def matvec(v):  # lobpcg's dense path passes an integer identity
-            v = np.ravel(np.asarray(v, dtype=float))
-            out = system.apply(v)
-            out[-n_x:] -= st.product((st.mass, v[-n_x:]))
-            return out
+        def matmat(v):  # columns (n, k) as k rows, back in C order, the
+            # layout of a column-by-column product; lobpcg's dense path
+            # passes an integer identity
+            rows = np.asarray(v, dtype=float).T
+            out = system.apply(rows)
+            out[..., -n_x:] -= st.product((st.mass, rows[..., -n_x:]))
+            return np.ascontiguousarray(out.T)
 
-        return LinearOperator((system.n, system.n), matvec, dtype=float)
+        return LinearOperator(
+            (system.n, system.n), lambda v: matmat(np.ravel(v)), matmat=matmat, dtype=float
+        )
 
     small, big = pencil_side(0, (st, None, None)), pencil_side(1, space)
     n = small.shape[0]
@@ -565,8 +588,9 @@ def _coefficient_grams(stencils, errs, tau, values, c, q, load, psi_phi, phi_sq)
 def _error_rows(time_mesh, coeffs, solution, terms):
     """(tau at the breakpoints, the rows E_i = U_i - tau_i I phi) of
     slot-order coeffs and the level's ErrorTerms."""
-    tau = np.array([solution.tau(t) for t in time_mesh.breakpoints], dtype=float)
-    return tau, coeffs.reshape(tau.size, -1) - np.outer(tau, terms.interp)
+    tau = np.array([solution.tau(t) for t in time_mesh.breakpoints.tolist()], dtype=float)
+    errs = np.multiply.outer(tau, terms.interp)
+    return tau, np.subtract(coeffs.reshape(tau.size, -1), errs, out=errs)
 
 
 def _time_quadrature(time_mesh, solution, tau, grams):
@@ -586,7 +610,8 @@ def _time_quadrature(time_mesh, solution, tau, grams):
     bp = time_mesh.breakpoints
     sq, wq = gauss_1d_for_degree(QUAD_ORDER)
     h = np.diff(bp)[:, None]
-    times = (bp[:-1, None] + h * sq).ravel()
+    # Python floats: tau, dtau and the source run faster on them than on numpy scalars
+    times = (bp[:-1, None] + h * sq).ravel().tolist()
     a, b = 1.0 - sq, sq
     tau_t = np.reshape([solution.tau(t) for t in times], (h.size, sq.size))
     rho = tau_t - (a * tau[:-1, None] + b * tau[1:, None])

@@ -13,11 +13,14 @@ takes in closed form), the maps between dof order and the solve's slot
 order, a graded time mesh, the conformity check of a mesh, the log-log
 rate fit and the CSV reader; and the earlier forms of the level build's
 kernels (the einsum quad-point map and loads, the matmul route of P1
-gradients, the PCR loop that allocates a vector per update), which the
-ordered kernels must equal bitwise.
+gradients, the PCR loop that allocates a vector per update, the eigenbasis
+operator with a new array per term) and of the trig tables (one cos or sin
+per entry), which the ordered kernels, the operators that write in place
+and the gathered tables must equal bitwise.
 """
 
 import csv
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -488,3 +491,42 @@ def pcg_allocating(system, g_x, threshold, max_iter):
             p = z + beta * p
             s_p = s_z + beta * s_p
     return x, np.asarray(history), converged
+
+
+# -------------------------------------------- earlier forms of the tables ----
+
+
+def time_modes_per_entry(time_mesh):
+    """precond._time_modes with a cosine per entry of Z."""
+    bp = time_mesh.breakpoints
+    n, span = bp.size - 1, bp[-1] - bp[0]
+    j = np.arange(n + 1)
+    c = np.cos(np.pi * j / n)
+    theta = (12.0 * (n / span) ** 2) * np.sin(np.pi * j / (2 * n)) ** 2 / (2.0 + c)
+    sq_norms = span / 6.0 * (2.0 + c) * np.where((j == 0) | (j == n), 2.0, 1.0)
+    return theta, np.cos(np.pi * (np.outer(j, j) % (2 * n)) / n) / np.sqrt(sq_norms)
+
+
+def sine_per_entry(n):
+    """precond._sine with a sine per entry."""
+    p = np.arange(1, n)
+    return math.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(p, p) % (2 * n)) / n)
+
+
+def dst2_per_entry(n):
+    """precond._dst2 with a sine per entry."""
+    odd = np.outer(np.arange(1, n + 1), 2 * np.arange(n) + 1) % (4 * n)
+    table = math.sqrt(2.0 / n) * np.sin(np.pi * odd / (2 * n))
+    table[-1] *= math.sqrt(0.5)
+    return table
+
+
+def eigenbasis_apply_allocating(system, v):
+    """LeastSquaresSystem.apply in the tensor eigenbasis with a new array
+    per term: lam x, then the two rank-one time terms as outer products."""
+    z, lam, m = system.modes
+    x = v.reshape(lam.shape)
+    out = lam * x
+    out += np.outer(z[-1], 2.0 * m * (z[-1] @ x))
+    out += np.outer(z[0], (system.reg_epsilon**2 - 1.0) * m * (z[0] @ x))
+    return out.ravel()

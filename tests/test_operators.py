@@ -20,7 +20,7 @@ from backsolve.operators import (
 from backsolve import solver
 from backsolve.precond import RieszPreconditioner, make_G_X
 from backsolve.solutions import get_solution
-from backsolve.solver import build_meshes, infsup_constant
+from backsolve.solver import LeastSquaresSystem, build_meshes, infsup_constant
 from reference import (
     MassSolveMass,
     dense,
@@ -342,6 +342,55 @@ class TestInfSup:
         infsup_constant(TimeMesh(0.0, 1.0, 5), sm)
         assert len(lifts) <= iterations[0] + 2
         assert all(len(shape) == 2 for shape in lifts)
+
+    def test_pencil_sides_take_lobpcg_blocks_whole(self, monkeypatch):
+        # each side's matmat applies a block of LOBPCG's columns as one
+        # stack of rows: at d=1 k=5 the normal applies number at most two
+        # per iteration plus four, where a matvec alone would apply each
+        # column on its own (238 applies at d=2 k=4, against 82)
+        import scipy.sparse.linalg
+
+        shapes, iterations = [], []
+        real_apply, real_lobpcg = LeastSquaresSystem.apply, scipy.sparse.linalg.lobpcg
+
+        def apply(self, v, *args, **kwargs):
+            shapes.append(np.shape(v))
+            return real_apply(self, v, *args, **kwargs)
+
+        def lobpcg(*args, **kwargs):
+            vals, vecs, history = real_lobpcg(
+                *args, retResidualNormsHistory=True, **kwargs
+            )
+            iterations.append(len(history) - 1)  # a row per pass, one for the result
+            return vals, vecs
+
+        monkeypatch.setattr(LeastSquaresSystem, "apply", apply)
+        monkeypatch.setattr(scipy.sparse.linalg, "lobpcg", lobpcg)
+        infsup_constant(TimeMesh(0.0, 1.0, 5), refine_uniform(unit_interval_mesh(1), 5))
+        assert len(shapes) <= 2 * iterations[0] + 4
+        assert shapes[0] == (solver.INFSUP_BLOCK, 33 * 31)  # breakpoints x dofs
+
+    @pytest.mark.parametrize(
+        "d, k", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3)]
+    )
+    def test_block_sides_give_the_column_route_gamma(self, d, k, monkeypatch):
+        # a side's matmat gives each column the bytes of its matvec, in the
+        # C order of a column-by-column product, so LOBPCG takes the same
+        # steps and gamma is the same float as with the sides' matmat
+        # dropped; the lift keeps its own, which is its matvec
+        import scipy.sparse.linalg
+
+        cfg = ExperimentConfig(experiment="infsup", d=d, T=1.0, k_range=[k])
+        tm, sm = build_meshes(cfg, k)
+        blocks = infsup_constant(tm, sm)
+        real = scipy.sparse.linalg.LinearOperator
+
+        def column_by_column(shape, matvec, matmat=None, **kwargs):
+            kept = matmat if matmat == matvec else None
+            return real(shape, matvec, matmat=kept, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "LinearOperator", column_by_column)
+        assert infsup_constant(tm, sm).hex() == blocks.hex()
 
     @pytest.mark.parametrize("d, k", [(1, 2), (2, 1)])
     def test_operators_take_integer_arrays(self, d, k, monkeypatch):

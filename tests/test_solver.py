@@ -719,11 +719,11 @@ class TestSolveBackward:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
         real_normal = LeastSquaresSystem.apply
 
-        def normal(self, v):
+        def normal(self, *args, **kwargs):
             calls.append(("normal", None, False))
             inside[0] = True
             try:
-                return real_normal(self, v)
+                return real_normal(self, *args, **kwargs)
             finally:
                 inside[0] = False
 
